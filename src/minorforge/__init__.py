@@ -93,14 +93,12 @@ from .model import (
     is_attached_to,
     is_core,
     is_rooted_at,
-    is_tangent,
     pattern_graph,
     require_valid,
     sub_model,
     validate_model,
 )
 from .params import (
-    DensityParams,
     degree_target,
     power_hypothesis,
     undominated_bound,

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -44,16 +44,6 @@ class HittingSetResult:
     covered_failures: int
     undominated: int
     attempts: int
-
-
-@dataclass
-class BuildState:
-    """Progress of a branch-set growth: sets placed so far, how many earlier
-    sets each one is anticomplete to, and the remaining-graph view."""
-
-    placed: list[frozenset[int]] = field(default_factory=list)
-    anticomplete_budget: list[int] = field(default_factory=list)
-    host: Graph | None = None
 
 
 def hitting_set_check(
@@ -204,7 +194,7 @@ def connect_within(
 
 def _grow_round(
     h: Graph,
-    state: BuildState,
+    placed: list[frozenset[int]],
     r: int,
     eps: Fraction,
     n_scale: int,
@@ -214,13 +204,12 @@ def _grow_round(
 ) -> None:
     """One placement round: sample a hitting set in the remaining graph
     against the non-neighbor sets of everything placed, stitch it connected,
-    and record it."""
-    used: set[int] = set().union(*state.placed) if state.placed else set()
+    and append it to placed."""
+    used: set[int] = set().union(*placed) if placed else set()
     keep = sorted(set(range(h.n)) - used)
     f_graph, old = induced_subgraph(h, keep)
-    state.host = f_graph
     a_list = []
-    for b_set in state.placed:
+    for b_set in placed:
         a_list.append(
             frozenset(
                 i
@@ -233,13 +222,9 @@ def _grow_round(
     )
     stitched = connect_within(f_graph, res.s, max_path_len)
     b_new = frozenset(old[i] for i in stitched)
-    count = sum(
-        1 for b_set in state.placed if not _touches(h, b_new, b_set)
-    )
-    k = len(state.placed)
-    assert count <= eps * k, "stitched set lost the sampled adjacency"
-    state.placed.append(b_new)
-    state.anticomplete_budget.append(count)
+    count = sum(1 for b_set in placed if not _touches(h, b_new, b_set))
+    assert count <= eps * len(placed), "stitched set lost the sampled adjacency"
+    placed.append(b_new)
 
 
 def _touches(g: Graph, a, b) -> bool:
@@ -286,13 +271,13 @@ def build_dense_minor(
     if fast is not None:
         return compose_models(h_model, fast)
     r = desk_sample_size(eps, t, d)
-    state = BuildState(host=h)
+    placed: list[frozenset[int]] = []
     for _ in range(t):
         _grow_round(
-            h, state, r, eps, d, rng, max_attempts,
+            h, placed, r, eps, d, rng, max_attempts,
             DEFAULT_MAX_PATH_LEN,
         )
-    inner = MinorModel(h, state.placed)
+    inner = MinorModel(h, placed)
     final = compose_models(h_model, inner)
     if not is_eps_t_dense(require_valid(final).pattern, eps, t):
         raise DensityNotMetError("final pattern misses the density target")

@@ -3,6 +3,7 @@ connectivity guarantees, dense-subset peeling, and k-connected subgraphs."""
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -12,8 +13,9 @@ from .errors import (
     ExtractionFailedError,
     HypothesisViolatedError,
     InsufficientError,
+    ParseError,
 )
-from .graph import Graph, average_degree, induced_subgraph
+from .graph import Graph, average_degree, induced_subgraph, mask_vertices
 from .model import MinorModel, require_valid
 
 _EXHAUSTIVE_ORDER = 12  # widest pattern the stuck-descent fallback will search
@@ -32,7 +34,7 @@ class ExtractionTrace:
 
 def replay_extraction(host: Graph, trace: ExtractionTrace) -> MinorModel:
     frag: dict[int, set[int]] = {v: {v} for v in range(host.n)}
-    for kind, verts, m_after in trace.steps:
+    for i, (kind, verts, m_after) in enumerate(trace.steps):
         if kind == "delete":
             (r,) = verts
             del frag[r]
@@ -42,8 +44,12 @@ def replay_extraction(host: Graph, trace: ExtractionTrace) -> MinorModel:
             frag[keep] |= frag[gone]
             del frag[gone]
         else:
-            raise ValueError(f"unknown step kind {kind!r}")
-        assert _pattern_edge_count(host, frag) == m_after
+            raise ParseError(f"step {i}: unknown step kind {kind!r}")
+        m = _pattern_edge_count(host, frag)
+        if m != m_after:
+            raise ExtractionFailedError(
+                f"step {i}: replayed pattern has {m} edges, trace says {m_after}"
+            )
     return MinorModel(host, [frozenset(frag[r]) for r in sorted(frag)])
 
 
@@ -64,51 +70,125 @@ def _pattern_edge_count(host: Graph, frag: dict[int, set[int]]) -> int:
     )
 
 
+def _above(mask: int, x: int) -> int:
+    """The bits of mask for vertices greater than x."""
+    return mask >> (x + 1) << (x + 1)
+
+
 class _Work:
-    """Mutable descent state: fragments keyed by representative, pattern
-    adjacency as both sets (iteration) and bitmasks (counting)."""
+    """Mutable descent state: fragments keyed by representative and pattern
+    adjacency as bitmasks.  The loss of a pattern edge xy is
+    1 + |N(x) & N(y)|, the edge count a contraction of xy removes.  Row x
+    holds the edges xy with y > x; lb[x] is a lower bound on its least
+    loss.  When bit x of `exact` is set the bound is attained and arg[x]
+    is the smallest y attaining it.  Rows with edges are keyed (lb[x], x)
+    in a lazy heap whose entries not matching lb are stale."""
 
     def __init__(self, g: Graph):
         self.g = g
         self.frags: dict[int, set[int]] = {v: {v} for v in range(g.n)}
-        self.nbr: dict[int, set[int]] = {
-            v: set(g.neighbors(v)) for v in range(g.n)
-        }
         self.bits: dict[int, int] = {v: g.neighbor_bits(v) for v in range(g.n)}
         self.e = g.m
         self.steps: list[tuple[str, tuple[int, ...], int]] = []
+        self.lb: dict[int, int] = {
+            v: 1 for v in range(g.n) if _above(self.bits[v], v)
+        }
+        self.arg: dict[int, int] = {}
+        self.exact = 0
+        # sorted, hence already a heap
+        self.heap: list[tuple[int, int]] = [(1, v) for v in self.lb]
+
+    def least_loss_edge(self) -> tuple[int, int, int] | None:
+        """Lexicographically least (loss, a, b) over pattern edges a < b,
+        or None when the pattern has no edges."""
+        heap = self.heap
+        while heap:
+            lb, x = heap[0]
+            if self.lb.get(x) != lb:
+                heapq.heappop(heap)
+            elif self.exact >> x & 1:
+                return lb, x, self.arg[x]
+            else:
+                heapq.heappop(heap)
+                self._rescan(x, lb)
+        return None
+
+    def _rescan(self, x: int, floor: int) -> None:
+        """Make row x exact; floor is a lower bound on its least loss, so
+        the first edge reaching it ends the scan."""
+        bx = self.bits[x]
+        rest = _above(bx, x)
+        if not rest:
+            self.lb.pop(x, None)
+            return
+        best = arg = -1
+        while rest:
+            low = rest & -rest
+            y = low.bit_length() - 1
+            loss = 1 + (bx & self.bits[y]).bit_count()
+            if best < 0 or loss < best:
+                best, arg = loss, y
+                if loss <= floor:
+                    break
+            rest ^= low
+        self.lb[x] = best
+        self.arg[x] = arg
+        self.exact |= 1 << x
+        heapq.heappush(self.heap, (best, x))
+
+    def _lower(self, mask: int) -> None:
+        """Rows in mask lost one common neighbor of some of their edges:
+        each of their losses dropped by at most one."""
+        lb = self.lb
+        for x in mask_vertices(mask):
+            bound = lb.get(x, 1)
+            if bound > 1:
+                lb[x] = bound - 1
+                heapq.heappush(self.heap, (bound - 1, x))
 
     def delete(self, rep: int) -> None:
-        for w in self.nbr[rep]:
-            self.nbr[w].discard(rep)
-            self.bits[w] &= ~(1 << rep)
-        self.e -= len(self.nbr[rep])
-        del self.frags[rep], self.nbr[rep], self.bits[rep]
+        nb = self.bits.pop(rep)
+        keep = ~(1 << rep)
+        for w in mask_vertices(nb):
+            self.bits[w] &= keep
+        self.lb.pop(rep, None)
+        self.exact &= ~nb
+        self._lower(nb)
+        self.e -= nb.bit_count()
+        del self.frags[rep]
         self.steps.append(("delete", (rep,), self.e))
 
     def contract(self, a: int, b: int) -> None:
         if a > b:
             a, b = b, a
-        common = (self.bits[a] & self.bits[b]).bit_count()
-        for w in self.nbr[b]:
-            if w == a:
-                continue
-            self.nbr[w].discard(b)
-            self.nbr[w].add(a)
-            self.bits[w] = (self.bits[w] & ~(1 << b)) | (1 << a)
-            self.nbr[a].add(w)
-        self.bits[a] = (self.bits[a] | self.bits[b]) & ~(1 << a) & ~(1 << b)
-        self.nbr[a].discard(b)
+        bits = self.bits
+        na, nb = bits[a], bits.pop(b)
+        ends = (1 << a) | (1 << b)
+        common = na & nb
+        for w in mask_vertices(nb & ~ends):
+            bits[w] = (bits[w] & ~(1 << b)) | (1 << a)
+        bits[a] = (na | nb) & ~ends
         self.frags[a] |= self.frags[b]
-        del self.frags[b], self.nbr[b], self.bits[b]
-        self.e -= 1 + common
+        del self.frags[b]
+        self.e -= 1 + common.bit_count()
         self.steps.append(("contract", (a, b), self.e))
+        # A loss 1 + |N(x) & N(y)| falls only when x and y are both in
+        # N(a) & N(b), and then by one.  For the other rows touching a or b
+        # the losses only rise or their edges vanish; an edge xb with x
+        # outside N(a) turns into xa, whose common neighbors include all
+        # of the old N(x) & N(b), so x < a needs no new bound either.
+        self.lb.pop(b, None)
+        self.exact &= ~(na | nb)
+        self._lower(common)
+        self._rescan(a, 1)
 
     def pattern(self) -> tuple[Graph, list[int]]:
         reps = sorted(self.frags)
         idx = {r: i for i, r in enumerate(reps)}
         edges = [
-            (idx[a], idx[b]) for a in reps for b in self.nbr[a] if a < b
+            (idx[a], idx[b])
+            for a in reps
+            for b in mask_vertices(_above(self.bits[a], a))
         ]
         return Graph(len(reps), edges), reps
 
@@ -138,11 +218,24 @@ def _mader_descent(work: _Work, d: int) -> None:
     (d-1)/2.  Maintained potential: twice the edge count stays at least
     (d-1) times the order; deleting a vertex of degree at most (d-1)/2
     preserves it, so when no such vertex is left the min degree exceeds
-    (d-1)/2, i.e. is at least d/2."""
+    (d-1)/2, i.e. is at least d/2.
+
+    The contraction tried first is the lexicographically least
+    (loss, a, b) over pattern edges a < b.  It is read off the row bounds
+    of `_Work` instead of a scan of every edge.  Invariant: every live row
+    with edges has lb at most its least loss, with equality and the
+    smallest attaining b when it is exact.  So when the heap front (lb, a)
+    is exact, every other row r has (least loss of r, r) >= (lb[r], r) >
+    (lb, a), and (lb, a, arg[a]) is the least triple with the same
+    tie-break as a full scan: smallest loss, then smallest a, then
+    smallest b.  Deletions and contractions keep the invariant by lowering
+    the bound of each row whose losses can fall (by at most one) and
+    dropping the exactness of each row whose losses can rise, so only
+    those rows are ever rescanned."""
     while True:
         if not work.frags:
             raise ExtractionFailedError("descent consumed the whole graph")
-        deg, v = min((len(work.nbr[r]), r) for r in work.frags)
+        deg, v = min((m.bit_count(), r) for r, m in work.bits.items())
         if 2 * deg <= d - 1:
             work.delete(v)
             continue
@@ -150,14 +243,7 @@ def _mader_descent(work: _Work, d: int) -> None:
         if n_pat <= d:
             return
         slack = 2 * work.e - (d - 1) * n_pat
-        best: tuple[int, int, int] | None = None
-        for a in sorted(work.frags):
-            abits = work.bits[a]
-            for b in sorted(work.nbr[a]):
-                if a < b:
-                    loss = 1 + (abits & work.bits[b]).bit_count()
-                    if best is None or (loss, a, b) < best:
-                        best = (loss, a, b)
+        best = work.least_loss_edge()
         if best is None:
             raise ExtractionFailedError("no edges left above target order")
         loss, a, b = best
@@ -179,22 +265,22 @@ def _mader_descent(work: _Work, d: int) -> None:
 def _degree_safe_contraction(work: _Work, d: int) -> tuple[int, int] | None:
     """Cheapest contraction that keeps every pattern degree at least d/2,
     used once the potential-preserving moves run out."""
-    degs = {r: len(work.nbr[r]) for r in work.frags}
+    degs = {r: m.bit_count() for r, m in work.bits.items()}
     best: tuple[int, int, int] | None = None
     for a in sorted(work.frags):
-        for b in sorted(work.nbr[a]):
-            if a >= b:
-                continue
-            common = work.nbr[a] & work.nbr[b]
-            merged = len((work.nbr[a] | work.nbr[b]) - {a, b})
+        na = work.bits[a]
+        for b in mask_vertices(_above(na, a)):
+            nb = work.bits[b]
+            common = na & nb
+            merged = ((na | nb) & ~(1 << a) & ~(1 << b)).bit_count()
             low = merged
             for v, dv in degs.items():
                 if v == a or v == b:
                     continue
-                low = min(low, dv - 1 if v in common else dv)
+                low = min(low, dv - 1 if common >> v & 1 else dv)
             if 2 * low < d:
                 continue
-            loss = 1 + len(common)
+            loss = 1 + common.bit_count()
             if best is None or (loss, a, b) < best:
                 best = (loss, a, b)
     return None if best is None else (best[1], best[2])

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from .errors import (
     InvalidModelError,
     NotDisjointError,
-    NotRootedError,
     OrderTooSmallError,
     UnknownVertexError,
 )
@@ -206,17 +205,6 @@ def is_core(m: MinorModel, s, h: Graph | None = None) -> bool:
         if anticomplete(m.host, parts[i], parts[j]):
             return False
     return True
-
-
-def is_tangent(f, m: MinorModel, u) -> bool:
-    """For a model rooted at ``u``: does the vertex set ``f`` touch the
-    model exactly in its roots?"""
-    require_valid(m)
-    u = frozenset(u)
-    if not is_rooted_at(m, u):
-        raise NotRootedError("model is not rooted at the given vertices")
-    f = frozenset(f)
-    return all(f & frag == u & frag for frag in m.fragments)
 
 
 def anticomplete(g: Graph, a, b) -> bool:

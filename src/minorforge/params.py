@@ -1,8 +1,8 @@
 """Parameter plumbing for the density constructions.
 
 The headline constants (scale factor 3360, sample size 20*sqrt(log(1/eps)),
-fragment cap 14r, stitch-path cap 14) are infeasibly large at test scale, so
-they are defaults here and every operation accepts a caller scale.  Floats are
+stitch-path cap 14) are infeasibly large at test scale, so they are defaults
+here and every operation accepts a caller scale.  Floats are
 used only to size integer parameters; any float that serves as an upper-bound
 threshold is rounded down first so the check can only get stricter.
 """
@@ -10,11 +10,9 @@ threshold is rounded down first so the check can only get stricter.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 DEFAULT_C_SCALE = Fraction(3360)
-FRAGMENT_CAP_FACTOR = 14
 DEFAULT_MAX_PATH_LEN = 14
 DEFAULT_MAX_ATTEMPTS = 64
 
@@ -65,38 +63,3 @@ def power_hypothesis(eps: Fraction, r: int, base: Fraction) -> bool:
         return Fraction(24) ** r * base ** (r * r) <= eps
     lhs = r * math.log(24.0) + r * r * math.log(float(base))
     return lhs <= math.log(float(eps))
-
-
-@dataclass(frozen=True)
-class DensityParams:
-    """One bundle of knobs for a dense-minor build."""
-
-    eps: Fraction
-    t: int
-    c_scale: Fraction = DEFAULT_C_SCALE
-    r: int = 0                      # 0 means: derive on construction
-    d: int = 0
-    gamma: Fraction = Fraction(0)
-    fragment_cap: int = 0
-    max_path_len: int = DEFAULT_MAX_PATH_LEN
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS
-
-    def __post_init__(self):
-        eps = Fraction(self.eps)
-        object.__setattr__(self, "eps", eps)
-        if not 0 < eps < 1:
-            raise ValueError("eps must lie strictly between 0 and 1")
-        if self.t < 2:
-            raise ValueError("t must be at least 2")
-        c_scale = Fraction(self.c_scale)
-        object.__setattr__(self, "c_scale", c_scale)
-        if c_scale <= 0:
-            raise ValueError("c_scale must be positive")
-        d = self.d if self.d > 0 else degree_target(eps, self.t, c_scale)
-        object.__setattr__(self, "d", d)
-        r = self.r if self.r > 0 else desk_sample_size(eps, self.t, d)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "gamma", root_down(eps, r) / 12)
-        object.__setattr__(self, "fragment_cap", FRAGMENT_CAP_FACTOR * r)
-        if self.max_path_len < 1 or self.max_attempts < 1:
-            raise ValueError("path length and attempt budgets must be positive")

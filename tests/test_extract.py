@@ -1,6 +1,12 @@
 from __future__ import annotations
 
+import dataclasses
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -21,10 +27,14 @@ from minorforge import (
     require_valid,
     vertex_connectivity,
 )
+from minorforge import extract
 from minorforge.errors import (
+    ExtractionFailedError,
     HypothesisViolatedError,
     InsufficientError,
+    ParseError,
 )
+from minorforge.graph import mask_vertices
 from minorforge.rng import Rng, derive_seed
 
 from conftest import petersen
@@ -76,6 +86,190 @@ def test_trace_replays_to_the_same_model():
     replayed = replay_extraction(g, trace)
     assert replayed.fragments == model.fragments
     assert trace.final_model.fragments == model.fragments
+
+
+def _tampered(trace, index):
+    steps = list(trace.steps)
+    kind, verts, m_after = steps[index]
+    steps[index] = (kind, verts, m_after + 1)
+    return dataclasses.replace(trace, steps=tuple(steps))
+
+
+def test_replay_rejects_a_tampered_trace():
+    g = random_graph(24, Fraction(1, 2), Rng(derive_seed(31, 0)))
+    _, trace = mader_min_degree_minor_with_trace(g, 8)
+    with pytest.raises(ExtractionFailedError, match="step 3"):
+        replay_extraction(g, _tampered(trace, 3))
+    bad_kind = dataclasses.replace(
+        trace, steps=(("split", (0,), g.m),) + trace.steps[1:]
+    )
+    with pytest.raises(ParseError, match="step 0"):
+        replay_extraction(g, bad_kind)
+
+
+_TAMPER_SCRIPT = """
+import dataclasses
+from fractions import Fraction
+from minorforge import (
+    Rng, derive_seed, mader_min_degree_minor_with_trace, random_graph,
+    replay_extraction,
+)
+from minorforge.errors import ExtractionFailedError
+
+if __debug__:
+    raise SystemExit("interpreter is not running with -O")
+g = random_graph(24, Fraction(1, 2), Rng(derive_seed(31, 0)))
+_, trace = mader_min_degree_minor_with_trace(g, 8)
+steps = list(trace.steps)
+kind, verts, m_after = steps[3]
+steps[3] = (kind, verts, m_after + 1)
+try:
+    replay_extraction(g, dataclasses.replace(trace, steps=tuple(steps)))
+except ExtractionFailedError as err:
+    print(err)
+else:
+    raise SystemExit("tampered trace accepted")
+"""
+
+
+def test_replay_rejects_a_tampered_trace_under_optimize():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", textwrap.dedent(_TAMPER_SCRIPT)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "step 3" in proc.stdout
+
+
+def _full_scan_descent(work, d: int, hits: dict[str, int]) -> None:
+    """Reference descent: the same moves as `_mader_descent`, but every
+    contraction scans all pattern edges for the least (loss, a, b)."""
+    while True:
+        if not work.frags:
+            raise ExtractionFailedError("descent consumed the whole graph")
+        deg, v = min((m.bit_count(), r) for r, m in work.bits.items())
+        if 2 * deg <= d - 1:
+            hits["delete"] += 1
+            work.delete(v)
+            continue
+        n_pat = len(work.frags)
+        if n_pat <= d:
+            return
+        slack = 2 * work.e - (d - 1) * n_pat
+        best = min(
+            (
+                (1 + (work.bits[a] & work.bits[b]).bit_count(), a, b)
+                for a in work.frags
+                for b in mask_vertices(work.bits[a])
+                if a < b
+            ),
+            default=None,
+        )
+        if best is None:
+            raise ExtractionFailedError("no edges left above target order")
+        loss, a, b = best
+        if 2 * loss <= slack + d - 1:
+            work.contract(a, b)
+            continue
+        picked = extract._degree_safe_contraction(work, d)
+        if picked is not None:
+            hits["degree_safe"] += 1
+            work.contract(*picked)
+            continue
+        if n_pat <= extract._EXHAUSTIVE_ORDER:
+            hits["exhaustive"] += 1
+            extract._exhaustive_finish(work, d)
+            return
+        raise ExtractionFailedError(
+            f"descent stuck at {n_pat} pattern vertices"
+        )
+
+
+class _AuditedWork(extract._Work):
+    """Workspace that checks its row bounds against a full scan after
+    every step."""
+
+    def delete(self, rep):
+        super().delete(rep)
+        self.audit()
+
+    def contract(self, a, b):
+        super().contract(a, b)
+        self.audit()
+
+    def audit(self):
+        queued = set(self.heap)
+        for x, bx in self.bits.items():
+            row = [
+                (1 + (bx & self.bits[y]).bit_count(), y)
+                for y in mask_vertices(bx)
+                if y > x
+            ]
+            if not row:
+                assert not self.exact >> x & 1
+                continue
+            least = min(row)
+            assert self.lb[x] <= least[0]
+            assert (self.lb[x], x) in queued
+            if self.exact >> x & 1:
+                assert (self.lb[x], self.arg[x]) == least
+
+
+def _descend(work, d, descent):
+    extract._restrict_to_best_component(work)
+    try:
+        descent(work, d)
+        failure = None
+    except ExtractionFailedError as err:
+        failure = str(err)
+    frags = sorted(map(frozenset, work.frags.values()), key=min)
+    return work.steps, frags, failure
+
+
+def _bridged_blocks(rng, d):
+    """Two dense G(k, p) blocks joined by one or two edges: the descent
+    runs out of potential-preserving contractions on them."""
+    k = d + rng.below(3)
+    p = Fraction(7 + rng.below(4), 10)
+    edges = random_graph(k, p, rng.spawn(1)).edges()
+    edges += [(u + k, v + k) for u, v in random_graph(k, p, rng.spawn(2)).edges()]
+    for _ in range(1 + rng.below(2)):
+        edges.append((rng.below(k), k + rng.below(k)))
+    return graph_from_edge_list(2 * k, sorted(set(edges)))
+
+
+def _descent_hosts(count):
+    """Seeded (host, d) pairs, d in 6-12: dense G(n, p), sparse G(n, p)
+    with average degree near d - 1, and bridged dense blocks."""
+    for i in range(count):
+        rng = Rng(derive_seed(33, i))
+        d = 6 + rng.below(7)
+        n = 12 + rng.below(40)
+        if i % 3 == 0:
+            g = random_graph(n, Fraction(3 + rng.below(7), 10), rng.spawn(0))
+        elif i % 3 == 1:
+            p = Fraction(d - 1 + rng.below(4), n - 1)
+            g = random_graph(n, min(p, Fraction(1)), rng.spawn(0))
+        else:
+            g = _bridged_blocks(rng, 6 + rng.below(3))
+        if average_degree(g) >= d - 1:
+            yield g, d
+
+
+def test_incremental_descent_matches_full_scan():
+    hits = {"delete": 0, "degree_safe": 0, "exhaustive": 0}
+    for g, d in _descent_hosts(240):
+        reference = _descend(
+            extract._Work(g), d,
+            lambda work, dd: _full_scan_descent(work, dd, hits),
+        )
+        assert _descend(_AuditedWork(g), d, extract._mader_descent) == reference
+    assert hits["delete"] >= 1
+    assert hits["degree_safe"] >= 1
+    assert hits["exhaustive"] >= 1
 
 
 def test_dense_connected_contract():
