@@ -6,13 +6,16 @@ comma-separated list of name=value pairs, e.g.
 
     MINORFORGE_CAPS="coloring=24,linkage_n=30"
 
-This override exists for test rigs only; library code never sets it.
+This override exists for test rigs only; library code never sets it.  An
+unknown name or a value that is not an integer raises ParseError.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+
+from .errors import ParseError
 
 
 @dataclass(frozen=True)
@@ -26,6 +29,9 @@ class Caps:
     search_nodes: int = 2_000_000  # backtracking node budget per call
 
 
+_FIELDS = frozenset(f.name for f in fields(Caps))
+
+
 def _from_env(base: Caps) -> Caps:
     raw = os.environ.get("MINORFORGE_CAPS", "")
     if not raw.strip():
@@ -37,8 +43,14 @@ def _from_env(base: Caps) -> Caps:
             continue
         name, _, value = item.partition("=")
         name = name.strip()
-        if hasattr(base, name):
+        if name not in _FIELDS:
+            raise ParseError(f"MINORFORGE_CAPS: unknown cap {name!r}")
+        try:
             updates[name] = int(value)
+        except ValueError:
+            raise ParseError(
+                f"MINORFORGE_CAPS: cap {name!r} needs an integer, got {value.strip()!r}"
+            ) from None
     return replace(base, **updates) if updates else base
 
 

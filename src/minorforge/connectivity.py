@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .errors import OrderTooSmallError
+from .errors import OrderTooSmallError, check_internal
 from .flow import INF, pair_vertex_cut
 from .graph import Graph
 
@@ -43,7 +43,7 @@ def vertex_connectivity_with_cutset(g: Graph):
         if cut is not None and value < best:
             best = value
             best_cut = cut
-    assert best_cut is not None, "non-complete graph must admit some cutset"
+    check_internal(best_cut is not None, "non-complete graph must admit some cutset")
     return best, best_cut
 
 

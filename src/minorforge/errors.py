@@ -122,3 +122,11 @@ class InfeasibleError(MinorforgeError):
 class InternalInfeasibleError(MinorforgeError):
     """A step the supporting argument guarantees turned out infeasible: a bug,
     not a user error."""
+
+
+def check_internal(cond: bool, msg: str) -> None:
+    """Raise :class:`InternalInfeasibleError` unless ``cond`` holds.  Used
+    for the invariants a certificate rests on, so they are checked even
+    under ``python -O``."""
+    if not cond:
+        raise InternalInfeasibleError(msg)

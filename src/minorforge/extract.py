@@ -15,7 +15,7 @@ from .errors import (
     InsufficientError,
     ParseError,
 )
-from .graph import Graph, average_degree, induced_subgraph, mask_vertices
+from .graph import Graph, average_degree, induced_subgraph, mask_of, mask_vertices
 from .model import MinorModel, require_valid
 
 _EXHAUSTIVE_ORDER = 12  # widest pattern the stuck-descent fallback will search
@@ -35,16 +35,26 @@ class ExtractionTrace:
 def replay_extraction(host: Graph, trace: ExtractionTrace) -> MinorModel:
     frag: dict[int, set[int]] = {v: {v} for v in range(host.n)}
     for i, (kind, verts, m_after) in enumerate(trace.steps):
+        if kind not in ("delete", "contract"):
+            raise ParseError(f"step {i}: unknown step kind {kind!r}")
+        for r in verts:
+            if r not in frag:
+                raise ParseError(f"step {i}: no fragment has representative {r}")
         if kind == "delete":
             (r,) = verts
             del frag[r]
-        elif kind == "contract":
+        else:
             a, b = verts
             keep, gone = (a, b) if a < b else (b, a)
+            gone_mask = mask_of(frag[gone])
+            if keep == gone or not any(
+                host.neighbor_bits(v) & gone_mask for v in frag[keep]
+            ):
+                raise ExtractionFailedError(
+                    f"step {i}: contracts fragments {a} and {b}, which are not adjacent"
+                )
             frag[keep] |= frag[gone]
             del frag[gone]
-        else:
-            raise ParseError(f"step {i}: unknown step kind {kind!r}")
         m = _pattern_edge_count(host, frag)
         if m != m_after:
             raise ExtractionFailedError(

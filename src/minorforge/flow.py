@@ -1,123 +1,144 @@
 """Unit-capacity max-flow machinery shared by the path and separation tools.
 
-Every routine here works on a vertex-split network: graph vertex ``v``
-becomes ``v_in = 2v`` and ``v_out = 2v + 1`` joined by a capacity edge, so
-vertex-disjointness questions reduce to edge capacities.  Augmentation is
-shortest-path (BFS) with adjacency built in sorted vertex order, which keeps
-every answer deterministic.
+Every routine here works on the vertex-split network of the host (Even and
+Tarjan's reduction): vertex ``v`` becomes nodes ``in(v)`` and ``out(v)``
+joined by an arc of capacity ``cap[v]``, and each edge ``uw`` gives arcs
+``out(u) -> in(w)`` and ``out(w) -> in(u)`` of unbounded capacity, so
+vertex-disjointness questions reduce to arc capacities.  The network is
+never built: arcs are read off the host's neighbour bitmasks, and the flow
+is the throughput of each vertex plus two bitmasks per vertex, ``fout[u]``
+bit ``w`` and ``fin[w]`` bit ``u`` being set while ``out(u) -> in(w)``
+carries a unit.  Augmentation is shortest-path (BFS, FIFO queue).  From
+``in(v)`` it scans ``out(v)``, then the reverse arcs ``fin[v]``; from
+``out(v)`` it scans ``in(v)`` (reverse), the sink, then ``N(v)`` minus the
+sources; each set in ascending order.  That is the order sorted adjacency
+lists of an explicit network give, which keeps every answer deterministic.
 """
 
 from __future__ import annotations
 
-from .graph import Graph
+from .errors import HypothesisViolatedError, check_internal
+from .graph import Graph, mask_of, mask_vertices
 
 INF = 1 << 30
 
-# edge record layout
-_TO, _CAP, _REV, _FWD = 0, 1, 2, 3
 
-
+# FlowNet and SetFlow are one engine split in two, and its entry points keep
+# the names FlowNet.max_flow, SetFlow.__init__/run/paths/cut_vertices and
+# pair_vertex_cut, because the benchmark's tracer (perfbench/tracing.py)
+# wraps them by name to count network builds and pushed units.
 class FlowNet:
-    """Adjacency-list max-flow network with integer capacities."""
+    """Residual state of a vertex-split network: ``through[v]`` units cross
+    vertex ``v`` (at most ``cap[v]``), ``fout``/``fin`` mark the graph arcs
+    carrying a unit, the source feeds ``in(v)`` for each of ``sources`` and
+    ``out(v)`` feeds the sink for each ``v`` in ``tmask``.  Sources accept
+    no graph arcs and targets emit none."""
 
-    __slots__ = ("adj",)
+    __slots__ = ("bits", "sources", "smask", "tmask", "cap", "through", "fout", "fin")
 
-    def __init__(self, num_nodes: int):
-        self.adj: list[list[list[int]]] = [[] for _ in range(num_nodes)]
+    def _search(self):
+        """One BFS of the residual network from the source.  Returns the
+        parent of every reached node (``in(v) = 2v``, ``out(v) = 2v + 1``,
+        the source is ``-1``), the ``out`` node that reached the sink or
+        ``-1``, and the masks of reached ``in`` and ``out`` nodes, which are
+        the source side of a minimum cut when the sink stays unreached."""
+        bits, cap, through, fin = self.bits, self.cap, self.through, self.fin
+        arcs_in, tmask = ~self.smask, self.tmask
+        parent = [0] * (2 * len(bits))
+        queue = []
+        seen_in = seen_out = 0
+        for v in self.sources:
+            if through[v] < cap[v]:
+                seen_in |= 1 << v
+                parent[2 * v] = -1
+                queue.append(2 * v)
+        for node in queue:  # the loop also visits what it appends: FIFO
+            v = node >> 1
+            if not node & 1:
+                if through[v] < cap[v] and not seen_out >> v & 1:
+                    seen_out |= 1 << v
+                    parent[node + 1] = node
+                    queue.append(node + 1)
+                m = fin[v] & ~seen_out
+                seen_out |= m
+                while m:
+                    b = m & -m
+                    m ^= b
+                    parent[2 * b.bit_length() - 1] = node
+                    queue.append(2 * b.bit_length() - 1)
+                continue
+            if through[v] and not seen_in >> v & 1:
+                seen_in |= 1 << v
+                parent[node - 1] = node
+                queue.append(node - 1)
+            if tmask >> v & 1:
+                if through[v] < cap[v]:
+                    return parent, node, seen_in, seen_out
+                continue
+            m = bits[v] & arcs_in & ~seen_in
+            seen_in |= m
+            while m:
+                b = m & -m
+                m ^= b
+                parent[2 * b.bit_length() - 2] = node
+                queue.append(2 * b.bit_length() - 2)
+        return parent, -1, seen_in, seen_out
 
-    def add_edge(self, u: int, v: int, cap: int) -> None:
-        self.adj[u].append([v, cap, len(self.adj[v]), 1])
-        self.adj[v].append([u, 0, len(self.adj[u]) - 1, 0])
-
-    def _augment(self, source: int, sink: int) -> int:
-        """One BFS augmentation; returns the amount pushed (0 if none)."""
-        parent_edge: list[tuple[int, int] | None] = [None] * len(self.adj)
-        parent_edge[source] = (source, -1)
-        queue = [source]
-        head = 0
-        while head < len(queue):
-            u = queue[head]
-            head += 1
-            if u == sink:
-                break
-            for idx, edge in enumerate(self.adj[u]):
-                if edge[_CAP] > 0 and parent_edge[edge[_TO]] is None:
-                    parent_edge[edge[_TO]] = (u, idx)
-                    queue.append(edge[_TO])
-        if parent_edge[sink] is None:
-            return 0
-        push = INF
-        node = sink
-        while node != source:
-            prev, idx = parent_edge[node]
-            push = min(push, self.adj[prev][idx][_CAP])
+    def _augment(self) -> bool:
+        """Push one unit along a shortest augmenting path, if there is one.
+        SetFlow's capacities put an arc of capacity one on every such path,
+        so one unit is all a path carries."""
+        parent, node, _, _ = self._search()
+        if node < 0:
+            return False
+        through, fout, fin = self.through, self.fout, self.fin
+        while node >= 0:
+            prev = parent[node]
+            v = node >> 1
+            if node & 1:
+                if prev == node - 1:
+                    through[v] += 1
+                else:  # reverse arc in(u) -> out(v) cancels v's unit into u
+                    fout[v] ^= 1 << (prev >> 1)
+                    fin[prev >> 1] ^= 1 << v
+            elif prev == node + 1:
+                through[v] -= 1
+            elif prev >= 0:  # graph arc out(u) -> in(v)
+                fout[prev >> 1] |= 1 << v
+                fin[v] |= 1 << (prev >> 1)
             node = prev
-        node = sink
-        while node != source:
-            prev, idx = parent_edge[node]
-            edge = self.adj[prev][idx]
-            edge[_CAP] -= push
-            self.adj[edge[_TO]][edge[_REV]][_CAP] += push
-            node = prev
-        return push
+        return True
 
-    def max_flow(self, source: int, sink: int, limit: int = INF) -> int:
-        """Push flow until ``limit`` is reached or no augmenting path exists.
+    def max_flow(self, limit: int = INF) -> int:
+        """Push flow until ``limit`` units went in or no augmenting path is
+        left; returns the units pushed.
 
         A return value below ``limit`` certifies the flow is maximum, so the
         residual cut is then a true minimum cut.
         """
-        total = 0
-        while total < limit:
-            pushed = self._augment(source, sink)
-            if pushed == 0:
-                break
-            total += pushed
-        assert total <= limit or limit == INF
-        return min(total, limit)
-
-    def residual_reachable(self, source: int) -> set[int]:
-        seen = {source}
-        queue = [source]
-        head = 0
-        while head < len(queue):
-            u = queue[head]
-            head += 1
-            for edge in self.adj[u]:
-                if edge[_CAP] > 0 and edge[_TO] not in seen:
-                    seen.add(edge[_TO])
-                    queue.append(edge[_TO])
-        return seen
-
-    def flow_on(self, u: int, idx: int) -> int:
-        """Net flow on forward edge ``adj[u][idx]`` (0 for reverse edges)."""
-        edge = self.adj[u][idx]
-        if not edge[_FWD]:
-            return 0
-        return self.adj[edge[_TO]][edge[_REV]][_CAP]
+        pushed = 0
+        while pushed < limit and self._augment():
+            pushed += 1
+        return pushed
 
 
-def _in(v: int) -> int:
-    return 2 * v
-
-
-def _out(v: int) -> int:
-    return 2 * v + 1
-
-
-class SetFlow:
+class SetFlow(FlowNet):
     """Flow network for disjoint paths between two vertex sets.
 
     Paths follow the convention that no internal vertex lies in ``s | t``:
     source-set vertices accept no incoming graph edges and target-set
     vertices emit no outgoing ones.  That leaves the maximum number of such
     paths unchanged (any path family can be rerouted to one of this shape of
-    equal size) while making every decomposed flow path well formed.
+    equal size) while making every decomposed flow path well formed.  A
+    vertex in ``s & t`` carries only its own one-vertex path.
 
     ``source_cap=2`` lets each source vertex start two paths (the doubled
     variant).  ``uncuttable_targets=True`` gives target vertices infinite
-    capacity so a minimum cut can never contain them.
+    capacity so a minimum cut can never contain them.  The two together
+    need sources and targets nonadjacent, so that no arc carries two units.
     """
+
+    __slots__ = ("value",)
 
     def __init__(
         self,
@@ -128,74 +149,59 @@ class SetFlow:
         source_cap: int = 1,
         uncuttable_targets: bool = False,
     ):
-        self.g = g
-        self.s = frozenset(s)
-        self.t = frozenset(t)
-        self.source = 2 * g.n
-        self.sink = 2 * g.n + 1
-        net = FlowNet(2 * g.n + 2)
-        tcap = INF if uncuttable_targets else 1
-        for v in range(g.n):
-            in_s = v in self.s
-            in_t = v in self.t
-            if in_s and in_t:
-                # only the trivial one-vertex path may use it
-                net.add_edge(self.source, _in(v), 1)
-                net.add_edge(_in(v), _out(v), 1)
-                net.add_edge(_out(v), self.sink, 1)
-            elif in_s:
-                net.add_edge(self.source, _in(v), source_cap)
-                net.add_edge(_in(v), _out(v), source_cap)
-            elif in_t:
-                net.add_edge(_in(v), _out(v), tcap)
-                net.add_edge(_out(v), self.sink, tcap)
-            else:
-                net.add_edge(_in(v), _out(v), 1)
-        both = self.s & self.t
-        for u, v in g.edges():
-            for a, b in ((u, v), (v, u)):
-                if a in self.t or b in self.s or a in both or b in both:
-                    continue
-                net.add_edge(_out(a), _in(b), INF)
-        self.net = net
+        s, t = frozenset(s), frozenset(t)
+        for v in s | t:
+            g.check_vertex(v)
+        self.bits = [g.neighbor_bits(v) for v in range(g.n)]
+        self.sources = sorted(s)
+        self.smask, self.tmask = mask_of(s), mask_of(t)
+        self.cap = [1] * g.n
+        for v in s - t:
+            self.cap[v] = source_cap
+        for v in t - s:
+            self.cap[v] = INF if uncuttable_targets else 1
+        if source_cap > 1 and uncuttable_targets and any(
+            self.bits[v] & self.tmask & ~self.smask for v in s - t
+        ):
+            raise HypothesisViolatedError(
+                "a source of capacity above one neighbours an uncuttable target"
+            )
+        self.through = [0] * g.n
+        self.fout = [0] * g.n
+        self.fin = [0] * g.n
         self.value = 0
 
     def run(self, limit: int = INF) -> int:
-        self.value += self.net.max_flow(self.source, self.sink, limit - self.value)
+        self.value += self.max_flow(limit - self.value)
         return self.value
 
     def paths(self) -> list[tuple[int, ...]]:
-        """Decompose the current flow into vertex paths, one per unit.
+        """Decompose the current flow into vertex paths, one per unit: a
+        walk leaves its source along the lowest arc with a unit not yet
+        walked, and stops at the first target.
 
         Source vertices with flow 2 yield two paths sharing only that start
         vertex.
         """
-        consumed: dict[tuple[int, int], int] = {}
-
-        def flow_left(u: int, idx: int) -> int:
-            return self.net.flow_on(u, idx) - consumed.get((u, idx), 0)
-
+        left = list(self.fout)
+        walked = [0] * len(left)
         out: list[tuple[int, ...]] = []
-        last_split = 2 * self.g.n - 1
-        for sidx in range(len(self.net.adj[self.source])):
-            for _ in range(flow_left(self.source, sidx)):
-                consumed[(self.source, sidx)] = consumed.get((self.source, sidx), 0) + 1
-                node = self.net.adj[self.source][sidx][_TO]
-                path: list[int] = []
-                steps = 0
-                while node != self.sink:
-                    steps += 1
-                    assert steps <= 4 * self.g.n + 4, "flow decomposition wandered"
-                    advanced = False
-                    for idx2, e2 in enumerate(self.net.adj[node]):
-                        if e2[_FWD] and flow_left(node, idx2) > 0:
-                            if node % 2 == 0 and e2[_TO] == node + 1 and node <= last_split:
-                                path.append(node // 2)
-                            consumed[(node, idx2)] = consumed.get((node, idx2), 0) + 1
-                            node = e2[_TO]
-                            advanced = True
-                            break
-                    assert advanced, "flow conservation violated in decomposition"
+        for v in self.sources:
+            for _ in range(self.through[v]):
+                path, u = [], v
+                while True:
+                    at_target = self.tmask >> u & 1
+                    check_internal(
+                        walked[u] < self.through[u] and (at_target or left[u]),
+                        "flow conservation violated in decomposition",
+                    )
+                    walked[u] += 1
+                    path.append(u)
+                    if at_target:
+                        break
+                    b = left[u] & -left[u]
+                    left[u] ^= b
+                    u = b.bit_length() - 1
                 out.append(tuple(path))
         return out
 
@@ -203,45 +209,26 @@ class SetFlow:
         """Vertices of a minimum cut; valid once ``run`` stalled below its
         limit.  A doubled source vertex in the cut counts with weight 2
         toward the cut value, which the caller accounts for."""
-        reach = self.net.residual_reachable(self.source)
-        cut: set[int] = set()
-        for v in range(self.g.n):
-            if _in(v) in reach and _out(v) not in reach:
-                cut.add(v)
-        for sidx, edge in enumerate(self.net.adj[self.source]):
-            if edge[_TO] not in reach:
-                cut.add(edge[_TO] // 2)
-        for v in self.t:
-            if _out(v) in reach:
-                cut.add(v)
-        return tuple(sorted(cut))
+        _, hit, reach_in, reach_out = self._search()
+        check_internal(hit < 0, "a minimum cut was asked of a flow that is not maximum")
+        # a target's out node is entered only through spare capacity at the
+        # target, which would reach the sink, so a stalled flow never gets there
+        cut = (reach_in & ~reach_out) | (self.smask & ~reach_in)
+        return tuple(mask_vertices(cut))
 
 
 def pair_vertex_cut(g: Graph, x: int, y: int, limit: int = INF):
     """Maximum internally disjoint x-y paths for a nonadjacent pair and,
     when the maximum is below ``limit``, a minimum vertex cut separating
     them (never containing x or y).  Returns ``(value, cut_or_None)``."""
-    assert x != y and not g.has_edge(x, y)
-    net = FlowNet(2 * g.n)
-    for v in range(g.n):
-        if v != x and v != y:
-            net.add_edge(_in(v), _out(v), 1)
-    for u, v in g.edges():
-        for a, b in ((u, v), (v, u)):
-            if a == y or b == x:
-                continue
-            net.add_edge(_out(a), _in(b), INF)
-    source, sink = _out(x), _in(y)
-    value = net.max_flow(source, sink, limit)
+    if x == y or g.has_edge(x, y):
+        raise HypothesisViolatedError(
+            "a pair cut needs two distinct nonadjacent vertices", evidence=(x, y)
+        )
+    flow = SetFlow(g, (x,), (y,), source_cap=INF, uncuttable_targets=True)
+    value = flow.run(limit)
     if value >= limit:
         return value, None
-    reach = net.residual_reachable(source)
-    cut = tuple(
-        sorted(
-            v
-            for v in range(g.n)
-            if v not in (x, y) and _in(v) in reach and _out(v) not in reach
-        )
-    )
-    assert len(cut) == value, "cut size must match the maximum flow"
+    cut = flow.cut_vertices()
+    check_internal(len(cut) == value, "cut size must match the maximum flow")
     return value, cut

@@ -17,6 +17,7 @@ from .errors import (
     NeighborsUnavailableError,
     TooLargeError,
     UnknownVertexError,
+    check_internal,
 )
 from .flow import SetFlow
 from .graph import Graph, induced_subgraph, mask_of
@@ -205,9 +206,9 @@ def menger(g: Graph, s, t, k: int):
         return require_paths(g, fam)
     cut = flow.cut_vertices()
     sep = _separation_from_cut(g, s, cut)
-    assert sep.order < k
-    assert s <= sep.a and t <= sep.b
-    assert not sep.violations(g)
+    check_internal(sep.order < k, "Menger cut is too large")
+    check_internal(s <= sep.a and t <= sep.b, "Menger cut does not separate s from t")
+    check_internal(not sep.violations(g), "Menger cut is not a separation")
     return sep
 
 
@@ -230,7 +231,7 @@ def doubled_menger(g: Graph, z, t, budget: int) -> PathFamily:
     cut = flow.cut_vertices()
     sep = _separation_from_cut(g, z, cut)
     weighted = 2 * len(sep.a & sep.b & z) + len((sep.a & sep.b) - z)
-    assert weighted < budget
+    check_internal(weighted < budget, "doubled cut is too large")
     raise InfeasibleError(
         f"only {flow.value} of {budget} doubled paths exist", separation=sep
     )

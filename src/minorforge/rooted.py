@@ -13,6 +13,7 @@ from .errors import (
     InternalInfeasibleError,
     InvalidModelError,
     TooLargeError,
+    check_internal,
 )
 from .flow import SetFlow
 from .graph import Graph, complement_max_degree
@@ -56,21 +57,19 @@ def find_separation_avoiding(g: Graph, s, t_order: int, d_list, n_avoid: int):
             continue
         cut = flow.cut_vertices()
         sep = _separation_from_cut(g, s, cut)
-        assert sep.order < t_order
-        assert s <= sep.a
-        assert all(d_sets[i] <= sep.b - sep.a for i in combo)
-        assert not sep.violations(g)
+        check_internal(sep.order < t_order, "avoiding cut is too large")
+        check_internal(s <= sep.a, "avoiding cut lost a source")
+        check_internal(
+            all(d_sets[i] <= sep.b - sep.a for i in combo),
+            "avoiding cut leaves a chosen set on the near side",
+        )
+        check_internal(not sep.violations(g), "avoiding cut is not a separation")
         return sep
     return None
 
 
 # ---------------------------------------------------------------------------
 # attached-model search: proof-guided contraction loop with a fallback
-
-
-def _internal(cond: bool, msg: str) -> None:
-    if not cond:
-        raise InternalInfeasibleError(msg)
 
 
 def _class_map(dlab: dict[int, int | None]) -> dict[int, set[int]]:
@@ -198,8 +197,8 @@ def _solve(adj, dlab, s_set, expand, t, n_avoid, m_total, caps, trusted):
 def _split(adj, dlab, s_set, expand, a_ids, b_ids, s_prime,
            t, n_avoid, m_total, caps, blame):
     for v in a_ids - b_ids:
-        _internal(adj[v] <= a_ids, "separation pulled back with a crossing edge")
-    _internal(s_set <= a_ids, "attachment must sit inside the near side")
+        check_internal(adj[v] <= a_ids, "separation pulled back with a crossing edge")
+    check_internal(s_set <= a_ids, "attachment must sit inside the near side")
     sub_a = {v: adj[v] & a_ids for v in sorted(a_ids)}
     snap_a, ids_a, new_a = _snapshot(sub_a)
     got = menger(
@@ -219,7 +218,7 @@ def _split(adj, dlab, s_set, expand, a_ids, b_ids, s_prime,
     link_paths = [tuple(ids_a[x] for x in p) for p in got.paths]
     sub_adj = {v: adj[v] & b_ids for v in sorted(b_ids)}
     sub_dlab = {v: dlab[v] for v in sorted(b_ids)}
-    _internal(
+    check_internal(
         set(sub_dlab.values()) - {None} == set(dlab.values()) - {None},
         "a branch set vanished across the split",
     )
@@ -230,19 +229,19 @@ def _split(adj, dlab, s_set, expand, a_ids, b_ids, s_prime,
     for p in link_paths:
         root = p[-1]
         hit = [i for i in range(t) if root in frags[i]]
-        _internal(len(hit) == 1, "every connector must land in one root fragment")
+        check_internal(len(hit) == 1, "every connector must land in one root fragment")
         frags[hit[0]] |= set(p)
     return frags
 
 
 def _endgame(adj, dlab, s_set, t, m_total, blame):
     classes = _class_map(dlab)
-    _internal(len(classes) == m_total, "a branch set vanished before the finish")
+    check_internal(len(classes) == m_total, "a branch set vanished before the finish")
     for v in sorted(adj):
         if v in s_set:
             continue
         lab = dlab[v]
-        _internal(
+        check_internal(
             lab is not None
             and not (classes[lab] & s_set)
             and len(classes[lab]) == 1,
@@ -265,7 +264,7 @@ def _endgame(adj, dlab, s_set, t, m_total, blame):
         )
     path_pairs = []
     for p in got.paths:
-        _internal(len(p) == 2, "finishing connectors must be single edges")
+        check_internal(len(p) == 2, "finishing connectors must be single edges")
         a, b = ids[p[0]], ids[p[1]]
         if a not in s_set:
             a, b = b, a
@@ -278,7 +277,7 @@ def _endgame(adj, dlab, s_set, t, m_total, blame):
         matched.add(b)
     spare = sorted((dlab[v], v) for v in t_ids if v not in matched)
     need = m_total - 2 * t
-    _internal(len(spare) >= need, "not enough spare classes to finish")
+    check_internal(len(spare) >= need, "not enough spare classes to finish")
     for _, v in spare[:need]:
         frags.append({v})
     return frags
@@ -407,9 +406,9 @@ def attached_model_search(
         ]
         model = MinorModel(g, fragments)
         report = require_valid(model)
-        _internal(len(fragments) == m - t, "wrong fragment count")
-        _internal(is_attached_to(model, s), "attachment certificate failed")
-        _internal(
+        check_internal(len(fragments) == m - t, "wrong fragment count")
+        check_internal(is_attached_to(model, s), "attachment certificate failed")
+        check_internal(
             complement_max_degree(report.pattern) <= n_avoid,
             "pattern complement degree certificate failed",
         )
@@ -422,7 +421,7 @@ def attached_model_search(
             raise
         model = MinorModel(g, found)
         require_valid(model)
-        assert is_attached_to(model, s)
+        check_internal(is_attached_to(model, s), "attachment certificate failed")
         return model
 
 

@@ -2,12 +2,21 @@
 
 Everything here decides by naive enumeration only, touching nothing but the
 public Graph surface, so results are independent of the library's solvers.
+``run_optimized`` runs a script under ``python -O``, for checks that must
+survive with asserts stripped.
 """
 from __future__ import annotations
 
 import itertools
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 from minorforge import Graph, graph_from_edge_list
+
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def petersen() -> Graph:
@@ -201,3 +210,19 @@ def set_partitions(items):
         for i in range(len(part)):
             yield part[:i] + [[head] + part[i]] + part[i + 1:]
         yield [[head]] + part
+
+
+def run_optimized(script: str) -> str:
+    """Standard output of ``script`` run by a fresh ``python -O`` that
+    imports this checkout's package; fails the calling test unless the
+    script exits with status 0.  The script stops at once if the
+    interpreter still runs asserts."""
+    guard = 'if __debug__:\n    raise SystemExit("python -O was not in effect")\n'
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=_SRC if not path else _SRC + os.pathsep + path)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", guard + textwrap.dedent(script)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    return proc.stdout

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import pytest
+
 from minorforge.config import Caps, active_caps
+from minorforge.errors import ParseError
 
 
 def test_defaults():
@@ -18,11 +21,13 @@ def test_env_override(monkeypatch):
     assert caps.separable == 14  # untouched field keeps its default
 
 
-def test_env_ignores_unknown_names(monkeypatch):
-    monkeypatch.setenv("MINORFORGE_CAPS", "bogus=1,linkage_n=30")
-    caps = active_caps()
-    assert caps.linkage_n == 30
-    assert not hasattr(caps, "bogus")
+def test_env_rejects_unknown_names_and_non_integers(monkeypatch):
+    monkeypatch.setenv("MINORFORGE_CAPS", "linkage_n=30,colouring=5")
+    with pytest.raises(ParseError, match="'colouring'"):
+        active_caps()
+    monkeypatch.setenv("MINORFORGE_CAPS", "coloring=abc")
+    with pytest.raises(ParseError, match="'coloring'"):
+        active_caps()
 
 
 def test_env_reread_each_call(monkeypatch):

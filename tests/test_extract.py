@@ -1,16 +1,13 @@
 from __future__ import annotations
 
 import dataclasses
-import os
-import subprocess
-import sys
-import textwrap
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
 from minorforge import (
+    ExtractionTrace,
+    MinorModel,
     average_degree,
     complete_graph,
     dense_connected_minor,
@@ -37,7 +34,7 @@ from minorforge.errors import (
 from minorforge.graph import mask_vertices
 from minorforge.rng import Rng, derive_seed
 
-from conftest import petersen
+from conftest import petersen, run_optimized
 
 
 def _two_cliques(k: int):
@@ -116,8 +113,6 @@ from minorforge import (
 )
 from minorforge.errors import ExtractionFailedError
 
-if __debug__:
-    raise SystemExit("interpreter is not running with -O")
 g = random_graph(24, Fraction(1, 2), Rng(derive_seed(31, 0)))
 _, trace = mader_min_degree_minor_with_trace(g, 8)
 steps = list(trace.steps)
@@ -133,15 +128,27 @@ else:
 
 
 def test_replay_rejects_a_tampered_trace_under_optimize():
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", textwrap.dedent(_TAMPER_SCRIPT)],
-        capture_output=True, text=True, env=env, timeout=120,
+    assert "step 3" in run_optimized(_TAMPER_SCRIPT)
+
+
+def test_replay_rejects_a_contraction_of_nonadjacent_fragments():
+    path = graph_from_edge_list(3, [(0, 1), (1, 2)])
+    trace = ExtractionTrace(
+        steps=(("contract", (0, 2), 1),),
+        final_model=MinorModel(path, [{0, 2}, {1}]),
     )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "step 3" in proc.stdout
+    with pytest.raises(ExtractionFailedError, match="step 0"):
+        replay_extraction(path, trace)
+
+
+def test_replay_rejects_an_unknown_representative():
+    path = graph_from_edge_list(3, [(0, 1), (1, 2)])
+    trace = ExtractionTrace(
+        steps=(("contract", (0, 1), 1), ("delete", (1,), 0)),
+        final_model=MinorModel(path, [{0, 1}]),
+    )
+    with pytest.raises(ParseError, match="step 1"):
+        replay_extraction(path, trace)
 
 
 def _full_scan_descent(work, d: int, hits: dict[str, int]) -> None:
