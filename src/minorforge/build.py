@@ -16,6 +16,7 @@ from .errors import (
     HypothesisViolatedError,
     InvalidBipartitionError,
     PathTooLongError,
+    check_internal,
 )
 from .extract import dense_connected_minor
 from .graph import (
@@ -24,6 +25,8 @@ from .graph import (
     complement_max_degree,
     induced_subgraph,
     is_eps_t_dense,
+    mask_of,
+    mask_vertices,
 )
 from .model import MinorModel, compose_models, require_valid
 from .params import (
@@ -54,12 +57,12 @@ def hitting_set_check(
     neighbor in s; passes iff the first is at most eps * len(a_list) and
     the second is at most the cap."""
     s_set = frozenset(s)
+    for v in s_set:
+        g.check_vertex(v)
     covered = sum(1 for a in a_list if s_set <= frozenset(a))
-    undominated = sum(
-        1
-        for v in range(g.n)
-        if v not in s_set and not g.neighbors(v) & s_set
-    )
+    s_mask = mask_of(s_set)
+    full = (1 << g.n) - 1
+    undominated = (full & ~s_mask & ~g.neighborhood(s_mask)).bit_count()
     ok = covered <= Fraction(eps) * len(a_list) and undominated <= undominated_cap
     return covered, undominated, ok
 
@@ -124,25 +127,6 @@ def sample_hitting_set(
     )
 
 
-def _comps_in(g: Graph, vs) -> list[set[int]]:
-    """Connected components of g restricted to vs, sorted by least vertex."""
-    left = set(vs)
-    out = []
-    while left:
-        start = min(left)
-        comp = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for w in g.neighbors(u):
-                if w in left and w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        left -= comp
-        out.append(comp)
-    return sorted(out, key=min)
-
-
 def connect_within(
     g: Graph, s, max_path_len: int = DEFAULT_MAX_PATH_LEN
 ) -> tuple[int, ...]:
@@ -155,46 +139,28 @@ def connect_within(
         return ()
     if not g.is_connected():
         raise DisconnectedHostError("stitching needs a connected host")
-    b = set(s_set)
+    full = (1 << g.n) - 1
+    b = mask_of(s_set)
     while True:
-        comps = _comps_in(g, b)
-        if len(comps) == 1:
+        core = g.reach(b & -b, b)
+        if core == b:
             break
-        core = next(c for c in comps if min(b) in c)
-        # multi-source BFS from the core to the nearest other piece
-        parent: dict[int, int] = {v: -1 for v in core}
-        queue = sorted(core)
-        hit = None
-        while queue and hit is None:
-            nxt = []
-            for u in queue:
-                for w in sorted(g.neighbors(u)):
-                    if w in parent:
-                        continue
-                    parent[w] = u
-                    if w in b:
-                        hit = w
-                        break
-                    nxt.append(w)
-                if hit is not None:
-                    break
-            queue = nxt
-        assert hit is not None  # host is connected
-        path = [hit]
-        while parent[path[-1]] != -1:
-            path.append(parent[path[-1]])
+        path = g.shortest_path(core, b & ~core, full)
+        check_internal(path is not None, "a connected host links every piece")
         if len(path) - 1 > max_path_len:
             raise PathTooLongError(
                 f"stitching path needs {len(path) - 1} edges"
             )
-        b.update(path)
-    assert len(b) <= max_path_len * len(s_set)
-    return tuple(sorted(b))
+        b |= mask_of(path)
+    check_internal(
+        b.bit_count() <= max_path_len * len(s_set), "stitched set outgrew its bound"
+    )
+    return tuple(mask_vertices(b))
 
 
 def _grow_round(
     h: Graph,
-    placed: list[frozenset[int]],
+    placed: list[int],
     r: int,
     eps: Fraction,
     n_scale: int,
@@ -203,32 +169,30 @@ def _grow_round(
     max_path_len: int,
 ) -> None:
     """One placement round: sample a hitting set in the remaining graph
-    against the non-neighbor sets of everything placed, stitch it connected,
-    and append it to placed."""
-    used: set[int] = set().union(*placed) if placed else set()
-    keep = sorted(set(range(h.n)) - used)
-    f_graph, old = induced_subgraph(h, keep)
-    a_list = []
-    for b_set in placed:
-        a_list.append(
-            frozenset(
-                i
-                for i, v in enumerate(old)
-                if not h.neighbors(v) & b_set
-            )
-        )
+    against the non-neighbor sets of everything placed (vertex masks),
+    stitch it connected, and append it to placed."""
+    used = 0
+    for b in placed:
+        used |= b
+    f_graph, old = induced_subgraph(h, mask_vertices(((1 << h.n) - 1) & ~used))
+    a_list = [_non_neighbors(h, old, b) for b in placed]
     res = sample_hitting_set(
         f_graph, a_list, r, eps, n_scale, rng, max_attempts
     )
     stitched = connect_within(f_graph, res.s, max_path_len)
-    b_new = frozenset(old[i] for i in stitched)
-    count = sum(1 for b_set in placed if not _touches(h, b_new, b_set))
-    assert count <= eps * len(placed), "stitched set lost the sampled adjacency"
+    b_new = mask_of(old[i] for i in stitched)
+    reach = h.neighborhood(b_new)
+    count = sum(1 for b in placed if not reach & b)
+    check_internal(
+        count <= eps * len(placed), "stitched set lost the sampled adjacency"
+    )
     placed.append(b_new)
 
 
-def _touches(g: Graph, a, b) -> bool:
-    return any(g.neighbors(v) & b for v in a)
+def _non_neighbors(g: Graph, old, b: int) -> frozenset[int]:
+    """Indices ``i`` whose vertex ``old[i]`` has no neighbour in ``b``."""
+    reach = g.neighborhood(b)
+    return frozenset(i for i, v in enumerate(old) if not reach >> v & 1)
 
 
 def _split_fast(h: Graph, t: int, eps: Fraction):
@@ -236,10 +200,10 @@ def _split_fast(h: Graph, t: int, eps: Fraction):
     lump; works whenever the extracted pattern is essentially complete."""
     if h.n < t:
         return None
-    rest = frozenset(range(t - 1, h.n))
-    if len(_comps_in(h, rest)) != 1:
+    rest = ((1 << h.n) - 1) >> (t - 1) << (t - 1)
+    if h.reach(rest & -rest, rest) != rest:
         return None
-    frags = [frozenset((i,)) for i in range(t - 1)] + [rest]
+    frags = [(i,) for i in range(t - 1)] + [mask_vertices(rest)]
     model = MinorModel(h, frags)
     if is_eps_t_dense(require_valid(model).pattern, eps, t):
         return model
@@ -271,13 +235,13 @@ def build_dense_minor(
     if fast is not None:
         return compose_models(h_model, fast)
     r = desk_sample_size(eps, t, d)
-    placed: list[frozenset[int]] = []
+    placed: list[int] = []
     for _ in range(t):
         _grow_round(
             h, placed, r, eps, d, rng, max_attempts,
             DEFAULT_MAX_PATH_LEN,
         )
-    inner = MinorModel(h, placed)
+    inner = MinorModel(h, [mask_vertices(b) for b in placed])
     final = compose_models(h_model, inner)
     if not is_eps_t_dense(require_valid(final).pattern, eps, t):
         raise DensityNotMetError("final pattern misses the density target")
@@ -318,12 +282,7 @@ def build_dense_minor_in_dense_graph(
         used = set().union(*cores) if cores else set()
         keep = sorted(s_pool_set - used)
         f_graph, old = induced_subgraph(g, keep)
-        a_list = [
-            frozenset(
-                i for i, v in enumerate(old) if not g.neighbors(v) & core
-            )
-            for core in cores
-        ]
+        a_list = [_non_neighbors(g, old, mask_of(core)) for core in cores]
         res = sample_hitting_set(f_graph, a_list, r, eps, n, rng, max_attempts)
         cores.append(frozenset(old[i] for i in res.s))
     fragments = _stitch_outside(g, cores, s_pool_set)
@@ -338,26 +297,24 @@ def _stitch_outside(
 ) -> list[frozenset[int]]:
     """Join each core's pieces through unused common neighbors outside the
     pool, keeping all fragments pairwise disjoint."""
-    used: set[int] = set(s_pool)
+    used = mask_of(s_pool)
     out: list[frozenset[int]] = []
     for core in cores:
-        b = set(core)
+        b = mask_of(core)
         while True:
-            comps = _comps_in(g, b)
+            comps = g.components_in(b)
             if len(comps) <= 1:
                 break
-            u, v = min(comps[0]), min(comps[1])
-            shared = sorted(
-                (g.neighbors(u) & g.neighbors(v)) - used
-            )
+            u, v = ((c & -c).bit_length() - 1 for c in comps[:2])
+            shared = g.neighbor_bits(u) & g.neighbor_bits(v) & ~used
             if not shared:
                 raise HypothesisViolatedError(
                     "ran out of fresh common neighbors while stitching"
                 )
-            w = shared[0]
-            used.add(w)
-            b.add(w)
-        out.append(frozenset(b))
+            w = shared & -shared
+            used |= w
+            b |= w
+        out.append(frozenset(mask_vertices(b)))
     return out
 
 
@@ -388,11 +345,12 @@ def bipartite_random_contraction(
     s_set = frozenset(s)
     if not s_set:
         raise HypothesisViolatedError("the root set must be nonempty")
-    if not s_set <= g.neighbors(u0):
+    if not s_set <= frozenset(mask_vertices(g.neighbor_bits(u0))):
         raise HypothesisViolatedError("roots must be neighbors of the anchor")
+    s_mask = mask_of(s_set)
     phi: dict[int, int] = {}
     for u in sorted(a_set - {u0}):
-        cands = sorted(g.neighbors(u) & s_set)
+        cands = mask_vertices(g.neighbor_bits(u) & s_mask)
         if cands:
             phi[u] = cands[rng.below(len(cands))]
     fragments = [
@@ -461,7 +419,7 @@ def build_dense_minor_bipartite(
     ][:8]
     attempts = 0
     for ci, u0 in enumerate(candidates):
-        roots = sorted(g.neighbors(u0))[:n_pick]
+        roots = mask_vertices(g.neighbor_bits(u0))[:n_pick]
         for trial in range(8):
             attempts += 1
             child = rng.spawn(ci, trial)

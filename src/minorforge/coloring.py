@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .config import active_caps
 from .errors import TooLargeError
-from .graph import Graph, induced_subgraph
+from .graph import Graph, induced_subgraph, mask_vertices
 
 
 def _greedy_clique(g: Graph) -> list[int]:
@@ -21,11 +21,14 @@ def _greedy_clique(g: Graph) -> list[int]:
     best: list[int] = []
     for seed in order[: min(5, g.n)]:
         clique = [seed]
-        cand = set(g.neighbors(seed))
+        cand = g.neighbor_bits(seed)
         while cand:
-            u = min(cand, key=lambda x: (-len(g.neighbors(x) & cand), x))
+            u = min(
+                mask_vertices(cand),
+                key=lambda x: (-(g.neighbor_bits(x) & cand).bit_count(), x),
+            )
             clique.append(u)
-            cand &= g.neighbors(u)
+            cand &= g.neighbor_bits(u)
         if len(clique) > len(best):
             best = clique
     return best
@@ -34,12 +37,14 @@ def _greedy_clique(g: Graph) -> list[int]:
 def _greedy_coloring(g: Graph) -> list[int]:
     """Saturation-first greedy; complete, used only as an upper bound."""
     color = [-1] * g.n
+    classes: list[int] = []  # vertex mask of each colour used so far
     for _ in range(g.n):
         pick, pick_key = -1, None
         for v in range(g.n):
             if color[v] != -1:
                 continue
-            sat = {color[w] for w in g.neighbors(v) if color[w] != -1}
+            nbrs = g.neighbor_bits(v)
+            sat = {c for c, cls in enumerate(classes) if nbrs & cls}
             key = (-len(sat), -g.degree(v), v)
             if pick_key is None or key < pick_key:
                 pick, pick_key, pick_sat = v, key, sat
@@ -47,6 +52,9 @@ def _greedy_coloring(g: Graph) -> list[int]:
         while c in pick_sat:
             c += 1
         color[pick] = c
+        if c == len(classes):
+            classes.append(0)
+        classes[c] |= 1 << pick
     return color
 
 
@@ -67,7 +75,7 @@ def _colorable_with(g: Graph, k: int, clique: list[int]) -> list[int] | None:
             if color[v] != -1:
                 continue
             sat = 0
-            for w in g.neighbors(v):
+            for w in mask_vertices(g.neighbor_bits(v)):
                 if color[w] != -1:
                     sat |= 1 << color[w]
             key = (-sat.bit_count(), -g.degree(v), v)
@@ -114,7 +122,7 @@ def two_coloring(g: Graph) -> list[int] | None:
         queue = [start]
         while queue:
             v = queue.pop()
-            for w in g.neighbors(v):
+            for w in mask_vertices(g.neighbor_bits(v)):
                 if color[w] == -1:
                     color[w] = 1 - color[v]
                     queue.append(w)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from .errors import OrderTooSmallError, check_internal
 from .flow import INF, pair_vertex_cut
-from .graph import Graph
+from .graph import Graph, mask_vertices
 
 
 def vertex_connectivity_with_cutset(g: Graph):
@@ -30,7 +30,7 @@ def vertex_connectivity_with_cutset(g: Graph):
     best = INF
     best_cut: tuple[int, ...] | None = None
     pairs: list[tuple[int, int]] = []
-    nv = sorted(g.neighbors(v))
+    nv = mask_vertices(g.neighbor_bits(v))
     for w in range(n):
         if w != v and not g.has_edge(v, w):
             pairs.append((v, w))

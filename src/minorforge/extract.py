@@ -14,6 +14,7 @@ from .errors import (
     HypothesisViolatedError,
     InsufficientError,
     ParseError,
+    check_internal,
 )
 from .graph import Graph, average_degree, induced_subgraph, mask_of, mask_vertices
 from .model import MinorModel, require_valid
@@ -210,16 +211,15 @@ class _Work:
 
 def _restrict_to_best_component(work: _Work) -> None:
     g = work.g
-    best: set[int] | None = None
+    best = 0
     best_avg = Fraction(-1)
-    for mask in g.component_masks():
-        comp = {v for v in range(g.n) if mask >> v & 1}
-        inner = sum(len(g.neighbors(v) & comp) for v in comp)
-        avg = Fraction(inner, len(comp))
-        if avg > best_avg or (avg == best_avg and min(comp) < min(best)):
+    # components come ordered by least vertex, so a tie keeps the earlier one
+    for comp in g.component_masks():
+        inner = sum((g.neighbor_bits(v) & comp).bit_count() for v in mask_vertices(comp))
+        avg = Fraction(inner, comp.bit_count())
+        if avg > best_avg:
             best, best_avg = comp, avg
-    assert best is not None
-    for v in sorted(set(range(g.n)) - best):
+    for v in mask_vertices(((1 << g.n) - 1) & ~best):
         work.delete(v)
 
 
@@ -477,25 +477,26 @@ def peel_dense_subset(g: Graph, s, r: int, delta) -> tuple[int, ...]:
     delta = Fraction(delta)
     if delta <= 0:
         raise HypothesisViolatedError("the degree floor must be positive")
-    cur = set(s)
-    for v in cur:
+    given = set(s)
+    for v in given:
         g.check_vertex(v)
-    inner0 = sum(len(g.neighbors(v) & cur) for v in cur) // 2
-    boundary0 = sum(len(g.neighbors(v) - cur) for v in cur)
-    guaranteed = bool(cur) and (r - 2) * inner0 > (r - 1) * delta * len(
-        cur
-    ) + boundary0
+    cur = mask_of(given)
+    size = cur.bit_count()
+    inner0 = sum((g.neighbor_bits(v) & cur).bit_count() for v in mask_vertices(cur))
+    boundary0 = sum((g.neighbor_bits(v) & ~cur).bit_count() for v in mask_vertices(cur))
+    guaranteed = size > 0 and (r - 2) * (inner0 // 2) > (r - 1) * delta * size + boundary0
     changed = True
     while changed:
         changed = False
-        for v in sorted(cur):
-            inside = len(g.neighbors(v) & cur)
+        for v in mask_vertices(cur):
+            inside = (g.neighbor_bits(v) & cur).bit_count()
             if inside < max(delta, Fraction(g.degree(v), r)):
-                cur.discard(v)
+                cur ^= 1 << v
                 changed = True
-    if guaranteed:
-        assert cur, "peeling emptied a set whose surplus guaranteed a core"
-    return tuple(sorted(cur))
+    check_internal(
+        not guaranteed or cur != 0, "peeling emptied a set whose surplus guaranteed a core"
+    )
+    return tuple(mask_vertices(cur))
 
 
 def _connectivity_descent(g: Graph, start: set[int], k: int) -> set[int] | None:
@@ -518,8 +519,9 @@ def _connectivity_descent(g: Graph, start: set[int], k: int) -> set[int] | None:
         best_side: set[int] | None = None
         best_score: int | None = None
         for mask in inner.component_masks():
-            side = {old2[v] for v in range(inner.n) if mask >> v & 1} | cut_host
-            e_side = sum(len(g.neighbors(v) & side) for v in side) // 2
+            side = {old2[v] for v in mask_vertices(mask)} | cut_host
+            side_mask = mask_of(side)
+            e_side = sum((g.neighbor_bits(v) & side_mask).bit_count() for v in side) // 2
             score = 2 * e_side - (4 * k - 3) * len(side)
             if (
                 best_score is None
@@ -527,7 +529,10 @@ def _connectivity_descent(g: Graph, start: set[int], k: int) -> set[int] | None:
                 or (score == best_score and min(side - cut_host) < min(best_side - cut_host))
             ):
                 best_side, best_score = side, score
-        assert best_side is not None and len(best_side) < len(cur)
+        check_internal(
+            best_side is not None and len(best_side) < len(cur),
+            "a side of a separation must be smaller than the whole",
+        )
         cur = best_side
 
 

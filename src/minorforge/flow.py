@@ -41,7 +41,12 @@ class FlowNet:
         parent of every reached node (``in(v) = 2v``, ``out(v) = 2v + 1``,
         the source is ``-1``), the ``out`` node that reached the sink or
         ``-1``, and the masks of reached ``in`` and ``out`` nodes, which are
-        the source side of a minimum cut when the sink stays unreached."""
+        the source side of a minimum cut when the sink stays unreached.
+
+        A target's ``out`` node is entered only from its own ``in`` node,
+        since targets emit no arcs, so the first ``in`` node queued of a
+        target with spare capacity decides the augmenting path: the search
+        stops there instead of when that ``out`` node would be popped."""
         bits, cap, through, fin = self.bits, self.cap, self.through, self.fin
         arcs_in, tmask = ~self.smask, self.tmask
         parent = [0] * (2 * len(bits))
@@ -51,6 +56,9 @@ class FlowNet:
             if through[v] < cap[v]:
                 seen_in |= 1 << v
                 parent[2 * v] = -1
+                if tmask >> v & 1:
+                    parent[2 * v + 1] = 2 * v
+                    return parent, 2 * v + 1, seen_in, seen_out
                 queue.append(2 * v)
         for node in queue:  # the loop also visits what it appends: FIFO
             v = node >> 1
@@ -71,17 +79,17 @@ class FlowNet:
                 seen_in |= 1 << v
                 parent[node - 1] = node
                 queue.append(node - 1)
-            if tmask >> v & 1:
-                if through[v] < cap[v]:
-                    return parent, node, seen_in, seen_out
-                continue
             m = bits[v] & arcs_in & ~seen_in
             seen_in |= m
             while m:
                 b = m & -m
                 m ^= b
-                parent[2 * b.bit_length() - 2] = node
-                queue.append(2 * b.bit_length() - 2)
+                w = b.bit_length() - 1
+                parent[2 * w] = node
+                if tmask & b and through[w] < cap[w]:
+                    parent[2 * w + 1] = 2 * w
+                    return parent, 2 * w + 1, seen_in, seen_out
+                queue.append(2 * w)
         return parent, -1, seen_in, seen_out
 
     def _augment(self) -> bool:

@@ -1,9 +1,12 @@
 """Immutable simple graphs on vertices 0..n-1.
 
-Adjacency is kept both as frozensets (the API) and as per-vertex bitmasks
-(used by the solvers; int.bit_count makes common-neighbor counting cheap).
-All density comparisons are exact rational arithmetic over Fraction; floats
-appear only where a parameter is sized from a log or a root.
+Adjacency is one bitmask per vertex: bit ``w`` of ``neighbor_bits(v)`` is set
+when ``vw`` is an edge.  Every solver reads the masks, and the traversal
+questions they ask (the neighbourhood of a set, what a set reaches inside
+another, its components, a shortest path into a set) are the mask methods
+below.  ``neighbors()`` builds a frozenset from the mask for callers outside
+the package.  All density comparisons are exact rational arithmetic over
+Fraction; floats appear only where a parameter is sized from a log or a root.
 """
 
 from __future__ import annotations
@@ -11,17 +14,16 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import NotAnEdgeError, OrderTooSmallError, UnknownVertexError
+from .errors import NotAnEdgeError, OrderTooSmallError, UnknownVertexError, check_internal
 from .rng import Rng
 
 
 class Graph:
-    __slots__ = ("n", "m", "_adj", "_bits")
+    __slots__ = ("n", "m", "_bits")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise OrderTooSmallError("vertex count must be nonnegative")
-        adj: list[set[int]] = [set() for _ in range(n)]
         bits = [0] * n
         m = 0
         for u, v in edges:
@@ -29,16 +31,13 @@ class Graph:
                 raise UnknownVertexError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
                 raise NotAnEdgeError(f"loop at {u} not allowed")
-            if v in adj[u]:
+            if bits[u] >> v & 1:
                 continue
-            adj[u].add(v)
-            adj[v].add(u)
             bits[u] |= 1 << v
             bits[v] |= 1 << u
             m += 1
         self.n = n
         self.m = m
-        self._adj = tuple(frozenset(s) for s in adj)
         self._bits = tuple(bits)
 
     # -- basic access ------------------------------------------------------
@@ -49,22 +48,26 @@ class Graph:
 
     def neighbors(self, v: int) -> frozenset[int]:
         self.check_vertex(v)
-        return self._adj[v]
+        return frozenset(mask_vertices(self._bits[v]))
 
     def neighbor_bits(self, v: int) -> int:
         return self._bits[v]
 
     def degree(self, v: int) -> int:
         self.check_vertex(v)
-        return len(self._adj[v])
+        return self._bits[v].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
         self.check_vertex(u)
         self.check_vertex(v)
-        return v in self._adj[u]
+        return bool(self._bits[u] >> v & 1)
 
     def edges(self) -> list[tuple[int, int]]:
-        return [(u, v) for u in range(self.n) for v in sorted(self._adj[u]) if u < v]
+        return [
+            (u, v)
+            for u, b in enumerate(self._bits)
+            for v in mask_vertices(b >> (u + 1) << (u + 1))
+        ]
 
     def vertices(self) -> range:
         return range(self.n)
@@ -72,23 +75,26 @@ class Graph:
     def min_degree(self) -> int:
         if self.n == 0:
             raise OrderTooSmallError("min_degree of the empty graph")
-        return min(len(s) for s in self._adj)
+        return min(b.bit_count() for b in self._bits)
 
     def max_degree(self) -> int:
         if self.n == 0:
             raise OrderTooSmallError("max_degree of the empty graph")
-        return max(len(s) for s in self._adj)
+        return max(b.bit_count() for b in self._bits)
 
     def audit(self) -> None:
-        """Structural self-check: symmetry, no loops, handshake."""
+        """Structural self-check: masks in range, no loops, symmetry,
+        handshake.  Raises InternalInfeasibleError, also under -O."""
+        bits = self._bits
+        check_internal(len(bits) == self.n, "one mask per vertex")
         degsum = 0
-        for v in range(self.n):
-            assert v not in self._adj[v], f"loop at {v}"
-            for w in self._adj[v]:
-                assert v in self._adj[w], f"asymmetric edge ({v},{w})"
-            assert self._bits[v] == mask_of(self._adj[v])
-            degsum += len(self._adj[v])
-        assert degsum == 2 * self.m, "handshake violated"
+        for v, b in enumerate(bits):
+            check_internal(not b >> self.n, f"vertex {v} has a neighbour out of range")
+            check_internal(not b >> v & 1, f"loop at {v}")
+            for w in mask_vertices(b):
+                check_internal(bits[w] >> v & 1, f"asymmetric edge ({v},{w})")
+            degsum += b.bit_count()
+        check_internal(degsum == 2 * self.m, "handshake violated")
 
     def __eq__(self, other) -> bool:
         return (
@@ -101,34 +107,81 @@ class Graph:
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
 
-    # -- connectivity helpers ---------------------------------------------
+    # -- mask traversal ----------------------------------------------------
+
+    def neighborhood(self, mask: int) -> int:
+        """Union of the neighbour masks of the vertices in ``mask``; it
+        contains a vertex of ``mask`` exactly when that vertex has a
+        neighbour in ``mask``."""
+        bits = self._bits
+        out = 0
+        while mask:
+            b = mask & -mask
+            mask ^= b
+            out |= bits[b.bit_length() - 1]
+        return out
+
+    def reach(self, start: int, within: int) -> int:
+        """Vertices joined to ``start & within`` by paths inside ``within``."""
+        seen = frontier = start & within
+        while frontier:
+            frontier = self.neighborhood(frontier) & within & ~seen
+            seen |= frontier
+        return seen
+
+    def components_in(self, within: int) -> list[int]:
+        """Components of the subgraph induced by ``within``, as masks
+        ordered by least vertex."""
+        out = []
+        while within:
+            comp = self.reach(within & -within, within)
+            out.append(comp)
+            within ^= comp
+        return out
+
+    def shortest_path(
+        self, sources: int, targets: int, within: int
+    ) -> tuple[int, ...] | None:
+        """A shortest path from a vertex of ``sources`` to one of
+        ``targets`` whose vertices after the first lie in ``within``,
+        listed from its source; ``None`` when there is none.
+
+        Breadth first with a FIFO queue: sources queued in ascending
+        order, each vertex's unseen neighbours in ascending order, stopping
+        at the first target discovered.  That tie-break fixes which of the
+        shortest paths is returned.
+        """
+        hit = sources & targets
+        if hit:
+            return ((hit & -hit).bit_length() - 1,)
+        bits = self._bits
+        parent: dict[int, int] = {}
+        queue = mask_vertices(sources)
+        seen = sources
+        for u in queue:  # the loop also visits what it appends: FIFO
+            new = bits[u] & within & ~seen
+            seen |= new
+            while new:
+                b = new & -new
+                new ^= b
+                w = b.bit_length() - 1
+                parent[w] = u
+                if b & targets:
+                    path = [w]
+                    while w in parent:
+                        w = parent[w]
+                        path.append(w)
+                    return tuple(reversed(path))
+                queue.append(w)
+        return None
 
     def component_masks(self) -> list[int]:
         """Connected components as bitmasks, ordered by least vertex."""
-        seen = 0
-        out = []
-        full = (1 << self.n) - 1
-        while seen != full:
-            start = (~seen & full) & -(~seen & full)  # lowest unseen bit
-            comp = start
-            frontier = start
-            while frontier:
-                nxt = 0
-                f = frontier
-                while f:
-                    b = f & -f
-                    f ^= b
-                    nxt |= self._bits[b.bit_length() - 1]
-                frontier = nxt & ~comp
-                comp |= frontier
-            out.append(comp)
-            seen |= comp
-        return out
+        return self.components_in((1 << self.n) - 1)
 
     def is_connected(self) -> bool:
-        if self.n == 0:
-            return True
-        return len(self.component_masks()) == 1
+        full = (1 << self.n) - 1
+        return self.reach(1, full) == full
 
 
 def mask_of(vertices: Iterable[int]) -> int:
@@ -190,11 +243,12 @@ def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, tuple[int, .
     for v in old:
         g.check_vertex(v)
     pos = {v: i for i, v in enumerate(old)}
-    edges = []
-    for i, v in enumerate(old):
-        for w in g.neighbors(v):
-            if w in pos and v < w:
-                edges.append((i, pos[w]))
+    kept = mask_of(old)
+    edges = [
+        (i, pos[w])
+        for i, v in enumerate(old)
+        for w in mask_vertices(g._bits[v] & (kept >> (v + 1) << (v + 1)))
+    ]
     return Graph(len(old), edges), tuple(old)
 
 
@@ -209,46 +263,34 @@ def contract_edge_mapped(g: Graph, u: int, v: int) -> tuple[Graph, tuple[int, ..
     if not g.has_edge(u, v):
         raise NotAnEdgeError(f"({u},{v}) is not an edge")
     lo, hi = min(u, v), max(u, v)
-    old_to_new = []
-    for x in range(g.n):
-        if x < hi:
-            old_to_new.append(x)
-        elif x == hi:
-            old_to_new.append(lo)
-        else:
-            old_to_new.append(x - 1)
-    edges = set()
-    for a, b in g.edges():
-        na, nb = old_to_new[a], old_to_new[b]
-        if na != nb:
-            edges.add((min(na, nb), max(na, nb)))
-    return Graph(g.n - 1, sorted(edges)), tuple(old_to_new)
+    old_to_new = tuple(x if x < hi else lo if x == hi else x - 1 for x in range(g.n))
+    edges = [(old_to_new[a], old_to_new[b]) for a, b in g.edges() if (a, b) != (lo, hi)]
+    return Graph(g.n - 1, edges), old_to_new
 
 
 def greedy_dense_subgraph(g: Graph, t: int) -> tuple[int, ...]:
     """Peel minimum-degree vertices down to a t-subset; density never drops.
 
     Each deletion removes a vertex of degree <= average, so the survivor's
-    exact density is >= the density before; asserted at every step.
+    exact density is >= the density before; checked at every step.
     """
     if not (2 <= t <= g.n):
         raise OrderTooSmallError(f"need 2 <= t <= {g.n}, got t={t}")
-    alive = set(range(g.n))
-    deg = {v: g.degree(v) for v in alive}
+    alive = (1 << g.n) - 1
+    deg = [b.bit_count() for b in g._bits]
+    edges = g.m
     density = edge_density(g)
-    while len(alive) > t:
-        v = min(alive, key=lambda x: (deg[x], x))
-        alive.remove(v)
-        for w in g.neighbors(v):
-            if w in alive:
-                deg[w] -= 1
-        del deg[v]
-        sub_edges = sum(deg.values()) // 2
-        k = len(alive)
-        new_density = Fraction(sub_edges, k * (k - 1) // 2)
-        assert new_density >= density, "min-degree peel decreased density"
+    for k in range(g.n - 1, t - 1, -1):
+        v = min(mask_vertices(alive), key=lambda x: (deg[x], x))
+        alive ^= 1 << v
+        nbrs = g._bits[v] & alive
+        edges -= nbrs.bit_count()
+        for w in mask_vertices(nbrs):
+            deg[w] -= 1
+        new_density = Fraction(edges, k * (k - 1) // 2)
+        check_internal(new_density >= density, "min-degree peel decreased density")
         density = new_density
-    return tuple(sorted(alive))
+    return tuple(mask_vertices(alive))
 
 
 # -- generators -------------------------------------------------------------

@@ -68,7 +68,7 @@ def validate_model(m: MinorModel) -> ModelReport:
             continue
         mask = mask_of(frag)
         masks.append(mask)
-        if not _connected_in_host(g, frag):
+        if g.reach(mask & -mask, mask) != mask:
             violations.append((i, "fragment not connected in host"))
     for i in range(len(masks)):
         for j in range(i + 1, len(masks)):
@@ -79,27 +79,12 @@ def validate_model(m: MinorModel) -> ModelReport:
     return ModelReport(valid=True, pattern=_direct_pattern(g, m.fragments))
 
 
-def _connected_in_host(g: Graph, frag: frozenset[int]) -> bool:
-    start = min(frag)
-    seen = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for w in g.neighbors(u):
-            if w in frag and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(frag)
-
-
 def _direct_pattern(g: Graph, fragments: tuple[frozenset[int], ...]) -> Graph:
     masks = [mask_of(f) for f in fragments]
     k = len(fragments)
     edges = []
     for i in range(k):
-        reach = 0
-        for v in fragments[i]:
-            reach |= g.neighbor_bits(v)
+        reach = g.neighborhood(masks[i])
         for j in range(i + 1, k):
             if reach & masks[j]:
                 edges.append((i, j))
@@ -217,8 +202,7 @@ def anticomplete(g: Graph, a, b) -> bool:
         g.check_vertex(v)
     for v in b:
         g.check_vertex(v)
-    bits = mask_of(b)
-    return all(not (g.neighbor_bits(v) & bits) for v in a)
+    return not g.neighborhood(mask_of(a)) & mask_of(b)
 
 
 def compose_models(outer: MinorModel, inner: MinorModel) -> MinorModel:

@@ -20,7 +20,7 @@ from .errors import (
     check_internal,
 )
 from .flow import SetFlow
-from .graph import Graph, induced_subgraph, mask_of
+from .graph import Graph, induced_subgraph, mask_of, mask_vertices
 
 
 @dataclass(frozen=True)
@@ -173,19 +173,12 @@ def _check_sets(g: Graph, *sets) -> None:
 
 
 def _separation_from_cut(g: Graph, s, cut) -> Separation:
-    cut = set(cut)
-    reach = set(cut)
-    stack = [v for v in s if v not in cut]
-    reach.update(stack)
-    while stack:
-        u = stack.pop()
-        for w in g.neighbors(u):
-            if w not in reach and w not in cut:
-                reach.add(w)
-                stack.append(w)
-    a = reach
-    b = (set(range(g.n)) - a) | cut
-    return Separation(a, b)
+    """Side ``a``: the cut plus what ``s`` reaches around it; side ``b``:
+    the cut plus everything else."""
+    full = (1 << g.n) - 1
+    cut = mask_of(cut)
+    a = g.reach(mask_of(s), full & ~cut) | cut
+    return Separation(mask_vertices(a), mask_vertices(full & ~a | cut))
 
 
 def menger(g: Graph, s, t, k: int):
@@ -304,6 +297,7 @@ def find_linkage(g: Graph, pairs) -> PathFamily | None:
     endpoint_mask = 0
     for si, ti in pairs:
         endpoint_mask |= (1 << si) | (1 << ti)
+    full = (1 << g.n) - 1
     budget = [caps.search_nodes]
     failed: set[tuple[int, int]] = set()
 
@@ -314,18 +308,7 @@ def find_linkage(g: Graph, pairs) -> PathFamily | None:
         if si == ti:
             return True
         block = used | (endpoint_mask & ~(1 << si) & ~(1 << ti))
-        seen = 1 << si
-        stack = [si]
-        while stack:
-            u = stack.pop()
-            if u == ti:
-                return True
-            for w in g.neighbors(u):
-                wb = 1 << w
-                if not seen & wb and (w == ti or not block & wb):
-                    seen |= wb
-                    stack.append(w)
-        return False
+        return bool(g.reach(1 << si, full & ~block) >> ti & 1)
 
     def solve(idx: int, used: int) -> list[tuple[int, ...]] | None:
         if idx == k:
@@ -353,14 +336,15 @@ def find_linkage(g: Graph, pairs) -> PathFamily | None:
             budget[0] -= 1
             if budget[0] <= 0:
                 raise TooLargeError("linkage search budget exhausted")
-            for w in sorted(g.neighbors(cur)):
+            # ti is never blocked: pair_feasible checked it is unused
+            for w in mask_vertices(g.neighbor_bits(cur) & ~(block | path_mask)):
                 wb = 1 << w
                 if w == ti:
                     rest = solve(idx + 1, used | path_mask | wb)
                     if rest is not None:
                         result = [tuple(path + [w])] + rest
                         return True
-                elif not (block | path_mask) & wb:
+                else:
                     path.append(w)
                     if dfs(w, path, path_mask | wb):
                         return True
@@ -381,7 +365,7 @@ def find_linkage(g: Graph, pairs) -> PathFamily | None:
 
 def _pick_fresh(g: Graph, u: int, banned: set[int], count: int) -> list[int]:
     picked = []
-    for w in sorted(g.neighbors(u)):
+    for w in mask_vertices(g.neighbor_bits(u)):
         if w not in banned:
             picked.append(w)
             banned.add(w)
@@ -444,27 +428,12 @@ def knit_connect(g: Graph, s, parts) -> list[frozenset[int]]:
     sets = [frozenset(c) for c in out]
     for i in range(len(sets)):
         for j in range(i + 1, len(sets)):
-            assert not sets[i] & sets[j], "knit sets must be disjoint"
+            check_internal(not sets[i] & sets[j], "knit sets must be disjoint")
     for part, c in zip(parts, sets):
-        assert set(part) <= c
-        assert _connected_set(g, c), "knit set must be connected"
+        mask = mask_of(c)
+        check_internal(set(part) <= c, "knit set must contain its part")
+        check_internal(g.reach(mask & -mask, mask) == mask, "knit set must be connected")
     return sets
-
-
-def _connected_set(g: Graph, vs) -> bool:
-    vs = set(vs)
-    if not vs:
-        return False
-    start = min(vs)
-    seen = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for w in g.neighbors(u):
-            if w in vs and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(vs)
 
 
 def ordered_path_through(g: Graph, sequence) -> PathFamily:
@@ -513,35 +482,13 @@ def ordered_path_through(g: Graph, sequence) -> PathFamily:
     return fam
 
 
-def _bfs_tree_extend(g: Graph, tree: set[int], targets: set[int]):
-    """Shortest path from the current tree to the nearest target; ties break
-    toward lower vertex ids via BFS insertion order."""
-    parent: dict[int, int] = {v: -1 for v in tree}
-    queue = sorted(tree)
-    head = 0
-    while head < len(queue):
-        u = queue[head]
-        head += 1
-        if u in targets:
-            path = []
-            while u != -1:
-                path.append(u)
-                u = parent[u]
-            return path
-        for w in sorted(g.neighbors(u)):
-            if w not in parent:
-                parent[w] = u
-                queue.append(w)
-    return None
-
-
 def _odd_cycle(g: Graph, vs: list[int]) -> list[int] | None:
     """Vertices of one odd cycle inside the induced subgraph on ``vs``, or
     ``None`` when that subgraph is bipartite."""
-    vset = set(vs)
+    vmask = mask_of(vs)
     color: dict[int, int] = {}
     parent: dict[int, int | None] = {}
-    for root in sorted(vset):
+    for root in mask_vertices(vmask):
         if root in color:
             continue
         color[root] = 0
@@ -551,9 +498,7 @@ def _odd_cycle(g: Graph, vs: list[int]) -> list[int] | None:
         while head < len(queue):
             u = queue[head]
             head += 1
-            for w in sorted(g.neighbors(u)):
-                if w not in vset:
-                    continue
+            for w in mask_vertices(g.neighbor_bits(u) & vmask):
                 if w not in color:
                     color[w] = color[u] ^ 1
                     parent[w] = u
@@ -589,31 +534,31 @@ def container(g: Graph, s):
     if len(s) == 1:
         only = tuple(s)
         return only, only
-    tree = {min(s)}
+    full = (1 << g.n) - 1
+    remaining = mask_of(s)
+    tree = remaining & -remaining
+    remaining ^= tree
     tree_adj: dict[int, set[int]] = {min(s): set()}
-    remaining = set(s) - tree
     while remaining:
-        path = _bfs_tree_extend(g, tree, remaining)
-        assert path is not None, "connected host must reach every target"
-        path = path[::-1]  # tree end first
+        path = g.shortest_path(tree, remaining, full)
+        check_internal(path is not None, "connected host must reach every target")
         for x, y in zip(path, path[1:]):
             tree_adj.setdefault(x, set()).add(y)
             tree_adj.setdefault(y, set()).add(x)
-            tree.add(y)
-        remaining.discard(path[-1])
+        tree |= mask_of(path)
+        remaining &= ~(1 << path[-1])
     changed = True
     while changed:
         changed = False
-        for v in sorted(tree):
+        for v in sorted(tree_adj):
             if v not in s and len(tree_adj[v]) == 1:
                 (w,) = tree_adj[v]
                 tree_adj[w].discard(v)
                 del tree_adj[v]
-                tree.discard(v)
                 changed = True
-    branch = {v for v in tree if len(tree_adj[v]) >= 3}
+    branch = {v for v, nbrs in tree_adj.items() if len(nbrs) >= 3}
     s_prime = set(s) | branch
-    h = sorted(tree)
+    h = sorted(tree_adj)
     while True:
         rest = [v for v in h if v not in s_prime]
         cycle = _odd_cycle(g, rest)
@@ -623,14 +568,16 @@ def container(g: Graph, s):
             raise ConstructionFailedError(
                 "could not reach a two-colorable remainder within the size cap"
             )
-        rest_set = set(rest)
+        rest_mask = mask_of(rest)
         pick = max(
             cycle,
-            key=lambda v: (sum(1 for w in g.neighbors(v) if w in rest_set), -v),
+            key=lambda v: ((g.neighbor_bits(v) & rest_mask).bit_count(), -v),
         )
         s_prime.add(pick)
     rest = [v for v in h if v not in s_prime]
     sub, _ = induced_subgraph(g, rest)
-    assert sub.n == 0 or two_coloring(sub) is not None
-    assert len(s_prime) <= 3 * len(s)
+    check_internal(
+        sub.n == 0 or two_coloring(sub) is not None, "container remainder must be two-colorable"
+    )
+    check_internal(len(s_prime) <= 3 * len(s), "container blocker outgrew 3|s|")
     return tuple(sorted(s_prime)), tuple(h)

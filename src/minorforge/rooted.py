@@ -16,9 +16,9 @@ from .errors import (
     check_internal,
 )
 from .flow import SetFlow
-from .graph import Graph, complement_max_degree
+from .graph import Graph, complement_max_degree, mask_of, mask_vertices
 from .model import MinorModel, anticomplete, is_attached_to, require_valid
-from .paths import Separation, _connected_set, _separation_from_cut, menger
+from .paths import Separation, _separation_from_cut, menger
 
 
 def find_separation_avoiding(g: Graph, s, t_order: int, d_list, n_avoid: int):
@@ -303,7 +303,8 @@ def _attached_exhaustive(g: Graph, s_list, extra: int, n_avoid: int, caps):
             frags[fi].add(v)
         if any(not f for f in frags):
             return None
-        if any(not _connected_set(g, f) for f in frags):
+        masks = [mask_of(f) for f in frags]
+        if any(g.reach(m & -m, m) != m for m in masks):
             return None
         fr = [frozenset(f) for f in frags]
         return fr if _pattern_ok(g, fr, n_avoid) else None
@@ -361,15 +362,17 @@ def attached_model_search(
         )
     i_idx = [i for i in range(m) if not d_sets[i] & s]
     for i in i_idx:
-        if not _connected_set(g, d_sets[i]):
+        mask = mask_of(d_sets[i])
+        if g.reach(mask & -mask, mask) != mask:
             raise HypothesisViolatedError(
                 f"set {i} avoids the attachment but is not connected"
             )
+    s_mask = mask_of(s)
     for j in range(m):
         if j in i_idx:
             continue
-        for comp in _components_within(g, d_sets[j]):
-            if not comp & s:
+        for comp in g.components_in(mask_of(d_sets[j])):
+            if not comp & s_mask:
                 raise HypothesisViolatedError(
                     f"set {j} has a component missing the attachment"
                 )
@@ -390,7 +393,7 @@ def attached_model_search(
                 "an avoiding separation below the attachment order exists",
                 evidence=sep,
             )
-    adj = {v: set(g.neighbors(v)) for v in range(g.n)}
+    adj = {v: set(mask_vertices(g.neighbor_bits(v))) for v in range(g.n)}
     dlab: dict[int, int | None] = {v: None for v in range(g.n)}
     for i, d in enumerate(d_sets):
         for v in d:
@@ -423,22 +426,6 @@ def attached_model_search(
         require_valid(model)
         check_internal(is_attached_to(model, s), "attachment certificate failed")
         return model
-
-
-def _components_within(g: Graph, vs: frozenset[int]):
-    left = set(vs)
-    while left:
-        start = min(left)
-        comp = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for w in g.neighbors(u):
-                if w in vs and w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        left -= comp
-        yield comp
 
 
 def rooted_from_minor(g: Graph, s, j_model: MinorModel, n_avoid: int) -> MinorModel:

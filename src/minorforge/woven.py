@@ -14,7 +14,6 @@ a highly connected host carrying a very dense minor.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -35,6 +34,8 @@ from .graph import (
     greedy_dense_subgraph,
     induced_subgraph,
     is_eps_t_dense,
+    mask_of,
+    mask_vertices,
 )
 from .model import MinorModel, is_rooted_at, require_valid
 from .params import DEFAULT_C_SCALE
@@ -92,13 +93,6 @@ def _audit_or_none(g: Graph, fam: PathFamily) -> str | None:
     return problems[0] if problems else None
 
 
-def _touching(g: Graph, fa, fb) -> bool:
-    mask = 0
-    for w in fb:
-        mask |= 1 << w
-    return any(g.neighbor_bits(v) & mask for v in fa)
-
-
 def _pattern_dense(pattern: Graph, eps: Fraction, a: int) -> bool:
     # one vertex has no pair to miss; the shared predicate starts at two
     if a == 1:
@@ -113,43 +107,40 @@ def _spend(budget: list[int]) -> None:
 
 
 def _rooted_dense_model(
-    g: Graph, allowed: frozenset[int], roots, eps: Fraction, budget: list[int]
+    g: Graph, allowed: int, roots, eps: Fraction, budget: list[int]
 ) -> MinorModel | None:
     """Exhaustive search for a model rooted at ``roots`` with fragments
-    inside ``allowed`` whose pattern misses at most an eps share of its
-    pairs.  Fragments grow one adjacent vertex at a time; states are
-    deduplicated, so the search covers every tuple of disjoint connected
-    supersets of the root singletons."""
+    inside the vertex mask ``allowed`` whose pattern misses at most an eps
+    share of its pairs.  Fragments (vertex masks) grow one adjacent vertex
+    at a time; states are deduplicated, so the search covers every tuple
+    of disjoint connected supersets of the root singletons."""
     a = len(roots)
     target = (1 - eps) * Fraction(a * (a - 1), 2)
-    start = tuple(frozenset((r,)) for r in roots)
+    start = tuple(1 << r for r in roots)
     seen = {start}
     stack = [start]
     while stack:
         _spend(budget)
         frags = stack.pop()
+        reach = [g.neighborhood(f) for f in frags]
         joined = sum(
             1
             for i in range(a)
             for j in range(i + 1, a)
-            if _touching(g, frags[i], frags[j])
+            if reach[i] & frags[j]
         )
         if a == 1 or Fraction(joined) >= target:
-            return MinorModel(g, frags)
-        used = set().union(*frags)
+            return MinorModel(g, [mask_vertices(f) for f in frags])
+        used = 0
+        for f in frags:
+            used |= f
         fresh = []
         for idx in range(a):
-            grow: set[int] = set()
-            for v in frags[idx]:
-                grow |= g.neighbors(v)
-            for v in sorted(grow):
-                if v in allowed and v not in used:
-                    cand = (
-                        frags[:idx] + (frags[idx] | {v},) + frags[idx + 1 :]
-                    )
-                    if cand not in seen:
-                        seen.add(cand)
-                        fresh.append(cand)
+            for v in mask_vertices(reach[idx] & allowed & ~used):
+                cand = frags[:idx] + (frags[idx] | 1 << v,) + frags[idx + 1 :]
+                if cand not in seen:
+                    seen.add(cand)
+                    fresh.append(cand)
         stack.extend(reversed(fresh))
     return None
 
@@ -161,65 +152,55 @@ def _triple_witness(
     that stays off the non-endpoint roots, and for each try to plant a
     rooted dense model in what remains.  ``None`` means no witness
     exists for this triple."""
-    root_set = set(roots)
-    endpoint_set = {v for p in pairs for v in p}
-    forbidden = root_set - endpoint_set
+    endpoints = mask_of(v for p in pairs for v in p)
+    shared_roots = mask_of(roots) & endpoints
+    forbidden = mask_of(roots) & ~endpoints
     k = len(pairs)
     paths: list[tuple[int, ...]] = []
-    used: set[int] = set()
 
-    def attempt_model():
-        allowed = frozenset(
-            v for v in range(g.n) if v not in used
-        ) | (root_set & endpoint_set)
+    def attempt_model(used: int):
+        allowed = ((1 << g.n) - 1) & ~used | shared_roots
         model = _rooted_dense_model(g, allowed, roots, eps, budget)
         if model is None:
             return None
         fam = PathFamily(list(paths), "linkage", pairs=pairs)
         return model, require_paths(g, fam)
 
-    def rec(i: int):
+    def rec(i: int, used: int):
         if i == k:
-            return attempt_model()
+            return attempt_model(used)
         s, t = pairs[i]
-        if s in used or t in used:
+        if (used >> s | used >> t) & 1:
             return None
         if s == t:
-            used.add(s)
             paths.append((s,))
-            out = rec(i + 1)
+            out = rec(i + 1, used | 1 << s)
             paths.pop()
-            used.discard(s)
             return out
-        avoid = forbidden | (endpoint_set - {s, t})
+        # t is never blocked: it is unused, an endpoint and off the walk
+        blocked = used | forbidden | endpoints & ~(1 << s | 1 << t)
         acc = [s]
-        on = {s}
 
-        def walk(cur: int):
+        def walk(cur: int, on: int):
             _spend(budget)
-            for w in sorted(g.neighbors(cur)):
+            for w in mask_vertices(g.neighbor_bits(cur) & ~(on | blocked)):
                 if w == t:
-                    path = tuple(acc) + (t,)
-                    used.update(path)
-                    paths.append(path)
-                    out = rec(i + 1)
+                    paths.append(tuple(acc) + (t,))
+                    out = rec(i + 1, used | on | 1 << t)
                     paths.pop()
-                    used.difference_update(path)
                     if out is not None:
                         return out
-                elif w not in on and w not in avoid and w not in used:
-                    on.add(w)
+                else:
                     acc.append(w)
-                    out = walk(w)
+                    out = walk(w, on | 1 << w)
                     acc.pop()
-                    on.discard(w)
                     if out is not None:
                         return out
             return None
 
-        return walk(s)
+        return walk(s, 1 << s)
 
-    return rec(0)
+    return rec(0, 0)
 
 
 def _all_triples(n: int, a: int, b: int):
@@ -451,25 +432,6 @@ def weave(
     return model, fam
 
 
-def _bfs_path_within(g: Graph, allowed, s: int, t: int):
-    if s == t:
-        return (s,)
-    prev: dict[int, int | None] = {s: None}
-    queue = deque([s])
-    while queue:
-        u = queue.popleft()
-        for w in sorted(g.neighbors(u)):
-            if w in allowed and w not in prev:
-                prev[w] = u
-                if w == t:
-                    path = [t]
-                    while prev[path[-1]] is not None:
-                        path.append(prev[path[-1]])
-                    return tuple(reversed(path))
-                queue.append(w)
-    return None
-
-
 def realize_woven_from_dense_minor(
     g: Graph,
     eps,
@@ -571,18 +533,16 @@ def realize_woven_from_dense_minor(
         )
 
     # one fresh neighbor per root, outside everything already spoken for
-    taken = set(r_tuple) | endpoint_set
+    taken = mask_of(r_tuple) | mask_of(endpoint_set)
     r_prime: list[int] = []
     for r in r_tuple:
-        pick = next(
-            (w for w in sorted(g.neighbors(r)) if w not in taken), None
-        )
-        if pick is None:
+        free = g.neighbor_bits(r) & ~taken
+        if not free:
             raise HypothesisViolatedError(
                 f"root {r} has no free neighbor left"
             )
-        r_prime.append(pick)
-        taken.add(pick)
+        r_prime.append((free & -free).bit_length() - 1)
+        taken |= free & -free
 
     alive = sorted(set(range(g.n)) - removed)
     g1, old_of_new = induced_subgraph(g, alive)
@@ -642,7 +602,7 @@ def realize_woven_from_dense_minor(
             )
         chosen.add(j_pick)
         route = frags[fs] | frags[j_pick] | frags[ft]
-        found = _bfs_path_within(g1, route, si, ti)
+        found = g1.shortest_path(1 << si, 1 << ti, mask_of(route))
         if found is None:
             raise InternalInfeasibleError(
                 "routing inside three joined branch sets failed"

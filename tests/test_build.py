@@ -25,6 +25,7 @@ from minorforge.errors import (
     DisconnectedHostError,
     HypothesisViolatedError,
     PathTooLongError,
+    UnknownVertexError,
 )
 from minorforge.params import undominated_bound
 from minorforge.rng import Rng, derive_seed
@@ -54,6 +55,9 @@ def test_hitting_set_undominated_count():
     )
     assert covered == 0
     assert undominated == 3  # 2, 3, 4 have no neighbor at the leaf
+    for bad in (-1, 5):
+        with pytest.raises(UnknownVertexError):
+            hitting_set_check(star, {1, bad}, [], Fraction(1, 2), 5)
 
 
 def test_sample_hitting_set_on_near_complete_host():

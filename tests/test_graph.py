@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -27,9 +28,9 @@ from minorforge.errors import (
     OrderTooSmallError,
     UnknownVertexError,
 )
-from minorforge.rng import Rng
+from minorforge.rng import Rng, derive_seed
 
-from conftest import petersen
+from conftest import petersen, run_optimized
 
 
 def test_construction_and_access():
@@ -179,3 +180,169 @@ def test_greedy_density_never_drops(n, seed):
     seq = [edge_density(induced_subgraph(g, greedy_dense_subgraph(g, t))[0])
            for t in range(n, 1, -1)]
     assert all(b >= a for a, b in zip(seq, seq[1:]))
+
+
+# -- the mask traversal methods against the set-based helpers they replaced --
+#
+# _ref_comps_in, _ref_bfs_path_within and _ref_bfs_tree_extend are the former
+# build._comps_in, woven._bfs_path_within and paths._bfs_tree_extend, kept as
+# the references: the seeded outputs depend on their component order and on
+# their choice among shortest paths.
+
+
+def _ref_comps_in(g: Graph, vs) -> list[set[int]]:
+    left = set(vs)
+    out = []
+    while left:
+        start = min(left)
+        comp = {start}
+        stack = [start]
+        while stack:
+            u = stack.pop()
+            for w in g.neighbors(u):
+                if w in left and w not in comp:
+                    comp.add(w)
+                    stack.append(w)
+        left -= comp
+        out.append(comp)
+    return sorted(out, key=min)
+
+
+def _ref_bfs_path_within(g: Graph, allowed, s: int, t: int):
+    if s == t:
+        return (s,)
+    prev: dict[int, int | None] = {s: None}
+    queue = deque([s])
+    while queue:
+        u = queue.popleft()
+        for w in sorted(g.neighbors(u)):
+            if w in allowed and w not in prev:
+                prev[w] = u
+                if w == t:
+                    path = [t]
+                    while prev[path[-1]] is not None:
+                        path.append(prev[path[-1]])
+                    return tuple(reversed(path))
+                queue.append(w)
+    return None
+
+
+def _ref_bfs_tree_extend(g: Graph, tree: set[int], targets: set[int]):
+    parent: dict[int, int] = {v: -1 for v in tree}
+    queue = sorted(tree)
+    head = 0
+    while head < len(queue):
+        u = queue[head]
+        head += 1
+        if u in targets:
+            path = []
+            while u != -1:
+                path.append(u)
+                u = parent[u]
+            return path
+        for w in sorted(g.neighbors(u)):
+            if w not in parent:
+                parent[w] = u
+                queue.append(w)
+    return None
+
+
+def _ref_reach(g: Graph, start, within) -> set[int]:
+    seen = set(start) & set(within)
+    stack = list(seen)
+    while stack:
+        u = stack.pop()
+        for w in g.neighbors(u):
+            if w in within and w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
+
+
+def _shortest_path_count(g: Graph, s: int, t: int, allowed) -> int:
+    """Number of shortest s-t paths whose vertices after s lie in allowed."""
+    dist, ways = {s: 0}, {s: 1}
+    queue = deque([s])
+    while queue:
+        u = queue.popleft()
+        for w in g.neighbors(u):
+            if w not in allowed:
+                continue
+            if w not in dist:
+                dist[w], ways[w] = dist[u] + 1, 0
+                queue.append(w)
+            if dist[w] == dist[u] + 1:
+                ways[w] += ways[u]
+    return ways.get(t, 0) if s != t else 1
+
+
+def _random_subset(rng: Rng, n: int, num: int, den: int) -> set[int]:
+    return {v for v in range(n) if rng.bernoulli(Fraction(num, den))}
+
+
+def test_mask_methods_match_set_references():
+    ties = long_tree_paths = 0
+    for case in range(300):
+        rng = Rng(derive_seed(2024, case))
+        n = 1 + rng.below(28)
+        p = Fraction(1 + rng.below(9), 10)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.bernoulli(p)]
+        g = Graph(n, edges)
+        g.audit()
+        # mask-derived access against an adjacency built from the edge list
+        adj = [set() for _ in range(n)]
+        for u, v in edges:
+            adj[u].add(v)
+            adj[v].add(u)
+        assert [g.neighbors(v) for v in range(n)] == [frozenset(a) for a in adj]
+        assert [g.degree(v) for v in range(n)] == [len(a) for a in adj]
+        assert g.edges() == sorted(edges)
+        assert g.m == len(edges)
+        for _ in range(4):
+            within = _random_subset(rng, n, 1 + rng.below(4), 4)
+            start = _random_subset(rng, n, 1, 4)
+            wmask = mask_of(within)
+            assert g.components_in(wmask) == [
+                mask_of(c) for c in _ref_comps_in(g, within)
+            ]
+            assert g.reach(mask_of(start), wmask) == mask_of(_ref_reach(g, start, within))
+            assert g.neighborhood(mask_of(start)) == mask_of(
+                w for v in start for w in adj[v]
+            )
+            s, t = rng.below(n), rng.below(n)
+            got = g.shortest_path(1 << s, 1 << t, wmask)
+            assert got == _ref_bfs_path_within(g, within, s, t)
+            ties += _shortest_path_count(g, s, t, within) > 1
+            # many sources, many targets, nothing forbidden
+            sources = _random_subset(rng, n, 1, 8)
+            targets = _random_subset(rng, n, 1, 8) - sources
+            if sources and targets:
+                want = _ref_bfs_tree_extend(g, sources, targets)
+                got = g.shortest_path(mask_of(sources), mask_of(targets), (1 << n) - 1)
+                assert got == (None if want is None else tuple(reversed(want)))
+                long_tree_paths += want is not None and len(want) > 2
+    # the comparisons above must include real ties between shortest paths
+    assert ties > 100 and long_tree_paths > 100
+
+
+_CORRUPT_AUDIT_SCRIPT = """
+from minorforge import Graph
+from minorforge.errors import InternalInfeasibleError
+
+# each corruption keeps the handshake and breaks exactly one other invariant
+for name, bits in (("asymmetric", (0b010, 0b100, 0)), ("loop", (0b001, 0b010, 0))):
+    g = Graph(3, [(0, 1)])
+    g._bits = bits
+    try:
+        g.audit()
+    except InternalInfeasibleError as err:
+        print(name, "refused:", err)
+    else:
+        raise SystemExit(name + " mask passed the audit")
+"""
+
+
+def test_audit_rejects_corrupt_masks_under_optimize():
+    out = run_optimized(_CORRUPT_AUDIT_SCRIPT)
+    assert "asymmetric refused: asymmetric edge" in out
+    assert "loop refused: loop at 0" in out
