@@ -34,7 +34,17 @@ class ExtractionTrace:
 
 
 def replay_extraction(host: Graph, trace: ExtractionTrace) -> MinorModel:
-    frag: dict[int, set[int]] = {v: {v} for v in range(host.n)}
+    """Replay the steps from the host and check each step's edge count.
+    Fragments are vertex masks, each with the mask of its neighbours off
+    the fragment; a step recounts from them only the pattern edges at the
+    fragment it deleted or merged."""
+    frag = {v: 1 << v for v in range(host.n)}
+    nbr = {v: host.neighbor_bits(v) for v in range(host.n)}
+    m = host.m
+
+    def degree(r: int) -> int:
+        return sum(1 for f in frag.values() if nbr[r] & f)
+
     for i, (kind, verts, m_after) in enumerate(trace.steps):
         if kind not in ("delete", "contract"):
             raise ParseError(f"step {i}: unknown step kind {kind!r}")
@@ -43,42 +53,24 @@ def replay_extraction(host: Graph, trace: ExtractionTrace) -> MinorModel:
                 raise ParseError(f"step {i}: no fragment has representative {r}")
         if kind == "delete":
             (r,) = verts
-            del frag[r]
+            m -= degree(r)
+            del frag[r], nbr[r]
         else:
             a, b = verts
             keep, gone = (a, b) if a < b else (b, a)
-            gone_mask = mask_of(frag[gone])
-            if keep == gone or not any(
-                host.neighbor_bits(v) & gone_mask for v in frag[keep]
-            ):
+            if keep == gone or not nbr[keep] & frag[gone]:
                 raise ExtractionFailedError(
                     f"step {i}: contracts fragments {a} and {b}, which are not adjacent"
                 )
-            frag[keep] |= frag[gone]
-            del frag[gone]
-        m = _pattern_edge_count(host, frag)
+            m -= degree(keep) + degree(gone) - 1
+            frag[keep] |= frag.pop(gone)
+            nbr[keep] = (nbr[keep] | nbr.pop(gone)) & ~frag[keep]
+            m += degree(keep)
         if m != m_after:
             raise ExtractionFailedError(
                 f"step {i}: replayed pattern has {m} edges, trace says {m_after}"
             )
-    return MinorModel(host, [frozenset(frag[r]) for r in sorted(frag)])
-
-
-def _pattern_edge_count(host: Graph, frag: dict[int, set[int]]) -> int:
-    reps = sorted(frag)
-    masks = [sum(1 << v for v in frag[r]) for r in reps]
-    nbm = []
-    for i, r in enumerate(reps):
-        bits = 0
-        for v in frag[r]:
-            bits |= host.neighbor_bits(v)
-        nbm.append(bits & ~masks[i])
-    return sum(
-        1
-        for i in range(len(reps))
-        for j in range(i + 1, len(reps))
-        if nbm[i] & masks[j]
-    )
+    return MinorModel(host, [frozenset(mask_vertices(frag[r])) for r in sorted(frag)])
 
 
 def _above(mask: int, x: int) -> int:
@@ -421,7 +413,9 @@ def dense_connected_minor_with_trace(
     if pat.n >= 2:
         kappa, cutset = vertex_connectivity_with_cutset(pat)
         if 6 * kappa < d:
-            assert cutset is not None  # complete patterns are d/2-connected
+            check_internal(
+                cutset is not None, "a pattern below the connectivity target has a cutset"
+            )
             keep = _small_side(pat, set(cutset))
             for r in sorted(reps[i] for i in set(range(pat.n)) - keep):
                 work.delete(r)
@@ -445,7 +439,7 @@ def _small_side(pat: Graph, cut: set[int]) -> set[int]:
             or (len(comp) == len(best) and min(comp) < min(best))
         ):
             best = comp
-    assert best is not None
+    check_internal(best is not None, "removing the cutset left no component")
     return best
 
 

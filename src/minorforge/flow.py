@@ -8,11 +8,27 @@ vertex-disjointness questions reduce to arc capacities.  The network is
 never built: arcs are read off the host's neighbour bitmasks, and the flow
 is the throughput of each vertex plus two bitmasks per vertex, ``fout[u]``
 bit ``w`` and ``fin[w]`` bit ``u`` being set while ``out(u) -> in(w)``
-carries a unit.  Augmentation is shortest-path (BFS, FIFO queue).  From
-``in(v)`` it scans ``out(v)``, then the reverse arcs ``fin[v]``; from
-``out(v)`` it scans ``in(v)`` (reverse), the sink, then ``N(v)`` minus the
-sources; each set in ascending order.  That is the order sorted adjacency
-lists of an explicit network give, which keeps every answer deterministic.
+carries a unit.
+
+Two path finders share that residual state and one walk that pushes a
+unit along a path (``_apply``):
+
+- ``_augment`` pushes one shortest path per BFS (FIFO queue).  From
+  ``in(v)`` it scans ``out(v)``, then the reverse arcs ``fin[v]``; from
+  ``out(v)`` it scans ``in(v)`` (reverse), the sink, then ``N(v)`` minus
+  the sources; each set in ascending order.  That is the order sorted
+  adjacency lists of an explicit network give, so the flow, and the paths
+  ``SetFlow.paths`` decomposes it into, are deterministic and fixed.
+- ``_phase`` runs one blocking-flow phase (Dinic, 1970): one BFS on masks
+  builds the layers of the residual network, and a depth-first search
+  inside them pushes every shortest path it can.  ``SetFlow.min_cut`` uses
+  it, for callers that read only the flow value and the cut.
+
+The cut does not depend on the finder.  For every maximum flow, the nodes
+the source reaches in the residual network are the same set, the source
+side of the unique inclusion-minimal minimum cut; ``cut_vertices`` reads
+the cut off that set, so both finders give the same cut, and a capped run
+of either stops at exactly its limit.
 """
 
 from __future__ import annotations
@@ -32,9 +48,10 @@ class FlowNet:
     vertex ``v`` (at most ``cap[v]``), ``fout``/``fin`` mark the graph arcs
     carrying a unit, the source feeds ``in(v)`` for each of ``sources`` and
     ``out(v)`` feeds the sink for each ``v`` in ``tmask``.  Sources accept
-    no graph arcs and targets emit none."""
+    no graph arcs and targets emit none.  ``_reach`` holds the reach masks
+    of the search that stalled, and is cleared whenever a unit is pushed."""
 
-    __slots__ = ("bits", "sources", "smask", "tmask", "cap", "through", "fout", "fin")
+    __slots__ = ("bits", "sources", "smask", "tmask", "cap", "through", "fout", "fin", "_reach")
 
     def _search(self):
         """One BFS of the residual network from the source.  Returns the
@@ -92,16 +109,109 @@ class FlowNet:
                 queue.append(2 * w)
         return parent, -1, seen_in, seen_out
 
-    def _augment(self) -> bool:
-        """Push one unit along a shortest augmenting path, if there is one.
-        SetFlow's capacities put an arc of capacity one on every such path,
-        so one unit is all a path carries."""
-        parent, node, _, _ = self._search()
+    def _augment(self, limit: int) -> int:
+        """Push one unit along a shortest augmenting path, if there is one
+        (``limit`` is at least one).  SetFlow's capacities put an arc of
+        capacity one on every such path, so one unit is all a path carries."""
+        parent, node, reach_in, reach_out = self._search()
         if node < 0:
-            return False
-        through, fout, fin = self.through, self.fout, self.fin
+            self._reach = reach_in, reach_out
+            return 0
+        path = []
         while node >= 0:
-            prev = parent[node]
+            path.append(node)
+            node = parent[node]
+        path.reverse()
+        self._apply(path)
+        return 1
+
+    def _levels(self):
+        """The BFS of ``_search``, one layer at a time on masks: the
+        alternating ``in`` and ``out`` layers of the residual network, up to
+        the first ``in`` layer holding a target with spare capacity, whose
+        entry is cut down to those targets.  Every arc joins an ``in`` node
+        to an ``out`` node, so a layer holds nodes of one kind.  Returns
+        ``None``, caching the reach masks, when the sink stays unreached."""
+        bits, cap, through, fin, tmask = self.bits, self.cap, self.through, self.fin, self.tmask
+        spare = used = 0
+        for v, c in enumerate(through):
+            if c < cap[v]:
+                spare |= 1 << v
+            if c:
+                used |= 1 << v
+        arcs_in = ~self.smask
+        front = seen_in = self.smask & spare
+        seen_out = 0
+        layers = []
+        while front:
+            if front & tmask & spare:
+                layers.append(front & tmask & spare)
+                return layers
+            layers.append(front)
+            nxt, m = front & spare, front
+            while m:
+                b = m & -m
+                m ^= b
+                nxt |= fin[b.bit_length() - 1]
+            nxt &= ~seen_out
+            seen_out |= nxt
+            layers.append(nxt)
+            front, m = 0, nxt
+            while m:
+                b = m & -m
+                m ^= b
+                front |= bits[b.bit_length() - 1]
+            front = (front & arcs_in | nxt & used) & ~seen_in
+            seen_in |= front
+        self._reach = seen_in, seen_out
+        return None
+
+    def _phase(self, limit: int) -> int:
+        """One blocking-flow phase (Dinic): push up to ``limit`` units along
+        shortest augmenting paths found by a depth-first search inside the
+        layers of one ``_levels`` BFS; node ``i`` of a path lies in layer
+        ``i``.  A node left with no way forward is dead for the rest of the
+        phase and is cleared from its layer: pushing along a shortest path
+        opens only arcs that go back a layer, so the dead stay dead."""
+        layers = self._levels()
+        if layers is None:
+            return 0
+        bits, cap, through, fin, tmask = self.bits, self.cap, self.through, self.fin, self.tmask
+        arcs_in, last = ~self.smask, len(layers) - 1
+        pushed, path = 0, []
+        while True:
+            i = len(path)
+            if i:
+                v = path[-1] >> 1
+                if not i & 1:  # out(v): the reverse vertex arc, then graph arcs
+                    step = (bits[v] & arcs_in | (1 << v if through[v] else 0)) & layers[i]
+                elif i <= last:  # in(v): the vertex arc, then reverse graph arcs
+                    step = (fin[v] | (1 << v if through[v] < cap[v] else 0)) & layers[i]
+                elif tmask >> v & 1 and through[v] < cap[v]:
+                    path.append(2 * v + 1)
+                    self._apply(path)
+                    pushed += 1
+                    if pushed == limit:
+                        return pushed
+                    path.clear()
+                    continue
+                else:
+                    step = 0
+            else:
+                step = layers[0]
+            if step:
+                path.append(2 * (step & -step).bit_length() - 2 + (i & 1))
+            elif path:
+                layers[i - 1] &= ~(1 << (path.pop() >> 1))
+            else:
+                return pushed
+
+    def _apply(self, path: list[int]) -> None:
+        """Push one unit along ``path``, the nodes of an augmenting path
+        after the source, ending at the ``out`` node of a target."""
+        self._reach = None
+        through, fout, fin = self.through, self.fout, self.fin
+        for prev, node in zip(path, path[1:]):
             v = node >> 1
             if node & 1:
                 if prev == node - 1:
@@ -111,22 +221,24 @@ class FlowNet:
                     fin[prev >> 1] ^= 1 << v
             elif prev == node + 1:
                 through[v] -= 1
-            elif prev >= 0:  # graph arc out(u) -> in(v)
+            else:  # graph arc out(u) -> in(v)
                 fout[prev >> 1] |= 1 << v
                 fin[v] |= 1 << (prev >> 1)
-            node = prev
-        return True
 
-    def max_flow(self, limit: int = INF) -> int:
-        """Push flow until ``limit`` units went in or no augmenting path is
-        left; returns the units pushed.
+    def max_flow(self, push, limit: int = INF) -> int:
+        """Push flow with ``push`` (``_augment`` or ``_phase``) until
+        ``limit`` units went in or no augmenting path is left; returns the
+        units pushed.
 
         A return value below ``limit`` certifies the flow is maximum, so the
         residual cut is then a true minimum cut.
         """
         pushed = 0
-        while pushed < limit and self._augment():
-            pushed += 1
+        while pushed < limit:
+            got = push(limit - pushed)
+            if not got:
+                break
+            pushed += got
         return pushed
 
 
@@ -177,11 +289,23 @@ class SetFlow(FlowNet):
         self.through = [0] * g.n
         self.fout = [0] * g.n
         self.fin = [0] * g.n
+        self._reach = None
         self.value = 0
 
     def run(self, limit: int = INF) -> int:
-        self.value += self.max_flow(limit - self.value)
+        """Flow value after pushing up to ``limit`` units in all, one
+        shortest path per search, the flow that ``paths`` decomposes."""
+        self.value += self.max_flow(self._augment, limit - self.value)
         return self.value
+
+    def min_cut(self, limit: int = INF) -> tuple[int, tuple[int, ...] | None]:
+        """``(value, cut)`` after pushing up to ``limit`` units in all by
+        blocking-flow phases; ``cut`` is ``cut_vertices()`` when the value
+        stays below ``limit`` and ``None`` otherwise.  For callers that read
+        only the value and the cut: the flow itself may differ from the one
+        ``run`` builds, but its value and minimum cut do not."""
+        self.value += self.max_flow(self._phase, limit - self.value)
+        return self.value, self.cut_vertices() if self.value < limit else None
 
     def paths(self) -> list[tuple[int, ...]]:
         """Decompose the current flow into vertex paths, one per unit: a
@@ -216,9 +340,13 @@ class SetFlow(FlowNet):
     def cut_vertices(self) -> tuple[int, ...]:
         """Vertices of a minimum cut; valid once ``run`` stalled below its
         limit.  A doubled source vertex in the cut counts with weight 2
-        toward the cut value, which the caller accounts for."""
-        _, hit, reach_in, reach_out = self._search()
-        check_internal(hit < 0, "a minimum cut was asked of a flow that is not maximum")
+        toward the cut value, which the caller accounts for.  Reuses the
+        reach masks of the search that stalled, if the flow stalled."""
+        if self._reach is None:
+            _, hit, reach_in, reach_out = self._search()
+            check_internal(hit < 0, "a minimum cut was asked of a flow that is not maximum")
+            self._reach = reach_in, reach_out
+        reach_in, reach_out = self._reach
         # a target's out node is entered only through spare capacity at the
         # target, which would reach the sink, so a stalled flow never gets there
         cut = (reach_in & ~reach_out) | (self.smask & ~reach_in)
@@ -234,9 +362,6 @@ def pair_vertex_cut(g: Graph, x: int, y: int, limit: int = INF):
             "a pair cut needs two distinct nonadjacent vertices", evidence=(x, y)
         )
     flow = SetFlow(g, (x,), (y,), source_cap=INF, uncuttable_targets=True)
-    value = flow.run(limit)
-    if value >= limit:
-        return value, None
-    cut = flow.cut_vertices()
-    check_internal(len(cut) == value, "cut size must match the maximum flow")
+    value, cut = flow.min_cut(limit)
+    check_internal(cut is None or len(cut) == value, "cut size must match the maximum flow")
     return value, cut

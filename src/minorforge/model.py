@@ -15,6 +15,7 @@ from .errors import (
     NotDisjointError,
     OrderTooSmallError,
     UnknownVertexError,
+    check_internal,
 )
 from .graph import Graph, contract_edge_mapped, induced_subgraph, mask_of
 
@@ -134,8 +135,10 @@ def contract_model(m: MinorModel) -> Graph:
         for old, lab in enumerate(label):
             new_label[old_to_new[old]] = lab
         label = new_label
-    assert len(label) == len(m.fragments)
-    assert sorted(label) == list(range(len(m.fragments)))
+    check_internal(
+        sorted(label) == list(range(len(m.fragments))),
+        "contracting the fragments must leave one vertex per fragment",
+    )
     relabel = {v: label[v] for v in range(sub.n)}
     return Graph(
         len(m.fragments),

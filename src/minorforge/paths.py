@@ -104,8 +104,11 @@ def audit_path_family(g: Graph, fam: PathFamily) -> list[str]:
                 break
     if out:
         return out
+    if fam.kind in ("between", "doubled"):
+        check_internal(
+            fam.s is not None and fam.t is not None, f"a {fam.kind} family needs s and t"
+        )
     if fam.kind == "between":
-        assert fam.s is not None and fam.t is not None
         seen: set[int] = set()
         for i, p in enumerate(fam.paths):
             if p[0] not in fam.s:
@@ -118,7 +121,6 @@ def audit_path_family(g: Graph, fam: PathFamily) -> list[str]:
                 out.append(f"path {i} shares a vertex with an earlier path")
             seen.update(p)
     elif fam.kind == "doubled":
-        assert fam.s is not None and fam.t is not None
         starts: dict[int, int] = {}
         for i, p in enumerate(fam.paths):
             if p[0] not in fam.s:
@@ -140,7 +142,7 @@ def audit_path_family(g: Graph, fam: PathFamily) -> list[str]:
             if starts.get(v, 0) != 2:
                 out.append(f"s-vertex {v} starts {starts.get(v, 0)} paths, not 2")
     elif fam.kind == "linkage":
-        assert fam.pairs is not None
+        check_internal(fam.pairs is not None, "a linkage family needs its pairs")
         if len(fam.paths) != len(fam.pairs):
             out.append("path count differs from pair count")
             return out
@@ -476,9 +478,10 @@ def ordered_path_through(g: Graph, sequence) -> PathFamily:
     fam = PathFamily((tuple(full),), "linkage", pairs=((seq[0], seq[-1]),))
     require_paths(g, fam)
     positions = {v: i for i, v in enumerate(full)}
-    assert all(
-        positions[a] < positions[b] for a, b in zip(seq, seq[1:])
-    ), "sequence order must be preserved"
+    check_internal(
+        all(positions[a] < positions[b] for a, b in zip(seq, seq[1:])),
+        "sequence order must be preserved",
+    )
     return fam
 
 

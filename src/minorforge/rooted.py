@@ -52,10 +52,9 @@ def find_separation_avoiding(g: Graph, s, t_order: int, d_list, n_avoid: int):
         union = frozenset().union(*(d_sets[i] for i in combo))
         if s & union:
             continue
-        flow = SetFlow(g, s, union, uncuttable_targets=True)
-        if flow.run(limit=t_order) >= t_order:
+        _, cut = SetFlow(g, s, union, uncuttable_targets=True).min_cut(t_order)
+        if cut is None:
             continue
-        cut = flow.cut_vertices()
         sep = _separation_from_cut(g, s, cut)
         check_internal(sep.order < t_order, "avoiding cut is too large")
         check_internal(s <= sep.a, "avoiding cut lost a source")

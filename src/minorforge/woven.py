@@ -115,7 +115,9 @@ def _rooted_dense_model(
     at a time; states are deduplicated, so the search covers every tuple
     of disjoint connected supersets of the root singletons."""
     a = len(roots)
-    target = (1 - eps) * Fraction(a * (a - 1), 2)
+    # joined >= (1 - eps) * a(a-1)/2, in integers
+    num, den = eps.numerator, eps.denominator
+    need = (den - num) * a * (a - 1)
     start = tuple(1 << r for r in roots)
     seen = {start}
     stack = [start]
@@ -129,7 +131,7 @@ def _rooted_dense_model(
             for j in range(i + 1, a)
             if reach[i] & frags[j]
         )
-        if a == 1 or Fraction(joined) >= target:
+        if a == 1 or 2 * den * joined >= need:
             return MinorModel(g, [mask_vertices(f) for f in frags])
         used = 0
         for f in frags:

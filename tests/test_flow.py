@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import signal
 from collections import Counter
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -13,8 +15,8 @@ from minorforge import (
     vertex_connectivity,
     vertex_connectivity_with_cutset,
 )
-from minorforge.errors import HypothesisViolatedError
-from minorforge.flow import INF, SetFlow
+from minorforge.errors import HypothesisViolatedError, InternalInfeasibleError
+from minorforge.flow import INF, FlowNet, SetFlow
 from minorforge.rng import Rng, derive_seed
 
 import flow_reference as ref
@@ -115,46 +117,90 @@ def test_doubled_source_next_to_uncuttable_target_is_refused():
 
 
 _FLOW_KINDS = ({}, {"source_cap": 2}, {"uncuttable_targets": True})
+_PAIR_CUT = {"source_cap": INF, "uncuttable_targets": True}
 
 
-def test_engine_matches_the_explicit_network():
-    """The bitmask engine against the arc-record network it replaced: same
-    values, paths and cuts, through a capped run resumed to the maximum."""
+@contextmanager
+def _deadline(seconds: int):
+    """Fail the block with ``TimeoutError`` after ``seconds`` of wall time."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_engine_matches_the_explicit_network(monkeypatch):
+    """Both path finders of the bitmask engine against the arc-record
+    network it replaced: ``run`` (one shortest path per search) gives the
+    same values, paths and cuts, and ``min_cut`` (blocking-flow phases) the
+    same values and cuts, through a capped run resumed to the maximum; a
+    cut is refused while the flow is below the maximum.  A phase that
+    revisits dead nodes or leaves its layers can loop forever; the deadline
+    (the test takes a few seconds) turns that into a failure."""
+    phase = FlowNet._phase
+
+    def counted(self, limit):
+        got = phase(self, limit)
+        hits["phase of 2+ units"] += got >= 2
+        return got
+
+    monkeypatch.setattr(FlowNet, "_phase", counted)
     hits = Counter()
-    for i in range(600):
-        rng = Rng(derive_seed(22, i))
-        n = 3 + rng.below(30)
-        g = random_graph(n, Fraction(1 + rng.below(9), 10), rng.spawn(1))
-        verts = list(range(n))
-        rng.shuffle(verts)
-        a = 1 + rng.below(max(1, n // 3))
-        b = 1 + rng.below(max(1, n // 3))
-        overlap = rng.below(3)  # how many sources are also targets
-        s, t = verts[:a], verts[max(0, a - overlap) : a + b]
-        hits["overlap"] += bool(set(s) & set(t))
-        kwargs = _FLOW_KINDS[i % 3]
-        engine, old = SetFlow(g, s, t, **kwargs), ref.SetFlow(g, s, t, **kwargs)
-        for limit in (1 + rng.below(4), INF):
-            value = engine.run(limit)
-            assert value == old.run(limit), i
-            paths = engine.paths()
-            assert paths == old.paths(), i
-            if value < limit:
-                hits["stalled"] += limit != INF  # an unlimited run always stalls
-                assert engine.cut_vertices() == old.cut_vertices(), i
-            else:
-                hits["capped"] += 1
-            if 2 in Counter(p[0] for p in paths).values():
-                hits["doubled start"] += 1
-        x, y = verts[0], verts[-1]
-        if not g.has_edge(x, y):
-            for limit in (INF, 1 + rng.below(3)):
-                got = pair_vertex_cut(g, x, y, limit)
-                assert got == ref.pair_vertex_cut(g, x, y, limit), i
-                hits["pair cut" if got[1] is not None else "pair capped"] += 1
-    for case in ("overlap", "stalled", "capped", "doubled start",
+    with _deadline(60):
+        for i in range(600):
+            rng = Rng(derive_seed(22, i))
+            n = 3 + rng.below(30)
+            g = random_graph(n, Fraction(1 + rng.below(9), 10), rng.spawn(1))
+            verts = list(range(n))
+            rng.shuffle(verts)
+            a = 1 + rng.below(max(1, n // 3))
+            b = 1 + rng.below(max(1, n // 3))
+            overlap = rng.below(3)  # how many sources are also targets
+            s, t = verts[:a], verts[max(0, a - overlap) : a + b]
+            hits["overlap"] += bool(set(s) & set(t))
+            _compare_finders(g, s, t, _FLOW_KINDS[i % 3], rng, hits, i)
+            x, y = verts[0], verts[-1]
+            if not g.has_edge(x, y):
+                _compare_finders(g, [x], [y], _PAIR_CUT, rng, hits, i)
+                for limit in (INF, 1 + rng.below(3)):
+                    got = pair_vertex_cut(g, x, y, limit)
+                    assert got == ref.pair_vertex_cut(g, x, y, limit), i
+                    hits["pair cut" if got[1] is not None else "pair capped"] += 1
+    for case in ("overlap", "stalled", "doubled start", "refused cut",
                  "pair cut", "pair capped"):
         assert hits[case], case
+    assert hits["capped"] > 100 and hits["phase of 2+ units"] > 100, hits
+
+
+def _compare_finders(g, s, t, kwargs, rng, hits, i):
+    engine, phased = SetFlow(g, s, t, **kwargs), SetFlow(g, s, t, **kwargs)
+    old = ref.SetFlow(g, s, t, **kwargs)
+    for limit in (1 + rng.below(4), INF):
+        value = engine.run(limit)
+        assert value == old.run(limit), i
+        paths = engine.paths()
+        assert paths == old.paths(), i
+        cut = engine.cut_vertices() if value < limit else None
+        assert phased.min_cut(limit) == (value, cut), i
+        if value < limit:
+            hits["stalled"] += limit != INF  # an unlimited run always stalls
+            assert cut == old.cut_vertices(), i
+        else:
+            hits["capped"] += 1
+            if old.run(INF) > value:  # the reference goes on; the engines stay capped
+                hits["refused cut"] += 1
+                for net in (engine, phased):
+                    with pytest.raises(InternalInfeasibleError):
+                        net.cut_vertices()
+        if 2 in Counter(p[0] for p in paths).values():
+            hits["doubled start"] += 1
 
 
 _DROPPED_CUT_SCRIPT = """

@@ -37,6 +37,7 @@ from conftest import (
     brute_disjoint_paths,
     brute_linkage_exists,
     petersen,
+    run_optimized,
     set_partitions,
 )
 
@@ -59,6 +60,31 @@ def test_audit_between_contract():
     assert audit_path_family(g, ok) == []
     through_t = PathFamily(((0, 3, 4),), "between", s={0}, t={3, 4})
     assert any("internally" in p for p in audit_path_family(g, through_t))
+
+
+_CONTRACTLESS_SCRIPT = """
+from minorforge import PathFamily, audit_path_family, complete_graph
+from minorforge.errors import InternalInfeasibleError
+
+g = complete_graph(3)
+for fam in (
+    PathFamily(((0, 1),), "between", s={0}),
+    PathFamily(((0, 1),), "doubled", t={1}),
+    PathFamily(((0, 1),), "linkage"),
+):
+    try:
+        audit_path_family(g, fam)
+    except InternalInfeasibleError as err:
+        print(fam.kind, "refused:", err)
+    else:
+        raise SystemExit("audited a " + fam.kind + " family without its contract")
+"""
+
+
+def test_audit_refuses_a_family_without_its_contract_under_optimize():
+    out = run_optimized(_CONTRACTLESS_SCRIPT)
+    for kind in ("between", "doubled", "linkage"):
+        assert kind + " refused" in out
 
 
 def test_audit_linkage_allows_single_vertex_paths():
