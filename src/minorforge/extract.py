@@ -266,20 +266,25 @@ def _mader_descent(work: _Work, d: int) -> None:
 
 def _degree_safe_contraction(work: _Work, d: int) -> tuple[int, int] | None:
     """Cheapest contraction that keeps every pattern degree at least d/2,
-    used once the potential-preserving moves run out."""
-    degs = {r: m.bit_count() for r, m in work.bits.items()}
+    used once the potential-preserving moves run out.  Contracting ab
+    leaves the merged vertex its degree, lowers by one the degrees in
+    N(a) & N(b) and leaves the others; the least of the others is the
+    least degree off {a, b}, one of the three smallest."""
+    bits = work.bits
+    smallest = heapq.nsmallest(3, ((m.bit_count(), r) for r, m in bits.items()))
     best: tuple[int, int, int] | None = None
     for a in sorted(work.frags):
-        na = work.bits[a]
+        na = bits[a]
         for b in mask_vertices(_above(na, a)):
-            nb = work.bits[b]
+            nb = bits[b]
             common = na & nb
-            merged = ((na | nb) & ~(1 << a) & ~(1 << b)).bit_count()
-            low = merged
-            for v, dv in degs.items():
-                if v == a or v == b:
-                    continue
-                low = min(low, dv - 1 if common >> v & 1 else dv)
+            low = ((na | nb) & ~(1 << a) & ~(1 << b)).bit_count()
+            for dv, v in smallest:
+                if v != a and v != b:
+                    low = min(low, dv)
+                    break
+            for v in mask_vertices(common):
+                low = min(low, bits[v].bit_count() - 1)
             if 2 * low < d:
                 continue
             loss = 1 + common.bit_count()

@@ -5,8 +5,11 @@ when ``vw`` is an edge.  Every solver reads the masks, and the traversal
 questions they ask (the neighbourhood of a set, what a set reaches inside
 another, its components, a shortest path into a set) are the mask methods
 below.  ``neighbors()`` builds a frozenset from the mask for callers outside
-the package.  All density comparisons are exact rational arithmetic over
-Fraction; floats appear only where a parameter is sized from a log or a root.
+the package.  ``Graph(n, edges)`` checks an edge list; code that already
+holds symmetric masks (the generators, induced subgraphs, model patterns)
+builds through the trusted ``Graph._from_masks``.  All density comparisons
+are exact rational arithmetic over Fraction; floats appear only where a
+parameter is sized from a log or a root.
 """
 
 from __future__ import annotations
@@ -39,6 +42,30 @@ class Graph:
         self.n = n
         self.m = m
         self._bits = tuple(bits)
+
+    @classmethod
+    def _from_masks(cls, n: int, bits: Sequence[int]) -> "Graph":
+        """Trusted constructor from one neighbour mask per vertex, for
+        callers whose masks are symmetric by construction.  Checks in O(n)
+        what costs nothing to check: one mask per vertex, no neighbour out
+        of range, no loop, an even degree sum; ``audit`` checks the rest."""
+        if n < 0:
+            raise OrderTooSmallError("vertex count must be nonnegative")
+        bits = tuple(bits)
+        check_internal(len(bits) == n, "one mask per vertex")
+        span = degsum = 0
+        for b in bits:
+            span |= b
+            degsum += b.bit_count()
+        check_internal(not span >> n, "a neighbour out of range")
+        loop = next((v for v, b in enumerate(bits) if b >> v & 1), None)
+        check_internal(loop is None, f"loop at {loop}")
+        check_internal(degsum % 2 == 0, "odd degree sum")
+        g = object.__new__(cls)
+        g.n = n
+        g.m = degsum // 2
+        g._bits = bits
+        return g
 
     # -- basic access ------------------------------------------------------
 
@@ -244,12 +271,13 @@ def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, tuple[int, .
         g.check_vertex(v)
     pos = {v: i for i, v in enumerate(old)}
     kept = mask_of(old)
-    edges = [
-        (i, pos[w])
-        for i, v in enumerate(old)
-        for w in mask_vertices(g._bits[v] & (kept >> (v + 1) << (v + 1)))
-    ]
-    return Graph(len(old), edges), tuple(old)
+    bits = []
+    for v in old:
+        b = 0
+        for w in mask_vertices(g._bits[v] & kept):
+            b |= 1 << pos[w]
+        bits.append(b)
+    return Graph._from_masks(len(old), bits), tuple(old)
 
 
 def contract_edge(g: Graph, u: int, v: int) -> Graph:
@@ -297,33 +325,45 @@ def greedy_dense_subgraph(g: Graph, t: int) -> tuple[int, ...]:
 
 
 def complete_graph(n: int) -> Graph:
-    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+    return Graph._from_masks(n, [((1 << n) - 1) ^ (1 << v) for v in range(n)])
 
 
 def random_graph(n: int, p: Fraction, rng: Rng) -> Graph:
-    """G(n,p): each pair independently, exact Bernoulli, pairs in sorted order."""
+    """G(n,p): each pair independently, exact Bernoulli, pairs in sorted
+    order.  Row u is one coin mask over the pairs uv, v > u, so the stream
+    is consumed exactly as one ``bernoulli`` draw per pair would."""
     p = Fraction(p)
     if not 0 <= p <= 1:
         raise ValueError("p must lie in [0,1]")
-    edges = []
+    bits = [0] * n
     for u in range(n):
-        for v in range(u + 1, n):
-            if rng.bernoulli(p):
-                edges.append((u, v))
-    return Graph(n, edges)
+        _add_row(bits, u, rng.coin_mask(n - u - 1, p) << (u + 1))
+    return Graph._from_masks(n, bits)
 
 
 def random_bipartite(a: int, b: int, p: Fraction, rng: Rng) -> Graph:
-    """Random bipartite graph; side A is 0..a-1, side B is a..a+b-1."""
+    """Random bipartite graph; side A is 0..a-1, side B is a..a+b-1.  Pairs
+    are drawn in sorted order, one coin mask over side B per vertex of A."""
     p = Fraction(p)
     if not 0 <= p <= 1:
         raise ValueError("p must lie in [0,1]")
-    edges = []
+    if a < 0 or b < 0:
+        raise OrderTooSmallError("side sizes must be nonnegative")
+    bits = [0] * (a + b)
     for u in range(a):
-        for v in range(a, a + b):
-            if rng.bernoulli(p):
-                edges.append((u, v))
-    return Graph(a + b, edges)
+        _add_row(bits, u, rng.coin_mask(b, p) << a)
+    return Graph._from_masks(a + b, bits)
+
+
+def _add_row(bits: list[int], u: int, row: int) -> None:
+    """Join u to every vertex of ``row``, mirroring each edge into the
+    neighbour's mask."""
+    bits[u] |= row
+    bit = 1 << u
+    while row:
+        low = row & -row
+        row ^= low
+        bits[low.bit_length() - 1] |= bit
 
 
 def graph_from_edge_list(n: int, edges: Sequence[tuple[int, int]]) -> Graph:

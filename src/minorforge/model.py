@@ -83,13 +83,14 @@ def validate_model(m: MinorModel) -> ModelReport:
 def _direct_pattern(g: Graph, fragments: tuple[frozenset[int], ...]) -> Graph:
     masks = [mask_of(f) for f in fragments]
     k = len(fragments)
-    edges = []
+    bits = [0] * k
     for i in range(k):
         reach = g.neighborhood(masks[i])
         for j in range(i + 1, k):
             if reach & masks[j]:
-                edges.append((i, j))
-    return Graph(k, edges)
+                bits[i] |= 1 << j
+                bits[j] |= 1 << i
+    return Graph._from_masks(k, bits)
 
 
 def require_valid(m: MinorModel) -> ModelReport:

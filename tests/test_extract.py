@@ -279,6 +279,51 @@ def test_incremental_descent_matches_full_scan():
     assert hits["exhaustive"] >= 1
 
 
+def _ref_degree_safe_contraction(work, d: int):
+    """The former `extract._degree_safe_contraction`, which rescans every
+    degree for every edge; kept as the reference."""
+    degs = {r: m.bit_count() for r, m in work.bits.items()}
+    best = None
+    for a in sorted(work.frags):
+        na = work.bits[a]
+        for b in mask_vertices(extract._above(na, a)):
+            nb = work.bits[b]
+            common = na & nb
+            merged = ((na | nb) & ~(1 << a) & ~(1 << b)).bit_count()
+            low = merged
+            for v, dv in degs.items():
+                if v == a or v == b:
+                    continue
+                low = min(low, dv - 1 if common >> v & 1 else dv)
+            if 2 * low < d:
+                continue
+            loss = 1 + common.bit_count()
+            if best is None or (loss, a, b) < best:
+                best = (loss, a, b)
+    return None if best is None else (best[1], best[2])
+
+
+def test_degree_safe_contraction_matches_the_full_degree_scan(monkeypatch):
+    """On the descent hosts, and on every d below and above the one the
+    descent runs with, so that refusals and picks both occur."""
+    picked = refused = 0
+    library = extract._degree_safe_contraction
+
+    def checked(work, d):
+        nonlocal picked, refused
+        for dd in (d - 2, d, d + 2, 2 * d):
+            want = _ref_degree_safe_contraction(work, dd)
+            assert library(work, dd) == want
+            picked += want is not None
+            refused += want is None
+        return library(work, d)
+
+    monkeypatch.setattr(extract, "_degree_safe_contraction", checked)
+    for g, d in _descent_hosts(240):
+        _descend(extract._Work(g), d, extract._mader_descent)
+    assert picked >= 20 and refused >= 20
+
+
 def test_dense_connected_contract():
     # two cliques banged together force the cut-restriction step
     g = _two_cliques(6)

@@ -28,9 +28,15 @@ from minorforge.errors import (
     OrderTooSmallError,
     UnknownVertexError,
 )
-from minorforge.rng import Rng, derive_seed
+from minorforge.rng import _GOLDEN, Rng, derive_seed
 
 from conftest import petersen, run_optimized
+from rng_reference import (
+    ReferenceRng,
+    plant_rejection,
+    reference_random_bipartite,
+    reference_random_graph,
+)
 
 
 def test_construction_and_access():
@@ -346,3 +352,96 @@ def test_audit_rejects_corrupt_masks_under_optimize():
     out = run_optimized(_CORRUPT_AUDIT_SCRIPT)
     assert "asymmetric refused: asymmetric edge" in out
     assert "loop refused: loop at 0" in out
+
+
+# -- seeded generation against the one-draw-at-a-time reference -------------
+
+_GEN_PROBS = [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(1, 20),
+              Fraction(4, 5), Fraction(2, 7), Fraction(999, 1000)]
+
+
+def _same_graph_and_stream(got, want, rng, ref):
+    got.audit()
+    assert got == want and got.m == want.m
+    assert rng.next_u64() == ref.next_u64()
+
+
+def test_generators_match_the_reference():
+    for n in range(71):
+        for i, p in enumerate(_GEN_PROBS):
+            seed = derive_seed(14, n, i)
+            rng, ref = Rng(seed), ReferenceRng(seed)
+            _same_graph_and_stream(
+                random_graph(n, p, rng), reference_random_graph(n, p, ref), rng, ref
+            )
+            a = n // 3
+            rng, ref = Rng(seed), ReferenceRng(seed)
+            _same_graph_and_stream(
+                random_bipartite(a, n - a, p, rng),
+                reference_random_bipartite(a, n - a, p, ref), rng, ref,
+            )
+
+
+def test_generators_skip_a_planted_rejection_like_the_reference():
+    # draw 40 is 2**64 - 1, refused for the bound 7: it falls inside row 0
+    # of G(65, 2/7) and inside row 1 of the 3 x 30 bipartite graph
+    seed = plant_rejection(40)
+    p = Fraction(2, 7)
+    for make, reference, args, pairs in (
+        (random_graph, reference_random_graph, (65,), 65 * 64 // 2),
+        (random_bipartite, reference_random_bipartite, (3, 30), 3 * 30),
+    ):
+        rng, ref = Rng(seed), ReferenceRng(seed)
+        got = make(*args, p, rng)
+        # one draw per pair plus the refused one
+        assert rng._state == (seed + (pairs + 1) * _GOLDEN) & ((1 << 64) - 1)
+        _same_graph_and_stream(got, reference(*args, p, ref), rng, ref)
+
+
+def test_mask_built_graphs_match_edge_lists():
+    g = random_graph(40, Fraction(1, 3), Rng(21))
+    keep = [v for v in range(40) if v % 3]
+    sub, old = induced_subgraph(g, keep)
+    sub.audit()
+    pos = {v: i for i, v in enumerate(old)}
+    assert sub == Graph(len(old), [(pos[u], pos[v]) for u, v in g.edges()
+                                   if u in pos and v in pos])
+    for n in range(6):
+        k = complete_graph(n)
+        k.audit()
+        assert k == Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+    with pytest.raises(OrderTooSmallError):
+        complete_graph(-1)
+    with pytest.raises(OrderTooSmallError):
+        random_graph(-1, Fraction(1, 2), Rng(0))
+    with pytest.raises(OrderTooSmallError):
+        random_bipartite(-1, 3, Fraction(1, 2), Rng(0))
+
+
+_CORRUPT_MASKS_SCRIPT = """
+from minorforge import Graph
+from minorforge.errors import InternalInfeasibleError
+
+# each set of masks breaks exactly one of the invariants _from_masks checks
+cases = (
+    ("count", 3, (0b010, 0b001)),
+    ("range", 2, (0b100, 0b100)),
+    ("loop", 2, (0b01, 0b10)),
+    ("parity", 3, (0b010, 0, 0)),
+)
+for name, n, bits in cases:
+    try:
+        Graph._from_masks(n, bits)
+    except InternalInfeasibleError as err:
+        print(name, "refused:", err)
+    else:
+        raise SystemExit(name + " masks were accepted")
+"""
+
+
+def test_from_masks_rejects_corrupt_masks_under_optimize():
+    out = run_optimized(_CORRUPT_MASKS_SCRIPT)
+    assert "count refused: one mask per vertex" in out
+    assert "range refused: a neighbour out of range" in out
+    assert "loop refused: loop at 0" in out
+    assert "parity refused: odd degree sum" in out

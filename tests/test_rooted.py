@@ -6,6 +6,7 @@ import pytest
 
 from minorforge import (
     MinorModel,
+    anticomplete,
     attached_model_search,
     complement_max_degree,
     complete_graph,
@@ -140,6 +141,45 @@ def test_attached_search_validates_inputs():
         attached_model_search(g, (0,), [{1}, {1, 2}], 0)
     with pytest.raises(HypothesisViolatedError):
         attached_model_search(g, (0, 1, 2), singles, 2)  # 6 < 2 + 2*3
+
+
+def test_attached_search_refuses_a_set_anticomplete_to_too_many():
+    """The precondition against the pairwise `anticomplete` count it
+    replaced: the same error names the same first offending set."""
+    refused = 0
+    for i in range(60):
+        rng = Rng(derive_seed(42, i))
+        n = 8 + rng.below(6)
+        g = random_graph(n, Fraction(1 + rng.below(3), 4), rng.spawn(1))
+        verts = list(range(n))
+        rng.shuffle(verts)
+        s = frozenset(verts[:1 + rng.below(2)])
+        # singletons and host edges, so every set is connected
+        d_sets = []
+        while verts:
+            v = verts.pop()
+            if verts and g.has_edge(v, verts[-1]) and rng.below(2):
+                d_sets.append(frozenset((v, verts.pop())))
+            else:
+                d_sets.append(frozenset((v,)))
+        n_avoid = rng.below(4)
+        if len(d_sets) < n_avoid + 2 * len(s):
+            continue
+        avoid = [k for k, d in enumerate(d_sets) if not d & s]
+        offending = [
+            j for j in range(len(d_sets))
+            if sum(1 for k in avoid if k != j and anticomplete(g, d_sets[j], d_sets[k]))
+            > n_avoid
+        ]
+        if not offending:
+            continue
+        with pytest.raises(HypothesisViolatedError) as info:
+            attached_model_search(g, s, d_sets, n_avoid)
+        assert str(info.value) == (
+            f"set {offending[0]} is anticomplete to too many avoidable sets"
+        )
+        refused += 1
+    assert refused >= 20
 
 
 def test_rooted_from_minor():
