@@ -29,6 +29,13 @@ the source reaches in the residual network are the same set, the source
 side of the unique inclusion-minimal minimum cut; ``cut_vertices`` reads
 the cut off that set, so both finders give the same cut, and a capped run
 of either stops at exactly its limit.
+
+Callers skip a capped flow whose answer adjacency already forces (the
+forced-cut lemma).  Take a separation (A, B) with ``S ⊆ A`` and
+``U ⊆ B ∖ A``: a vertex of ``S`` with a neighbour in ``U`` lies in A∩B,
+since no edge joins A∖B to B∖A, so the order is at least ``|S ∩ N(U)|``.
+Likewise every x-y vertex cut contains ``N(x) ∩ N(y)``.  When that count
+reaches the limit, a capped run would stop at the limit with no cut.
 """
 
 from __future__ import annotations
@@ -48,10 +55,13 @@ class FlowNet:
     vertex ``v`` (at most ``cap[v]``), ``fout``/``fin`` mark the graph arcs
     carrying a unit, the source feeds ``in(v)`` for each of ``sources`` and
     ``out(v)`` feeds the sink for each ``v`` in ``tmask``.  Sources accept
-    no graph arcs and targets emit none.  ``_reach`` holds the reach masks
-    of the search that stalled, and is cleared whenever a unit is pushed."""
+    no graph arcs and targets emit none.  ``spare`` and ``used`` mark the
+    vertices with ``through[v] < cap[v]`` and ``through[v] > 0``; ``_apply``
+    keeps them current.  ``_reach`` holds the reach masks of the search that
+    stalled, and is cleared whenever a unit is pushed."""
 
-    __slots__ = ("bits", "sources", "smask", "tmask", "cap", "through", "fout", "fin", "_reach")
+    __slots__ = ("bits", "sources", "smask", "tmask", "cap", "through", "fout", "fin",
+                 "spare", "used", "_reach")
 
     def _search(self):
         """One BFS of the residual network from the source.  Returns the
@@ -132,13 +142,7 @@ class FlowNet:
         entry is cut down to those targets.  Every arc joins an ``in`` node
         to an ``out`` node, so a layer holds nodes of one kind.  Returns
         ``None``, caching the reach masks, when the sink stays unreached."""
-        bits, cap, through, fin, tmask = self.bits, self.cap, self.through, self.fin, self.tmask
-        spare = used = 0
-        for v, c in enumerate(through):
-            if c < cap[v]:
-                spare |= 1 << v
-            if c:
-                used |= 1 << v
+        bits, fin, tmask, spare, used = self.bits, self.fin, self.tmask, self.spare, self.used
         arcs_in = ~self.smask
         front = seen_in = self.smask & spare
         seen_out = 0
@@ -210,20 +214,28 @@ class FlowNet:
         """Push one unit along ``path``, the nodes of an augmenting path
         after the source, ending at the ``out`` node of a target."""
         self._reach = None
-        through, fout, fin = self.through, self.fout, self.fin
+        cap, through, fout, fin = self.cap, self.through, self.fout, self.fin
+        spare, used = self.spare, self.used
         for prev, node in zip(path, path[1:]):
             v = node >> 1
             if node & 1:
                 if prev == node - 1:
                     through[v] += 1
+                    used |= 1 << v
+                    if through[v] == cap[v]:
+                        spare &= ~(1 << v)
                 else:  # reverse arc in(u) -> out(v) cancels v's unit into u
                     fout[v] ^= 1 << (prev >> 1)
                     fin[prev >> 1] ^= 1 << v
             elif prev == node + 1:
                 through[v] -= 1
+                spare |= 1 << v
+                if not through[v]:
+                    used &= ~(1 << v)
             else:  # graph arc out(u) -> in(v)
                 fout[prev >> 1] |= 1 << v
                 fin[v] |= 1 << (prev >> 1)
+        self.spare, self.used = spare, used
 
     def max_flow(self, push, limit: int = INF) -> int:
         """Push flow with ``push`` (``_augment`` or ``_phase``) until
@@ -272,7 +284,7 @@ class SetFlow(FlowNet):
         s, t = frozenset(s), frozenset(t)
         for v in s | t:
             g.check_vertex(v)
-        self.bits = [g.neighbor_bits(v) for v in range(g.n)]
+        self.bits = g._bits  # the host's own mask tuple: immutable, so shared
         self.sources = sorted(s)
         self.smask, self.tmask = mask_of(s), mask_of(t)
         self.cap = [1] * g.n
@@ -289,6 +301,8 @@ class SetFlow(FlowNet):
         self.through = [0] * g.n
         self.fout = [0] * g.n
         self.fin = [0] * g.n
+        self.spare = (1 << g.n) - 1 & ~(0 if source_cap > 0 else mask_of(s - t))
+        self.used = 0
         self._reach = None
         self.value = 0
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .errors import HypothesisViolatedError
+
 DEFAULT_C_SCALE = Fraction(3360)
 DEFAULT_MAX_PATH_LEN = 14
 DEFAULT_MAX_ATTEMPTS = 64
@@ -21,7 +23,7 @@ def sqrt_log_inv(eps: Fraction) -> float:
     """sqrt(log(1/eps)) in double precision."""
     eps = Fraction(eps)
     if not 0 < eps < 1:
-        raise ValueError("eps must lie strictly between 0 and 1")
+        raise HypothesisViolatedError(f"eps must lie in (0, 1), got {eps}", evidence=eps)
     return math.sqrt(math.log(1 / float(eps)))
 
 
@@ -56,7 +58,9 @@ def power_hypothesis(eps: Fraction, r: int, base: Fraction) -> bool:
     eps = Fraction(eps)
     base = Fraction(base)
     if base < 0:
-        raise ValueError("base must be nonnegative")
+        raise HypothesisViolatedError(f"base must be nonnegative, got {base}", evidence=base)
+    if eps <= 0:
+        raise HypothesisViolatedError(f"eps must be positive, got {eps}", evidence=eps)
     if base == 0:
         return True
     if r * r <= 4096:

@@ -189,7 +189,7 @@ def menger(g: Graph, s, t, k: int):
     ``s`` inside one side and ``t`` inside the other.  Exactly one of the
     two is returned."""
     if k < 0:
-        raise ValueError("path count must be nonnegative")
+        raise HypothesisViolatedError(f"path count must be nonnegative, got {k}", evidence=k)
     s = frozenset(s)
     t = frozenset(t)
     _check_sets(g, s, t)

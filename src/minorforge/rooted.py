@@ -48,11 +48,20 @@ def find_separation_avoiding(g: Graph, s, t_order: int, d_list, n_avoid: int):
         return None
     if math.comb(len(d_sets), k) > caps.search_nodes:
         raise TooLargeError("too many subfamilies to enumerate")
+    smask = mask_of(s)
+    d_masks = [mask_of(d) for d in d_sets]
     for combo in itertools.combinations(range(len(d_sets)), k):
-        union = frozenset().union(*(d_sets[i] for i in combo))
-        if s & union:
+        union = 0
+        for i in combo:
+            union |= d_masks[i]
+        if smask & union:
             continue
-        _, cut = SetFlow(g, s, union, uncuttable_targets=True).min_cut(t_order)
+        # every vertex of s next to the union lies in the cut of any such
+        # separation (the forced-cut lemma in flow.py); with t_order of them
+        # the capped flow would find no cut, so it is not built
+        if (smask & g.neighborhood(union)).bit_count() >= t_order:
+            continue
+        _, cut = SetFlow(g, s, mask_vertices(union), uncuttable_targets=True).min_cut(t_order)
         if cut is None:
             continue
         sep = _separation_from_cut(g, s, cut)

@@ -27,10 +27,30 @@ from minorforge.errors import (
     PathTooLongError,
     UnknownVertexError,
 )
-from minorforge.params import undominated_bound
+from minorforge.params import power_hypothesis, sqrt_log_inv, undominated_bound
 from minorforge.rng import Rng, derive_seed
 
 from conftest import brute_connected, petersen
+
+
+def test_sqrt_log_inv_refuses_eps_outside_the_open_unit_interval():
+    for eps in (Fraction(0), Fraction(1), Fraction(-1, 2), Fraction(3, 2)):
+        with pytest.raises(HypothesisViolatedError, match=f"got {eps}") as info:
+            sqrt_log_inv(eps)
+        assert info.value.evidence == eps
+
+
+def test_power_hypothesis_refuses_a_negative_base_or_nonpositive_eps():
+    # the float branch (r * r > 4096) took log(eps) and raised a bare
+    # ValueError; the exact branch answered True for base 0 and eps < 0
+    for eps, r, base, bad in (
+        (Fraction(1, 2), 2, Fraction(-1, 3), Fraction(-1, 3)),
+        (Fraction(0), 65, Fraction(1, 2), Fraction(0)),
+        (Fraction(-1, 4), 2, Fraction(0), Fraction(-1, 4)),
+    ):
+        with pytest.raises(HypothesisViolatedError, match=f"got {bad}") as info:
+            power_hypothesis(eps, r, base)
+        assert info.value.evidence == bad
 
 
 def test_hitting_set_check_by_hand():

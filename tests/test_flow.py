@@ -20,6 +20,7 @@ from minorforge.flow import INF, FlowNet, SetFlow
 from minorforge.rng import Rng, derive_seed
 
 import flow_reference as ref
+import separation_reference as sep_ref
 from conftest import (
     brute_connected,
     brute_disjoint_paths,
@@ -141,17 +142,26 @@ def test_engine_matches_the_explicit_network(monkeypatch):
     network it replaced: ``run`` (one shortest path per search) gives the
     same values, paths and cuts, and ``min_cut`` (blocking-flow phases) the
     same values and cuts, through a capped run resumed to the maximum; a
-    cut is refused while the flow is below the maximum.  A phase that
+    cut is refused while the flow is below the maximum.  After every run
+    the ``spare`` and ``used`` masks match the throughputs.  A phase that
     revisits dead nodes or leaves its layers can loop forever; the deadline
     (the test takes a few seconds) turns that into a failure."""
-    phase = FlowNet._phase
+    phase, apply = FlowNet._phase, FlowNet._apply
 
     def counted(self, limit):
         got = phase(self, limit)
         hits["phase of 2+ units"] += got >= 2
         return got
 
+    def counted_apply(self, path):
+        # out(v) -> in(v) takes a unit off vertex v
+        hits["unit off a vertex"] += any(
+            prev == node + 1 and not node & 1 for prev, node in zip(path, path[1:])
+        )
+        apply(self, path)
+
     monkeypatch.setattr(FlowNet, "_phase", counted)
+    monkeypatch.setattr(FlowNet, "_apply", counted_apply)
     hits = Counter()
     with _deadline(60):
         for i in range(600):
@@ -173,8 +183,13 @@ def test_engine_matches_the_explicit_network(monkeypatch):
                     got = pair_vertex_cut(g, x, y, limit)
                     assert got == ref.pair_vertex_cut(g, x, y, limit), i
                     hits["pair cut" if got[1] is not None else "pair capped"] += 1
+        # No random host above ever takes a unit off a vertex.  Here the first
+        # path is 0-2-5; the second runs 1-4-5, back over 5-2-0 and on by
+        # 0-3-6, so the flow ends as 0-3-6 and 1-4-5 and vertex 2 is freed.
+        g = graph_from_edge_list(7, [(0, 2), (2, 5), (0, 3), (3, 6), (1, 4), (4, 5)])
+        _compare_finders(g, [0, 1], [5, 6], {}, Rng(0), hits, "unit off a vertex")
     for case in ("overlap", "stalled", "doubled start", "refused cut",
-                 "pair cut", "pair capped"):
+                 "pair cut", "pair capped", "unit off a vertex"):
         assert hits[case], case
     assert hits["capped"] > 100 and hits["phase of 2+ units"] > 100, hits
 
@@ -185,10 +200,12 @@ def _compare_finders(g, s, t, kwargs, rng, hits, i):
     for limit in (1 + rng.below(4), INF):
         value = engine.run(limit)
         assert value == old.run(limit), i
+        _audit_masks(engine, i)
         paths = engine.paths()
         assert paths == old.paths(), i
         cut = engine.cut_vertices() if value < limit else None
         assert phased.min_cut(limit) == (value, cut), i
+        _audit_masks(phased, i)
         if value < limit:
             hits["stalled"] += limit != INF  # an unlimited run always stalls
             assert cut == old.cut_vertices(), i
@@ -201,6 +218,13 @@ def _compare_finders(g, s, t, kwargs, rng, hits, i):
                         net.cut_vertices()
         if 2 in Counter(p[0] for p in paths).values():
             hits["doubled start"] += 1
+
+
+def _audit_masks(net, i):
+    """``spare`` and ``used``, kept by ``_apply``, against the throughputs."""
+    spare = sum(1 << v for v, c in enumerate(net.through) if c < net.cap[v])
+    used = sum(1 << v for v, c in enumerate(net.through) if c)
+    assert (net.spare, net.used) == (spare, used), i
 
 
 _DROPPED_CUT_SCRIPT = """
@@ -228,3 +252,53 @@ for name, call in (
 def test_flow_certificates_are_checked_under_optimize():
     out = run_optimized(_DROPPED_CUT_SCRIPT)
     assert "menger refused" in out and "pair_vertex_cut refused" in out
+
+
+def _connectivity_host(rng, kind):
+    """G(n, 1/10..9/10), G(n, 7/10..9/10), or a planted host.  In the
+    planted one, vertex 0 has the least degree d and the neighbours X, X
+    is complete to a block Q and all of X but its last vertex, Y, to a
+    clique R.  The first pair, 0 and the lowest vertex of Q, has d paths
+    through X; the minimum cut Y, of d - 1 vertices, is found later, by
+    the pairs of 0 and R, whose common neighbours are exactly Y."""
+    if kind == "planted":
+        d = 2 + rng.below(4)
+        x, q = range(1, d + 1), range(d + 1, 2 * d + 1 + rng.below(5))
+        r = range(q.stop, q.stop + 2 + rng.below(3))
+        edges = [(0, a) for a in x] + [(a, b) for a in x for b in q]
+        edges += [(a, b) for a in x[:-1] for b in r]
+        edges += [(a, b) for a in r for b in r if a < b]
+        edges += [(a, b) for grp in (x, q) for a in grp for b in grp if a < b and rng.below(2)]
+        return graph_from_edge_list(r.stop, edges)
+    p = Fraction(1 + rng.below(9), 10) if kind == "any" else Fraction(7 + rng.below(3), 10)
+    return random_graph(2 + rng.below(26), p, rng.spawn(1))
+
+
+def test_pair_skip_matches_connectivity_without_it(monkeypatch):
+    """``vertex_connectivity_with_cutset`` skips every pair with at least
+    ``best`` common neighbours.  Against a verbatim copy of the loop that
+    runs every pair cut, it returns the same ``(k, cut)``, also on hosts
+    whose minimum cut is a pair's common neighbourhood found after a
+    larger one."""
+    import minorforge.connectivity as connectivity
+
+    calls = Counter()
+
+    def counted(name):
+        def pair_cut(*args, **kwargs):
+            calls[name] += 1
+            return pair_vertex_cut(*args, **kwargs)
+
+        return pair_cut
+
+    monkeypatch.setattr(connectivity, "pair_vertex_cut", counted("engine"))
+    monkeypatch.setattr(sep_ref, "pair_vertex_cut", counted("reference"))
+    below_min_degree = 0
+    for i in range(330):
+        kind = ("any", "dense", "planted")[i % 3]
+        g = _connectivity_host(Rng(derive_seed(23, i)), kind)
+        got = vertex_connectivity_with_cutset(g)
+        assert got == sep_ref.vertex_connectivity_with_cutset(g), (kind, i)
+        below_min_degree += kind == "planted" and got[0] < g.min_degree()
+    assert below_min_degree == 110
+    assert calls["reference"] - calls["engine"] > 100, calls

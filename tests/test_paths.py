@@ -127,6 +127,12 @@ def test_menger_zero_paths_trivial():
     assert fam.paths == ()
 
 
+def test_menger_refuses_a_negative_path_count():
+    with pytest.raises(HypothesisViolatedError, match="got -1") as info:
+        menger(complete_graph(3), {0}, {2}, -1)
+    assert info.value.evidence == -1
+
+
 def test_doubled_menger_contract():
     g = complete_graph(8)
     fam = doubled_menger(g, {0, 1}, {4, 5, 6, 7}, budget=4)

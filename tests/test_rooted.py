@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from minorforge import (
 from minorforge.errors import HypothesisViolatedError
 from minorforge.rng import Rng, derive_seed
 
+import separation_reference as sep_ref
 from conftest import all_separations
 
 
@@ -202,3 +204,91 @@ def test_rooted_from_minor_demands_connectivity():
     with pytest.raises(HypothesisViolatedError) as info:
         rooted_from_minor(g, (0, 6), j_model, 6)
     assert info.value.evidence is not None  # names a cutset
+
+
+def _forced_cut_instance(rng, kind):
+    """A host, s, t_order, d_sets and n_avoid of one of three kinds:
+    "dense" G(n, 4/5 or 9/10) hosts, where most subfamilies see t_order
+    vertices of s next to them; "sparse" G(n, 1/4 or 1/3) hosts with two or
+    three roots and t_order at most 2, where flows still run; "planted"
+    hosts of two random blocks joined only through a separator of
+    c < t_order vertices, with s on one side (sometimes holding the whole
+    separator, next to every vertex of the far block) and the sets on the
+    other."""
+    if kind == "planted":
+        c = 1 + rng.below(3)
+        left, right = 3 + rng.below(5), 4 + rng.below(6)
+        n = left + c + right
+        order = list(range(n))
+        rng.shuffle(order)
+        near, cut, far = order[:left], order[left:left + c], order[left + c:]
+        p = Fraction(1 + rng.below(4), 5)
+        edges = [(u, w) for side in (near + cut, cut + far)
+                 for i, u in enumerate(side) for w in side[i + 1:]
+                 if rng.below(p.denominator) < p.numerator]
+        s_in_cut = rng.below(2)
+        if s_in_cut:
+            edges += [(u, w) for u in cut for w in far]
+        g = graph_from_edge_list(n, {(min(e), max(e)) for e in edges})
+        s = frozenset(near[: 1 + rng.below(2)] + (cut if s_in_cut else []))
+        pool, t_order = far, c + 1 + rng.below(2)
+    else:
+        dense = kind == "dense"
+        n = 9 + rng.below(8)
+        p = Fraction(8 + rng.below(2), 10) if dense else Fraction(1, 3 + rng.below(2))
+        g = random_graph(n, p, rng.spawn(1))
+        verts = list(range(n))
+        rng.shuffle(verts)
+        width = 2 + rng.below(3) if dense else 2 + rng.below(2)
+        s, pool = frozenset(verts[:width]), verts[width:]
+        t_order = 1 + rng.below(width) if dense else 1 + rng.below(2)
+    d_sets, at = [], 0
+    for _ in range(2 + rng.below(4)):
+        size = 1 + rng.below(2)
+        if at + size > len(pool):
+            break
+        d_sets.append(frozenset(pool[at:at + size]))
+        at += size
+    return g, s, t_order, d_sets, rng.below(min(3, len(d_sets)))
+
+
+def test_forced_cut_skip_matches_the_search_without_it(monkeypatch):
+    """The separation-avoiding search skips the flow of every subfamily
+    with t_order vertices of s next to it.  Against a verbatim copy of the
+    loop that builds every flow, it returns the same separation, side for
+    side, on dense hosts where the skip decides every subfamily the copy
+    runs a flow for, sparse hosts where flows run and find nothing, and
+    hosts with a planted separation."""
+    import minorforge.rooted as rooted
+
+    builds, engine = Counter(), rooted.SetFlow
+
+    def counted(name):
+        class CountedSetFlow(engine):
+            __slots__ = ()
+
+            def __init__(self, *args, **kwargs):
+                builds[name] += 1
+                super().__init__(*args, **kwargs)
+
+        return CountedSetFlow
+
+    monkeypatch.setattr(rooted, "SetFlow", counted("engine"))
+    monkeypatch.setattr(sep_ref, "SetFlow", counted("reference"))
+    outcomes = Counter()
+    for i in range(390):
+        kind = ("dense", "sparse", "planted")[i % 3]
+        g, s, t_order, d_sets, n_avoid = _forced_cut_instance(Rng(derive_seed(42, i)), kind)
+        builds.clear()
+        got = find_separation_avoiding(g, s, t_order, d_sets, n_avoid)
+        expect = sep_ref.find_separation_avoiding(g, s, t_order, d_sets, n_avoid)
+        if expect is not None:
+            assert got is not None and (got.a, got.b) == (expect.a, expect.b), (kind, i)
+            outcomes["found"] += 1
+        else:
+            assert got is None, (kind, i)
+            if builds["engine"]:
+                outcomes["flows find none"] += 1
+            elif builds["reference"]:
+                outcomes["all skipped"] += 1
+    assert min(outcomes[o] for o in ("all skipped", "flows find none", "found")) > 50, outcomes
