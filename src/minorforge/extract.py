@@ -16,7 +16,7 @@ from .errors import (
     ParseError,
     check_internal,
 )
-from .graph import Graph, average_degree, induced_subgraph, mask_of, mask_vertices
+from .graph import Graph, _induced, average_degree, induced_subgraph, mask_of, mask_vertices
 from .model import MinorModel, require_valid
 
 _EXHAUSTIVE_ORDER = 12  # widest pattern the stuck-descent fallback will search
@@ -187,13 +187,7 @@ class _Work:
 
     def pattern(self) -> tuple[Graph, list[int]]:
         reps = sorted(self.frags)
-        idx = {r: i for i, r in enumerate(reps)}
-        edges = [
-            (idx[a], idx[b])
-            for a in reps
-            for b in mask_vertices(_above(self.bits[a], a))
-        ]
-        return Graph(len(reps), edges), reps
+        return _induced(self.bits, mask_of(reps)), reps
 
     def model(self) -> MinorModel:
         return MinorModel(

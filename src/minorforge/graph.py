@@ -269,15 +269,28 @@ def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, tuple[int, .
     old = sorted(set(keep))
     for v in old:
         g.check_vertex(v)
-    pos = {v: i for i, v in enumerate(old)}
-    kept = mask_of(old)
-    bits = []
-    for v in old:
-        b = 0
-        for w in mask_vertices(g._bits[v] & kept):
-            b |= 1 << pos[w]
-        bits.append(b)
-    return Graph._from_masks(len(old), bits), tuple(old)
+    return _induced(g._bits, mask_of(old)), tuple(old)
+
+
+def _induced(bits, kept: int) -> Graph:
+    """The graph that rows ``bits[v]``, ``v`` in ``kept``, induce on
+    ``kept``, its vertices renumbered 0.. in ascending order.  The kept
+    vertices fall into maximal runs of consecutive ids, and each run moves
+    down by one shift, so a row costs one step per run, not per neighbour."""
+    runs, at, rest = [], 0, kept
+    while rest:
+        lo = (rest & -rest).bit_length() - 1
+        width = ((rest >> lo) ^ (rest >> lo) + 1).bit_length() - 1
+        runs.append((lo, (1 << width) - 1, at))
+        at += width
+        rest &= ~((1 << width) - 1 << lo)
+    rows = []
+    for v in mask_vertices(kept):
+        b, row = bits[v], 0
+        for lo, run, to in runs:
+            row |= (b >> lo & run) << to
+        rows.append(row)
+    return Graph._from_masks(at, rows)
 
 
 def contract_edge(g: Graph, u: int, v: int) -> Graph:

@@ -1,5 +1,15 @@
 """Attached-model search: minors whose first fragments pair off with a given
-attachment set, plus the avoiding-separation search that guards it."""
+attachment set, plus the avoiding-separation search that guards it.
+
+The attached-model search contracts one workspace in place, indexed by host
+vertex: ``bits[v]`` is v's neighbour mask (0 once v is contracted away or
+dropped), ``label[v]`` its branch set or ``None``, ``expand[v]`` the host
+vertices contracted into it, plus masks of the live and attachment vertices.
+Flows run on ``Graph._from_masks`` of the workspace cut down to a live side,
+on host ids, with the vertices off that side isolated.  They find the cuts
+and paths that renumbering the side 0.. in ascending order would: that keeps
+every ascending scan of the flow, ``reach`` and ``_separation_from_cut`` in
+order, and none of them visits an isolated vertex outside the sources."""
 
 from __future__ import annotations
 
@@ -80,67 +90,51 @@ def find_separation_avoiding(g: Graph, s, t_order: int, d_list, n_avoid: int):
 # attached-model search: proof-guided contraction loop with a fallback
 
 
-def _class_map(dlab: dict[int, int | None]) -> dict[int, set[int]]:
-    classes: dict[int, set[int]] = {}
-    for v, lab in dlab.items():
-        if lab is not None:
-            classes.setdefault(lab, set()).add(v)
+def _restrict(bits: list[int], side: int) -> list[int]:
+    """The workspace's rows cut down to ``side``; a vertex off it gets 0."""
+    return [b & side if side >> v & 1 else 0 for v, b in enumerate(bits)]
+
+
+def _live_graph(bits: list[int], side: int) -> Graph:
+    return Graph._from_masks(len(bits), _restrict(bits, side))
+
+
+def _within(sep: Separation, side: int) -> tuple[int, int]:
+    """The sides of a separation of ``_live_graph(bits, side)`` as masks
+    inside ``side``, dropping the isolated vertices off it."""
+    return mask_of(sep.a) & side, mask_of(sep.b) & side
+
+
+def _evidence(a: int, b: int) -> Separation:
+    return Separation(mask_vertices(a), mask_vertices(b))
+
+
+def _class_masks(label: list[int | None], alive: int) -> dict[int, int]:
+    """Branch-set index -> mask of its live vertices."""
+    classes: dict[int, int] = {}
+    for v in mask_vertices(alive):
+        if label[v] is not None:
+            classes[label[v]] = classes.get(label[v], 0) | 1 << v
     return classes
 
 
-def _snapshot(adj: dict[int, set[int]]):
-    """Freeze a dict-adjacency into a Graph plus both id translations."""
-    ids = sorted(adj)
-    new_of_old = {v: i for i, v in enumerate(ids)}
-    edges = [
-        (new_of_old[u], new_of_old[w]) for u in ids for w in adj[u] if u < w
-    ]
-    return Graph(len(ids), edges), ids, new_of_old
+def _contract(bits: list[int], label: list[int | None], keep: int, gone: int) -> None:
+    """Merge ``gone`` into ``keep``: O(deg(gone)) row updates."""
+    nb = bits[gone]
+    for w in mask_vertices(nb & ~(1 << keep)):
+        bits[w] = bits[w] & ~(1 << gone) | 1 << keep
+    bits[keep] = (bits[keep] | nb) & ~(1 << keep | 1 << gone)
+    bits[gone] = 0
+    if label[keep] is None:
+        label[keep] = label[gone]
+    label[gone] = None
 
 
-def _drop_s_edges(adj: dict[int, set[int]], s_set: set[int]) -> None:
-    for v in s_set:
-        if v not in adj:
-            continue
-        for w in adj[v] & s_set:
-            adj[v].discard(w)
-            adj[w].discard(v)
-
-
-def _contract(adj, dlab, keep: int, gone: int) -> None:
-    for w in adj[gone]:
-        if w != keep:
-            adj[w].discard(gone)
-            adj[w].add(keep)
-            adj[keep].add(w)
-    adj[keep].discard(gone)
-    del adj[gone]
-    if dlab[keep] is None:
-        dlab[keep] = dlab[gone]
-    del dlab[gone]
-
-
-def _avoiding_separation_now(adj, dlab, s_set, t, n_avoid):
-    """Run the avoiding-separation search on the current working graph;
-    translate any hit back to working ids."""
-    snap, ids, new_of_old = _snapshot(adj)
-    classes = _class_map(dlab)
-    d_trans = [
-        frozenset(new_of_old[v] for v in cls)
-        for lab, cls in sorted(classes.items())
-        if not cls & s_set
-    ]
-    s_trans = frozenset(new_of_old[v] for v in s_set if v in new_of_old)
-    sep = find_separation_avoiding(snap, s_trans, t, d_trans, n_avoid)
-    if sep is None:
-        return None
-    return Separation({ids[x] for x in sep.a}, {ids[x] for x in sep.b})
-
-
-def _solve(adj, dlab, s_set, expand, t, n_avoid, m_total, caps, trusted):
-    """Fragments (sets of working vertex ids) of an attached model with
+def _solve(bits, label, alive, s_mask, expand, t, n_avoid, m_total, trusted):
+    """Fragments (masks of workspace vertices) of an attached model with
     ``m_total - t`` fragments, the first ``t`` each holding exactly one
-    vertex of ``s_set``.
+    vertex of ``s_mask``.  Takes over ``bits`` and ``label``, and merges
+    each contracted vertex into ``expand`` in place.
 
     ``trusted`` marks a level whose no-avoiding-separation hypothesis came
     from the caller unverified; a contradiction there is reported as the
@@ -153,142 +147,127 @@ def _solve(adj, dlab, s_set, expand, t, n_avoid, m_total, caps, trusted):
         return InternalInfeasibleError(msg)
 
     while True:
-        _drop_s_edges(adj, s_set)
-        for v in sorted(adj):
-            if v not in s_set and dlab[v] is None and not adj[v]:
-                del adj[v]
-                del dlab[v]
+        for v in mask_vertices(s_mask):
+            bits[v] &= ~s_mask
+        classes = _class_masks(label, alive)
+        free = alive & ~sum(classes.values())  # the classes are disjoint
+        for v in mask_vertices(free & ~s_mask):
+            if not bits[v]:
+                alive ^= 1 << v
+                free ^= 1 << v
+        # the first edge uw, u < w in ascending order, whose ends are not in
+        # two different branch sets
         cand = None
-        for u in sorted(adj):
-            for w in sorted(adj[u]):
-                if u < w and (
-                    dlab[u] is None or dlab[w] is None or dlab[u] == dlab[w]
-                ):
-                    cand = (u, w)
-                    break
-            if cand:
+        for u in mask_vertices(alive):
+            row = bits[u] >> (u + 1) << (u + 1)
+            if label[u] is not None:
+                row &= free | classes[label[u]]
+            if row:
+                cand = u, (row & -row).bit_length() - 1
                 break
         if cand is None:
             break
-        eu, ew = cand
-        if ew in s_set:
-            eu, ew = ew, eu
-        keep, gone = eu, ew  # eu is the attachment vertex if either is
-        trial_adj = {v: set(nb) for v, nb in adj.items()}
-        trial_dlab = dict(dlab)
-        _contract(trial_adj, trial_dlab, keep, gone)
-        sep = _avoiding_separation_now(trial_adj, trial_dlab, s_set, t, n_avoid)
+        keep, gone = cand
+        if s_mask >> gone & 1:
+            keep, gone = gone, keep  # keep the attachment vertex if either is
+        trial_bits, trial_label = list(bits), list(label)
+        _contract(trial_bits, trial_label, keep, gone)
+        trial_alive = alive & ~(1 << gone)
+        d_list = [mask_vertices(cls) for _, cls in sorted(
+            _class_masks(trial_label, trial_alive).items()) if not cls & s_mask]
+        sep = find_separation_avoiding(_live_graph(trial_bits, trial_alive),
+                                       mask_vertices(s_mask), t, d_list, n_avoid)
         if sep is None:
-            _contract(adj, dlab, keep, gone)
-            expand[keep] = expand[keep] | expand[gone]
-            del expand[gone]
+            bits, label, alive = trial_bits, trial_label, trial_alive
+            expand[keep] |= expand[gone]
             continue
-        a_ids = set(sep.a)
-        b_ids = set(sep.b)
-        if keep in a_ids:
-            a_ids.add(gone)
-        if keep in b_ids:
-            b_ids.add(gone)
-        s_prime = a_ids & b_ids
-        if not (eu in s_prime and ew in s_prime and len(s_prime) == t):
+        a, b = _within(sep, trial_alive)
+        # the separation lives on the contracted graph: gone sits where keep does
+        if a >> keep & 1:
+            a |= 1 << gone
+        if b >> keep & 1:
+            b |= 1 << gone
+        s_prime = a & b
+        if not (s_prime >> keep & 1 and s_prime >> gone & 1 and s_prime.bit_count() == t):
             raise blame(
                 "an avoiding separation below the declared order exists",
-                evidence=Separation(a_ids, b_ids),
+                evidence=_evidence(a, b),
             )
         return _split(
-            adj, dlab, s_set, expand, a_ids, b_ids, s_prime,
-            t, n_avoid, m_total, caps, blame,
+            bits, label, alive, s_mask, expand, a, b, s_prime,
+            t, n_avoid, m_total, blame,
         )
-    return _endgame(adj, dlab, s_set, t, m_total, blame)
+    return _endgame(bits, label, alive, s_mask, t, m_total, blame)
 
 
-def _split(adj, dlab, s_set, expand, a_ids, b_ids, s_prime,
-           t, n_avoid, m_total, caps, blame):
-    for v in a_ids - b_ids:
-        check_internal(adj[v] <= a_ids, "separation pulled back with a crossing edge")
-    check_internal(s_set <= a_ids, "attachment must sit inside the near side")
-    sub_a = {v: adj[v] & a_ids for v in sorted(a_ids)}
-    snap_a, ids_a, new_a = _snapshot(sub_a)
-    got = menger(
-        snap_a,
-        frozenset(new_a[v] for v in s_set),
-        frozenset(new_a[v] for v in s_prime),
-        t,
-    )
+def _split(bits, label, alive, s_mask, expand, a, b, s_prime,
+           t, n_avoid, m_total, blame):
+    for v in mask_vertices(a & ~b):
+        check_internal(not bits[v] & ~a, "separation pulled back with a crossing edge")
+    check_internal(not s_mask & ~a, "attachment must sit inside the near side")
+    got = menger(_live_graph(bits, a), mask_vertices(s_mask), mask_vertices(s_prime), t)
     if isinstance(got, Separation):
+        got_a, got_b = _within(got, a)
         raise blame(
             "an avoiding separation below the declared order exists",
-            evidence=Separation(
-                {ids_a[x] for x in got.a},
-                {ids_a[x] for x in got.b} | b_ids,
-            ),
+            evidence=_evidence(got_a, got_b | b),
         )
-    link_paths = [tuple(ids_a[x] for x in p) for p in got.paths]
-    sub_adj = {v: adj[v] & b_ids for v in sorted(b_ids)}
-    sub_dlab = {v: dlab[v] for v in sorted(b_ids)}
     check_internal(
-        set(sub_dlab.values()) - {None} == set(dlab.values()) - {None},
+        set(_class_masks(label, b)) == set(_class_masks(label, alive)),
         "a branch set vanished across the split",
     )
     frags = _solve(
-        sub_adj, sub_dlab, set(s_prime), expand, t, n_avoid, m_total, caps,
-        trusted=False,
+        _restrict(bits, b), label, b, s_prime, expand, t, n_avoid, m_total, trusted=False
     )
-    for p in link_paths:
-        root = p[-1]
-        hit = [i for i in range(t) if root in frags[i]]
+    for p in got.paths:
+        hit = [i for i in range(t) if frags[i] >> p[-1] & 1]
         check_internal(len(hit) == 1, "every connector must land in one root fragment")
-        frags[hit[0]] |= set(p)
+        frags[hit[0]] |= mask_of(p)
     return frags
 
 
-def _endgame(adj, dlab, s_set, t, m_total, blame):
-    classes = _class_map(dlab)
+def _endgame(bits, label, alive, s_mask, t, m_total, blame):
+    classes = _class_masks(label, alive)
     check_internal(len(classes) == m_total, "a branch set vanished before the finish")
-    for v in sorted(adj):
-        if v in s_set:
-            continue
-        lab = dlab[v]
+    t_mask = alive & ~s_mask
+    for v in mask_vertices(t_mask):
         check_internal(
-            lab is not None
-            and not (classes[lab] & s_set)
-            and len(classes[lab]) == 1,
+            label[v] is not None and classes[label[v]] == 1 << v,
             "residue holds a vertex outside the singleton classes",
         )
-    t_ids = sorted(v for v in adj if v not in s_set)
-    snap, ids, new_of_old = _snapshot(adj)
-    got = menger(
-        snap,
-        frozenset(new_of_old[v] for v in s_set),
-        frozenset(new_of_old[v] for v in t_ids),
-        t,
-    )
+    got = menger(_live_graph(bits, alive), mask_vertices(s_mask), mask_vertices(t_mask), t)
     if isinstance(got, Separation):
         raise blame(
             "an avoiding separation below the declared order exists",
-            evidence=Separation(
-                {ids[x] for x in got.a}, {ids[x] for x in got.b}
-            ),
+            evidence=_evidence(*_within(got, alive)),
         )
     path_pairs = []
     for p in got.paths:
         check_internal(len(p) == 2, "finishing connectors must be single edges")
-        a, b = ids[p[0]], ids[p[1]]
-        if a not in s_set:
-            a, b = b, a
-        path_pairs.append((a, b))
+        path_pairs.append(p if s_mask >> p[0] & 1 else p[::-1])
     path_pairs.sort()
-    frags: list[set[int]] = []
-    matched: set[int] = set()
-    for a, b in path_pairs:
-        frags.append({a, b})
-        matched.add(b)
-    spare = sorted((dlab[v], v) for v in t_ids if v not in matched)
+    frags = [1 << a | 1 << b for a, b in path_pairs]
+    matched = mask_of(b for _, b in path_pairs)
+    spare = sorted((label[v], v) for v in mask_vertices(t_mask & ~matched))
     need = m_total - 2 * t
     check_internal(len(spare) >= need, "not enough spare classes to finish")
-    for _, v in spare[:need]:
-        frags.append({v})
-    return frags
+    return frags + [1 << v for _, v in spare[:need]]
+
+
+def _attached_fragments(g: Graph, s_mask: int, d_sets, n_avoid: int, trusted: bool):
+    """Run the contraction/split loop from the host on a fresh workspace;
+    the fragments as host vertex sets."""
+    label: list[int | None] = [None] * g.n
+    for i, d in enumerate(d_sets):
+        for v in d:
+            label[v] = i
+    expand = [1 << v for v in range(g.n)]
+    frags = _solve(
+        list(g._bits), label, (1 << g.n) - 1, s_mask, expand,
+        s_mask.bit_count(), n_avoid, len(d_sets), trusted,
+    )
+    return [frozenset(x for v in mask_vertices(f) for x in mask_vertices(expand[v]))
+            for f in frags]
 
 
 def _pattern_ok(g: Graph, frags, n_avoid: int) -> bool:
@@ -403,20 +382,8 @@ def attached_model_search(
                 "an avoiding separation below the attachment order exists",
                 evidence=sep,
             )
-    adj = {v: set(mask_vertices(g.neighbor_bits(v))) for v in range(g.n)}
-    dlab: dict[int, int | None] = {v: None for v in range(g.n)}
-    for i, d in enumerate(d_sets):
-        for v in d:
-            dlab[v] = i
-    expand = {v: frozenset((v,)) for v in range(g.n)}
     try:
-        frag_ids = _solve(
-            adj, dlab, set(s), expand, t, n_avoid, m, caps,
-            trusted=skip_separation_check,
-        )
-        fragments = [
-            frozenset().union(*(expand[i] for i in f)) for f in frag_ids
-        ]
+        fragments = _attached_fragments(g, s_mask, d_sets, n_avoid, skip_separation_check)
         model = MinorModel(g, fragments)
         report = require_valid(model)
         check_internal(len(fragments) == m - t, "wrong fragment count")

@@ -418,6 +418,41 @@ def test_mask_built_graphs_match_edge_lists():
         random_bipartite(-1, 3, Fraction(1, 2), Rng(0))
 
 
+def _induced_by_neighbour(g, keep):
+    """``induced_subgraph`` as it was before the run relabelling: each kept
+    neighbour moved to its new index one bit at a time through a dict."""
+    old = sorted(set(keep))
+    pos = {v: i for i, v in enumerate(old)}
+    kept = mask_of(old)
+    bits = []
+    for v in old:
+        b = 0
+        for w in mask_vertices(g.neighbor_bits(v) & kept):
+            b |= 1 << pos[w]
+        bits.append(b)
+    return Graph._from_masks(len(old), bits), tuple(old)
+
+
+def test_induced_subgraph_runs_match_the_per_neighbour_relabel():
+    """Relabelling by runs of consecutive kept vertices gives the graph the
+    per-neighbour loop gave: empty, full, singleton, alternating and random
+    keep sets, on hosts from empty to complete."""
+    rng = Rng(derive_seed(44, 0))
+    hosts = [graph_from_edge_list(0, []), complete_graph(1), petersen(), complete_graph(9)]
+    hosts += [random_graph(n, Fraction(k, 4), rng.spawn(n * 4 + k))
+              for n in (2, 7, 31, 64, 70) for k in range(5)]
+    for g in hosts:
+        n = g.n
+        keeps = [[], list(range(n)), [n // 2] if n else [],
+                 range(0, n, 2), range(1, n, 2), range(0, n, 3)]
+        keeps += [[v for v in range(n) if rng.below(q)] for q in (2, 3, 8)]
+        keeps += [[v for v in range(n) if not rng.below(q)] for q in (2, 5)]
+        for keep in keeps:
+            got = induced_subgraph(g, keep)
+            assert got == _induced_by_neighbour(g, keep), (g, list(keep))
+            got[0].audit()
+
+
 _CORRUPT_MASKS_SCRIPT = """
 from minorforge import Graph
 from minorforge.errors import InternalInfeasibleError

@@ -18,9 +18,11 @@ from minorforge import (
     require_valid,
     rooted_from_minor,
 )
-from minorforge.errors import HypothesisViolatedError
+from minorforge.errors import HypothesisViolatedError, MinorforgeError
+from minorforge.graph import mask_of
 from minorforge.rng import Rng, derive_seed
 
+import rooted_reference as rooted_ref
 import separation_reference as sep_ref
 from conftest import all_separations
 
@@ -292,3 +294,145 @@ def test_forced_cut_skip_matches_the_search_without_it(monkeypatch):
             elif builds["reference"]:
                 outcomes["all skipped"] += 1
     assert min(outcomes[o] for o in ("all skipped", "flows find none", "found")) > 50, outcomes
+
+
+def _planted_split_instance(rng):
+    """Branch sets that reach the split: roots 0..t-1, a few near vertices,
+    a layer X of t vertices (t - 1 now and then, so the hypothesis fails)
+    joined almost completely to a dense far block B cut into singletons and
+    adjacent pairs, and one isolated vertex.  The roots share one or two
+    branch sets, each also holding a vertex of X so that it touches the far
+    sets, as the anticomplete-count hypothesis needs."""
+    t = 2 + rng.below(2)
+    near = 1 + rng.below(3)
+    width = t - (rng.below(4) == 0)
+    n = t + near + width + 5 + rng.below(5)
+    inner = list(range(t + near))
+    xs = list(range(t + near, t + near + width))
+    bs = list(range(t + near + width, n))
+    edges = set()
+
+    def add(u, v):
+        edges.add((min(u, v), max(u, v)))
+
+    for u in inner:
+        for v in inner + xs:
+            if u < v and rng.below(5) < 2:
+                add(u, v)
+        add(u, xs[rng.below(width)])
+    for x in xs:
+        for b in bs:
+            if rng.below(6):
+                add(x, b)
+    for i, b in enumerate(bs):
+        for c in bs[i + 1:]:
+            if rng.below(8):
+                add(b, c)
+    roots = [{0, 1}, {2}] if t == 3 and rng.below(2) else [set(range(t))]
+    for r, x in zip(roots, xs):
+        add(min(r), x)
+        r.add(x)
+    for v in inner[t:] + xs:
+        r = roots[rng.below(len(roots))]
+        if rng.below(2) and not any(v in q for q in roots) and any(
+            (min(v, w), max(v, w)) in edges for w in r
+        ):
+            r.add(v)
+    far_sets, at = [], 0
+    while at < len(bs):
+        size = 1 + (rng.below(4) == 0 and at + 1 < len(bs))
+        if size == 2:
+            add(bs[at], bs[at + 1])
+        far_sets.append(set(bs[at:at + size]))
+        at += size
+    perm = list(range(n + 1))  # vertex n stays isolated; the loop drops it
+    if rng.below(2):
+        rng.shuffle(perm)
+    g = graph_from_edge_list(n + 1, sorted((perm[u], perm[v]) for u, v in edges))
+    d_sets = [frozenset(perm[v] for v in d) for d in roots + far_sets]
+    rng.shuffle(d_sets)
+    return g, frozenset(perm[v] for v in range(t)), d_sets, rng.below(3)
+
+
+def _random_split_instance(rng):
+    """G(n, p) plus up to two isolated vertices, which the loop drops, and 1
+    to 3 roots.  Branch sets are grown around random vertices from some of
+    their neighbours, or, for half the hosts, are the singletons of the
+    other vertices, so that no edge can be contracted and the loop goes
+    straight to the finish."""
+    n = 6 + rng.below(6)
+    g = random_graph(n, Fraction(1 + rng.below(4), 5), rng.spawn(1))
+    lone = rng.below(3)
+    g = graph_from_edge_list(n + lone, g.edges())
+    verts = list(range(n))
+    rng.shuffle(verts)
+    s = frozenset(verts[:1 + rng.below(3)])
+    grow = rng.below(2)
+    taken, d_sets = set(), []
+    for v in verts:
+        if v in taken or (grow and rng.below(4) == 0):
+            continue
+        d = {v} | {w for w in sorted(g.neighbors(v))
+                   if grow and w not in taken and rng.below(3) == 0}
+        taken |= d
+        d_sets.append(frozenset(d))
+    return g, s, d_sets, rng.below(3)
+
+
+def _attached_hypotheses(g, s, d_sets, n_avoid):
+    """``n_avoid`` raised to the least value the anticomplete count allows,
+    or ``None`` when another structural hypothesis of the search fails."""
+    s_mask = mask_of(s)
+    masks = [mask_of(d) for d in d_sets]
+    free = [m for m in masks if not m & s_mask]
+    for m in masks:
+        if m & s_mask and any(not c & s_mask for c in g.components_in(m)):
+            return None
+        if not m & s_mask and g.reach(m & -m, m) != m:
+            return None
+        nb = g.neighborhood(m)
+        n_avoid = max(n_avoid, sum(1 for f in free if f != m and not nb & f))
+    return n_avoid if len(d_sets) >= n_avoid + 2 * len(s) else None
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", sorted(sorted(f) for f in fn(*args))
+    except MinorforgeError as e:
+        ev = getattr(e, "evidence", None)
+        return type(e).__name__, str(e), ev and (sorted(ev.a), sorted(ev.b))
+
+
+def test_mask_workspace_matches_the_dict_workspace(monkeypatch):
+    """The contraction/split loop on host-id bitmasks against a verbatim
+    copy of the loop on a dict of sets: the same fragments, or the same
+    error with the same evidence.  Two thirds of the instances plant a
+    branch set holding two roots behind a layer of t vertices, which is
+    what reaching the split takes; where that layer has t - 1 vertices the
+    separation hypothesis fails, and the loop runs trusted, as under
+    ``skip_separation_check``, so the blamed errors are compared too."""
+    import minorforge.rooted as rooted
+
+    splits, split = Counter(), rooted._split
+
+    def counted(*args):
+        splits["split"] += 1
+        return split(*args)
+
+    monkeypatch.setattr(rooted, "_split", counted)
+    outcomes = Counter()
+    for i in range(700):
+        rng = Rng(derive_seed(43, i))
+        g, s, d_sets, n_avoid = (_planted_split_instance if i % 3 else _random_split_instance)(rng)
+        n_avoid = _attached_hypotheses(g, s, d_sets, n_avoid)
+        if n_avoid is None:
+            continue
+        avoidable = [d for d in d_sets if not d & s]
+        trusted = find_separation_avoiding(g, s, len(s), avoidable, n_avoid) is not None
+        got = _outcome(rooted._attached_fragments, g, mask_of(s), d_sets, n_avoid, trusted)
+        expect = _outcome(rooted_ref.attached_fragments, g, s, d_sets, n_avoid, trusted)
+        assert got == expect, i
+        outcomes[got[0]] += 1
+    assert sum(outcomes.values()) >= 300, outcomes
+    assert splits["split"] >= 50, splits
+    assert outcomes["HypothesisViolatedError"] + outcomes["InternalInfeasibleError"] >= 20, outcomes
