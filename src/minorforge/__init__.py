@@ -40,7 +40,6 @@ from .errors import (
     NeighborsUnavailableError,
     NotAnEdgeError,
     NotDisjointError,
-    NotRootedError,
     OrderTooSmallError,
     ParseError,
     PathTooLongError,

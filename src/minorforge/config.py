@@ -25,7 +25,6 @@ class Caps:
     linkage_k: int = 6          # find_linkage pair cap
     linkage_n: int = 24         # find_linkage vertex cap
     woven: int = 9              # exhaustive wovenness host cap
-    attached_fallback: int = 14  # exhaustive attached-model host cap
     search_nodes: int = 2_000_000  # backtracking node budget per call
 
 

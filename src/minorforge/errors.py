@@ -44,10 +44,6 @@ class NotDisjointError(InvalidModelError):
     pass
 
 
-class NotRootedError(MinorforgeError):
-    pass
-
-
 class ExtractionFailedError(MinorforgeError):
     """Descent terminated without a certifiable witness."""
 

@@ -96,18 +96,10 @@ class Graph:
             for v in mask_vertices(b >> (u + 1) << (u + 1))
         ]
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     def min_degree(self) -> int:
         if self.n == 0:
             raise OrderTooSmallError("min_degree of the empty graph")
         return min(b.bit_count() for b in self._bits)
-
-    def max_degree(self) -> int:
-        if self.n == 0:
-            raise OrderTooSmallError("max_degree of the empty graph")
-        return max(b.bit_count() for b in self._bits)
 
     def audit(self) -> None:
         """Structural self-check: masks in range, no loops, symmetry,

@@ -21,7 +21,6 @@ from .connectivity import vertex_connectivity_with_cutset
 from .errors import (
     HypothesisViolatedError,
     InternalInfeasibleError,
-    InvalidModelError,
     TooLargeError,
     check_internal,
 )
@@ -87,7 +86,7 @@ def find_separation_avoiding(g: Graph, s, t_order: int, d_list, n_avoid: int):
 
 
 # ---------------------------------------------------------------------------
-# attached-model search: proof-guided contraction loop with a fallback
+# attached-model search: the proof-guided contraction/split loop
 
 
 def _restrict(bits: list[int], side: int) -> list[int]:
@@ -105,8 +104,15 @@ def _within(sep: Separation, side: int) -> tuple[int, int]:
     return mask_of(sep.a) & side, mask_of(sep.b) & side
 
 
-def _evidence(a: int, b: int) -> Separation:
-    return Separation(mask_vertices(a), mask_vertices(b))
+def _violated(trusted: bool, a: int, b: int) -> Exception:
+    """The loop met an avoiding separation (a, b) below the declared order:
+    the caller's hypothesis failing on a trusted run, a bug on a checked one."""
+    msg = "an avoiding separation below the declared order exists"
+    if trusted:
+        return HypothesisViolatedError(
+            msg, evidence=Separation(mask_vertices(a), mask_vertices(b))
+        )
+    return InternalInfeasibleError(msg)
 
 
 def _class_masks(label: list[int | None], alive: int) -> dict[int, int]:
@@ -136,16 +142,11 @@ def _solve(bits, label, alive, s_mask, expand, t, n_avoid, m_total, trusted):
     vertex of ``s_mask``.  Takes over ``bits`` and ``label``, and merges
     each contracted vertex into ``expand`` in place.
 
-    ``trusted`` marks a level whose no-avoiding-separation hypothesis came
-    from the caller unverified; a contradiction there is reported as the
-    caller's hypothesis failing, while on checked levels it is a bug.
+    ``trusted`` marks a run whose no-avoiding-separation hypothesis came
+    from the caller unverified.  The split levels inherit it, so a
+    contradiction at any depth is reported as the caller's hypothesis
+    failing on a trusted run, and as a bug on a checked one.
     """
-
-    def blame(msg: str, evidence=None):
-        if trusted:
-            return HypothesisViolatedError(msg, evidence=evidence)
-        return InternalInfeasibleError(msg)
-
     while True:
         for v in mask_vertices(s_mask):
             bits[v] &= ~s_mask
@@ -189,35 +190,29 @@ def _solve(bits, label, alive, s_mask, expand, t, n_avoid, m_total, trusted):
             b |= 1 << gone
         s_prime = a & b
         if not (s_prime >> keep & 1 and s_prime >> gone & 1 and s_prime.bit_count() == t):
-            raise blame(
-                "an avoiding separation below the declared order exists",
-                evidence=_evidence(a, b),
-            )
+            raise _violated(trusted, a, b)
         return _split(
             bits, label, alive, s_mask, expand, a, b, s_prime,
-            t, n_avoid, m_total, blame,
+            t, n_avoid, m_total, trusted,
         )
-    return _endgame(bits, label, alive, s_mask, t, m_total, blame)
+    return _endgame(bits, label, alive, s_mask, t, m_total, trusted)
 
 
 def _split(bits, label, alive, s_mask, expand, a, b, s_prime,
-           t, n_avoid, m_total, blame):
+           t, n_avoid, m_total, trusted):
     for v in mask_vertices(a & ~b):
         check_internal(not bits[v] & ~a, "separation pulled back with a crossing edge")
     check_internal(not s_mask & ~a, "attachment must sit inside the near side")
     got = menger(_live_graph(bits, a), mask_vertices(s_mask), mask_vertices(s_prime), t)
     if isinstance(got, Separation):
         got_a, got_b = _within(got, a)
-        raise blame(
-            "an avoiding separation below the declared order exists",
-            evidence=_evidence(got_a, got_b | b),
-        )
+        raise _violated(trusted, got_a, got_b | b)
     check_internal(
         set(_class_masks(label, b)) == set(_class_masks(label, alive)),
         "a branch set vanished across the split",
     )
     frags = _solve(
-        _restrict(bits, b), label, b, s_prime, expand, t, n_avoid, m_total, trusted=False
+        _restrict(bits, b), label, b, s_prime, expand, t, n_avoid, m_total, trusted
     )
     for p in got.paths:
         hit = [i for i in range(t) if frags[i] >> p[-1] & 1]
@@ -226,7 +221,7 @@ def _split(bits, label, alive, s_mask, expand, a, b, s_prime,
     return frags
 
 
-def _endgame(bits, label, alive, s_mask, t, m_total, blame):
+def _endgame(bits, label, alive, s_mask, t, m_total, trusted):
     classes = _class_masks(label, alive)
     check_internal(len(classes) == m_total, "a branch set vanished before the finish")
     t_mask = alive & ~s_mask
@@ -237,10 +232,7 @@ def _endgame(bits, label, alive, s_mask, t, m_total, blame):
         )
     got = menger(_live_graph(bits, alive), mask_vertices(s_mask), mask_vertices(t_mask), t)
     if isinstance(got, Separation):
-        raise blame(
-            "an avoiding separation below the declared order exists",
-            evidence=_evidence(*_within(got, alive)),
-        )
+        raise _violated(trusted, *_within(got, alive))
     path_pairs = []
     for p in got.paths:
         check_internal(len(p) == 2, "finishing connectors must be single edges")
@@ -270,62 +262,15 @@ def _attached_fragments(g: Graph, s_mask: int, d_sets, n_avoid: int, trusted: bo
             for f in frags]
 
 
-def _pattern_ok(g: Graph, frags, n_avoid: int) -> bool:
-    report = require_valid(MinorModel(g, frags))
-    return complement_max_degree(report.pattern) <= n_avoid
-
-
-def _attached_exhaustive(g: Graph, s_list, extra: int, n_avoid: int, caps):
-    """Backtracking over assignments of non-attachment vertices to fragments;
-    the safety net behind the proof-guided loop."""
-    t = len(s_list)
-    total = t + extra
-    free = [v for v in range(g.n) if v not in set(s_list)]
-    budget = [caps.search_nodes]
-    assign: dict[int, int] = {}
-
-    def leaf_check():
-        frags = [{v} for v in s_list] + [set() for _ in range(extra)]
-        for v, fi in assign.items():
-            frags[fi].add(v)
-        if any(not f for f in frags):
-            return None
-        masks = [mask_of(f) for f in frags]
-        if any(g.reach(m & -m, m) != m for m in masks):
-            return None
-        fr = [frozenset(f) for f in frags]
-        return fr if _pattern_ok(g, fr, n_avoid) else None
-
-    def rec(idx: int):
-        budget[0] -= 1
-        if budget[0] <= 0:
-            raise TooLargeError("attached-search budget exhausted")
-        if idx == len(free):
-            return leaf_check()
-        v = free[idx]
-        out = rec(idx + 1)
-        if out is not None:
-            return out
-        for fi in range(total):
-            assign[v] = fi
-            out = rec(idx + 1)
-            if out is not None:
-                return out
-        del assign[v]
-        return None
-
-    return rec(0)
-
-
 def attached_model_search(
     g: Graph, s, d_list, n_avoid: int, *, skip_separation_check: bool = False
 ) -> MinorModel:
     """A minor model with ``len(d_list) - |s|`` fragments, the first ``|s|``
     each meeting ``s`` exactly once, whose pattern complement has maximum
     degree at most ``n_avoid``.  Runs the contraction/split argument over
-    the given branch sets and falls back to exhaustive search on small
-    hosts."""
-    caps = active_caps()
+    the given branch sets; with ``skip_separation_check`` the caller vouches
+    for its hypothesis, and a contradiction met at any depth raises
+    HypothesisViolatedError with the separation as evidence."""
     s = frozenset(s)
     for v in s:
         g.check_vertex(v)
@@ -382,27 +327,16 @@ def attached_model_search(
                 "an avoiding separation below the attachment order exists",
                 evidence=sep,
             )
-    try:
-        fragments = _attached_fragments(g, s_mask, d_sets, n_avoid, skip_separation_check)
-        model = MinorModel(g, fragments)
-        report = require_valid(model)
-        check_internal(len(fragments) == m - t, "wrong fragment count")
-        check_internal(is_attached_to(model, s), "attachment certificate failed")
-        check_internal(
-            complement_max_degree(report.pattern) <= n_avoid,
-            "pattern complement degree certificate failed",
-        )
-        return model
-    except (InternalInfeasibleError, InvalidModelError):
-        if g.n > caps.attached_fallback:
-            raise
-        found = _attached_exhaustive(g, sorted(s), m - 2 * t, n_avoid, caps)
-        if found is None:
-            raise
-        model = MinorModel(g, found)
-        require_valid(model)
-        check_internal(is_attached_to(model, s), "attachment certificate failed")
-        return model
+    fragments = _attached_fragments(g, s_mask, d_sets, n_avoid, skip_separation_check)
+    model = MinorModel(g, fragments)
+    report = require_valid(model)
+    check_internal(len(fragments) == m - t, "wrong fragment count")
+    check_internal(is_attached_to(model, s), "attachment certificate failed")
+    check_internal(
+        complement_max_degree(report.pattern) <= n_avoid,
+        "pattern complement degree certificate failed",
+    )
+    return model
 
 
 def rooted_from_minor(g: Graph, s, j_model: MinorModel, n_avoid: int) -> MinorModel:

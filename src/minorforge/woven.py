@@ -88,11 +88,6 @@ class WovenReport:
     counterexample: WovenTriple | None
 
 
-def _audit_or_none(g: Graph, fam: PathFamily) -> str | None:
-    problems = audit_path_family(g, fam)
-    return problems[0] if problems else None
-
-
 def _pattern_dense(pattern: Graph, eps: Fraction, a: int) -> bool:
     # one vertex has no pair to miss; the shared predicate starts at two
     if a == 1:
@@ -327,7 +322,6 @@ def weave(
     prior_linkage: PathFamily,
     *,
     eps=Fraction(1, 2),
-    realizer=None,
 ):
     """Reroute ``prior_linkage`` so it crosses ``f_vertices`` only along
     freshly planted paths, while rooting a dense-pattern model at
@@ -335,12 +329,10 @@ def weave(
 
     Every prior path meeting the set is truncated at its first and last
     vertices there; the stretch between them is replaced by a path found
-    together with the model.  ``realizer`` is called as
-    ``realizer(sub_host, root_ids, pair_list)`` on the induced subgraph
-    (ids relabeled) and must return a rooted model plus a linkage for
-    the listed pairs; by default an exhaustive witness search runs.
-    Returns the model and the rerouted family; both audited, with
-    failures raised as WovennessFailedError.
+    together with the model by an exhaustive witness search on the
+    induced subgraph.  Returns the model and the rerouted family, both
+    audited again on the host, with failures raised as
+    WovennessFailedError.
     """
     caps = active_caps()
     eps = Fraction(eps)
@@ -374,28 +366,12 @@ def weave(
         for i in crossing
     )
 
-    if realizer is None:
-        budget = [caps.search_nodes]
-        witness = _triple_witness(sub, eps, roots_sub, pairs_sub, budget)
-        if witness is None:
-            raise WovennessFailedError(
-                "no rooted dense model coexists with the induced pairs"
-            )
-        model_sub, fam_sub = witness
-    else:
-        model_sub, fam_sub = realizer(sub, roots_sub, pairs_sub)
-        if model_sub.host != sub:
-            raise WovennessFailedError("realizer model lives off the subgraph")
-        try:
-            require_valid(model_sub)
-        except Exception as exc:
-            raise WovennessFailedError(
-                f"realizer model invalid: {exc}"
-            ) from exc
-        if fam_sub.kind != "linkage" or fam_sub.pairs != pairs_sub:
-            raise WovennessFailedError("realizer linkage joins the wrong pairs")
-        if audit := _audit_or_none(sub, fam_sub):
-            raise WovennessFailedError(f"realizer linkage invalid: {audit}")
+    witness = _triple_witness(sub, eps, roots_sub, pairs_sub, [caps.search_nodes])
+    if witness is None:
+        raise WovennessFailedError(
+            "no rooted dense model coexists with the induced pairs"
+        )
+    model_sub, fam_sub = witness
 
     # pull the witness back to host ids
     frags = [
@@ -411,9 +387,9 @@ def weave(
 
     # audits: family contract, vertex origins, model quality, and the
     # model-linkage intersection bound
-    problems = _audit_or_none(g, fam)
+    problems = audit_path_family(g, fam)
     if problems:
-        raise WovennessFailedError(f"rerouted family invalid: {problems}")
+        raise WovennessFailedError(f"rerouted family invalid: {problems[0]}")
     prior_vertices = prior_linkage.vertices()
     if not fam.vertices() <= f_set | prior_vertices:
         raise WovennessFailedError("rerouted family left the allowed ground")

@@ -1,7 +1,12 @@
 from __future__ import annotations
 
+import re
+from dataclasses import fields
+from pathlib import Path
+
 import pytest
 
+import minorforge
 from minorforge.config import Caps, active_caps
 from minorforge.errors import ParseError
 
@@ -35,3 +40,16 @@ def test_env_reread_each_call(monkeypatch):
     assert active_caps().coloring == 21
     monkeypatch.delenv("MINORFORGE_CAPS")
     assert active_caps().coloring == 20
+
+
+def test_every_cap_is_read_outside_config():
+    # a cap that no solver reads is an option nobody can use
+    pkg = Path(minorforge.__file__).parent
+    source = "\n".join(
+        path.read_text(encoding="utf-8")
+        for path in sorted(pkg.glob("*.py"))
+        if path.name != "config.py"
+    )
+    unread = [f.name for f in fields(Caps)
+              if not re.search(rf"\.{f.name}\b", source)]
+    assert unread == []

@@ -403,6 +403,21 @@ def _outcome(fn, *args):
         return type(e).__name__, str(e), ev and (sorted(ev.a), sorted(ev.b))
 
 
+def _split_corpus():
+    """The 700 seeded split instances, less those whose structural
+    hypotheses fail: (index, host, attachment, branch sets, avoidance
+    count, whether an avoiding separation breaks the hypothesis)."""
+    for i in range(700):
+        rng = Rng(derive_seed(43, i))
+        g, s, d_sets, n_avoid = (_planted_split_instance if i % 3 else _random_split_instance)(rng)
+        n_avoid = _attached_hypotheses(g, s, d_sets, n_avoid)
+        if n_avoid is None:
+            continue
+        avoidable = [d for d in d_sets if not d & s]
+        blocked = find_separation_avoiding(g, s, len(s), avoidable, n_avoid) is not None
+        yield i, g, s, d_sets, n_avoid, blocked
+
+
 def test_mask_workspace_matches_the_dict_workspace(monkeypatch):
     """The contraction/split loop on host-id bitmasks against a verbatim
     copy of the loop on a dict of sets: the same fragments, or the same
@@ -410,7 +425,11 @@ def test_mask_workspace_matches_the_dict_workspace(monkeypatch):
     branch set holding two roots behind a layer of t vertices, which is
     what reaching the split takes; where that layer has t - 1 vertices the
     separation hypothesis fails, and the loop runs trusted, as under
-    ``skip_separation_check``, so the blamed errors are compared too."""
+    ``skip_separation_check``, so the blamed errors are compared too.  The
+    copy's split levels always ran checked, so where it reports a bug from
+    below a split on a trusted run, the library, whose split levels inherit
+    the trust, must blame the hypothesis with the same message and a
+    separation as evidence."""
     import minorforge.rooted as rooted
 
     splits, split = Counter(), rooted._split
@@ -421,18 +440,40 @@ def test_mask_workspace_matches_the_dict_workspace(monkeypatch):
 
     monkeypatch.setattr(rooted, "_split", counted)
     outcomes = Counter()
-    for i in range(700):
-        rng = Rng(derive_seed(43, i))
-        g, s, d_sets, n_avoid = (_planted_split_instance if i % 3 else _random_split_instance)(rng)
-        n_avoid = _attached_hypotheses(g, s, d_sets, n_avoid)
-        if n_avoid is None:
-            continue
-        avoidable = [d for d in d_sets if not d & s]
-        trusted = find_separation_avoiding(g, s, len(s), avoidable, n_avoid) is not None
+    inherited = 0
+    for i, g, s, d_sets, n_avoid, trusted in _split_corpus():
         got = _outcome(rooted._attached_fragments, g, mask_of(s), d_sets, n_avoid, trusted)
         expect = _outcome(rooted_ref.attached_fragments, g, s, d_sets, n_avoid, trusted)
-        assert got == expect, i
+        if trusted and expect[0] == "InternalInfeasibleError":
+            assert got[:2] == ("HypothesisViolatedError", expect[1]), i
+            assert got[2] is not None, i
+            inherited += 1
+        else:
+            assert got == expect, i
         outcomes[got[0]] += 1
     assert sum(outcomes.values()) >= 300, outcomes
     assert splits["split"] >= 50, splits
     assert outcomes["HypothesisViolatedError"] + outcomes["InternalInfeasibleError"] >= 20, outcomes
+    assert inherited >= 10, inherited
+
+
+def test_attached_search_certifies_or_blames_the_hypothesis():
+    """On the split corpus the public search returns an attached, valid
+    model whenever the separation hypothesis holds, checked or trusted; on
+    a trusted run where it fails, the contradiction met at any depth is
+    blamed on the hypothesis, never reported as a bug or a search cap."""
+    held = failed = 0
+    for i, g, s, d_sets, n_avoid, blocked in _split_corpus():
+        if blocked:
+            with pytest.raises(HypothesisViolatedError):
+                attached_model_search(g, s, d_sets, n_avoid, skip_separation_check=True)
+            failed += 1
+            continue
+        for skip in (False, True):
+            model = attached_model_search(g, s, d_sets, n_avoid, skip_separation_check=skip)
+            report = require_valid(model)
+            assert len(model.fragments) == len(d_sets) - len(s), i
+            assert is_attached_to(model, s), i
+            assert complement_max_degree(report.pattern) <= n_avoid, i
+        held += 1
+    assert held >= 300 and failed >= 60, (held, failed)

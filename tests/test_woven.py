@@ -117,11 +117,15 @@ def test_weave_validates_inputs():
         weave(g, (0, 1, 2), roots=(0,), prior_linkage=bad_kind)
 
 
-def test_weave_rejects_bogus_realizer():
+def test_weave_rejects_bogus_realizer(monkeypatch):
+    """weave audits the pulled-back witness on the host, so a witness search
+    that lies is caught there."""
+    import minorforge.woven as woven
+
     g = complete_graph(8)
     prior = PathFamily(((5, 2, 6),), "linkage", pairs=((5, 6),))
 
-    def liar(sub, roots_sub, pairs_sub):
+    def liar(sub, eps, roots_sub, pairs_sub, budget):
         # claims a model that is not rooted where it should be
         model = MinorModel(sub, [frozenset({v}) for v in range(2)])
         fam = PathFamily(
@@ -131,8 +135,9 @@ def test_weave_rejects_bogus_realizer():
         )
         return model, fam
 
-    with pytest.raises(WovennessFailedError):
-        weave(g, (0, 1, 2, 3), roots=(3,), prior_linkage=prior, realizer=liar)
+    monkeypatch.setattr(woven, "_triple_witness", liar)
+    with pytest.raises(WovennessFailedError, match="witness model is not rooted as requested"):
+        weave(g, (0, 1, 2, 3), roots=(3,), prior_linkage=prior)
 
 
 def test_realize_from_dense_minor_end_to_end():
