@@ -92,7 +92,6 @@ from .model import (
     is_attached_to,
     is_core,
     is_rooted_at,
-    pattern_graph,
     require_valid,
     sub_model,
     validate_model,

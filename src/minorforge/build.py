@@ -28,7 +28,7 @@ from .graph import (
     mask_of,
     mask_vertices,
 )
-from .model import MinorModel, compose_models, require_valid
+from .model import MinorModel, compose_models
 from .params import (
     DEFAULT_MAX_ATTEMPTS,
     DEFAULT_MAX_PATH_LEN,
@@ -205,7 +205,7 @@ def _split_fast(h: Graph, t: int, eps: Fraction):
         return None
     frags = [(i,) for i in range(t - 1)] + [mask_vertices(rest)]
     model = MinorModel(h, frags)
-    if is_eps_t_dense(require_valid(model).pattern, eps, t):
+    if is_eps_t_dense(model.pattern, eps, t):
         return model
     return None
 
@@ -230,7 +230,7 @@ def build_dense_minor(
         )
     d = max(degree_target(eps, t, c_scale), t)
     h_model = dense_connected_minor(g, d)
-    h = require_valid(h_model).pattern
+    h = h_model.pattern
     fast = _split_fast(h, t, eps)
     if fast is not None:
         return compose_models(h_model, fast)
@@ -243,7 +243,7 @@ def build_dense_minor(
         )
     inner = MinorModel(h, [mask_vertices(b) for b in placed])
     final = compose_models(h_model, inner)
-    if not is_eps_t_dense(require_valid(final).pattern, eps, t):
+    if not is_eps_t_dense(final.pattern, eps, t):
         raise DensityNotMetError("final pattern misses the density target")
     return final
 
@@ -287,7 +287,7 @@ def build_dense_minor_in_dense_graph(
         cores.append(frozenset(old[i] for i in res.s))
     fragments = _stitch_outside(g, cores, s_pool_set)
     model = MinorModel(g, fragments)
-    if not is_eps_t_dense(require_valid(model).pattern, eps, t):
+    if not is_eps_t_dense(model.pattern, eps, t):
         raise DensityNotMetError("final pattern misses the density target")
     return model
 
@@ -358,7 +358,7 @@ def bipartite_random_contraction(
         for x in sorted(s_set)
     ]
     model = MinorModel(g, fragments)
-    return require_valid(model).pattern, model
+    return model.pattern, model
 
 
 def _greedy_cross_pairs(g: Graph, t: int, eps: Fraction):
@@ -375,7 +375,7 @@ def _greedy_cross_pairs(g: Graph, t: int, eps: Fraction):
     if len(frags) < t:
         return None
     model = MinorModel(g, frags)
-    if is_eps_t_dense(require_valid(model).pattern, eps, t):
+    if is_eps_t_dense(model.pattern, eps, t):
         return model
     return None
 
@@ -435,7 +435,7 @@ def build_dense_minor_bipartite(
                     DensityNotMetError):
                 continue
             final = compose_models(cmodel, inner)
-            if is_eps_t_dense(require_valid(final).pattern, eps, t):
+            if is_eps_t_dense(final.pattern, eps, t):
                 return final
     raise AttemptsExhaustedError(
         f"no certified pattern in {max(attempts, 1)} attempts",

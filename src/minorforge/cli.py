@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
@@ -118,19 +117,27 @@ def _usage(message: str) -> int:
     return 1
 
 
-def _print_result(fields: dict, fmt: str) -> None:
+def _render(fields: dict, fmt: str) -> str:
     if fmt == "json":
-        print(json.dumps(fields, indent=2, sort_keys=True))
-    else:
-        for key, value in fields.items():
-            if key == "fragments":
-                for i, frag in enumerate(value):
-                    print(f"fragment {i}: {' '.join(map(str, frag))}")
-            elif key == "paths":
-                for p in value:
-                    print("path: " + " ".join(map(str, p)))
-            else:
-                print(f"{key}: {value}")
+        return json.dumps(fields, indent=2, sort_keys=True) + "\n"
+    lines = []
+    for key, value in fields.items():
+        if key == "fragments":
+            lines += [f"fragment {i}: {' '.join(map(str, frag))}" for i, frag in enumerate(value)]
+        elif key == "paths":
+            lines += ["path: " + " ".join(map(str, p)) for p in value]
+        else:
+            lines.append(f"{key}: {value}")
+    return "".join(line + "\n" for line in lines)
+
+
+def _density_fields(pattern: Graph) -> dict:
+    """Missing edges and edge density of a pattern of order at least 2."""
+    pairs = pattern.n * (pattern.n - 1) // 2
+    return {
+        "nonedges": pairs - pattern.m,
+        "density": format_fraction(Fraction(pattern.m, pairs)),
+    }
 
 
 # -- subcommands -------------------------------------------------------------
@@ -165,7 +172,7 @@ def _cmd_gen(args) -> int:
 
 
 def _pattern_summary(model: MinorModel) -> dict:
-    pattern = validate_model(model).pattern
+    pattern = model.pattern
     fields: dict = {
         "result": "ok",
         "fragments_count": len(model.fragments),
@@ -174,9 +181,7 @@ def _pattern_summary(model: MinorModel) -> dict:
         "pattern_min_degree": pattern.min_degree() if pattern.n else 0,
     }
     if pattern.n >= 2:
-        pairs = pattern.n * (pattern.n - 1) // 2
-        fields["nonedges"] = pairs - pattern.m
-        fields["density"] = format_fraction(Fraction(pattern.m, pairs))
+        fields.update(_density_fields(pattern))
     return fields
 
 
@@ -193,8 +198,7 @@ def _cmd_extract(args) -> int:
         )
         fields = _pattern_summary(model)
         if mode == "dense-connected":
-            pattern = validate_model(model).pattern
-            fields["pattern_connectivity"] = vertex_connectivity(pattern)
+            fields["pattern_connectivity"] = vertex_connectivity(model.pattern)
     elif mode == "dense-minor":
         if args.eps is None or args.t is None:
             return _usage("extract dense-minor needs --eps and --t")
@@ -237,7 +241,7 @@ def _cmd_extract(args) -> int:
         _emit(serialize_model(model), args.out)
     if args.format == "json":
         fields["fragments"] = [sorted(f) for f in model.fragments]
-    _print_result(fields, args.format)
+    sys.stdout.write(_render(fields, args.format))
     return 0
 
 
@@ -247,10 +251,10 @@ def _cmd_verify(args) -> int:
     report = validate_model(model)
     if not report.valid:
         subject, reason = report.violations[0]
-        _print_result(
+        sys.stdout.write(_render(
             {"result": "invalid", "violation": f"fragment {subject}: {reason}"},
             args.format,
-        )
+        ))
         return 2
     pattern = report.pattern
     ok = is_eps_t_dense(pattern, args.eps, args.t)
@@ -262,12 +266,10 @@ def _cmd_verify(args) -> int:
     if pattern.n != args.t:
         fields["violation"] = f"pattern order {pattern.n} differs from t"
     elif pattern.n >= 2:
-        pairs = pattern.n * (pattern.n - 1) // 2
-        fields["nonedges"] = pairs - pattern.m
-        fields["density"] = format_fraction(Fraction(pattern.m, pairs))
+        fields.update(_density_fields(pattern))
         if not ok:
             fields["violation"] = "density below the threshold"
-    _print_result(fields, args.format)
+    sys.stdout.write(_render(fields, args.format))
     return 0 if ok else 2
 
 
@@ -302,16 +304,7 @@ def _cmd_paths(args) -> int:
             if isinstance(outcome, PathFamily)
             else _separation_fields(outcome)
         )
-    if args.out is not None:
-        buf = io.StringIO()
-        stdout, sys.stdout = sys.stdout, buf
-        try:
-            _print_result(fields, args.format)
-        finally:
-            sys.stdout = stdout
-        _emit(buf.getvalue(), args.out)
-    else:
-        _print_result(fields, args.format)
+    _emit(_render(fields, args.format), args.out)
     return 0
 
 
@@ -421,11 +414,8 @@ def _run_instance(cfg: dict, p: Fraction, eps: Fraction, t: int,
         ok = report.valid and is_eps_t_dense(report.pattern, eps, t)
         record["success"] = ok
         if ok:
-            pattern = report.pattern
-            pairs = pattern.n * (pattern.n - 1) // 2
-            record["pattern_order"] = pattern.n
-            record["nonedges"] = pairs - pattern.m
-            record["density"] = format_fraction(Fraction(pattern.m, pairs))
+            record["pattern_order"] = report.pattern.n
+            record.update(_density_fields(report.pattern))
             record["fragments"] = [sorted(f) for f in model.fragments]
         else:
             record["error"] = "certificate re-check failed"
@@ -590,18 +580,14 @@ def main(argv=None) -> int:
         return 0 if code == 0 else 1
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (
+        ParseError,
         OrderTooSmallError,
         UnknownVertexError,
         NotAnEdgeError,
         InvalidBipartitionError,
+        OSError,
     ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MinorforgeError as exc:

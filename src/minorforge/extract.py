@@ -17,7 +17,7 @@ from .errors import (
     check_internal,
 )
 from .graph import Graph, _induced, average_degree, induced_subgraph, mask_of, mask_vertices
-from .model import MinorModel, require_valid
+from .model import MinorModel
 
 _EXHAUSTIVE_ORDER = 12  # widest pattern the stuck-descent fallback will search
 
@@ -309,9 +309,6 @@ def _exhaustive_finish(work: _Work, d: int) -> None:
 def _search_small_minor(h: Graph, d: int, budget: list[int]):
     h_bits = [h.neighbor_bits(v) for v in range(h.n)]
 
-    def mask_of(f: frozenset[int]) -> int:
-        return sum(1 << v for v in f)
-
     def nb_mask(f: frozenset[int]) -> int:
         bits = 0
         for v in f:
@@ -363,17 +360,9 @@ def _search_small_minor(h: Graph, d: int, budget: list[int]):
     return moves if rec(frozenset(frozenset((v,)) for v in range(h.n))) else None
 
 
-def _certify_mader(model: MinorModel, d: int) -> None:
-    pattern = require_valid(model).pattern
-    if pattern.n > d or 2 * pattern.min_degree() < d:
-        raise ExtractionFailedError(
-            "descent finished without meeting the order/degree targets"
-        )
-
-
-def mader_min_degree_minor_with_trace(
-    g: Graph, d: int
-) -> tuple[MinorModel, ExtractionTrace]:
+def _certified_descent(g: Graph, d: int) -> tuple[_Work, MinorModel]:
+    """The descent from the densest component of ``g`` down to order at
+    most d and min degree at least d/2, with its model certified."""
     if d < 2:
         raise HypothesisViolatedError("the degree target must be at least 2")
     if average_degree(g) < d - 1:
@@ -384,9 +373,18 @@ def mader_min_degree_minor_with_trace(
     _restrict_to_best_component(work)
     _mader_descent(work, d)
     model = work.model()
-    _certify_mader(model, d)
-    trace = ExtractionTrace(tuple(work.steps), model)
-    return model, trace
+    if model.pattern.n > d or 2 * model.pattern.min_degree() < d:
+        raise ExtractionFailedError(
+            "descent finished without meeting the order/degree targets"
+        )
+    return work, model
+
+
+def mader_min_degree_minor_with_trace(
+    g: Graph, d: int
+) -> tuple[MinorModel, ExtractionTrace]:
+    work, model = _certified_descent(g, d)
+    return model, ExtractionTrace(tuple(work.steps), model)
 
 
 def mader_min_degree_minor(g: Graph, d: int) -> MinorModel:
@@ -398,16 +396,7 @@ def mader_min_degree_minor(g: Graph, d: int) -> MinorModel:
 def dense_connected_minor_with_trace(
     g: Graph, d: int
 ) -> tuple[MinorModel, ExtractionTrace]:
-    if d < 2:
-        raise HypothesisViolatedError("the degree target must be at least 2")
-    if average_degree(g) < d - 1:
-        raise HypothesisViolatedError(
-            f"average degree below {d - 1} cannot support the target"
-        )
-    work = _Work(g)
-    _restrict_to_best_component(work)
-    _mader_descent(work, d)
-    _certify_mader(work.model(), d)
+    work, _ = _certified_descent(g, d)
     pat, reps = work.pattern()
     if pat.n >= 2:
         kappa, cutset = vertex_connectivity_with_cutset(pat)
@@ -443,7 +432,7 @@ def _small_side(pat: Graph, cut: set[int]) -> set[int]:
 
 
 def _certify_dense_connected(model: MinorModel, d: int) -> None:
-    pattern = require_valid(model).pattern
+    pattern = model.pattern
     ok = 2 <= pattern.n <= d and 3 * pattern.min_degree() >= d
     if ok:
         kappa, _ = vertex_connectivity_with_cutset(pattern)

@@ -4,11 +4,19 @@ explicit witness that can be revalidated from scratch.
 A :class:`MinorModel` lists, in a significant order, disjoint nonempty vertex
 sets of a host graph, each inducing a connected subgraph.  Fragment ``i``
 represents vertex ``i`` of the realized pattern.
+
+Validation runs at most once per model inside the package: the first read of
+``MinorModel.pattern`` validates and keeps the pattern, since neither the
+model nor its host can change.  An invalid model raises
+:class:`InvalidModelError` on every read, because nothing is kept.
+:func:`validate_model` and :func:`require_valid` always validate from
+scratch, for callers that re-check a certificate independently.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import (
     InvalidModelError,
@@ -39,6 +47,13 @@ class MinorModel:
         for f in self.fragments:
             out |= f
         return frozenset(out)
+
+    @cached_property
+    def pattern(self) -> Graph:
+        """The realized pattern: vertex per fragment, edge where any host
+        edge joins two fragments.  Validated on the first read and kept;
+        raises InvalidModelError on every read of an invalid model."""
+        return require_valid(self).pattern
 
 
 @dataclass
@@ -77,12 +92,11 @@ def validate_model(m: MinorModel) -> ModelReport:
                 violations.append(((i, j), "fragments share a vertex"))
     if violations:
         return ModelReport(valid=False, violations=violations)
-    return ModelReport(valid=True, pattern=_direct_pattern(g, m.fragments))
+    return ModelReport(valid=True, pattern=_direct_pattern(g, masks))
 
 
-def _direct_pattern(g: Graph, fragments: tuple[frozenset[int], ...]) -> Graph:
-    masks = [mask_of(f) for f in fragments]
-    k = len(fragments)
+def _direct_pattern(g: Graph, masks: list[int]) -> Graph:
+    k = len(masks)
     bits = [0] * k
     for i in range(k):
         reach = g.neighborhood(masks[i])
@@ -104,16 +118,10 @@ def require_valid(m: MinorModel) -> ModelReport:
     return report
 
 
-def pattern_graph(m: MinorModel) -> Graph:
-    """The realized pattern: vertex per fragment, edge where any host edge
-    joins two fragments."""
-    return require_valid(m).pattern
-
-
 def contract_model(m: MinorModel) -> Graph:
     """The same pattern obtained the slow way: restrict the host to the
     fragments and contract each fragment edge by edge.  Serves as an
-    independent cross-check of :func:`pattern_graph`."""
+    independent cross-check of ``MinorModel.pattern``."""
     require_valid(m)
     used = sorted(m.used_vertices())
     sub, old_of_new = induced_subgraph(m.host, used)
@@ -150,7 +158,7 @@ def contract_model(m: MinorModel) -> Graph:
 def is_rooted_at(m: MinorModel, s) -> bool:
     """True when the fragments and ``s`` pair off: as many fragments as
     vertices of ``s``, each fragment meeting ``s`` exactly once."""
-    require_valid(m)
+    m.pattern  # raises on an invalid model
     s = frozenset(s)
     if len(m.fragments) != len(s):
         return False
@@ -160,7 +168,7 @@ def is_rooted_at(m: MinorModel, s) -> bool:
 def is_attached_to(m: MinorModel, s) -> bool:
     """True when the first ``|s|`` fragments each meet ``s`` in exactly one
     vertex, together covering ``s`` (later fragments then avoid ``s``)."""
-    require_valid(m)
+    m.pattern  # raises on an invalid model
     s = frozenset(s)
     if len(s) > len(m.fragments):
         raise OrderTooSmallError("more attachment vertices than fragments")
@@ -178,11 +186,11 @@ def is_core(m: MinorModel, s, h: Graph | None = None) -> bool:
     (of ``h`` when given, else of the realized pattern) some host edge joins
     the two fragments inside ``s``.  Callers pass ``h`` to test against an
     intended pattern rather than the realized one."""
-    report = require_valid(m)
+    realized = m.pattern  # raises on an invalid model
+    pat = realized if h is None else h
     s = frozenset(s)
     for v in s:
         m.host.check_vertex(v)
-    pat = report.pattern if h is None else h
     if pat.n != len(m.fragments):
         raise InvalidModelError(
             "pattern order does not match the fragment count"
@@ -211,9 +219,9 @@ def anticomplete(g: Graph, a, b) -> bool:
 
 def compose_models(outer: MinorModel, inner: MinorModel) -> MinorModel:
     """Model-of-a-model: ``inner`` lives in the pattern of ``outer``; each
-    inner fragment expands to the union of the outer fragments it names."""
-    require_valid(outer)
-    require_valid(inner)
+    inner fragment expands to the union of the outer fragments it names.
+    The composed model is validated before it is returned."""
+    outer.pattern, inner.pattern  # raise on an invalid model
     if inner.host.n != len(outer.fragments):
         raise InvalidModelError(
             "inner host order does not match the outer fragment count"
@@ -225,7 +233,7 @@ def compose_models(outer: MinorModel, inner: MinorModel) -> MinorModel:
             merged |= outer.fragments[i]
         fragments.append(frozenset(merged))
     composed = MinorModel(outer.host, fragments)
-    require_valid(composed)
+    composed.pattern  # raises if a merged fragment is not connected
     return composed
 
 

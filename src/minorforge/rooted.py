@@ -26,7 +26,7 @@ from .errors import (
 )
 from .flow import SetFlow
 from .graph import Graph, complement_max_degree, mask_of, mask_vertices
-from .model import MinorModel, is_attached_to, require_valid
+from .model import MinorModel, is_attached_to
 from .paths import Separation, _separation_from_cut, menger
 
 
@@ -318,22 +318,30 @@ def attached_model_search(
             raise HypothesisViolatedError(
                 f"set {j} is anticomplete to too many avoidable sets"
             )
+    avoidable = [d_sets[i] for i in i_idx]
     if not skip_separation_check:
-        sep = find_separation_avoiding(
-            g, s, t, [d_sets[i] for i in i_idx], n_avoid
-        )
+        sep = find_separation_avoiding(g, s, t, avoidable, n_avoid)
         if sep is not None:
             raise HypothesisViolatedError(
                 "an avoiding separation below the attachment order exists",
                 evidence=sep,
             )
-    fragments = _attached_fragments(g, s_mask, d_sets, n_avoid, skip_separation_check)
+    try:
+        fragments = _attached_fragments(g, s_mask, d_sets, n_avoid, skip_separation_check)
+    except HypothesisViolatedError as exc:
+        # the loop's separation lives on the contracted workspace; the
+        # evidence handed out is one of the host, found afresh
+        sep = find_separation_avoiding(g, s, t, avoidable, n_avoid)
+        if sep is None:
+            raise InternalInfeasibleError(
+                "the loop met an avoiding separation the host does not have"
+            ) from exc
+        raise HypothesisViolatedError(str(exc), evidence=sep) from exc
     model = MinorModel(g, fragments)
-    report = require_valid(model)
     check_internal(len(fragments) == m - t, "wrong fragment count")
     check_internal(is_attached_to(model, s), "attachment certificate failed")
     check_internal(
-        complement_max_degree(report.pattern) <= n_avoid,
+        complement_max_degree(model.pattern) <= n_avoid,
         "pattern complement degree certificate failed",
     )
     return model
@@ -350,11 +358,11 @@ def rooted_from_minor(g: Graph, s, j_model: MinorModel, n_avoid: int) -> MinorMo
     t = len(s)
     if t < 1:
         raise HypothesisViolatedError("the attachment set must be nonempty")
-    report = require_valid(j_model)
+    pattern = j_model.pattern
     if j_model.host != g:
         raise HypothesisViolatedError("the model must live in the given host")
     m = len(j_model.fragments)
-    if complement_max_degree(report.pattern) > n_avoid:
+    if complement_max_degree(pattern) > n_avoid:
         raise HypothesisViolatedError(
             "the pattern complement exceeds the degree bound"
         )

@@ -37,7 +37,7 @@ from .graph import (
     mask_of,
     mask_vertices,
 )
-from .model import MinorModel, is_rooted_at, require_valid
+from .model import MinorModel, is_rooted_at
 from .params import DEFAULT_C_SCALE
 from .paths import (
     PathFamily,
@@ -394,12 +394,12 @@ def weave(
     if not fam.vertices() <= f_set | prior_vertices:
         raise WovennessFailedError("rerouted family left the allowed ground")
     try:
-        report = require_valid(model)
+        pattern = model.pattern
     except Exception as exc:
         raise WovennessFailedError(f"witness model invalid: {exc}") from exc
     if not is_rooted_at(model, root_list):
         raise WovennessFailedError("witness model is not rooted as requested")
-    if not _pattern_dense(report.pattern, eps, len(root_list)):
+    if not _pattern_dense(pattern, eps, len(root_list)):
         raise WovennessFailedError("witness pattern misses the density mark")
     endpoint_set = {v for p in pairs for v in p}
     meet = model.used_vertices() & fam.vertices()
@@ -465,12 +465,12 @@ def realize_woven_from_dense_minor(
     eps_fine = eps / 256
     t_dense = 32 * a
     if dense_model is not None:
-        rep = require_valid(dense_model)
+        pattern = dense_model.pattern
         if dense_model.host != g:
             raise HypothesisViolatedError(
                 "the dense model must live in the given host"
             )
-        if not is_eps_t_dense(rep.pattern, eps_fine, t_dense):
+        if not is_eps_t_dense(pattern, eps_fine, t_dense):
             raise DensityNotMetError("the supplied model is not dense enough")
         j_model = dense_model
     else:
@@ -493,7 +493,7 @@ def realize_woven_from_dense_minor(
 
     # drop branch sets whose pattern vertex misses too many others, then
     # those touching the roots or the collapsed equal pairs
-    pat = require_valid(j_model).pattern
+    pat = j_model.pattern
     half = eps * a / 2
     trivial = [i for i in range(b) if s_tuple[i] == t_tuple[i]]
     trivial_set = {s_tuple[i] for i in trivial}
@@ -532,7 +532,7 @@ def realize_woven_from_dense_minor(
             for i in kept
         ],
     )
-    n_av = complement_max_degree(require_valid(j1).pattern)
+    n_av = complement_max_degree(j1.pattern)
     active = [i for i in range(b) if s_tuple[i] != t_tuple[i]]
     attach_old = (
         list(r_prime)
@@ -552,7 +552,7 @@ def realize_woven_from_dense_minor(
     for idx in range(t_att):
         (hit,) = frags[idx] & frozenset(attach)
         where[hit] = idx
-    f_pat = require_valid(attached).pattern
+    f_pat = attached.pattern
 
     # each pair rides its two attachment fragments plus one shared
     # neighbor fragment; distinct pairs get distinct connectors
@@ -594,10 +594,9 @@ def realize_woven_from_dense_minor(
             frozenset(old_of_new[x] for x in frags[idx]) | {r}
         )
     model = MinorModel(g, final_frags)
-    report = require_valid(model)
     if not is_rooted_at(model, r_tuple):
         raise InternalInfeasibleError("assembled model lost its rooting")
-    if not is_eps_t_dense(report.pattern, eps, a):
+    if not is_eps_t_dense(model.pattern, eps, a):
         raise DensityNotMetError("assembled pattern misses the density mark")
     fam = PathFamily(
         [p for p in paths_out if p is not None],

@@ -461,12 +461,18 @@ def test_attached_search_certifies_or_blames_the_hypothesis():
     """On the split corpus the public search returns an attached, valid
     model whenever the separation hypothesis holds, checked or trusted; on
     a trusted run where it fails, the contradiction met at any depth is
-    blamed on the hypothesis, never reported as a bug or a search cap."""
+    blamed on the hypothesis, never reported as a bug or a search cap, and
+    the evidence is an avoiding separation of the host that re-checks."""
     held = failed = 0
     for i, g, s, d_sets, n_avoid, blocked in _split_corpus():
         if blocked:
-            with pytest.raises(HypothesisViolatedError):
+            with pytest.raises(HypothesisViolatedError) as info:
                 attached_model_search(g, s, d_sets, n_avoid, skip_separation_check=True)
+            sep = info.value.evidence
+            assert sep.violations(g) == [], i
+            assert set(s) <= sep.a and sep.order < len(s), i
+            avoided = [d for d in d_sets if not d & set(s) and d <= sep.b - sep.a]
+            assert len(avoided) > n_avoid, i
             failed += 1
             continue
         for skip in (False, True):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -8,12 +9,13 @@ from minorforge import (
     MinorModel,
     PathFamily,
     audit_path_family,
+    build_dense_minor,
     check_wovenness,
     complete_graph,
     graph_from_edge_list,
     is_eps_t_dense,
     is_rooted_at,
-    pattern_graph,
+    random_graph,
     realize_woven_from_dense_minor,
     require_valid,
     weave,
@@ -23,7 +25,7 @@ from minorforge.errors import (
     TooLargeError,
     WovennessFailedError,
 )
-from minorforge.rng import Rng
+from minorforge.rng import Rng, derive_seed
 
 
 def _cut_gadget():
@@ -98,7 +100,7 @@ def test_weave_reroutes_through_fenced_vertices():
     model, rerouted = weave(g, fence, roots=(0, 1), prior_linkage=prior)
     require_valid(model)
     assert is_rooted_at(model, (0, 1))
-    assert is_eps_t_dense(pattern_graph(model), Fraction(1, 2), 2)
+    assert is_eps_t_dense(model.pattern, Fraction(1, 2), 2)
     assert audit_path_family(g, rerouted) == []
     assert rerouted.pairs == prior.pairs
     # endpoints survive, the visited fence interior may be swapped out
@@ -140,13 +142,36 @@ def test_weave_rejects_bogus_realizer(monkeypatch):
         weave(g, (0, 1, 2, 3), roots=(3,), prior_linkage=prior)
 
 
+def test_library_validates_each_model_at_most_once(monkeypatch):
+    """Every model the pipeline and the woven construction touch is
+    validated once: later reads of its pattern, and the predicates, reuse
+    the first validation."""
+    import minorforge.model as model_mod
+
+    seen, validate = [], model_mod.validate_model
+
+    def counted(m):
+        seen.append(m)  # keeps m alive, so ids stay distinct
+        return validate(m)
+
+    monkeypatch.setattr(model_mod, "validate_model", counted)
+    g = random_graph(200, Fraction(1, 2), Rng(derive_seed(5, 1, 0, 0)))
+    build_dense_minor(g, Fraction(1, 10), 5, Fraction(8), Rng(derive_seed(5, 1, 0, 1)))
+    edges = complete_graph(68).edges()
+    k68_less_one = graph_from_edge_list(68, edges[:100] + edges[101:])
+    request = ((0, 1), tuple(range(2, 8)), tuple(range(8, 14)))
+    realize_woven_from_dense_minor(k68_less_one, Fraction(1, 2), 2, request)
+    counts = Counter(id(m) for m in seen)
+    assert len(seen) >= 8 and max(counts.values()) == 1, counts
+
+
 def test_realize_from_dense_minor_end_to_end():
     g = complete_graph(80)
     request = ((0, 1), tuple(range(60, 66)), tuple(range(66, 72)))
     model, fam = realize_woven_from_dense_minor(g, Fraction(1, 2), 2, request)
     require_valid(model)
     assert is_rooted_at(model, request[0])
-    assert is_eps_t_dense(pattern_graph(model), Fraction(1, 2), 2)
+    assert is_eps_t_dense(model.pattern, Fraction(1, 2), 2)
     assert audit_path_family(g, fam) == []
     assert fam.pairs == tuple(zip(request[1], request[2]))
     assert not model.used_vertices() & fam.vertices()
