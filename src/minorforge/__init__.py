@@ -18,20 +18,16 @@ from .build import (
 from .coloring import (
     chromatic_number_exact,
     is_chromatic_separable,
-    two_coloring,
 )
 from .config import Caps, active_caps
 from .connectivity import vertex_connectivity, vertex_connectivity_with_cutset
 from .flow import pair_vertex_cut
 from .errors import (
     AttemptsExhaustedError,
-    ConstructionFailedError,
     DensityNotMetError,
     DisconnectedHostError,
     ExtractionFailedError,
     HypothesisViolatedError,
-    InfeasibleError,
-    InsufficientError,
     InternalInfeasibleError,
     InvalidBipartitionError,
     InvalidModelError,
@@ -51,11 +47,9 @@ from .extract import (
     ExtractionTrace,
     dense_connected_minor,
     dense_connected_minor_with_trace,
-    disjoint_k_connected_collection,
     k_connected_subgraph,
     mader_min_degree_minor,
     mader_min_degree_minor_with_trace,
-    peel_dense_subset,
     replay_extraction,
 )
 from .graph import (
@@ -63,7 +57,6 @@ from .graph import (
     average_degree,
     complement_max_degree,
     complete_graph,
-    contract_edge,
     contract_edge_mapped,
     edge_density,
     graph_from_edge_list,
@@ -90,10 +83,8 @@ from .model import (
     compose_models,
     contract_model,
     is_attached_to,
-    is_core,
     is_rooted_at,
     require_valid,
-    sub_model,
     validate_model,
 )
 from .params import (
@@ -105,13 +96,9 @@ from .paths import (
     PathFamily,
     Separation,
     audit_path_family,
-    combine_redundant,
-    container,
-    doubled_menger,
     find_linkage,
     knit_connect,
     menger,
-    ordered_path_through,
     require_paths,
 )
 from .rng import Rng, derive_seed

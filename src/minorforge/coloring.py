@@ -112,25 +112,6 @@ def chromatic_number_exact(g: Graph, cap: int | None = None) -> int:
     return ub
 
 
-def two_coloring(g: Graph) -> list[int] | None:
-    """Explicit proper 2-coloring when one exists (BFS layering), else None."""
-    color = [-1] * g.n
-    for start in range(g.n):
-        if color[start] != -1:
-            continue
-        color[start] = 0
-        queue = [start]
-        while queue:
-            v = queue.pop()
-            for w in mask_vertices(g.neighbor_bits(v)):
-                if color[w] == -1:
-                    color[w] = 1 - color[v]
-                    queue.append(w)
-                elif color[w] == color[v]:
-                    return None
-    return color
-
-
 def is_chromatic_separable(g: Graph, m: int, cap: int | None = None):
     """Whether disjoint vertex sets A, B exist with chi(G[A]), chi(G[B]) >= chi(G)-m.
 

@@ -48,14 +48,6 @@ class ExtractionFailedError(MinorforgeError):
     """Descent terminated without a certifiable witness."""
 
 
-class InsufficientError(MinorforgeError):
-    """Fewer disjoint witnesses found than requested."""
-
-    def __init__(self, message: str, found: int):
-        super().__init__(message)
-        self.found = found
-
-
 class AttemptsExhaustedError(MinorforgeError):
     """Randomized search ran out of retries."""
 
@@ -97,22 +89,10 @@ class NeighborsUnavailableError(MinorforgeError):
     pass
 
 
-class ConstructionFailedError(MinorforgeError):
-    pass
-
-
 class WovennessFailedError(MinorforgeError):
     def __init__(self, message: str, counterexample=None):
         super().__init__(message)
         self.counterexample = counterexample
-
-
-class InfeasibleError(MinorforgeError):
-    """Requested path family does not exist; carries the dual separation."""
-
-    def __init__(self, message: str, separation=None):
-        super().__init__(message)
-        self.separation = separation
 
 
 class InternalInfeasibleError(MinorforgeError):

@@ -1,5 +1,5 @@
 """Contraction-descent extraction: low-order minors with degree and
-connectivity guarantees, dense-subset peeling, and k-connected subgraphs."""
+connectivity guarantees, and k-connected subgraphs."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ from .connectivity import vertex_connectivity_with_cutset
 from .errors import (
     ExtractionFailedError,
     HypothesisViolatedError,
-    InsufficientError,
     ParseError,
     check_internal,
 )
@@ -396,7 +395,7 @@ def mader_min_degree_minor(g: Graph, d: int) -> MinorModel:
 def dense_connected_minor_with_trace(
     g: Graph, d: int
 ) -> tuple[MinorModel, ExtractionTrace]:
-    work, _ = _certified_descent(g, d)
+    work, model = _certified_descent(g, d)
     pat, reps = work.pattern()
     if pat.n >= 2:
         kappa, cutset = vertex_connectivity_with_cutset(pat)
@@ -407,7 +406,7 @@ def dense_connected_minor_with_trace(
             keep = _small_side(pat, set(cutset))
             for r in sorted(reps[i] for i in set(range(pat.n)) - keep):
                 work.delete(r)
-    model = work.model()
+            model = work.model()
     _certify_dense_connected(model, d)
     return model, ExtractionTrace(tuple(work.steps), model)
 
@@ -449,43 +448,11 @@ def dense_connected_minor(g: Graph, d: int) -> MinorModel:
     return dense_connected_minor_with_trace(g, d)[0]
 
 
-def peel_dense_subset(g: Graph, s, r: int, delta) -> tuple[int, ...]:
-    """Largest subset of s in which every vertex keeps inside-degree at
-    least max(delta, its host degree / r); possibly empty.  When
-    (r-2)e(s) > (r-1)*delta*|s| + boundary(s) held on the way in, the
-    result is provably nonempty."""
-    if r < 3:
-        raise HypothesisViolatedError("the degree divisor must be at least 3")
-    delta = Fraction(delta)
-    if delta <= 0:
-        raise HypothesisViolatedError("the degree floor must be positive")
-    given = set(s)
-    for v in given:
-        g.check_vertex(v)
-    cur = mask_of(given)
-    size = cur.bit_count()
-    inner0 = sum((g.neighbor_bits(v) & cur).bit_count() for v in mask_vertices(cur))
-    boundary0 = sum((g.neighbor_bits(v) & ~cur).bit_count() for v in mask_vertices(cur))
-    guaranteed = size > 0 and (r - 2) * (inner0 // 2) > (r - 1) * delta * size + boundary0
-    changed = True
-    while changed:
-        changed = False
-        for v in mask_vertices(cur):
-            inside = (g.neighbor_bits(v) & cur).bit_count()
-            if inside < max(delta, Fraction(g.degree(v), r)):
-                cur ^= 1 << v
-                changed = True
-    check_internal(
-        not guaranteed or cur != 0, "peeling emptied a set whose surplus guaranteed a core"
-    )
-    return tuple(mask_vertices(cur))
-
-
-def _connectivity_descent(g: Graph, start: set[int], k: int) -> set[int] | None:
+def _connectivity_descent(g: Graph, k: int) -> set[int] | None:
     """Shrink toward a k-connected induced subgraph by stepping into the
     side of each small separation with the larger edge surplus
     (2e - (4k-3)n); certified by the exit condition, None when stuck."""
-    cur = set(start)
+    cur = set(range(g.n))
     while True:
         if len(cur) < k + 1:
             return None
@@ -527,29 +494,7 @@ def k_connected_subgraph(g: Graph, k: int) -> tuple[int, ...]:
         raise HypothesisViolatedError(
             f"average degree below {4 * k} cannot support the target"
         )
-    found = _connectivity_descent(g, set(range(g.n)), k)
+    found = _connectivity_descent(g, k)
     if found is None:
         raise ExtractionFailedError("connectivity descent ran out of sides")
     return tuple(sorted(found))
-
-
-def disjoint_k_connected_collection(
-    g: Graph, k: int, max_size: int, want: int
-) -> list[tuple[int, ...]]:
-    """Greedy pass peeling off pairwise-disjoint k-connected induced
-    subgraphs of at most max_size vertices until `want` are found."""
-    if k < 1:
-        raise HypothesisViolatedError("the connectivity target must be >= 1")
-    if want < 0:
-        raise HypothesisViolatedError("the requested count must be >= 0")
-    remaining = set(range(g.n))
-    out: list[tuple[int, ...]] = []
-    while len(out) < want:
-        found = _connectivity_descent(g, remaining, k)
-        if found is None or len(found) > max_size:
-            raise InsufficientError(
-                f"only {len(out)} of {want} disjoint subgraphs found", len(out)
-            )
-        out.append(tuple(sorted(found)))
-        remaining -= found
-    return out

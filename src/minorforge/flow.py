@@ -264,10 +264,10 @@ class SetFlow(FlowNet):
     equal size) while making every decomposed flow path well formed.  A
     vertex in ``s & t`` carries only its own one-vertex path.
 
-    ``source_cap=2`` lets each source vertex start two paths (the doubled
-    variant).  ``uncuttable_targets=True`` gives target vertices infinite
-    capacity so a minimum cut can never contain them.  The two together
-    need sources and targets nonadjacent, so that no arc carries two units.
+    ``uncuttable_sources=True`` and ``uncuttable_targets=True`` give source
+    and target vertices infinite capacity, so a minimum cut can never
+    contain them.  The two together need sources and targets nonadjacent,
+    so that no arc carries two units.
     """
 
     __slots__ = ("value",)
@@ -278,7 +278,7 @@ class SetFlow(FlowNet):
         s,
         t,
         *,
-        source_cap: int = 1,
+        uncuttable_sources: bool = False,
         uncuttable_targets: bool = False,
     ):
         s, t = frozenset(s), frozenset(t)
@@ -288,20 +288,20 @@ class SetFlow(FlowNet):
         self.sources = sorted(s)
         self.smask, self.tmask = mask_of(s), mask_of(t)
         self.cap = [1] * g.n
-        for v in s - t:
-            self.cap[v] = source_cap
-        for v in t - s:
-            self.cap[v] = INF if uncuttable_targets else 1
-        if source_cap > 1 and uncuttable_targets and any(
+        if uncuttable_sources:
+            for v in s - t:
+                self.cap[v] = INF
+        if uncuttable_targets:
+            for v in t - s:
+                self.cap[v] = INF
+        if uncuttable_sources and uncuttable_targets and any(
             self.bits[v] & self.tmask & ~self.smask for v in s - t
         ):
-            raise HypothesisViolatedError(
-                "a source of capacity above one neighbours an uncuttable target"
-            )
+            raise HypothesisViolatedError("an uncuttable source neighbours an uncuttable target")
         self.through = [0] * g.n
         self.fout = [0] * g.n
         self.fin = [0] * g.n
-        self.spare = (1 << g.n) - 1 & ~(0 if source_cap > 0 else mask_of(s - t))
+        self.spare = (1 << g.n) - 1
         self.used = 0
         self._reach = None
         self.value = 0
@@ -324,11 +324,8 @@ class SetFlow(FlowNet):
     def paths(self) -> list[tuple[int, ...]]:
         """Decompose the current flow into vertex paths, one per unit: a
         walk leaves its source along the lowest arc with a unit not yet
-        walked, and stops at the first target.
-
-        Source vertices with flow 2 yield two paths sharing only that start
-        vertex.
-        """
+        walked, and stops at the first target.  An uncuttable source
+        starts one path per unit it carries, sharing only that vertex."""
         left = list(self.fout)
         walked = [0] * len(left)
         out: list[tuple[int, ...]] = []
@@ -353,9 +350,8 @@ class SetFlow(FlowNet):
 
     def cut_vertices(self) -> tuple[int, ...]:
         """Vertices of a minimum cut; valid once ``run`` stalled below its
-        limit.  A doubled source vertex in the cut counts with weight 2
-        toward the cut value, which the caller accounts for.  Reuses the
-        reach masks of the search that stalled, if the flow stalled."""
+        limit.  Reuses the reach masks of the search that stalled, if the
+        flow stalled."""
         if self._reach is None:
             _, hit, reach_in, reach_out = self._search()
             check_internal(hit < 0, "a minimum cut was asked of a flow that is not maximum")
@@ -375,7 +371,7 @@ def pair_vertex_cut(g: Graph, x: int, y: int, limit: int = INF):
         raise HypothesisViolatedError(
             "a pair cut needs two distinct nonadjacent vertices", evidence=(x, y)
         )
-    flow = SetFlow(g, (x,), (y,), source_cap=INF, uncuttable_targets=True)
+    flow = SetFlow(g, (x,), (y,), uncuttable_sources=True, uncuttable_targets=True)
     value, cut = flow.min_cut(limit)
     check_internal(cut is None or len(cut) == value, "cut size must match the maximum flow")
     return value, cut

@@ -285,14 +285,9 @@ def _induced(bits, kept: int) -> Graph:
     return Graph._from_masks(at, rows)
 
 
-def contract_edge(g: Graph, u: int, v: int) -> Graph:
-    """Contract edge uv into a simple graph on n-1 vertices."""
-    graph, _ = contract_edge_mapped(g, u, v)
-    return graph
-
-
 def contract_edge_mapped(g: Graph, u: int, v: int) -> tuple[Graph, tuple[int, ...]]:
-    """contract_edge plus the old-to-new index map (u and v share an image)."""
+    """Contract edge uv into a simple graph on n-1 vertices, plus the
+    old-to-new index map (u and v share an image)."""
     if not g.has_edge(u, v):
         raise NotAnEdgeError(f"({u},{v}) is not an edge")
     lo, hi = min(u, v), max(u, v)

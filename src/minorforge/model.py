@@ -22,7 +22,6 @@ from .errors import (
     InvalidModelError,
     NotDisjointError,
     OrderTooSmallError,
-    UnknownVertexError,
     check_internal,
 )
 from .graph import Graph, contract_edge_mapped, induced_subgraph, mask_of
@@ -181,29 +180,6 @@ def is_attached_to(m: MinorModel, s) -> bool:
     return covered == s
 
 
-def is_core(m: MinorModel, s, h: Graph | None = None) -> bool:
-    """True when ``s`` already carries the pattern: for every pattern edge
-    (of ``h`` when given, else of the realized pattern) some host edge joins
-    the two fragments inside ``s``.  Callers pass ``h`` to test against an
-    intended pattern rather than the realized one."""
-    realized = m.pattern  # raises on an invalid model
-    pat = realized if h is None else h
-    s = frozenset(s)
-    for v in s:
-        m.host.check_vertex(v)
-    if pat.n != len(m.fragments):
-        raise InvalidModelError(
-            "pattern order does not match the fragment count"
-        )
-    parts = [f & s for f in m.fragments]
-    for i, j in pat.edges():
-        if not parts[i] or not parts[j]:
-            return False
-        if anticomplete(m.host, parts[i], parts[j]):
-            return False
-    return True
-
-
 def anticomplete(g: Graph, a, b) -> bool:
     """No edge between the disjoint sets ``a`` and ``b``."""
     a = frozenset(a)
@@ -235,12 +211,3 @@ def compose_models(outer: MinorModel, inner: MinorModel) -> MinorModel:
     composed = MinorModel(outer.host, fragments)
     composed.pattern  # raises if a merged fragment is not connected
     return composed
-
-
-def sub_model(m: MinorModel, indices) -> MinorModel:
-    """The model restricted to the given fragment indices, in the given
-    order."""
-    for i in indices:
-        if not (0 <= i < len(m.fragments)):
-            raise UnknownVertexError(f"no fragment {i}")
-    return MinorModel(m.host, [m.fragments[i] for i in indices])

@@ -1,22 +1,17 @@
-"""Disjoint-path tools with certificates: Menger duals, doubled families,
-exact linkage search, knit construction, ordered paths, and containers."""
+"""Disjoint-path tools with certificates: Menger duals, exact linkage
+search, and knit construction."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coloring import two_coloring
 from .config import active_caps
 from .errors import (
-    ConstructionFailedError,
-    DisconnectedHostError,
     HypothesisViolatedError,
-    InfeasibleError,
     InternalInfeasibleError,
     LinkageFailedError,
     NeighborsUnavailableError,
     TooLargeError,
-    UnknownVertexError,
     check_internal,
 )
 from .flow import SetFlow
@@ -57,8 +52,6 @@ class PathFamily:
     """Vertex paths plus the endpoint contract they claim to satisfy.
 
     kind "between": disjoint paths from s to t, no internal vertex in s | t.
-    kind "doubled": paths pairwise sharing nothing outside s, each s-vertex
-    the endpoint of exactly two.
     kind "linkage": path i runs from pairs[i][0] to pairs[i][1], all paths
     fully disjoint.
     """
@@ -104,11 +97,8 @@ def audit_path_family(g: Graph, fam: PathFamily) -> list[str]:
                 break
     if out:
         return out
-    if fam.kind in ("between", "doubled"):
-        check_internal(
-            fam.s is not None and fam.t is not None, f"a {fam.kind} family needs s and t"
-        )
     if fam.kind == "between":
+        check_internal(fam.s is not None and fam.t is not None, "a between family needs s and t")
         seen: set[int] = set()
         for i, p in enumerate(fam.paths):
             if p[0] not in fam.s:
@@ -120,27 +110,6 @@ def audit_path_family(g: Graph, fam: PathFamily) -> list[str]:
             if seen & set(p):
                 out.append(f"path {i} shares a vertex with an earlier path")
             seen.update(p)
-    elif fam.kind == "doubled":
-        starts: dict[int, int] = {}
-        for i, p in enumerate(fam.paths):
-            if p[0] not in fam.s:
-                out.append(f"path {i} does not start in s")
-            else:
-                starts[p[0]] = starts.get(p[0], 0) + 1
-            if p[-1] not in fam.t:
-                out.append(f"path {i} does not end in t")
-            if any(v in fam.s or v in fam.t for v in p[1:-1]):
-                out.append(f"path {i} passes through s or t internally")
-        for i, p in enumerate(fam.paths):
-            for j in range(i + 1, len(fam.paths)):
-                shared = set(p) & set(fam.paths[j]) - fam.s
-                if shared:
-                    out.append(
-                        f"paths {i},{j} share vertex {min(shared)} outside s"
-                    )
-        for v in fam.s:
-            if starts.get(v, 0) != 2:
-                out.append(f"s-vertex {v} starts {starts.get(v, 0)} paths, not 2")
     elif fam.kind == "linkage":
         check_internal(fam.pairs is not None, "a linkage family needs its pairs")
         if len(fam.paths) != len(fam.pairs):
@@ -205,68 +174,6 @@ def menger(g: Graph, s, t, k: int):
     check_internal(s <= sep.a and t <= sep.b, "Menger cut does not separate s from t")
     check_internal(not sep.violations(g), "Menger cut is not a separation")
     return sep
-
-
-def doubled_menger(g: Graph, z, t, budget: int) -> PathFamily:
-    """2|z| paths from ``z`` to ``t`` pairwise sharing no vertex outside
-    ``z``, each z-vertex starting exactly two.  Realized by giving each
-    z-vertex capacity two in the flow network.  Raises
-    :class:`InfeasibleError` carrying the dual separation otherwise."""
-    z = frozenset(z)
-    t = frozenset(t)
-    _check_sets(g, z, t)
-    if budget != 2 * len(z):
-        raise HypothesisViolatedError("budget must be twice the source count")
-    if z & t:
-        raise HypothesisViolatedError("doubled sources must avoid the targets")
-    flow = SetFlow(g, z, t, source_cap=2)
-    if flow.run(limit=budget) >= budget:
-        fam = PathFamily(flow.paths(), "doubled", s=z, t=t)
-        return require_paths(g, fam)
-    cut = flow.cut_vertices()
-    sep = _separation_from_cut(g, z, cut)
-    weighted = 2 * len(sep.a & sep.b & z) + len((sep.a & sep.b) - z)
-    check_internal(weighted < budget, "doubled cut is too large")
-    raise InfeasibleError(
-        f"only {flow.value} of {budget} doubled paths exist", separation=sep
-    )
-
-
-def combine_redundant(g: Graph, fam1: PathFamily, fam2: PathFamily) -> PathFamily:
-    """Merge two doubled families aimed at the same targets into
-    ``|s1| + |s2|`` fully disjoint paths from ``s1 | s2`` to the targets,
-    by rerunning the set-flow inside the union of the two families."""
-    for fam in (fam1, fam2):
-        if fam.kind != "doubled":
-            raise HypothesisViolatedError("both families must be doubled")
-        problems = audit_path_family(g, fam)
-        if problems:
-            raise HypothesisViolatedError(
-                "family breaks its contract: " + problems[0]
-            )
-    if fam1.t != fam2.t:
-        raise HypothesisViolatedError("families aim at different targets")
-    s1, s2, t = fam1.s, fam2.s, fam1.t
-    if s1 & s2:
-        raise HypothesisViolatedError("source sets overlap")
-    if (s1 | s2) & t:
-        raise HypothesisViolatedError("sources must avoid the targets")
-    if fam1.vertices() & s2 or fam2.vertices() & s1:
-        raise HypothesisViolatedError(
-            "each family must avoid the other family's sources"
-        )
-    union_edges = set()
-    for fam in (fam1, fam2):
-        for p in fam.paths:
-            for x, y in zip(p, p[1:]):
-                union_edges.add((min(x, y), max(x, y)))
-    union = Graph(g.n, sorted(union_edges))
-    got = menger(union, s1 | s2, t, len(s1) + len(s2))
-    if isinstance(got, Separation):
-        raise InternalInfeasibleError(
-            "redundant combination must be feasible on the union"
-        )
-    return require_paths(g, got)
 
 
 def _valid_pair_convention(pairs) -> str | None:
@@ -436,151 +343,3 @@ def knit_connect(g: Graph, s, parts) -> list[frozenset[int]]:
         check_internal(set(part) <= c, "knit set must contain its part")
         check_internal(g.reach(mask & -mask, mask) == mask, "knit set must be connected")
     return sets
-
-
-def ordered_path_through(g: Graph, sequence) -> PathFamily:
-    """One path visiting the given distinct vertices in the given order.
-    Adjacent consecutive vertices ride the direct edge; the rest are joined
-    through fresh neighbors by an exact linkage outside the sequence."""
-    seq = [int(v) for v in sequence]
-    for v in seq:
-        g.check_vertex(v)
-    if len(set(seq)) != len(seq) or not seq:
-        raise HypothesisViolatedError("sequence must be nonempty and distinct")
-    if len(seq) == 1:
-        return PathFamily(((seq[0],),), "linkage", pairs=((seq[0], seq[0]),))
-    banned = set(seq)
-    gaps = [
-        j for j in range(len(seq) - 1) if not g.has_edge(seq[j], seq[j + 1])
-    ]
-    exit_nbr: dict[int, int] = {}
-    entry_nbr: dict[int, int] = {}
-    for j in gaps:
-        (exit_nbr[j],) = _pick_fresh(g, seq[j], banned, 1)
-        (entry_nbr[j],) = _pick_fresh(g, seq[j + 1], banned, 1)
-    segments: dict[int, list[int]] = {}
-    if gaps:
-        keep = sorted(set(range(g.n)) - set(seq))
-        sub, old_of_new = induced_subgraph(g, keep)
-        new_of_old = {v: i for i, v in enumerate(old_of_new)}
-        sub_pairs = [(new_of_old[exit_nbr[j]], new_of_old[entry_nbr[j]]) for j in gaps]
-        linked = find_linkage(sub, sub_pairs)
-        if linked is None:
-            raise LinkageFailedError(
-                "no disjoint connectors visit the sequence in order"
-            )
-        for j, path in zip(gaps, linked.paths):
-            segments[j] = [old_of_new[x] for x in path]
-    full: list[int] = [seq[0]]
-    for j in range(len(seq) - 1):
-        full.extend(segments.get(j, []))
-        full.append(seq[j + 1])
-    fam = PathFamily((tuple(full),), "linkage", pairs=((seq[0], seq[-1]),))
-    require_paths(g, fam)
-    positions = {v: i for i, v in enumerate(full)}
-    check_internal(
-        all(positions[a] < positions[b] for a, b in zip(seq, seq[1:])),
-        "sequence order must be preserved",
-    )
-    return fam
-
-
-def _odd_cycle(g: Graph, vs: list[int]) -> list[int] | None:
-    """Vertices of one odd cycle inside the induced subgraph on ``vs``, or
-    ``None`` when that subgraph is bipartite."""
-    vmask = mask_of(vs)
-    color: dict[int, int] = {}
-    parent: dict[int, int | None] = {}
-    for root in mask_vertices(vmask):
-        if root in color:
-            continue
-        color[root] = 0
-        parent[root] = None
-        queue = [root]
-        head = 0
-        while head < len(queue):
-            u = queue[head]
-            head += 1
-            for w in mask_vertices(g.neighbor_bits(u) & vmask):
-                if w not in color:
-                    color[w] = color[u] ^ 1
-                    parent[w] = u
-                    queue.append(w)
-                elif color[w] == color[u]:
-                    up: list[int] = []
-                    node: int | None = u
-                    while node is not None:
-                        up.append(node)
-                        node = parent[node]
-                    wp: list[int] = []
-                    node = w
-                    while node is not None:
-                        wp.append(node)
-                        node = parent[node]
-                    shared = set(up) & set(wp)
-                    cut_u = next(i for i, x in enumerate(up) if x in shared)
-                    cut_w = next(i for i, x in enumerate(wp) if x in shared)
-                    return up[: cut_u + 1] + wp[:cut_w][::-1]
-    return None
-
-
-def container(g: Graph, s):
-    """A connected induced subgraph ``h`` around ``s`` plus a blocker
-    ``s_prime`` with ``s ⊆ s_prime ⊆ h``, ``|s_prime| ≤ 3|s|``, and
-    ``g[h ∖ s_prime]`` two-colorable."""
-    s = frozenset(s)
-    _check_sets(g, s)
-    if not s:
-        raise UnknownVertexError("container needs at least one vertex")
-    if not g.is_connected():
-        raise DisconnectedHostError("container requires a connected host")
-    if len(s) == 1:
-        only = tuple(s)
-        return only, only
-    full = (1 << g.n) - 1
-    remaining = mask_of(s)
-    tree = remaining & -remaining
-    remaining ^= tree
-    tree_adj: dict[int, set[int]] = {min(s): set()}
-    while remaining:
-        path = g.shortest_path(tree, remaining, full)
-        check_internal(path is not None, "connected host must reach every target")
-        for x, y in zip(path, path[1:]):
-            tree_adj.setdefault(x, set()).add(y)
-            tree_adj.setdefault(y, set()).add(x)
-        tree |= mask_of(path)
-        remaining &= ~(1 << path[-1])
-    changed = True
-    while changed:
-        changed = False
-        for v in sorted(tree_adj):
-            if v not in s and len(tree_adj[v]) == 1:
-                (w,) = tree_adj[v]
-                tree_adj[w].discard(v)
-                del tree_adj[v]
-                changed = True
-    branch = {v for v, nbrs in tree_adj.items() if len(nbrs) >= 3}
-    s_prime = set(s) | branch
-    h = sorted(tree_adj)
-    while True:
-        rest = [v for v in h if v not in s_prime]
-        cycle = _odd_cycle(g, rest)
-        if cycle is None:
-            break
-        if len(s_prime) >= 3 * len(s):
-            raise ConstructionFailedError(
-                "could not reach a two-colorable remainder within the size cap"
-            )
-        rest_mask = mask_of(rest)
-        pick = max(
-            cycle,
-            key=lambda v: ((g.neighbor_bits(v) & rest_mask).bit_count(), -v),
-        )
-        s_prime.add(pick)
-    rest = [v for v in h if v not in s_prime]
-    sub, _ = induced_subgraph(g, rest)
-    check_internal(
-        sub.n == 0 or two_coloring(sub) is not None, "container remainder must be two-colorable"
-    )
-    check_internal(len(s_prime) <= 3 * len(s), "container blocker outgrew 3|s|")
-    return tuple(sorted(s_prime)), tuple(h)

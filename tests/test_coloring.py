@@ -10,7 +10,6 @@ from minorforge import (
     graph_from_edge_list,
     is_chromatic_separable,
     random_graph,
-    two_coloring,
 )
 from minorforge.errors import TooLargeError
 from minorforge.rng import Rng, derive_seed
@@ -39,15 +38,6 @@ def test_cap_refusal():
     with pytest.raises(TooLargeError):
         chromatic_number_exact(complete_graph(21))
     assert chromatic_number_exact(complete_graph(21), cap=21) == 21
-
-
-def test_two_coloring():
-    even = graph_from_edge_list(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)])
-    col = two_coloring(even)
-    assert col is not None
-    assert all(col[u] != col[v] for u, v in even.edges())
-    odd = graph_from_edge_list(3, [(0, 1), (1, 2), (0, 2)])
-    assert two_coloring(odd) is None
 
 
 def _brute_separable(g, m):

@@ -12,13 +12,11 @@ from minorforge import (
     complete_graph,
     dense_connected_minor,
     dense_connected_minor_with_trace,
-    disjoint_k_connected_collection,
     graph_from_edge_list,
     induced_subgraph,
     k_connected_subgraph,
     mader_min_degree_minor,
     mader_min_degree_minor_with_trace,
-    peel_dense_subset,
     random_graph,
     replay_extraction,
     require_valid,
@@ -28,7 +26,6 @@ from minorforge import extract
 from minorforge.errors import (
     ExtractionFailedError,
     HypothesisViolatedError,
-    InsufficientError,
     ParseError,
 )
 from minorforge.graph import mask_vertices
@@ -325,13 +322,52 @@ def test_degree_safe_contraction_matches_the_full_degree_scan(monkeypatch):
 
 
 def test_dense_connected_contract():
-    # two cliques banged together force the cut-restriction step
+    # two cliques joined by one edge: the descent keeps one clique, so the
+    # restriction deletes nothing (the deleting case is tested above)
     g = _two_cliques(6)
     model = dense_connected_minor(g, 6)
     pat = require_valid(model).pattern
     assert 2 <= pat.n <= 6
     assert 3 * pat.min_degree() >= 6
     assert 6 * vertex_connectivity(pat) >= 6
+
+
+def test_dense_connected_validates_the_descent_model_once(monkeypatch):
+    """The restriction keeps the descent's certified model when it deletes
+    nothing, so those fragments are validated once.  When it deletes, the
+    restricted model is validated as well: two K_10 sharing two vertices
+    have connectivity 2 < 18/6, and a descent that stops at once leaves the
+    K_8 of one side."""
+    import minorforge.model as model_mod
+
+    seen, validate = [], model_mod.validate_model
+
+    def counted(m):
+        seen.append(m.fragments)
+        return validate(m)
+
+    g = random_graph(40, Fraction(3, 5), Rng(derive_seed(33, 0)))
+    descent = mader_min_degree_minor(g, 8).fragments
+    monkeypatch.setattr(model_mod, "validate_model", counted)
+    assert dense_connected_minor(g, 8).fragments == descent  # nothing deleted
+    assert seen == [descent]
+
+    sides = (range(10), range(8, 18))
+    split = graph_from_edge_list(
+        18, sorted({(a, b) for side in sides for a in side for b in side if a < b})
+    )
+
+    def stopped(host, d):
+        work = extract._Work(host)
+        model = work.model()
+        model.pattern  # certified, as the descent's model is
+        return work, model
+
+    monkeypatch.setattr(extract, "_certified_descent", stopped)
+    seen.clear()
+    model = dense_connected_minor(split, 18)
+    assert model.fragments == tuple(frozenset({v}) for v in range(8))
+    assert seen == [tuple(frozenset({v}) for v in range(18)), model.fragments]
 
 
 def test_dense_connected_on_seeded_graphs():
@@ -351,20 +387,6 @@ def test_dense_connected_on_seeded_graphs():
         assert replay_extraction(g, trace).fragments == model.fragments
 
 
-def test_peel_dense_subset_postcondition():
-    g = petersen()
-    kept = peel_dense_subset(g, range(10), 3, 1)
-    kept_set = set(kept)
-    for v in kept:
-        inside = len(g.neighbors(v) & kept_set)
-        assert inside >= max(1, Fraction(g.degree(v), 3))
-    # a guaranteed-surplus instance stays nonempty
-    dense = complete_graph(12)
-    assert peel_dense_subset(dense, range(12), 3, 2)
-    with pytest.raises(HypothesisViolatedError):
-        peel_dense_subset(g, range(10), 2, 1)
-
-
 def test_k_connected_subgraph():
     g = complete_graph(10)
     keep = k_connected_subgraph(g, 2)
@@ -372,16 +394,3 @@ def test_k_connected_subgraph():
     assert vertex_connectivity(sub) >= 2
     with pytest.raises(HypothesisViolatedError):
         k_connected_subgraph(petersen(), 1)  # average degree 3 < 4
-
-
-def test_disjoint_collection_and_insufficiency():
-    g = _two_cliques(9)
-    found = disjoint_k_connected_collection(g, 2, max_size=9, want=2)
-    assert len(found) == 2
-    assert not set(found[0]) & set(found[1])
-    for keep in found:
-        sub, _ = induced_subgraph(g, keep)
-        assert vertex_connectivity(sub) >= 2
-    with pytest.raises(InsufficientError) as info:
-        disjoint_k_connected_collection(g, 2, max_size=9, want=3)
-    assert info.value.found == 2

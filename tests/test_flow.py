@@ -113,12 +113,16 @@ def test_set_flow_paths_are_disjoint():
 def test_doubled_source_next_to_uncuttable_target_is_refused():
     g = graph_from_edge_list(3, [(0, 1), (1, 2)])
     with pytest.raises(HypothesisViolatedError):
-        SetFlow(g, {0}, {1}, source_cap=2, uncuttable_targets=True)
-    SetFlow(g, {0}, {2}, source_cap=2, uncuttable_targets=True)
+        SetFlow(g, {0}, {1}, uncuttable_sources=True, uncuttable_targets=True)
+    SetFlow(g, {0}, {2}, uncuttable_sources=True, uncuttable_targets=True)
 
 
-_FLOW_KINDS = ({}, {"source_cap": 2}, {"uncuttable_targets": True})
-_PAIR_CUT = {"source_cap": INF, "uncuttable_targets": True}
+_FLOW_KINDS = ({}, {"uncuttable_targets": True})
+# the reference spells an uncuttable source as one of capacity INF
+_PAIR_CUT = (
+    {"uncuttable_sources": True, "uncuttable_targets": True},
+    {"source_cap": INF, "uncuttable_targets": True},
+)
 
 
 @contextmanager
@@ -175,7 +179,8 @@ def test_engine_matches_the_explicit_network(monkeypatch):
             overlap = rng.below(3)  # how many sources are also targets
             s, t = verts[:a], verts[max(0, a - overlap) : a + b]
             hits["overlap"] += bool(set(s) & set(t))
-            _compare_finders(g, s, t, _FLOW_KINDS[i % 3], rng, hits, i)
+            kwargs = _FLOW_KINDS[i % len(_FLOW_KINDS)]
+            _compare_finders(g, s, t, (kwargs, kwargs), rng, hits, i)
             x, y = verts[0], verts[-1]
             if not g.has_edge(x, y):
                 _compare_finders(g, [x], [y], _PAIR_CUT, rng, hits, i)
@@ -187,7 +192,7 @@ def test_engine_matches_the_explicit_network(monkeypatch):
         # path is 0-2-5; the second runs 1-4-5, back over 5-2-0 and on by
         # 0-3-6, so the flow ends as 0-3-6 and 1-4-5 and vertex 2 is freed.
         g = graph_from_edge_list(7, [(0, 2), (2, 5), (0, 3), (3, 6), (1, 4), (4, 5)])
-        _compare_finders(g, [0, 1], [5, 6], {}, Rng(0), hits, "unit off a vertex")
+        _compare_finders(g, [0, 1], [5, 6], ({}, {}), Rng(0), hits, "unit off a vertex")
     for case in ("overlap", "stalled", "doubled start", "refused cut",
                  "pair cut", "pair capped", "unit off a vertex"):
         assert hits[case], case
@@ -195,8 +200,9 @@ def test_engine_matches_the_explicit_network(monkeypatch):
 
 
 def _compare_finders(g, s, t, kwargs, rng, hits, i):
-    engine, phased = SetFlow(g, s, t, **kwargs), SetFlow(g, s, t, **kwargs)
-    old = ref.SetFlow(g, s, t, **kwargs)
+    """``kwargs`` holds the engine's keywords, then the reference's."""
+    engine, phased = SetFlow(g, s, t, **kwargs[0]), SetFlow(g, s, t, **kwargs[0])
+    old = ref.SetFlow(g, s, t, **kwargs[1])
     for limit in (1 + rng.below(4), INF):
         value = engine.run(limit)
         assert value == old.run(limit), i

@@ -11,7 +11,6 @@ from minorforge import (
     average_degree,
     complement_max_degree,
     complete_graph,
-    contract_edge,
     contract_edge_mapped,
     edge_density,
     graph_from_edge_list,
@@ -112,14 +111,11 @@ def test_induced_subgraph_mapping():
 
 def test_contract_edge():
     g = graph_from_edge_list(4, [(0, 1), (1, 2), (2, 3)])
-    h = contract_edge(g, 1, 2)
-    assert h.n == 3
-    assert h.m == 2
-    h2, mapping = contract_edge_mapped(g, 1, 2)
-    assert h2 == h
-    assert len(mapping) == 4
+    h, mapping = contract_edge_mapped(g, 1, 2)
+    assert h == graph_from_edge_list(3, [(0, 1), (1, 2)])
+    assert mapping == (0, 1, 1, 2)
     with pytest.raises(NotAnEdgeError):
-        contract_edge(g, 0, 3)
+        contract_edge_mapped(g, 0, 3)
 
 
 def test_greedy_dense_subgraph_on_near_complete():

@@ -11,10 +11,8 @@ from minorforge import (
     contract_model,
     graph_from_edge_list,
     is_attached_to,
-    is_core,
     is_rooted_at,
     require_valid,
-    sub_model,
     validate_model,
 )
 from minorforge.errors import InvalidModelError
@@ -148,18 +146,3 @@ def test_compose_models():
     final = compose_models(outer, inner).pattern
     assert final == inner.pattern
     assert compose_models(outer, inner).fragments[0] == frozenset({0, 1, 2})
-
-
-def test_sub_model():
-    g = _path6()
-    m = MinorModel(g, [{0, 1}, {2, 3}, {4, 5}])
-    picked = sub_model(m, (2, 0))
-    assert picked.fragments == (frozenset({4, 5}), frozenset({0, 1}))
-
-
-def test_is_core():
-    g = petersen()
-    m = MinorModel(g, [{0, 1}, {5, 8}])  # 0-5 spoke realizes the adjacency
-    assert validate_model(m).valid
-    assert is_core(m, {0, 5})
-    assert not is_core(m, {1, 8})  # 1-8 is not an edge

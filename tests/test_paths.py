@@ -9,19 +9,13 @@ from minorforge import (
     PathFamily,
     Separation,
     audit_path_family,
-    combine_redundant,
     complete_graph,
-    container,
-    doubled_menger,
     find_linkage,
     graph_from_edge_list,
-    induced_subgraph,
     knit_connect,
     menger,
-    ordered_path_through,
     random_graph,
     require_paths,
-    two_coloring,
 )
 from minorforge.errors import (
     HypothesisViolatedError,
@@ -36,7 +30,6 @@ from conftest import (
     brute_connected,
     brute_disjoint_paths,
     brute_linkage_exists,
-    petersen,
     run_optimized,
     set_partitions,
 )
@@ -50,6 +43,8 @@ def test_audit_flags_structural_defects():
     assert any("repeats" in p for p in audit_path_family(g, repeat))
     off_host = PathFamily(((0, 7),), "between", s={0}, t={7})
     assert any("leaves the host" in p for p in audit_path_family(g, off_host))
+    doubled = PathFamily(((0, 1), (0, 1, 2)), "doubled", s={0}, t={1, 2})
+    assert audit_path_family(g, doubled) == ["unknown contract kind 'doubled'"]
     with pytest.raises(InternalInfeasibleError):
         require_paths(g, bad_edge)
 
@@ -69,7 +64,6 @@ from minorforge.errors import InternalInfeasibleError
 g = complete_graph(3)
 for fam in (
     PathFamily(((0, 1),), "between", s={0}),
-    PathFamily(((0, 1),), "doubled", t={1}),
     PathFamily(((0, 1),), "linkage"),
 ):
     try:
@@ -83,7 +77,7 @@ for fam in (
 
 def test_audit_refuses_a_family_without_its_contract_under_optimize():
     out = run_optimized(_CONTRACTLESS_SCRIPT)
-    for kind in ("between", "doubled", "linkage"):
+    for kind in ("between", "linkage"):
         assert kind + " refused" in out
 
 
@@ -131,25 +125,6 @@ def test_menger_refuses_a_negative_path_count():
     with pytest.raises(HypothesisViolatedError, match="got -1") as info:
         menger(complete_graph(3), {0}, {2}, -1)
     assert info.value.evidence == -1
-
-
-def test_doubled_menger_contract():
-    g = complete_graph(8)
-    fam = doubled_menger(g, {0, 1}, {4, 5, 6, 7}, budget=4)
-    assert fam.kind == "doubled"
-    assert audit_path_family(g, fam) == []
-    assert len(fam.paths) == 4
-
-
-def test_combine_redundant():
-    g = complete_graph(9)
-    targets = {5, 6, 7, 8}
-    f1 = doubled_menger(g, {0, 1}, targets, budget=4)
-    f2 = doubled_menger(g, {2, 3}, targets, budget=4)
-    merged = combine_redundant(g, f1, f2)
-    assert audit_path_family(g, merged) == []
-    assert merged.s == frozenset({0, 1, 2, 3})
-    assert len(merged.paths) == 4
 
 
 def test_find_linkage_matches_brute_force():
@@ -211,29 +186,6 @@ def test_knit_connect_failure_is_typed():
         knit_connect(path, (0, 4), [(0, 4)])
     with pytest.raises(HypothesisViolatedError):
         knit_connect(path, (0, 1), [(0,)])  # parts must partition s
-
-
-def test_ordered_path_through():
-    g = petersen()
-    fam = ordered_path_through(g, (0, 7, 4))
-    assert fam.kind == "linkage"
-    assert audit_path_family(g, fam) == []
-    path = fam.paths[0]
-    assert path[0] == 0 and path[-1] == 4
-    pos = [path.index(v) for v in (0, 7, 4)]
-    assert pos == sorted(pos)
-
-
-def test_container_contract():
-    g = petersen()
-    s = (0, 7)
-    blocker, h = container(g, s)
-    assert set(s) <= set(blocker) <= set(h)
-    assert len(blocker) <= 3 * len(s)
-    assert brute_connected(g, h)
-    rest = [v for v in h if v not in blocker]
-    sub, _ = induced_subgraph(g, rest)
-    assert sub.n == 0 or two_coloring(sub) is not None
 
 
 @settings(max_examples=30, deadline=None)

@@ -145,13 +145,14 @@ def test_weave_rejects_bogus_realizer(monkeypatch):
 def test_library_validates_each_model_at_most_once(monkeypatch):
     """Every model the pipeline and the woven construction touch is
     validated once: later reads of its pattern, and the predicates, reuse
-    the first validation."""
+    the first validation, and no equal model on the same host is built and
+    validated again."""
     import minorforge.model as model_mod
 
     seen, validate = [], model_mod.validate_model
 
     def counted(m):
-        seen.append(m)  # keeps m alive, so ids stay distinct
+        seen.append(m)
         return validate(m)
 
     monkeypatch.setattr(model_mod, "validate_model", counted)
@@ -161,8 +162,9 @@ def test_library_validates_each_model_at_most_once(monkeypatch):
     k68_less_one = graph_from_edge_list(68, edges[:100] + edges[101:])
     request = ((0, 1), tuple(range(2, 8)), tuple(range(8, 14)))
     realize_woven_from_dense_minor(k68_less_one, Fraction(1, 2), 2, request)
-    counts = Counter(id(m) for m in seen)
-    assert len(seen) >= 8 and max(counts.values()) == 1, counts
+    counts = Counter((m.host, m.fragments) for m in seen)
+    # three models in the pipeline, four in the woven construction
+    assert len(seen) == 7 and max(counts.values()) == 1, counts
 
 
 def test_realize_from_dense_minor_end_to_end():
