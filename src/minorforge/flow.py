@@ -24,18 +24,26 @@ unit along a path (``_apply``):
   inside them pushes every shortest path it can.  ``SetFlow.min_cut`` uses
   it, for callers that read only the flow value and the cut.
 
-The cut does not depend on the finder.  For every maximum flow, the nodes
-the source reaches in the residual network are the same set, the source
-side of the unique inclusion-minimal minimum cut; ``cut_vertices`` reads
-the cut off that set, so both finders give the same cut, and a capped run
-of either stops at exactly its limit.
+The cut depends neither on the finder nor on the flow a run starts from.
+For every maximum flow, the nodes the source reaches in the residual
+network are the same set, the source side of the unique inclusion-minimal
+minimum cut; ``cut_vertices`` reads the cut off that set, so both finders
+give the same cut, and a capped run of either stops at exactly its limit.
 
-Callers skip a capped flow whose answer adjacency already forces (the
-forced-cut lemma).  Take a separation (A, B) with ``S ⊆ A`` and
-``U ⊆ B ∖ A``: a vertex of ``S`` with a neighbour in ``U`` lies in A∩B,
-since no edge joins A∖B to B∖A, so the order is at least ``|S ∩ N(U)|``.
-Likewise every x-y vertex cut contains ``N(x) ∩ N(y)``.  When that count
-reaches the limit, a capped run would stop at the limit with no cut.
+Callers skip a capped flow whose answer adjacency already forces, by two
+lemmas.  The forced-cut lemma: take a separation (A, B) with ``S ⊆ A``
+and ``U ⊆ B ∖ A``; a vertex of ``S`` with a neighbour in ``U`` lies in
+A∩B, since no edge joins A∖B to B∖A, so the order is at least
+``|S ∩ N(U)|``.  Likewise every x-y vertex cut contains ``N(x) ∩ N(y)``.
+The path-packing lemma: for nonadjacent x and y with ``C = N(x) ∩ N(y)``,
+the paths x-c-y for c in C and x-a-b-y for a in ``N(x) ∖ C`` and b in
+``N(y) ∖ C``, each a and b used once, are internally disjoint, since such
+an a is never adjacent to y nor such a b to x; every x-y vertex cut has a
+vertex on each of them, so their number (``_short_paths``) is a lower
+bound on its size.  When either count reaches the limit, a capped run
+would stop at the limit with no cut.  Below the limit the packed paths
+still seed ``pair_vertex_cut``'s flow: they form a flow, and the phases
+take it on to a maximum one.
 """
 
 from __future__ import annotations
@@ -363,6 +371,30 @@ class SetFlow(FlowNet):
         return tuple(mask_vertices(cut))
 
 
+def _short_paths(bits, x: int, y: int, limit: int) -> list[tuple[int, ...]]:
+    """Middles of at most ``limit`` internally disjoint x-y paths of length
+    two and three, for nonadjacent x and y (the path-packing lemma): ``(c,)``
+    for each common neighbour c ascending, then ``(a, b)`` for each a of
+    ``N(x) ∖ C`` ascending that has a neighbour in ``N(y) ∖ C`` not yet
+    taken, b being the lowest such."""
+    common = bits[x] & bits[y]
+    near, far = bits[x] & ~common, bits[y] & ~common
+    paths: list[tuple[int, ...]] = []
+    while common and len(paths) < limit:
+        c = common & -common
+        common ^= c
+        paths.append((c.bit_length() - 1,))
+    while near and far and len(paths) < limit:
+        a = near & -near
+        near ^= a
+        b = bits[a.bit_length() - 1] & far
+        if b:
+            b &= -b
+            far ^= b
+            paths.append((a.bit_length() - 1, b.bit_length() - 1))
+    return paths
+
+
 def pair_vertex_cut(g: Graph, x: int, y: int, limit: int = INF):
     """Maximum internally disjoint x-y paths for a nonadjacent pair and,
     when the maximum is below ``limit``, a minimum vertex cut separating
@@ -372,6 +404,13 @@ def pair_vertex_cut(g: Graph, x: int, y: int, limit: int = INF):
             "a pair cut needs two distinct nonadjacent vertices", evidence=(x, y)
         )
     flow = SetFlow(g, (x,), (y,), uncuttable_sources=True, uncuttable_targets=True)
+    # the packed short paths are a flow to start from: the cut does not
+    # depend on which maximum flow the phases end at
+    seed = _short_paths(g._bits, x, y, limit)
+    for mid in seed:
+        flow._apply([2 * x, 2 * x + 1, *(node for v in mid for node in (2 * v, 2 * v + 1)),
+                     2 * y, 2 * y + 1])
+    flow.value = len(seed)
     value, cut = flow.min_cut(limit)
     check_internal(cut is None or len(cut) == value, "cut size must match the maximum flow")
     return value, cut

@@ -8,7 +8,9 @@ represents vertex ``i`` of the realized pattern.
 Validation runs at most once per model inside the package: the first read of
 ``MinorModel.pattern`` validates and keeps the pattern, since neither the
 model nor its host can change.  An invalid model raises
-:class:`InvalidModelError` on every read, because nothing is kept.
+:class:`InvalidModelError` on every read, because nothing is kept.  A model
+whose pattern follows from a validated one (``MinorModel._derived``) is not
+validated at all.
 :func:`validate_model` and :func:`require_valid` always validate from
 scratch, for callers that re-check a certificate independently.
 """
@@ -37,6 +39,16 @@ class MinorModel:
         object.__setattr__(
             self, "fragments", tuple(frozenset(f) for f in fragments)
         )
+
+    @classmethod
+    def _derived(cls, host: Graph, fragments, pattern: Graph) -> "MinorModel":
+        """A model whose pattern the caller derived from a validated model
+        (say, by keeping some of its fragments and renumbering them into a
+        host that drops only vertices they avoid), so it is not validated
+        again."""
+        model = cls(host, fragments)
+        model.__dict__["pattern"] = pattern
+        return model
 
     def __len__(self) -> int:
         return len(self.fragments)

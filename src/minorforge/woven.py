@@ -30,6 +30,7 @@ from .errors import (
 )
 from .graph import (
     Graph,
+    _induced,
     complement_max_degree,
     greedy_dense_subgraph,
     induced_subgraph,
@@ -525,12 +526,16 @@ def realize_woven_from_dense_minor(
     alive = sorted(set(range(g.n)) - removed)
     g1, old_of_new = induced_subgraph(g, alive)
     new_of_old = {v: i for i, v in enumerate(old_of_new)}
-    j1 = MinorModel(
+    # the kept fragments avoid every removed vertex, so renumbering them
+    # into g1 changes neither their connectivity nor their adjacency: j1's
+    # pattern is j_model's induced on kept
+    j1 = MinorModel._derived(
         g1,
         [
             frozenset(new_of_old[v] for v in j_model.fragments[i])
             for i in kept
         ],
+        _induced(pat._bits, mask_of(kept)),
     )
     n_av = complement_max_degree(j1.pattern)
     active = [i for i in range(b) if s_tuple[i] != t_tuple[i]]

@@ -16,7 +16,7 @@ from minorforge import (
     vertex_connectivity_with_cutset,
 )
 from minorforge.errors import HypothesisViolatedError, InternalInfeasibleError
-from minorforge.flow import INF, FlowNet, SetFlow
+from minorforge.flow import INF, FlowNet, SetFlow, _short_paths
 from minorforge.rng import Rng, derive_seed
 
 import flow_reference as ref
@@ -233,6 +233,77 @@ def _audit_masks(net, i):
     assert (net.spare, net.used) == (spare, used), i
 
 
+def _short_path_host(rng):
+    """x = 0 and y = 1, nonadjacent, with up to two common neighbours;
+    x's other neighbours A and y's B are joined by random edges, so most
+    x-y paths have length three, and random edges inside A and B and to a
+    few extra vertices Z give the flow room to go past the packed paths."""
+    nc, na, nb, nz = rng.below(3), 2 + rng.below(7), 2 + rng.below(7), rng.below(6)
+    c = range(2, 2 + nc)
+    a = range(c.stop, c.stop + na)
+    b = range(a.stop, a.stop + nb)
+    z = range(b.stop, b.stop + nz)
+    edges = [(0, v) for v in (*c, *a)] + [(1, v) for v in (*c, *b)]
+    p = 2 + rng.below(5)  # tenths
+    for u in range(2, z.stop):
+        for v in range(max(u + 1, a.start), z.stop):
+            if rng.below(10) < (p if (u in a) != (v in a) or v in z else 2):
+                edges.append((u, v))
+    return graph_from_edge_list(z.stop, edges)
+
+
+def test_seeded_pair_cut_matches_the_explicit_network(monkeypatch):
+    """``pair_vertex_cut`` starts its flow from the packed short paths.
+    Against the arc-record network (which starts from nothing) it gives the
+    same value and cut for limits below, at and above the packed count.
+    The preloaded network's ``spare`` and ``used`` masks match its
+    throughputs before any phase runs and after the last, and a capped run
+    that the packing already fills runs no phase."""
+    seeded, phase, apply = SetFlow.min_cut, FlowNet._phase, FlowNet._apply
+    hits = Counter()
+
+    def audited(self, limit=INF):
+        _audit_masks(self, "preloaded")
+        seed = self.value
+        assert self.through[self.sources[0]] == seed == min(len(packed), limit)
+        got = seeded(self, limit)
+        _audit_masks(self, "after the phases")
+        hits["beyond the seed"] += got[0] > seed
+        return got
+
+    def counted_phase(self, limit):
+        ran.append(limit)
+        return phase(self, limit)
+
+    def counted_apply(self, path):
+        # in(u) -> out(v) cancels a unit on the graph arc out(v) -> in(u)
+        hits["seed rerouted"] += bool(ran) and any(
+            node & 1 and prev != node - 1 for prev, node in zip(path, path[1:])
+        )
+        apply(self, path)
+
+    monkeypatch.setattr(SetFlow, "min_cut", audited)
+    monkeypatch.setattr(FlowNet, "_phase", counted_phase)
+    monkeypatch.setattr(FlowNet, "_apply", counted_apply)
+    for i in range(300):
+        rng = Rng(derive_seed(25, i))
+        g = _short_path_host(rng)
+        packed = _short_paths(g._bits, 0, 1, INF)
+        hits["length-3 seed"] += any(len(mid) == 2 for mid in packed)
+        for limit in sorted({max(1, len(packed) - 1), len(packed) or 1, len(packed) + 1, INF}):
+            ran = []
+            got = pair_vertex_cut(g, 0, 1, limit)
+            assert got == ref.pair_vertex_cut(g, 0, 1, limit), (i, limit)
+            if limit <= len(packed):
+                assert got == (limit, None) and not ran, (i, limit)
+                hits["filled by the seed"] += 1
+            elif got[1] is not None:
+                hits["cut"] += 1
+    assert hits["length-3 seed"] > 250, hits
+    assert hits["filled by the seed"] > 400 and hits["cut"] > 300, hits
+    assert hits["beyond the seed"] > 150 and hits["seed rerouted"] > 50, hits
+
+
 _DROPPED_CUT_SCRIPT = """
 from minorforge import graph_from_edge_list, pair_vertex_cut
 from minorforge.errors import InternalInfeasibleError
@@ -261,12 +332,22 @@ def test_flow_certificates_are_checked_under_optimize():
 
 
 def _connectivity_host(rng, kind):
-    """G(n, 1/10..9/10), G(n, 7/10..9/10), or a planted host.  In the
-    planted one, vertex 0 has the least degree d and the neighbours X, X
+    """G(n, 1/10..9/10), G(n, 7/10..9/10), or one of two planted hosts.
+
+    In ``planted``, vertex 0 has the least degree d and the neighbours X, X
     is complete to a block Q and all of X but its last vertex, Y, to a
     clique R.  The first pair, 0 and the lowest vertex of Q, has d paths
     through X; the minimum cut Y, of d - 1 vertices, is found later, by
-    the pairs of 0 and R, whose common neighbours are exactly Y."""
+    the pairs of 0 and R, whose common neighbours are exactly Y.
+
+    ``packed`` is built the same way up to R, but X is a clique and only
+    its first c vertices (c <= d - 2) are complete to R; the next d - 1 - c
+    each reach R through a private vertex of a clique M complete to R.  The
+    pairs of 0 and R then have c common neighbours and d - 1 - c disjoint
+    paths of length three, so d - 1 packed paths, one fewer than the
+    minimum found so far, and their flows find the cut of d - 1 vertices
+    first.  The pairs of 0 and M, which follow, pack d - 1 paths too, so a
+    skip one path early finds no cut of d - 1 vertices on any such host."""
     if kind == "planted":
         d = 2 + rng.below(4)
         x, q = range(1, d + 1), range(d + 1, 2 * d + 1 + rng.below(5))
@@ -276,35 +357,64 @@ def _connectivity_host(rng, kind):
         edges += [(a, b) for a in r for b in r if a < b]
         edges += [(a, b) for grp in (x, q) for a in grp for b in grp if a < b and rng.below(2)]
         return graph_from_edge_list(r.stop, edges)
+    if kind == "packed":
+        d = 3 + rng.below(4)
+        c = rng.below(d - 1)
+        x, q = range(1, d + 1), range(d + 1, d + 2 + rng.below(4))
+        r = range(q.stop, q.stop + d - 1 + rng.below(3))
+        m = range(r.stop, r.stop + d - 1 - c)
+        edges = [(0, a) for a in x] + [(a, b) for a in x for b in q]
+        edges += [(a, b) for grp in (x, r, m) for a in grp for b in grp if a < b]
+        edges += [(a, b) for a in x[:c] for b in r] + [(a, b) for a in m for b in r]
+        edges += list(zip(x[c:], m))
+        return graph_from_edge_list(m.stop, edges)
     p = Fraction(1 + rng.below(9), 10) if kind == "any" else Fraction(7 + rng.below(3), 10)
     return random_graph(2 + rng.below(26), p, rng.spawn(1))
 
 
 def test_pair_skip_matches_connectivity_without_it(monkeypatch):
     """``vertex_connectivity_with_cutset`` skips every pair with at least
-    ``best`` common neighbours.  Against a verbatim copy of the loop that
+    ``best`` packed short paths.  Against a verbatim copy of the loop that
     runs every pair cut, it returns the same ``(k, cut)``, also on hosts
     whose minimum cut is a pair's common neighbourhood found after a
-    larger one."""
+    larger one, and on hosts whose minimum is first found by a pair that
+    packs exactly ``best - 1`` paths, some of length three, so a skip one
+    path early would miss it.  Many pairs are skipped by packing that
+    common neighbours alone would not skip."""
     import minorforge.connectivity as connectivity
 
-    calls = Counter()
+    calls, one_short = Counter(), Counter()
+    host = {}
 
     def counted(name):
-        def pair_cut(*args, **kwargs):
+        def pair_cut(g, x, y, limit=INF):
             calls[name] += 1
-            return pair_vertex_cut(*args, **kwargs)
+            got = pair_vertex_cut(g, x, y, limit)
+            paths = _short_paths(g._bits, x, y, INF)
+            if name == "engine" and got[1] is not None and len(paths) == limit - 1:
+                one_short[host["kind"]] += max(map(len, paths)) == 2
+            return got
 
         return pair_cut
 
+    def packed(bits, x, y, limit):
+        paths = _short_paths(bits, x, y, limit)
+        calls["packing skip"] += len(paths) >= limit > (bits[x] & bits[y]).bit_count()
+        return paths
+
     monkeypatch.setattr(connectivity, "pair_vertex_cut", counted("engine"))
+    monkeypatch.setattr(connectivity, "_short_paths", packed)
     monkeypatch.setattr(sep_ref, "pair_vertex_cut", counted("reference"))
-    below_min_degree = 0
-    for i in range(330):
-        kind = ("any", "dense", "planted")[i % 3]
+    below_min_degree = Counter()
+    kinds = ("any", "dense", "planted", "packed")
+    for i in range(440):
+        host["kind"] = kind = kinds[i % 4]
         g = _connectivity_host(Rng(derive_seed(23, i)), kind)
         got = vertex_connectivity_with_cutset(g)
         assert got == sep_ref.vertex_connectivity_with_cutset(g), (kind, i)
-        below_min_degree += kind == "planted" and got[0] < g.min_degree()
-    assert below_min_degree == 110
-    assert calls["reference"] - calls["engine"] > 100, calls
+        below_min_degree[kind] += got[0] < g.min_degree()
+    assert below_min_degree["planted"] == below_min_degree["packed"] == 110, below_min_degree
+    # each packed host's minimum is first found one path short of the skip
+    assert one_short["packed"] == 110, one_short
+    assert calls["reference"] - calls["engine"] > 3000, calls
+    assert calls["packing skip"] > 1500, calls

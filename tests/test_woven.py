@@ -163,8 +163,48 @@ def test_library_validates_each_model_at_most_once(monkeypatch):
     request = ((0, 1), tuple(range(2, 8)), tuple(range(8, 14)))
     realize_woven_from_dense_minor(k68_less_one, Fraction(1, 2), 2, request)
     counts = Counter((m.host, m.fragments) for m in seen)
-    # three models in the pipeline, four in the woven construction
-    assert len(seen) == 7 and max(counts.values()) == 1, counts
+    # three models in the pipeline, three in the woven construction, whose
+    # fourth (the one it hands the attached search) derives its pattern
+    assert len(seen) == 6 and max(counts.values()) == 1, counts
+
+
+def _woven_corpus():
+    """K_80 and K_68 less one or two seeded edges, each with a seeded
+    request of 2 roots and 6 pairs."""
+    yield complete_graph(80), ((0, 1), tuple(range(60, 66)), tuple(range(66, 72)))
+    for i in range(6):
+        rng = Rng(derive_seed(24, i))
+        edges = complete_graph(68).edges()
+        drop = set()
+        while len(drop) < 1 + i % 2:
+            drop.add(rng.below(len(edges)))
+        order = list(range(68))
+        rng.shuffle(order)
+        g = graph_from_edge_list(68, [e for j, e in enumerate(edges) if j not in drop])
+        yield g, (tuple(order[:2]), tuple(order[2:8]), tuple(order[8:14]))
+
+
+def test_woven_derives_the_attached_search_model_pattern(monkeypatch):
+    """The model that ``realize_woven_from_dense_minor`` hands the attached
+    search keeps some fragments of the dense minor, renumbered into the
+    host without the removed vertices; its pattern is derived from the
+    dense minor's, not validated, and equals what validating it from
+    scratch gives."""
+    import minorforge.woven as woven
+
+    seen, search = [], woven.rooted_from_minor
+
+    def spy(g, attach, model, n_av):
+        seen.append((model, "pattern" in model.__dict__))
+        return search(g, attach, model, n_av)
+
+    monkeypatch.setattr(woven, "rooted_from_minor", spy)
+    for g, request in _woven_corpus():
+        realize_woven_from_dense_minor(g, Fraction(1, 2), 2, request)
+    assert len(seen) == 7
+    for model, derived in seen:
+        assert derived
+        assert model.pattern == require_valid(model).pattern
 
 
 def test_realize_from_dense_minor_end_to_end():
