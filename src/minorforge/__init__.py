@@ -19,7 +19,6 @@ from .coloring import (
     chromatic_number_exact,
     is_chromatic_separable,
 )
-from .config import Caps, active_caps
 from .connectivity import vertex_connectivity, vertex_connectivity_with_cutset
 from .flow import pair_vertex_cut
 from .errors import (

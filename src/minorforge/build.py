@@ -166,7 +166,6 @@ def _grow_round(
     n_scale: int,
     rng: Rng,
     max_attempts: int,
-    max_path_len: int,
 ) -> None:
     """One placement round: sample a hitting set in the remaining graph
     against the non-neighbor sets of everything placed (vertex masks),
@@ -179,7 +178,7 @@ def _grow_round(
     res = sample_hitting_set(
         f_graph, a_list, r, eps, n_scale, rng, max_attempts
     )
-    stitched = connect_within(f_graph, res.s, max_path_len)
+    stitched = connect_within(f_graph, res.s)
     b_new = mask_of(old[i] for i in stitched)
     reach = h.neighborhood(b_new)
     count = sum(1 for b in placed if not reach & b)
@@ -237,10 +236,7 @@ def build_dense_minor(
     r = desk_sample_size(eps, t, d)
     placed: list[int] = []
     for _ in range(t):
-        _grow_round(
-            h, placed, r, eps, d, rng, max_attempts,
-            DEFAULT_MAX_PATH_LEN,
-        )
+        _grow_round(h, placed, r, eps, d, rng, max_attempts)
     inner = MinorModel(h, [mask_vertices(b) for b in placed])
     final = compose_models(h_model, inner)
     if not is_eps_t_dense(final.pattern, eps, t):

@@ -3,12 +3,12 @@
 Branch-and-bound: a greedy clique gives the lower bound, saturation-greedy
 the upper bound, and the k-colorability search precolors the clique and never
 opens more than one fresh color per step.  Both solvers are exponential and
-guarded by caps from config.
+refuse hosts above the fixed vertex caps of config.
 """
 
 from __future__ import annotations
 
-from .config import active_caps
+from .config import COLORING_CAP, SEPARABLE_CAP
 from .errors import TooLargeError
 from .graph import Graph, induced_subgraph, mask_vertices
 
@@ -95,11 +95,10 @@ def _colorable_with(g: Graph, k: int, clique: list[int]) -> list[int] | None:
     return None
 
 
-def chromatic_number_exact(g: Graph, cap: int | None = None) -> int:
-    """Exact chi(g); refuses graphs over the configured vertex cap."""
-    cap = active_caps().coloring if cap is None else cap
-    if g.n > cap:
-        raise TooLargeError(f"coloring cap {cap} exceeded by n={g.n}")
+def chromatic_number_exact(g: Graph) -> int:
+    """Exact chi(g); refuses graphs over ``COLORING_CAP`` vertices."""
+    if g.n > COLORING_CAP:
+        raise TooLargeError(f"coloring cap {COLORING_CAP} exceeded by n={g.n}")
     if g.n == 0:
         return 0
     if g.m == 0:
@@ -112,17 +111,16 @@ def chromatic_number_exact(g: Graph, cap: int | None = None) -> int:
     return ub
 
 
-def is_chromatic_separable(g: Graph, m: int, cap: int | None = None):
+def is_chromatic_separable(g: Graph, m: int):
     """Whether disjoint vertex sets A, B exist with chi(G[A]), chi(G[B]) >= chi(G)-m.
 
     Returns (False, None) or (True, (a_tuple, b_tuple)).  Since chromatic
     number is monotone under vertex addition, it suffices to scan bipartitions
     A, V-A; chi values per subset are cached.
     """
-    cap = active_caps().separable if cap is None else cap
-    if g.n > cap:
-        raise TooLargeError(f"separability cap {cap} exceeded by n={g.n}")
-    chi = chromatic_number_exact(g, cap=max(cap, g.n))
+    if g.n > SEPARABLE_CAP:
+        raise TooLargeError(f"separability cap {SEPARABLE_CAP} exceeded by n={g.n}")
+    chi = chromatic_number_exact(g)
     need = chi - m
     if need <= 0:
         # even empty subgraphs qualify
@@ -134,7 +132,7 @@ def is_chromatic_separable(g: Graph, m: int, cap: int | None = None):
             return memo[mask]
         verts = [v for v in range(g.n) if (mask >> v) & 1]
         sub, _ = induced_subgraph(g, verts)
-        val = chromatic_number_exact(sub, cap=max(cap, g.n))
+        val = chromatic_number_exact(sub)
         memo[mask] = val
         return val
 

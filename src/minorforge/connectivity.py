@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .errors import OrderTooSmallError, check_internal
-from .flow import INF, _short_paths, pair_vertex_cut
+from .flow import INF, pair_vertex_cut
 from .graph import Graph, mask_vertices
 
 
@@ -36,10 +36,8 @@ def vertex_connectivity_with_cutset(g: Graph):
     best = INF
     best_cut: tuple[int, ...] | None = None
     for x, y in pairs:
-        # every x-y cut meets each of that many disjoint short paths (the
-        # path-packing lemma in flow.py), so the capped flow finds no cut
-        if len(_short_paths(bits, x, y, best)) >= best:
-            continue
+        # a pair that packs ``best`` disjoint short paths returns no cut
+        # before any flow is built (the path-packing lemma in flow.py)
         value, cut = pair_vertex_cut(g, x, y, limit=best)
         if cut is not None and value < best:
             best = value

@@ -7,7 +7,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .config import active_caps
+from .config import SEARCH_NODES
 from .connectivity import vertex_connectivity_with_cutset
 from .errors import (
     ExtractionFailedError,
@@ -290,7 +290,7 @@ def _exhaustive_finish(work: _Work, d: int) -> None:
     """Search every delete/contract sequence on the current (small) pattern
     for a minor meeting the order and degree targets, then apply it."""
     pat, reps = work.pattern()
-    budget = [active_caps().search_nodes]
+    budget = [SEARCH_NODES]
     moves = _search_small_minor(pat, d, budget)
     if moves is None:
         raise ExtractionFailedError(

@@ -41,9 +41,11 @@ the paths x-c-y for c in C and x-a-b-y for a in ``N(x) ∖ C`` and b in
 an a is never adjacent to y nor such a b to x; every x-y vertex cut has a
 vertex on each of them, so their number (``_short_paths``) is a lower
 bound on its size.  When either count reaches the limit, a capped run
-would stop at the limit with no cut.  Below the limit the packed paths
-still seed ``pair_vertex_cut``'s flow: they form a flow, and the phases
-take it on to a maximum one.
+would stop at the limit with no cut.  ``pair_vertex_cut`` applies the
+path-packing lemma itself: it returns ``(limit, None)`` without building
+a network when the packed paths reach the limit, and below the limit they
+seed its flow: they form a flow, and the phases take it on to a maximum
+one.
 """
 
 from __future__ import annotations
@@ -403,10 +405,12 @@ def pair_vertex_cut(g: Graph, x: int, y: int, limit: int = INF):
         raise HypothesisViolatedError(
             "a pair cut needs two distinct nonadjacent vertices", evidence=(x, y)
         )
+    seed = _short_paths(g._bits, x, y, limit)
+    if len(seed) >= limit:
+        return limit, None
     flow = SetFlow(g, (x,), (y,), uncuttable_sources=True, uncuttable_targets=True)
     # the packed short paths are a flow to start from: the cut does not
     # depend on which maximum flow the phases end at
-    seed = _short_paths(g._bits, x, y, limit)
     for mid in seed:
         flow._apply([2 * x, 2 * x + 1, *(node for v in mid for node in (2 * v, 2 * v + 1)),
                      2 * y, 2 * y + 1])

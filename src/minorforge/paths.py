@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .config import active_caps
+from .config import LINKAGE_PAIRS_CAP, LINKAGE_VERTEX_CAP, SEARCH_NODES
 from .errors import (
     HypothesisViolatedError,
     InternalInfeasibleError,
@@ -192,9 +192,8 @@ def find_linkage(g: Graph, pairs) -> PathFamily | None:
     """Exact search for disjoint paths joining each pair, or ``None`` when
     provably no linkage exists.  Endpoints must be distinct across pairs
     (``s_i == t_i`` is allowed and yields a one-vertex path)."""
-    caps = active_caps()
     pairs = [tuple(p) for p in pairs]
-    if len(pairs) > caps.linkage_k or g.n > caps.linkage_n:
+    if len(pairs) > LINKAGE_PAIRS_CAP or g.n > LINKAGE_VERTEX_CAP:
         raise TooLargeError("instance beyond the exact-search caps")
     for si, ti in pairs:
         g.check_vertex(si)
@@ -207,7 +206,7 @@ def find_linkage(g: Graph, pairs) -> PathFamily | None:
     for si, ti in pairs:
         endpoint_mask |= (1 << si) | (1 << ti)
     full = (1 << g.n) - 1
-    budget = [caps.search_nodes]
+    budget = [SEARCH_NODES]
     failed: set[tuple[int, int]] = set()
 
     def pair_feasible(idx: int, used: int) -> bool:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from .config import active_caps
+from .config import SEARCH_NODES
 from .connectivity import vertex_connectivity_with_cutset
 from .errors import (
     HypothesisViolatedError,
@@ -36,7 +36,6 @@ def find_separation_avoiding(g: Graph, s, t_order: int, d_list, n_avoid: int):
     ``None`` when no such separation exists.  Decided exactly: for each
     (n_avoid+1)-subfamily, a set-flow with uncuttable targets finds the
     smallest cut keeping ``s`` away from the subfamily's union."""
-    caps = active_caps()
     s = frozenset(s)
     for v in s:
         g.check_vertex(v)
@@ -55,7 +54,7 @@ def find_separation_avoiding(g: Graph, s, t_order: int, d_list, n_avoid: int):
     k = n_avoid + 1
     if k > len(d_sets):
         return None
-    if math.comb(len(d_sets), k) > caps.search_nodes:
+    if math.comb(len(d_sets), k) > SEARCH_NODES:
         raise TooLargeError("too many subfamilies to enumerate")
     smask = mask_of(s)
     d_masks = [mask_of(d) for d in d_sets]

@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 from .build import build_dense_minor
-from .config import active_caps
+from .config import SEARCH_NODES, WOVEN_CAP
 from .connectivity import vertex_connectivity_with_cutset
 from .errors import (
     DensityNotMetError,
@@ -265,7 +265,6 @@ def check_wovenness(
     yields "no-counterexample-found", while any failing triple still
     certifies refutation.
     """
-    caps = active_caps()
     eps = Fraction(eps)
     if eps <= 0:
         raise HypothesisViolatedError("eps must be positive")
@@ -276,16 +275,14 @@ def check_wovenness(
     if mode not in ("exhaustive", "sampled"):
         raise HypothesisViolatedError(f"unknown mode {mode!r}")
     if mode == "exhaustive":
-        if g.n > caps.woven:
-            raise TooLargeError(
-                f"exhaustive wovenness is capped at {caps.woven} vertices"
-            )
+        if g.n > WOVEN_CAP:
+            raise TooLargeError(f"exhaustive wovenness is capped at {WOVEN_CAP} vertices")
         triples = _all_triples(g.n, a, b)
     else:
         triples = _sampled_triples(
             g.n, a, b, trials, rng if rng is not None else Rng(0)
         )
-    budget = [caps.search_nodes]
+    budget = [SEARCH_NODES]
     records: list[WovenTriple] = []
     counterexample: WovenTriple | None = None
     for roots, srcs, tgts in triples:
@@ -335,7 +332,6 @@ def weave(
     audited again on the host, with failures raised as
     WovennessFailedError.
     """
-    caps = active_caps()
     eps = Fraction(eps)
     f_set = frozenset(f_vertices)
     for v in f_set:
@@ -367,7 +363,7 @@ def weave(
         for i in crossing
     )
 
-    witness = _triple_witness(sub, eps, roots_sub, pairs_sub, [caps.search_nodes])
+    witness = _triple_witness(sub, eps, roots_sub, pairs_sub, [SEARCH_NODES])
     if witness is None:
         raise WovennessFailedError(
             "no rooted dense model coexists with the induced pairs"

@@ -3,14 +3,14 @@ as it was on a dict-of-sets workspace, before it moved onto host-id
 bitmasks.  ``_class_map``, ``_snapshot``, ``_drop_s_edges``, ``_contract``,
 ``_avoiding_separation_now``, ``_solve``, ``_split`` and ``_endgame`` are
 kept verbatim; ``attached_fragments`` repeats the workspace set-up and the
-fragment expansion of ``attached_model_search``.  ``test_rooted.py``
+fragment expansion of ``attached_model_search`` and passes ``None`` for
+the ``caps`` argument, which the loop never reads.  ``test_rooted.py``
 requires the library to return the same fragments, and to raise the same
 errors with the same evidence, as this code.
 """
 
 from __future__ import annotations
 
-from minorforge.config import active_caps
 from minorforge.errors import (
     HypothesisViolatedError,
     InternalInfeasibleError,
@@ -32,7 +32,7 @@ def attached_fragments(g: Graph, s, d_sets, n_avoid: int, trusted: bool):
             dlab[v] = i
     expand = {v: frozenset((v,)) for v in range(g.n)}
     frag_ids = _solve(
-        adj, dlab, set(s), expand, len(s), n_avoid, m, active_caps(),
+        adj, dlab, set(s), expand, len(s), n_avoid, m, None,
         trusted=trusted,
     )
     return [frozenset().union(*(expand[i] for i in f)) for f in frag_ids]

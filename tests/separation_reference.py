@@ -1,6 +1,7 @@
 """Test-only reference: the separation-avoiding search and the vertex
 connectivity loop as they were before the forced-cut skips, kept verbatim
-apart from this docstring and the imports below.
+apart from this docstring, the imports below and the search-node cap, now
+the constant ``SEARCH_NODES``.
 
 Both build a capped flow for every subfamily or pair, including those
 whose answer adjacency already forces.  ``test_rooted.py`` and
@@ -13,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from minorforge.config import active_caps
+from minorforge.config import SEARCH_NODES
 from minorforge.errors import (
     HypothesisViolatedError,
     OrderTooSmallError,
@@ -31,7 +32,6 @@ def find_separation_avoiding(g: Graph, s, t_order: int, d_list, n_avoid: int):
     ``None`` when no such separation exists.  Decided exactly: for each
     (n_avoid+1)-subfamily, a set-flow with uncuttable targets finds the
     smallest cut keeping ``s`` away from the subfamily's union."""
-    caps = active_caps()
     s = frozenset(s)
     for v in s:
         g.check_vertex(v)
@@ -50,7 +50,7 @@ def find_separation_avoiding(g: Graph, s, t_order: int, d_list, n_avoid: int):
     k = n_avoid + 1
     if k > len(d_sets):
         return None
-    if math.comb(len(d_sets), k) > caps.search_nodes:
+    if math.comb(len(d_sets), k) > SEARCH_NODES:
         raise TooLargeError("too many subfamilies to enumerate")
     for combo in itertools.combinations(range(len(d_sets)), k):
         union = frozenset().union(*(d_sets[i] for i in combo))

@@ -373,38 +373,48 @@ def _connectivity_host(rng, kind):
 
 
 def test_pair_skip_matches_connectivity_without_it(monkeypatch):
-    """``vertex_connectivity_with_cutset`` skips every pair with at least
-    ``best`` packed short paths.  Against a verbatim copy of the loop that
-    runs every pair cut, it returns the same ``(k, cut)``, also on hosts
-    whose minimum cut is a pair's common neighbourhood found after a
-    larger one, and on hosts whose minimum is first found by a pair that
-    packs exactly ``best - 1`` paths, some of length three, so a skip one
-    path early would miss it.  Many pairs are skipped by packing that
-    common neighbours alone would not skip."""
+    """``pair_vertex_cut`` returns no cut, and builds no flow, for a pair
+    with at least ``limit`` packed short paths, and
+    ``vertex_connectivity_with_cutset`` asks each pair for a cut below
+    ``best``.  Against a verbatim copy of the loop whose pair cuts all run
+    the explicit network, so that nothing is skipped, it returns the same
+    ``(k, cut)``, also on hosts whose minimum cut is a pair's common
+    neighbourhood found after a larger one, and on hosts whose minimum is
+    first found by a pair that packs exactly ``best - 1`` paths, some of
+    length three, so a skip one path early would miss it.  Many pairs are
+    skipped by packing that common neighbours alone would not skip, and
+    the engine builds far fewer flows than the reference."""
     import minorforge.connectivity as connectivity
+    import minorforge.flow as flow
 
     calls, one_short = Counter(), Counter()
     host = {}
+    build = SetFlow.__init__
 
-    def counted(name):
-        def pair_cut(g, x, y, limit=INF):
-            calls[name] += 1
-            got = pair_vertex_cut(g, x, y, limit)
-            paths = _short_paths(g._bits, x, y, INF)
-            if name == "engine" and got[1] is not None and len(paths) == limit - 1:
-                one_short[host["kind"]] += max(map(len, paths)) == 2
-            return got
+    def counted_build(self, *args, **kwargs):
+        calls["engine flows"] += 1
+        build(self, *args, **kwargs)
 
-        return pair_cut
+    def reference_cut(g, x, y, limit=INF):
+        calls["reference flows"] += 1
+        return ref.pair_vertex_cut(g, x, y, limit)
+
+    def engine_cut(g, x, y, limit=INF):
+        got = pair_vertex_cut(g, x, y, limit)
+        paths = _short_paths(g._bits, x, y, INF)
+        if got[1] is not None and len(paths) == limit - 1:
+            one_short[host["kind"]] += max(map(len, paths)) == 2
+        return got
 
     def packed(bits, x, y, limit):
         paths = _short_paths(bits, x, y, limit)
         calls["packing skip"] += len(paths) >= limit > (bits[x] & bits[y]).bit_count()
         return paths
 
-    monkeypatch.setattr(connectivity, "pair_vertex_cut", counted("engine"))
-    monkeypatch.setattr(connectivity, "_short_paths", packed)
-    monkeypatch.setattr(sep_ref, "pair_vertex_cut", counted("reference"))
+    monkeypatch.setattr(SetFlow, "__init__", counted_build)
+    monkeypatch.setattr(flow, "_short_paths", packed)
+    monkeypatch.setattr(connectivity, "pair_vertex_cut", engine_cut)
+    monkeypatch.setattr(sep_ref, "pair_vertex_cut", reference_cut)
     below_min_degree = Counter()
     kinds = ("any", "dense", "planted", "packed")
     for i in range(440):
@@ -416,5 +426,5 @@ def test_pair_skip_matches_connectivity_without_it(monkeypatch):
     assert below_min_degree["planted"] == below_min_degree["packed"] == 110, below_min_degree
     # each packed host's minimum is first found one path short of the skip
     assert one_short["packed"] == 110, one_short
-    assert calls["reference"] - calls["engine"] > 3000, calls
+    assert calls["reference flows"] - calls["engine flows"] > 3000, calls
     assert calls["packing skip"] > 1500, calls
