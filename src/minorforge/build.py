@@ -32,6 +32,7 @@ from .model import MinorModel, compose_models
 from .params import (
     DEFAULT_MAX_ATTEMPTS,
     DEFAULT_MAX_PATH_LEN,
+    below_log_inv,
     degree_target,
     desk_sample_size,
     power_hypothesis,
@@ -127,11 +128,10 @@ def sample_hitting_set(
     )
 
 
-def connect_within(
-    g: Graph, s, max_path_len: int = DEFAULT_MAX_PATH_LEN
-) -> tuple[int, ...]:
+def connect_within(g: Graph, s) -> tuple[int, ...]:
     """Superset of s inducing a connected subgraph, built by stitching the
-    pieces of g[s] together along shortest paths."""
+    pieces of g[s] together along shortest paths of at most
+    ``DEFAULT_MAX_PATH_LEN`` edges each."""
     s_set = set(s)
     for v in s_set:
         g.check_vertex(v)
@@ -147,13 +147,13 @@ def connect_within(
             break
         path = g.shortest_path(core, b & ~core, full)
         check_internal(path is not None, "a connected host links every piece")
-        if len(path) - 1 > max_path_len:
+        if len(path) - 1 > DEFAULT_MAX_PATH_LEN:
             raise PathTooLongError(
                 f"stitching path needs {len(path) - 1} edges"
             )
         b |= mask_of(path)
     check_internal(
-        b.bit_count() <= max_path_len * len(s_set), "stitched set outgrew its bound"
+        b.bit_count() <= DEFAULT_MAX_PATH_LEN * len(s_set), "stitched set outgrew its bound"
     )
     return tuple(mask_vertices(b))
 
@@ -223,11 +223,12 @@ def build_dense_minor(
     c_scale = Fraction(c_scale)
     if c_scale <= 0:
         raise HypothesisViolatedError("the scale constant must be positive")
-    if float(average_degree(g)) < float(c_scale) * t * sqrt_log_inv(eps):
+    # avg < c t sqrt(ln(1/eps)), squared: both sides are nonnegative
+    if below_log_inv(average_degree(g) ** 2 / (c_scale * t) ** 2, eps):
         raise HypothesisViolatedError(
             "average degree below the scaled threshold"
         )
-    d = max(degree_target(eps, t, c_scale), t)
+    d = max(degree_target(eps, t, c_scale), t)  # a size, not a threshold
     h_model = dense_connected_minor(g, d)
     h = h_model.pattern
     fast = _split_fast(h, t, eps)
@@ -396,16 +397,18 @@ def build_dense_minor_bipartite(
         a_set, b_set = b_set, a_set
     if not b_set:
         raise HypothesisViolatedError("both sides must be nonempty")
-    d_eff = t * sqrt_log_inv(eps)
-    threshold = (
-        float(c_scale) * d_eff * math.sqrt(len(a_set) * len(b_set))
-        + t * g.n
-    )
-    if g.m < threshold:
+    # m < c t sqrt(ln(1/eps) |A| |B|) + t n; the root is positive, so this
+    # holds when m - t n is negative and otherwise compares the squares
+    surplus = g.m - t * g.n
+    if surplus < 0 or below_log_inv(
+        Fraction(surplus ** 2, len(a_set) * len(b_set)) / (c_scale * t) ** 2, eps
+    ):
         raise HypothesisViolatedError("edge count below the scaled threshold")
     fast = _greedy_cross_pairs(g, t, eps)
     if fast is not None:
         return fast
+    # sizes, not thresholds: double precision is enough
+    d_eff = t * sqrt_log_inv(eps)
     p = math.sqrt(len(a_set) / len(b_set))
     n_pick = max(math.ceil(float(c_scale) / 2 * d_eff / p + t), 12 * t)
     candidates = [

@@ -403,31 +403,23 @@ def dense_connected_minor_with_trace(
             check_internal(
                 cutset is not None, "a pattern below the connectivity target has a cutset"
             )
-            keep = _small_side(pat, set(cutset))
-            for r in sorted(reps[i] for i in set(range(pat.n)) - keep):
-                work.delete(r)
+            keep = _small_side(pat, mask_of(cutset))
+            for i in mask_vertices(((1 << pat.n) - 1) & ~keep):
+                work.delete(reps[i])
             model = work.model()
     _certify_dense_connected(model, d)
     return model, ExtractionTrace(tuple(work.steps), model)
 
 
-def _small_side(pat: Graph, cut: set[int]) -> set[int]:
-    """Smallest component of the pattern minus the cutset; with min degree
-    >= d/2 and cut order < d/6 its vertices keep more than d/3 neighbors
-    and pairwise share more than d/6, so it is already d/6-connected."""
-    rest = sorted(set(range(pat.n)) - cut)
-    sub, old = induced_subgraph(pat, rest)
-    best: set[int] | None = None
-    for mask in sub.component_masks():
-        comp = {old[v] for v in range(sub.n) if mask >> v & 1}
-        if (
-            best is None
-            or len(comp) < len(best)
-            or (len(comp) == len(best) and min(comp) < min(best))
-        ):
-            best = comp
-    check_internal(best is not None, "removing the cutset left no component")
-    return best
+def _small_side(pat: Graph, cut: int) -> int:
+    """Smallest component of the pattern minus the cutset, as a mask; with
+    min degree >= d/2 and cut order < d/6 its vertices keep more than d/3
+    neighbors and pairwise share more than d/6, so it is already
+    d/6-connected."""
+    # components come ordered by least vertex, so a tie keeps the earlier one
+    comps = pat.components_in(((1 << pat.n) - 1) & ~cut)
+    check_internal(bool(comps), "removing the cutset left no component")
+    return min(comps, key=int.bit_count)
 
 
 def _certify_dense_connected(model: MinorModel, d: int) -> None:
@@ -448,38 +440,32 @@ def dense_connected_minor(g: Graph, d: int) -> MinorModel:
     return dense_connected_minor_with_trace(g, d)[0]
 
 
-def _connectivity_descent(g: Graph, k: int) -> set[int] | None:
-    """Shrink toward a k-connected induced subgraph by stepping into the
-    side of each small separation with the larger edge surplus
-    (2e - (4k-3)n); certified by the exit condition, None when stuck."""
-    cur = set(range(g.n))
+def _connectivity_descent(g: Graph, k: int) -> int | None:
+    """Shrink toward a k-connected induced subgraph, a vertex mask, by
+    stepping into the side of each small separation with the larger edge
+    surplus (2e - (4k-3)n); certified by the exit condition, None when
+    stuck."""
+    cur = (1 << g.n) - 1
     while True:
-        if len(cur) < k + 1:
+        if cur.bit_count() < k + 1:
             return None
-        sub, old = induced_subgraph(g, sorted(cur))
+        sub, old = induced_subgraph(g, mask_vertices(cur))
         kappa, cutset = vertex_connectivity_with_cutset(sub)
         if kappa >= k:
             return cur
         if cutset is None:
             return None  # complete but too small to reach k
-        cut_host = {old[x] for x in cutset}
-        rest = sorted(cur - cut_host)
-        inner, old2 = induced_subgraph(g, rest)
-        best_side: set[int] | None = None
-        best_score: int | None = None
-        for mask in inner.component_masks():
-            side = {old2[v] for v in mask_vertices(mask)} | cut_host
-            side_mask = mask_of(side)
-            e_side = sum((g.neighbor_bits(v) & side_mask).bit_count() for v in side) // 2
-            score = 2 * e_side - (4 * k - 3) * len(side)
-            if (
-                best_score is None
-                or score > best_score
-                or (score == best_score and min(side - cut_host) < min(best_side - cut_host))
-            ):
+        cut = mask_of(old[x] for x in cutset)
+        best_side = best_score = None
+        # components come ordered by least vertex, so a tie keeps the earlier one
+        for comp in g.components_in(cur & ~cut):
+            side = comp | cut
+            e_side = sum((g.neighbor_bits(v) & side).bit_count() for v in mask_vertices(side)) // 2
+            score = 2 * e_side - (4 * k - 3) * side.bit_count()
+            if best_score is None or score > best_score:
                 best_side, best_score = side, score
         check_internal(
-            best_side is not None and len(best_side) < len(cur),
+            best_side is not None and best_side != cur,
             "a side of a separation must be smaller than the whole",
         )
         cur = best_side
@@ -497,4 +483,4 @@ def k_connected_subgraph(g: Graph, k: int) -> tuple[int, ...]:
     found = _connectivity_descent(g, k)
     if found is None:
         raise ExtractionFailedError("connectivity descent ran out of sides")
-    return tuple(sorted(found))
+    return tuple(mask_vertices(found))

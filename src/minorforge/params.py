@@ -1,14 +1,17 @@
 """Parameter plumbing for the density constructions.
 
-The headline constants (scale factor 3360, sample size 20*sqrt(log(1/eps)),
-stitch-path cap 14) are infeasibly large at test scale, so they are defaults
-here and every operation accepts a caller scale.  Floats are
+The headline constants (scale factor 3360, sample size 20*sqrt(log(1/eps)))
+are infeasibly large at test scale, so they are defaults here and every
+operation accepts a caller scale; the stitch-path cap 14 is fixed.  Floats are
 used only to size integer parameters; any float that serves as an upper-bound
-threshold is rounded down first so the check can only get stricter.
+threshold is rounded down first so the check can only get stricter, and a
+threshold with a square root of ln(1/eps) in it is decided exactly
+(``below_log_inv``).
 """
 
 from __future__ import annotations
 
+import decimal
 import math
 from fractions import Fraction
 
@@ -27,8 +30,35 @@ def sqrt_log_inv(eps: Fraction) -> float:
     return math.sqrt(math.log(1 / float(eps)))
 
 
+def below_log_inv(q: Fraction, eps: Fraction) -> bool:
+    """Whether the rational q lies below ln(1/eps), decided exactly.
+
+    With 1/eps = p/r in lowest terms, ln(1/eps) = ln p - ln r, and
+    ``Decimal.ln`` rounds each logarithm correctly, so each is within
+    |ln x| * 10**(1 - prec) of the true value.  The precision doubles until
+    q lies outside that interval, which it does: ln(1/eps) is irrational
+    for rational eps in (0, 1)."""
+    eps = Fraction(eps)
+    if not 0 < eps < 1:
+        raise HypothesisViolatedError(f"eps must lie in (0, 1), got {eps}", evidence=eps)
+    q = Fraction(q)
+    prec = 40
+    while True:
+        with decimal.localcontext() as ctx:
+            ctx.prec = prec
+            ln_p, ln_r = (Fraction(decimal.Decimal(x).ln()) for x in (eps.denominator, eps.numerator))
+        mid = ln_p - ln_r
+        err = (ln_p + ln_r) / 10 ** (prec - 1)
+        if q < mid - err:
+            return True
+        if q > mid + err:
+            return False
+        prec *= 2
+
+
 def degree_target(eps: Fraction, t: int, c_scale: Fraction) -> int:
-    """d = ceil(c_scale * t * sqrt(log(1/eps)))."""
+    """d = ceil(c_scale * t * sqrt(log(1/eps))), in double precision: a
+    size, not a threshold."""
     return math.ceil(float(c_scale) * t * sqrt_log_inv(eps))
 
 

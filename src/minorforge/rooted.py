@@ -20,7 +20,6 @@ from .config import SEARCH_NODES
 from .connectivity import vertex_connectivity_with_cutset
 from .errors import (
     HypothesisViolatedError,
-    InternalInfeasibleError,
     TooLargeError,
     check_internal,
 )
@@ -28,6 +27,22 @@ from .flow import SetFlow
 from .graph import Graph, complement_max_degree, mask_of, mask_vertices
 from .model import MinorModel, is_attached_to
 from .paths import Separation, _separation_from_cut, menger
+
+
+def _disjoint_sets(g: Graph, d_list, what: str) -> list[frozenset[int]]:
+    """The sets of ``d_list``, each checked nonempty, in range and disjoint
+    from the ones before it."""
+    d_sets = [frozenset(d) for d in d_list]
+    claimed: set[int] = set()
+    for d in d_sets:
+        if not d:
+            raise HypothesisViolatedError(f"{what} must be nonempty")
+        for v in d:
+            g.check_vertex(v)
+        if claimed & d:
+            raise HypothesisViolatedError(f"{what} must be disjoint")
+        claimed |= d
+    return d_sets
 
 
 def find_separation_avoiding(g: Graph, s, t_order: int, d_list, n_avoid: int):
@@ -39,16 +54,7 @@ def find_separation_avoiding(g: Graph, s, t_order: int, d_list, n_avoid: int):
     s = frozenset(s)
     for v in s:
         g.check_vertex(v)
-    d_sets = [frozenset(d) for d in d_list]
-    claimed: set[int] = set()
-    for d in d_sets:
-        if not d:
-            raise HypothesisViolatedError("avoidable sets must be nonempty")
-        for v in d:
-            g.check_vertex(v)
-        if claimed & d:
-            raise HypothesisViolatedError("avoidable sets must be disjoint")
-        claimed |= d
+    d_sets = _disjoint_sets(g, d_list, "avoidable sets")
     if n_avoid < 0:
         raise HypothesisViolatedError("the avoidance count must be nonnegative")
     k = n_avoid + 1
@@ -97,23 +103,6 @@ def _live_graph(bits: list[int], side: int) -> Graph:
     return Graph._from_masks(len(bits), _restrict(bits, side))
 
 
-def _within(sep: Separation, side: int) -> tuple[int, int]:
-    """The sides of a separation of ``_live_graph(bits, side)`` as masks
-    inside ``side``, dropping the isolated vertices off it."""
-    return mask_of(sep.a) & side, mask_of(sep.b) & side
-
-
-def _violated(trusted: bool, a: int, b: int) -> Exception:
-    """The loop met an avoiding separation (a, b) below the declared order:
-    the caller's hypothesis failing on a trusted run, a bug on a checked one."""
-    msg = "an avoiding separation below the declared order exists"
-    if trusted:
-        return HypothesisViolatedError(
-            msg, evidence=Separation(mask_vertices(a), mask_vertices(b))
-        )
-    return InternalInfeasibleError(msg)
-
-
 def _class_masks(label: list[int | None], alive: int) -> dict[int, int]:
     """Branch-set index -> mask of its live vertices."""
     classes: dict[int, int] = {}
@@ -135,17 +124,16 @@ def _contract(bits: list[int], label: list[int | None], keep: int, gone: int) ->
     label[gone] = None
 
 
-def _solve(bits, label, alive, s_mask, expand, t, n_avoid, m_total, trusted):
+# the loop meeting an avoiding separation below the declared order: its
+# callers' checks rule one out on the host, so this is a bug
+_MET = "an avoiding separation below the declared order exists"
+
+
+def _solve(bits, label, alive, s_mask, expand, t, n_avoid, m_total):
     """Fragments (masks of workspace vertices) of an attached model with
     ``m_total - t`` fragments, the first ``t`` each holding exactly one
     vertex of ``s_mask``.  Takes over ``bits`` and ``label``, and merges
-    each contracted vertex into ``expand`` in place.
-
-    ``trusted`` marks a run whose no-avoiding-separation hypothesis came
-    from the caller unverified.  The split levels inherit it, so a
-    contradiction at any depth is reported as the caller's hypothesis
-    failing on a trusted run, and as a bug on a checked one.
-    """
+    each contracted vertex into ``expand`` in place."""
     while True:
         for v in mask_vertices(s_mask):
             bits[v] &= ~s_mask
@@ -181,38 +169,33 @@ def _solve(bits, label, alive, s_mask, expand, t, n_avoid, m_total, trusted):
             bits, label, alive = trial_bits, trial_label, trial_alive
             expand[keep] |= expand[gone]
             continue
-        a, b = _within(sep, trial_alive)
+        # the sides as masks inside the live side, dropping the isolated
+        # vertices off it
+        a, b = mask_of(sep.a) & trial_alive, mask_of(sep.b) & trial_alive
         # the separation lives on the contracted graph: gone sits where keep does
         if a >> keep & 1:
             a |= 1 << gone
         if b >> keep & 1:
             b |= 1 << gone
         s_prime = a & b
-        if not (s_prime >> keep & 1 and s_prime >> gone & 1 and s_prime.bit_count() == t):
-            raise _violated(trusted, a, b)
-        return _split(
-            bits, label, alive, s_mask, expand, a, b, s_prime,
-            t, n_avoid, m_total, trusted,
+        check_internal(
+            s_prime >> keep & 1 and s_prime >> gone & 1 and s_prime.bit_count() == t, _MET
         )
-    return _endgame(bits, label, alive, s_mask, t, m_total, trusted)
+        return _split(bits, label, alive, s_mask, expand, a, b, s_prime, t, n_avoid, m_total)
+    return _endgame(bits, label, alive, s_mask, t, m_total)
 
 
-def _split(bits, label, alive, s_mask, expand, a, b, s_prime,
-           t, n_avoid, m_total, trusted):
+def _split(bits, label, alive, s_mask, expand, a, b, s_prime, t, n_avoid, m_total):
     for v in mask_vertices(a & ~b):
         check_internal(not bits[v] & ~a, "separation pulled back with a crossing edge")
     check_internal(not s_mask & ~a, "attachment must sit inside the near side")
     got = menger(_live_graph(bits, a), mask_vertices(s_mask), mask_vertices(s_prime), t)
-    if isinstance(got, Separation):
-        got_a, got_b = _within(got, a)
-        raise _violated(trusted, got_a, got_b | b)
+    check_internal(not isinstance(got, Separation), _MET)
     check_internal(
         set(_class_masks(label, b)) == set(_class_masks(label, alive)),
         "a branch set vanished across the split",
     )
-    frags = _solve(
-        _restrict(bits, b), label, b, s_prime, expand, t, n_avoid, m_total, trusted
-    )
+    frags = _solve(_restrict(bits, b), label, b, s_prime, expand, t, n_avoid, m_total)
     for p in got.paths:
         hit = [i for i in range(t) if frags[i] >> p[-1] & 1]
         check_internal(len(hit) == 1, "every connector must land in one root fragment")
@@ -220,7 +203,7 @@ def _split(bits, label, alive, s_mask, expand, a, b, s_prime,
     return frags
 
 
-def _endgame(bits, label, alive, s_mask, t, m_total, trusted):
+def _endgame(bits, label, alive, s_mask, t, m_total):
     classes = _class_masks(label, alive)
     check_internal(len(classes) == m_total, "a branch set vanished before the finish")
     t_mask = alive & ~s_mask
@@ -230,8 +213,7 @@ def _endgame(bits, label, alive, s_mask, t, m_total, trusted):
             "residue holds a vertex outside the singleton classes",
         )
     got = menger(_live_graph(bits, alive), mask_vertices(s_mask), mask_vertices(t_mask), t)
-    if isinstance(got, Separation):
-        raise _violated(trusted, *_within(got, alive))
+    check_internal(not isinstance(got, Separation), _MET)
     path_pairs = []
     for p in got.paths:
         check_internal(len(p) == 2, "finishing connectors must be single edges")
@@ -245,7 +227,7 @@ def _endgame(bits, label, alive, s_mask, t, m_total, trusted):
     return frags + [1 << v for _, v in spare[:need]]
 
 
-def _attached_fragments(g: Graph, s_mask: int, d_sets, n_avoid: int, trusted: bool):
+def _attached_fragments(g: Graph, s_mask: int, d_sets, n_avoid: int):
     """Run the contraction/split loop from the host on a fresh workspace;
     the fragments as host vertex sets."""
     label: list[int | None] = [None] * g.n
@@ -255,38 +237,23 @@ def _attached_fragments(g: Graph, s_mask: int, d_sets, n_avoid: int, trusted: bo
     expand = [1 << v for v in range(g.n)]
     frags = _solve(
         list(g._bits), label, (1 << g.n) - 1, s_mask, expand,
-        s_mask.bit_count(), n_avoid, len(d_sets), trusted,
+        s_mask.bit_count(), n_avoid, len(d_sets),
     )
     return [frozenset(x for v in mask_vertices(f) for x in mask_vertices(expand[v]))
             for f in frags]
 
 
-def attached_model_search(
-    g: Graph, s, d_list, n_avoid: int, *, skip_separation_check: bool = False
-) -> MinorModel:
-    """A minor model with ``len(d_list) - |s|`` fragments, the first ``|s|``
-    each meeting ``s`` exactly once, whose pattern complement has maximum
-    degree at most ``n_avoid``.  Runs the contraction/split argument over
-    the given branch sets; with ``skip_separation_check`` the caller vouches
-    for its hypothesis, and a contradiction met at any depth raises
-    HypothesisViolatedError with the separation as evidence."""
+def _attached_inputs(g: Graph, s, d_list, n_avoid: int):
+    """The attachment set and the branch sets, checked against every
+    hypothesis of the attached-model search but the separation one."""
     s = frozenset(s)
     for v in s:
         g.check_vertex(v)
     t = len(s)
     if t < 1:
         raise HypothesisViolatedError("the attachment set must be nonempty")
-    d_sets = [frozenset(d) for d in d_list]
+    d_sets = _disjoint_sets(g, d_list, "branch sets")
     m = len(d_sets)
-    claimed: set[int] = set()
-    for d in d_sets:
-        if not d:
-            raise HypothesisViolatedError("branch sets must be nonempty")
-        for v in d:
-            g.check_vertex(v)
-        if claimed & d:
-            raise HypothesisViolatedError("branch sets must be disjoint")
-        claimed |= d
     if n_avoid < 0 or m < n_avoid + 2 * t:
         raise HypothesisViolatedError(
             "need at least the avoidance count plus twice the attachment size"
@@ -317,27 +284,14 @@ def attached_model_search(
             raise HypothesisViolatedError(
                 f"set {j} is anticomplete to too many avoidable sets"
             )
-    avoidable = [d_sets[i] for i in i_idx]
-    if not skip_separation_check:
-        sep = find_separation_avoiding(g, s, t, avoidable, n_avoid)
-        if sep is not None:
-            raise HypothesisViolatedError(
-                "an avoiding separation below the attachment order exists",
-                evidence=sep,
-            )
-    try:
-        fragments = _attached_fragments(g, s_mask, d_sets, n_avoid, skip_separation_check)
-    except HypothesisViolatedError as exc:
-        # the loop's separation lives on the contracted workspace; the
-        # evidence handed out is one of the host, found afresh
-        sep = find_separation_avoiding(g, s, t, avoidable, n_avoid)
-        if sep is None:
-            raise InternalInfeasibleError(
-                "the loop met an avoiding separation the host does not have"
-            ) from exc
-        raise HypothesisViolatedError(str(exc), evidence=sep) from exc
+    return s, d_sets
+
+
+def _attached_model(g: Graph, s: frozenset[int], d_sets, n_avoid: int) -> MinorModel:
+    """The loop's model on checked inputs, with its certificates checked."""
+    fragments = _attached_fragments(g, mask_of(s), d_sets, n_avoid)
     model = MinorModel(g, fragments)
-    check_internal(len(fragments) == m - t, "wrong fragment count")
+    check_internal(len(fragments) == len(d_sets) - len(s), "wrong fragment count")
     check_internal(is_attached_to(model, s), "attachment certificate failed")
     check_internal(
         complement_max_degree(model.pattern) <= n_avoid,
@@ -346,37 +300,44 @@ def attached_model_search(
     return model
 
 
+def attached_model_search(g: Graph, s, d_list, n_avoid: int) -> MinorModel:
+    """A minor model with ``len(d_list) - |s|`` fragments, the first ``|s|``
+    each meeting ``s`` exactly once, whose pattern complement has maximum
+    degree at most ``n_avoid``.  Checks that no separation of order below
+    ``|s|`` keeps more than ``n_avoid`` of the sets missing ``s`` away from
+    it (HypothesisViolatedError with the separation as evidence), then runs
+    the contraction/split argument over the given branch sets."""
+    s, d_sets = _attached_inputs(g, s, d_list, n_avoid)
+    avoidable = [d for d in d_sets if not d & s]
+    sep = find_separation_avoiding(g, s, len(s), avoidable, n_avoid)
+    if sep is not None:
+        raise HypothesisViolatedError(
+            "an avoiding separation below the attachment order exists",
+            evidence=sep,
+        )
+    return _attached_model(g, s, d_sets, n_avoid)
+
+
 def rooted_from_minor(g: Graph, s, j_model: MinorModel, n_avoid: int) -> MinorModel:
     """Attached model derived from a social-enough minor: in an
     ``|s|``-connected host, a model with ``m`` fragments whose pattern
     complement has maximum degree ≤ ``n_avoid`` yields a model of
     ``m - |s|`` fragments attached to ``s`` with the same bound."""
-    s = frozenset(s)
-    for v in s:
-        g.check_vertex(v)
-    t = len(s)
-    if t < 1:
-        raise HypothesisViolatedError("the attachment set must be nonempty")
     pattern = j_model.pattern
     if j_model.host != g:
         raise HypothesisViolatedError("the model must live in the given host")
-    m = len(j_model.fragments)
     if complement_max_degree(pattern) > n_avoid:
         raise HypothesisViolatedError(
             "the pattern complement exceeds the degree bound"
         )
-    if m < n_avoid + 2 * t:
-        raise HypothesisViolatedError(
-            "need at least the avoidance count plus twice the attachment size"
-        )
+    s, d_sets = _attached_inputs(g, s, j_model.fragments, n_avoid)
     k, cutset = vertex_connectivity_with_cutset(g)
-    if k < t:
+    if k < len(s):
         raise HypothesisViolatedError(
             f"host connectivity {k} is below the attachment size",
             evidence=cutset,
         )
-    # this much connectivity leaves no small separation with a populated far
-    # side, so the avoiding-separation hypothesis holds automatically
-    return attached_model_search(
-        g, s, list(j_model.fragments), n_avoid, skip_separation_check=True
-    )
+    # a separation of order below |s| with s on its near side and a vertex
+    # off it would be a cutset smaller than the connectivity, so the
+    # avoiding-separation hypothesis holds and the loop runs unchecked
+    return _attached_model(g, s, d_sets, n_avoid)

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from .build import build_dense_minor
 from .config import SEARCH_NODES, WOVEN_CAP
 from .connectivity import vertex_connectivity_with_cutset
 from .errors import (
@@ -39,14 +38,12 @@ from .graph import (
     mask_vertices,
 )
 from .model import MinorModel, is_rooted_at
-from .params import DEFAULT_C_SCALE
 from .paths import (
     PathFamily,
     _valid_pair_convention,
     audit_path_family,
     require_paths,
 )
-from .rng import Rng
 from .rooted import rooted_from_minor
 
 __all__ = [
@@ -72,18 +69,18 @@ class WovenTriple:
 
 @dataclass(frozen=True)
 class WovenReport:
-    """Verdict plus the per-triple records behind it.
+    """Verdict plus the per-triple records behind it, in the order the
+    admissible triples were decided.
 
-    verdict is "proven" or "refuted-with-counterexample" in exhaustive
-    mode and "no-counterexample-found" or "refuted-with-counterexample"
-    in sampled mode.
+    verdict is "proven" when every admissible triple has a witness, and
+    "refuted-with-counterexample" when the last record, also stored as
+    ``counterexample``, has none.
     """
 
     verdict: str
     eps: Fraction
     a: int
     b: int
-    mode: str
     checked: int
     records: tuple[WovenTriple, ...]
     counterexample: WovenTriple | None
@@ -214,57 +211,10 @@ def _all_triples(n: int, a: int, b: int):
                     yield roots, srcs, tgts
 
 
-def _sample_distinct(rng: Rng, n: int, k: int) -> tuple[int, ...]:
-    pool = list(range(n))
-    out = []
-    for _ in range(k):
-        out.append(pool.pop(rng.below(len(pool))))
-    return tuple(sorted(out))
-
-
-def _sampled_triples(n: int, a: int, b: int, trials: int, rng: Rng):
-    if a > n or b > n:
-        return
-    for trial in range(trials):
-        child = rng.spawn(trial)
-        for _retry in range(256):
-            roots = _sample_distinct(child, n, a)
-            srcs = _sample_distinct(child, n, b)
-            tgts: list[int] = []
-            for i in range(b):
-                banned = set(tgts) | {srcs[j] for j in range(b) if j != i}
-                cands = [v for v in range(n) if v not in banned]
-                if not cands:
-                    break
-                tgts.append(cands[child.below(len(cands))])
-            if len(tgts) == b:
-                yield roots, srcs, tuple(tgts)
-                break
-        else:
-            raise HypothesisViolatedError(
-                "could not sample endpoint lists under the collision rule"
-            )
-
-
-def check_wovenness(
-    g: Graph,
-    eps,
-    a: int,
-    b: int,
-    mode: str = "exhaustive",
-    trials: int = 64,
-    rng: Rng | None = None,
-) -> WovenReport:
-    """Test the woven property triple by triple.
-
-    Exhaustive mode enumerates every admissible (roots, sources,
-    targets) choice on hosts up to the configured order cap and decides
-    each one exactly, so the verdict is "proven" or
-    "refuted-with-counterexample".  Sampled mode draws ``trials``
-    triples from ``rng`` and decides those; absence of a failure only
-    yields "no-counterexample-found", while any failing triple still
-    certifies refutation.
-    """
+def check_wovenness(g: Graph, eps, a: int, b: int) -> WovenReport:
+    """Test the woven property triple by triple: enumerate every admissible
+    (roots, sources, targets) choice on hosts up to the order cap and
+    decide each one exactly, stopping at the first without a witness."""
     eps = Fraction(eps)
     if eps <= 0:
         raise HypothesisViolatedError("eps must be positive")
@@ -272,20 +222,12 @@ def check_wovenness(
         raise HypothesisViolatedError("need at least one root")
     if b < 0:
         raise HypothesisViolatedError("the pair count cannot be negative")
-    if mode not in ("exhaustive", "sampled"):
-        raise HypothesisViolatedError(f"unknown mode {mode!r}")
-    if mode == "exhaustive":
-        if g.n > WOVEN_CAP:
-            raise TooLargeError(f"exhaustive wovenness is capped at {WOVEN_CAP} vertices")
-        triples = _all_triples(g.n, a, b)
-    else:
-        triples = _sampled_triples(
-            g.n, a, b, trials, rng if rng is not None else Rng(0)
-        )
+    if g.n > WOVEN_CAP:
+        raise TooLargeError(f"exhaustive wovenness is capped at {WOVEN_CAP} vertices")
     budget = [SEARCH_NODES]
     records: list[WovenTriple] = []
     counterexample: WovenTriple | None = None
-    for roots, srcs, tgts in triples:
+    for roots, srcs, tgts in _all_triples(g.n, a, b):
         witness = _triple_witness(
             g, eps, roots, tuple(zip(srcs, tgts)), budget
         )
@@ -295,18 +237,11 @@ def check_wovenness(
             break
         model, fam = witness
         records.append(WovenTriple(roots, srcs, tgts, True, model, fam))
-    if counterexample is not None:
-        verdict = "refuted-with-counterexample"
-    elif mode == "exhaustive":
-        verdict = "proven"
-    else:
-        verdict = "no-counterexample-found"
     return WovenReport(
-        verdict=verdict,
+        verdict="proven" if counterexample is None else "refuted-with-counterexample",
         eps=eps,
         a=a,
         b=b,
-        mode=mode,
         checked=len(records),
         records=tuple(records),
         counterexample=counterexample,
@@ -413,19 +348,22 @@ def realize_woven_from_dense_minor(
     a: int,
     request,
     dense_model: MinorModel | None = None,
-    c_scale=None,
-    rng: Rng | None = None,
 ) -> tuple[MinorModel, PathFamily]:
     """Witness one woven request in an 8a-connected host that carries a
     (eps/256, 32a)-dense minor.
 
     ``request`` is (roots, sources, targets) with a roots and 3a
     endpoints per list; roots may not appear among the endpoints here.
-    The construction peels low-quality branch sets from the dense minor,
-    re-attaches the remainder to fresh root neighbors plus the
-    endpoints, routes each pair through a shared extra branch set, and
-    assembles the rooted model from the first a attached fragments.
-    Returns the model and the linkage, fully audited and disjoint.
+    The dense minor is ``dense_model`` when given, which must live in
+    ``g`` (HypothesisViolatedError) and be dense enough
+    (DensityNotMetError).  Otherwise it is the singletons of the greedy
+    32a-vertex subgraph, and HypothesisViolatedError is raised when that
+    subgraph is not dense enough.  The construction peels low-quality
+    branch sets from the dense minor, re-attaches the remainder to fresh
+    root neighbors plus the endpoints, routes each pair through a shared
+    extra branch set, and assembles the rooted model from the first a
+    attached fragments.  Returns the model and the linkage, fully audited
+    and disjoint.
     """
     eps = Fraction(eps)
     if eps <= 0:
@@ -471,22 +409,13 @@ def realize_woven_from_dense_minor(
             raise DensityNotMetError("the supplied model is not dense enough")
         j_model = dense_model
     else:
-        j_model = None
-        if g.n >= t_dense:
-            cand = greedy_dense_subgraph(g, t_dense)
-            sub, _ = induced_subgraph(g, cand)
-            if is_eps_t_dense(sub, eps_fine, t_dense):
-                j_model = MinorModel(
-                    g, [frozenset((v,)) for v in cand]
-                )
-        if j_model is None:
-            j_model = build_dense_minor(
-                g,
-                eps_fine,
-                t_dense,
-                DEFAULT_C_SCALE if c_scale is None else c_scale,
-                rng if rng is not None else Rng(0),
+        cand = greedy_dense_subgraph(g, t_dense) if g.n >= t_dense else ()
+        if not cand or not is_eps_t_dense(induced_subgraph(g, cand)[0], eps_fine, t_dense):
+            raise HypothesisViolatedError(
+                f"the greedy subgraph on {t_dense} vertices is not "
+                f"({eps_fine}, {t_dense})-dense; pass a dense model"
             )
+        j_model = MinorModel(g, [frozenset((v,)) for v in cand])
 
     # drop branch sets whose pattern vertex misses too many others, then
     # those touching the roots or the collapsed equal pairs

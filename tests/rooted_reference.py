@@ -5,8 +5,9 @@ bitmasks.  ``_class_map``, ``_snapshot``, ``_drop_s_edges``, ``_contract``,
 kept verbatim; ``attached_fragments`` repeats the workspace set-up and the
 fragment expansion of ``attached_model_search`` and passes ``None`` for
 the ``caps`` argument, which the loop never reads.  ``test_rooted.py``
-requires the library to return the same fragments, and to raise the same
-errors with the same evidence, as this code.
+runs this code checked (``trusted=False``), as the library runs its loop,
+and requires the library to return the same fragments, or to raise the
+same error, as this code.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import decimal
 from fractions import Fraction
 
 import pytest
@@ -27,7 +28,7 @@ from minorforge.errors import (
     PathTooLongError,
     UnknownVertexError,
 )
-from minorforge.params import power_hypothesis, sqrt_log_inv, undominated_bound
+from minorforge.params import below_log_inv, power_hypothesis, sqrt_log_inv, undominated_bound
 from minorforge.rng import Rng, derive_seed
 
 from conftest import brute_connected, petersen
@@ -38,6 +39,50 @@ def test_sqrt_log_inv_refuses_eps_outside_the_open_unit_interval():
         with pytest.raises(HypothesisViolatedError, match=f"got {eps}") as info:
             sqrt_log_inv(eps)
         assert info.value.evidence == eps
+
+
+def _ln_10_near(digits: int = 80):
+    """ln 10 and its square root as rationals good to ``digits`` places."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        ln10 = decimal.Decimal(10).ln()
+        return Fraction(ln10), Fraction(ln10.sqrt())
+
+
+def test_below_log_inv_separates_what_doubles_cannot():
+    ln10, _ = _ln_10_near()
+    tiny = Fraction(1, 10**30)
+    assert float(ln10 - tiny) == float(ln10 + tiny)
+    assert below_log_inv(ln10 - tiny, Fraction(1, 10))
+    assert not below_log_inv(ln10 + tiny, Fraction(1, 10))
+    # ln 2 = 0.693..., ln(7/2) = 1.2527...
+    assert below_log_inv(Fraction(0), Fraction(1, 2))
+    assert not below_log_inv(Fraction(7, 10), Fraction(1, 2))
+    assert below_log_inv(Fraction(5, 4), Fraction(2, 7))
+    assert not below_log_inv(Fraction(63, 50), Fraction(2, 7))
+    for eps in (Fraction(0), Fraction(1), Fraction(3, 2)):
+        with pytest.raises(HypothesisViolatedError, match=f"got {eps}"):
+            below_log_inv(Fraction(1), eps)
+
+
+def test_density_thresholds_are_exact():
+    """Scales within 1e-30 of each threshold, the same double on both sides:
+    above it the build refuses the host, below it the build goes on."""
+    eps, t, tiny = Fraction(1, 10), 3, Fraction(1, 10**30)
+    _, root = _ln_10_near()
+    # K_24 has average degree 23: the threshold is c = 23 / (3 sqrt(ln 10))
+    exact = Fraction(23) / (t * root)
+    assert float(exact - tiny) == float(exact + tiny)
+    with pytest.raises(HypothesisViolatedError, match="average degree below"):
+        build_dense_minor(complete_graph(24), eps, t, exact + tiny, Rng(1))
+    require_valid(build_dense_minor(complete_graph(24), eps, t, exact - tiny, Rng(1)))
+    # K_{30,30} has 900 edges against t n = 180: c = 720 / (3 sqrt(900 ln 10))
+    g = random_bipartite(30, 30, Fraction(1), Rng(0))
+    sides = tuple(range(30)), tuple(range(30, 60))
+    exact = Fraction(720) / (t * 30 * root)
+    with pytest.raises(HypothesisViolatedError, match="edge count below"):
+        build_dense_minor_bipartite(g, *sides, eps, t, exact + tiny, Rng(1))
+    require_valid(build_dense_minor_bipartite(g, *sides, eps, t, exact - tiny, Rng(1)))
 
 
 def test_power_hypothesis_refuses_a_negative_base_or_nonpositive_eps():
@@ -130,9 +175,11 @@ def test_connect_within():
     split = graph_from_edge_list(4, [(0, 1), (2, 3)])
     with pytest.raises(DisconnectedHostError):
         connect_within(split, {0, 2})
-    far = graph_from_edge_list(6, [(i, i + 1) for i in range(5)])
+    # the ends of a 16-vertex path need 15 edges, one over the cap of 14
+    far = graph_from_edge_list(16, [(i, i + 1) for i in range(15)])
     with pytest.raises(PathTooLongError):
-        connect_within(far, {0, 5}, max_path_len=2)
+        connect_within(far, {0, 15})
+    assert len(connect_within(far, {0, 14})) == 15
 
 
 def test_build_dense_minor_fast_path_on_complete_host():

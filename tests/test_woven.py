@@ -7,6 +7,7 @@ import pytest
 
 from minorforge import (
     MinorModel,
+    greedy_dense_subgraph,
     PathFamily,
     audit_path_family,
     build_dense_minor,
@@ -21,6 +22,7 @@ from minorforge import (
     weave,
 )
 from minorforge.errors import (
+    DensityNotMetError,
     HypothesisViolatedError,
     TooLargeError,
     WovennessFailedError,
@@ -43,7 +45,6 @@ def _cut_gadget():
 def test_complete_graph_is_woven():
     report = check_wovenness(complete_graph(5), Fraction(1, 2), 1, 1)
     assert report.verdict == "proven"
-    assert report.mode == "exhaustive"
     assert report.counterexample is None
     # roots, sources, targets each range over all five vertices: overlaps
     # with the roots and the trivial source=target pair are admissible
@@ -62,23 +63,6 @@ def test_gadget_is_refuted_with_certificate():
     # the stored triple really separates: both glue vertices are roots, so
     # any source left of the cut cannot reach a target on the right
     assert set(bad.roots) == {0, 1}
-
-
-def test_sampled_mode_finds_counterexamples_too():
-    g = _cut_gadget()
-    report = check_wovenness(
-        g, Fraction(1, 2), 2, 1, mode="sampled", trials=400, rng=Rng(5)
-    )
-    assert report.verdict == "refuted-with-counterexample"
-    assert report.mode == "sampled"
-
-
-def test_sampled_mode_on_good_host():
-    report = check_wovenness(
-        complete_graph(6), Fraction(1, 2), 1, 1, mode="sampled", trials=20, rng=Rng(1)
-    )
-    assert report.verdict == "no-counterexample-found"
-    assert report.checked == 20
 
 
 def test_exhaustive_cap_and_validation():
@@ -237,3 +221,33 @@ def test_realize_validates_connectivity_and_shape():
         realize_woven_from_dense_minor(
             g, Fraction(1, 2), 2, ((0, 1), (2, 3), (4, 5))
         )
+
+
+def test_realize_refuses_a_host_without_a_dense_subgraph():
+    """Connectivity 51 clears the 16 asked for, but the greedy subgraph on
+    64 vertices of G(80, 3/4) is far from (1/512, 64)-dense."""
+    g = random_graph(80, Fraction(3, 4), Rng(1))
+    request = ((0, 1), tuple(range(2, 8)), tuple(range(8, 14)))
+    with pytest.raises(HypothesisViolatedError, match="not .*-dense"):
+        realize_woven_from_dense_minor(g, Fraction(1, 2), 2, request)
+
+
+def test_realize_with_a_supplied_dense_model():
+    """A supplied dense minor is used as given: the greedy subgraph's
+    singletons give the witness the search finds by itself; a sparse model
+    or one on another host is refused."""
+    edges = complete_graph(68).edges()
+    g = graph_from_edge_list(68, edges[:100] + edges[101:])
+    request = ((0, 1), tuple(range(2, 8)), tuple(range(8, 14)))
+    greedy = MinorModel(g, [{v} for v in greedy_dense_subgraph(g, 64)])
+    model, fam = realize_woven_from_dense_minor(g, Fraction(1, 2), 2, request, greedy)
+    found, found_fam = realize_woven_from_dense_minor(g, Fraction(1, 2), 2, request)
+    assert (model.fragments, fam.paths) == (found.fragments, found_fam.paths)
+    # 64 singletons of G(80, 3/4), about three quarters of the pairs joined
+    g_sparse = random_graph(80, Fraction(3, 4), Rng(1))
+    sparse = MinorModel(g_sparse, [{v} for v in range(64)])
+    with pytest.raises(DensityNotMetError):
+        realize_woven_from_dense_minor(g_sparse, Fraction(1, 2), 2, request, sparse)
+    elsewhere = MinorModel(complete_graph(68), [{v} for v in range(64)])
+    with pytest.raises(HypothesisViolatedError, match="given host"):
+        realize_woven_from_dense_minor(g, Fraction(1, 2), 2, request, elsewhere)
