@@ -472,10 +472,8 @@ def _cmd_experiment(args) -> int:
     report = make_report(_config_echo(cfg), records, aggregates)
     text = dump_report(report)
     out = args.out if args.out is not None else cfg.get("out")
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        _emit(text, out)
+    _emit(text, out)
+    if out is not None:
         stem, _ = os.path.splitext(out)
         with open(stem + ".csv", "w", encoding="utf-8", newline="") as fh:
             writer = csv.DictWriter(

@@ -1,8 +1,9 @@
 """Exact chromatic number and chromatic separability.
 
-Branch-and-bound: a greedy clique gives the lower bound, saturation-greedy
-the upper bound, and the k-colorability search precolors the clique and never
-opens more than one fresh color per step.  Both solvers are exponential and
+A greedy clique gives the lower bound, and k counts up from it until the
+k-colorability search succeeds.  That search precolors the clique and never
+opens more than one fresh color per step, and it is complete, so the first
+k it succeeds at is the chromatic number.  Both solvers are exponential and
 refuse hosts above the fixed vertex caps of config.
 """
 
@@ -32,30 +33,6 @@ def _greedy_clique(g: Graph) -> list[int]:
         if len(clique) > len(best):
             best = clique
     return best
-
-
-def _greedy_coloring(g: Graph) -> list[int]:
-    """Saturation-first greedy; complete, used only as an upper bound."""
-    color = [-1] * g.n
-    classes: list[int] = []  # vertex mask of each colour used so far
-    for _ in range(g.n):
-        pick, pick_key = -1, None
-        for v in range(g.n):
-            if color[v] != -1:
-                continue
-            nbrs = g.neighbor_bits(v)
-            sat = {c for c, cls in enumerate(classes) if nbrs & cls}
-            key = (-len(sat), -g.degree(v), v)
-            if pick_key is None or key < pick_key:
-                pick, pick_key, pick_sat = v, key, sat
-        c = 0
-        while c in pick_sat:
-            c += 1
-        color[pick] = c
-        if c == len(classes):
-            classes.append(0)
-        classes[c] |= 1 << pick
-    return color
 
 
 def _colorable_with(g: Graph, k: int, clique: list[int]) -> list[int] | None:
@@ -104,11 +81,10 @@ def chromatic_number_exact(g: Graph) -> int:
     if g.m == 0:
         return 1
     clique = _greedy_clique(g)
-    ub = max(_greedy_coloring(g)) + 1
-    for k in range(len(clique), ub + 1):
-        if _colorable_with(g, k, clique) is not None:
-            return k
-    return ub
+    k = len(clique)
+    while _colorable_with(g, k, clique) is None:
+        k += 1
+    return k
 
 
 def is_chromatic_separable(g: Graph, m: int):

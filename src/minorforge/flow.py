@@ -10,25 +10,19 @@ is the throughput of each vertex plus two bitmasks per vertex, ``fout[u]``
 bit ``w`` and ``fin[w]`` bit ``u`` being set while ``out(u) -> in(w)``
 carries a unit.
 
-Two path finders share that residual state and one walk that pushes a
-unit along a path (``_apply``):
+One path finder, ``_augment``, works on that state: it pushes one
+shortest path per BFS (FIFO queue), and ``_apply`` walks the path to push
+the unit.  From ``in(v)`` the search scans ``out(v)``, then the reverse
+arcs ``fin[v]``; from ``out(v)`` it scans ``in(v)`` (reverse), the sink,
+then ``N(v)`` minus the sources; each set in ascending order.  That is the
+order sorted adjacency lists of an explicit network give, so the flow, and
+the paths ``SetFlow.paths`` decomposes it into, are deterministic and fixed.
 
-- ``_augment`` pushes one shortest path per BFS (FIFO queue).  From
-  ``in(v)`` it scans ``out(v)``, then the reverse arcs ``fin[v]``; from
-  ``out(v)`` it scans ``in(v)`` (reverse), the sink, then ``N(v)`` minus
-  the sources; each set in ascending order.  That is the order sorted
-  adjacency lists of an explicit network give, so the flow, and the paths
-  ``SetFlow.paths`` decomposes it into, are deterministic and fixed.
-- ``_phase`` runs one blocking-flow phase (Dinic, 1970): one BFS on masks
-  builds the layers of the residual network, and a depth-first search
-  inside them pushes every shortest path it can.  ``SetFlow.min_cut`` uses
-  it, for callers that read only the flow value and the cut.
-
-The cut depends neither on the finder nor on the flow a run starts from.
-For every maximum flow, the nodes the source reaches in the residual
-network are the same set, the source side of the unique inclusion-minimal
-minimum cut; ``cut_vertices`` reads the cut off that set, so both finders
-give the same cut, and a capped run of either stops at exactly its limit.
+The cut does not depend on the flow a run starts from.  For every maximum
+flow, the nodes the source reaches in the residual network are the same
+set, the source side of the unique inclusion-minimal minimum cut;
+``cut_vertices`` reads the cut off that set, so a run seeded with any flow
+gives the same cut, and a capped run stops at exactly its limit.
 
 Callers skip a capped flow whose answer adjacency already forces, by two
 lemmas.  The forced-cut lemma: take a separation (A, B) with ``S ⊆ A``
@@ -44,8 +38,8 @@ bound on its size.  When either count reaches the limit, a capped run
 would stop at the limit with no cut.  ``pair_vertex_cut`` applies the
 path-packing lemma itself: it returns ``(limit, None)`` without building
 a network when the packed paths reach the limit, and below the limit they
-seed its flow: they form a flow, and the phases take it on to a maximum
-one.
+seed its flow: they form a flow, and the searches take it on to a
+maximum one.
 """
 
 from __future__ import annotations
@@ -65,13 +59,10 @@ class FlowNet:
     vertex ``v`` (at most ``cap[v]``), ``fout``/``fin`` mark the graph arcs
     carrying a unit, the source feeds ``in(v)`` for each of ``sources`` and
     ``out(v)`` feeds the sink for each ``v`` in ``tmask``.  Sources accept
-    no graph arcs and targets emit none.  ``spare`` and ``used`` mark the
-    vertices with ``through[v] < cap[v]`` and ``through[v] > 0``; ``_apply``
-    keeps them current.  ``_reach`` holds the reach masks of the search that
-    stalled, and is cleared whenever a unit is pushed."""
+    no graph arcs and targets emit none.  ``_reach`` holds the reach masks
+    of the search that stalled, and is cleared whenever a unit is pushed."""
 
-    __slots__ = ("bits", "sources", "smask", "tmask", "cap", "through", "fout", "fin",
-                 "spare", "used", "_reach")
+    __slots__ = ("bits", "sources", "smask", "tmask", "cap", "through", "fout", "fin", "_reach")
 
     def _search(self):
         """One BFS of the residual network from the source.  Returns the
@@ -129,138 +120,51 @@ class FlowNet:
                 queue.append(2 * w)
         return parent, -1, seen_in, seen_out
 
-    def _augment(self, limit: int) -> int:
-        """Push one unit along a shortest augmenting path, if there is one
-        (``limit`` is at least one).  SetFlow's capacities put an arc of
-        capacity one on every such path, so one unit is all a path carries."""
+    def _augment(self) -> bool:
+        """Push one unit along a shortest augmenting path, if there is one.
+        SetFlow's capacities put an arc of capacity one on every such path,
+        so one unit is all a path carries."""
         parent, node, reach_in, reach_out = self._search()
         if node < 0:
             self._reach = reach_in, reach_out
-            return 0
+            return False
         path = []
         while node >= 0:
             path.append(node)
             node = parent[node]
         path.reverse()
         self._apply(path)
-        return 1
-
-    def _levels(self):
-        """The BFS of ``_search``, one layer at a time on masks: the
-        alternating ``in`` and ``out`` layers of the residual network, up to
-        the first ``in`` layer holding a target with spare capacity, whose
-        entry is cut down to those targets.  Every arc joins an ``in`` node
-        to an ``out`` node, so a layer holds nodes of one kind.  Returns
-        ``None``, caching the reach masks, when the sink stays unreached."""
-        bits, fin, tmask, spare, used = self.bits, self.fin, self.tmask, self.spare, self.used
-        arcs_in = ~self.smask
-        front = seen_in = self.smask & spare
-        seen_out = 0
-        layers = []
-        while front:
-            if front & tmask & spare:
-                layers.append(front & tmask & spare)
-                return layers
-            layers.append(front)
-            nxt, m = front & spare, front
-            while m:
-                b = m & -m
-                m ^= b
-                nxt |= fin[b.bit_length() - 1]
-            nxt &= ~seen_out
-            seen_out |= nxt
-            layers.append(nxt)
-            front, m = 0, nxt
-            while m:
-                b = m & -m
-                m ^= b
-                front |= bits[b.bit_length() - 1]
-            front = (front & arcs_in | nxt & used) & ~seen_in
-            seen_in |= front
-        self._reach = seen_in, seen_out
-        return None
-
-    def _phase(self, limit: int) -> int:
-        """One blocking-flow phase (Dinic): push up to ``limit`` units along
-        shortest augmenting paths found by a depth-first search inside the
-        layers of one ``_levels`` BFS; node ``i`` of a path lies in layer
-        ``i``.  A node left with no way forward is dead for the rest of the
-        phase and is cleared from its layer: pushing along a shortest path
-        opens only arcs that go back a layer, so the dead stay dead."""
-        layers = self._levels()
-        if layers is None:
-            return 0
-        bits, cap, through, fin, tmask = self.bits, self.cap, self.through, self.fin, self.tmask
-        arcs_in, last = ~self.smask, len(layers) - 1
-        pushed, path = 0, []
-        while True:
-            i = len(path)
-            if i:
-                v = path[-1] >> 1
-                if not i & 1:  # out(v): the reverse vertex arc, then graph arcs
-                    step = (bits[v] & arcs_in | (1 << v if through[v] else 0)) & layers[i]
-                elif i <= last:  # in(v): the vertex arc, then reverse graph arcs
-                    step = (fin[v] | (1 << v if through[v] < cap[v] else 0)) & layers[i]
-                elif tmask >> v & 1 and through[v] < cap[v]:
-                    path.append(2 * v + 1)
-                    self._apply(path)
-                    pushed += 1
-                    if pushed == limit:
-                        return pushed
-                    path.clear()
-                    continue
-                else:
-                    step = 0
-            else:
-                step = layers[0]
-            if step:
-                path.append(2 * (step & -step).bit_length() - 2 + (i & 1))
-            elif path:
-                layers[i - 1] &= ~(1 << (path.pop() >> 1))
-            else:
-                return pushed
+        return True
 
     def _apply(self, path: list[int]) -> None:
         """Push one unit along ``path``, the nodes of an augmenting path
         after the source, ending at the ``out`` node of a target."""
         self._reach = None
-        cap, through, fout, fin = self.cap, self.through, self.fout, self.fin
-        spare, used = self.spare, self.used
+        through, fout, fin = self.through, self.fout, self.fin
         for prev, node in zip(path, path[1:]):
             v = node >> 1
             if node & 1:
                 if prev == node - 1:
                     through[v] += 1
-                    used |= 1 << v
-                    if through[v] == cap[v]:
-                        spare &= ~(1 << v)
                 else:  # reverse arc in(u) -> out(v) cancels v's unit into u
                     fout[v] ^= 1 << (prev >> 1)
                     fin[prev >> 1] ^= 1 << v
             elif prev == node + 1:
                 through[v] -= 1
-                spare |= 1 << v
-                if not through[v]:
-                    used &= ~(1 << v)
             else:  # graph arc out(u) -> in(v)
                 fout[prev >> 1] |= 1 << v
                 fin[v] |= 1 << (prev >> 1)
-        self.spare, self.used = spare, used
 
-    def max_flow(self, push, limit: int = INF) -> int:
-        """Push flow with ``push`` (``_augment`` or ``_phase``) until
-        ``limit`` units went in or no augmenting path is left; returns the
-        units pushed.
+    def max_flow(self, limit: int = INF) -> int:
+        """Push one shortest augmenting path at a time until ``limit`` units
+        went in or none is left; returns the units pushed.
 
         A return value below ``limit`` certifies the flow is maximum, so the
         residual cut is then a true minimum cut.
         """
         pushed = 0
-        while pushed < limit:
-            got = push(limit - pushed)
-            if not got:
-                break
-            pushed += got
+        while pushed < limit and self._augment():
+            pushed += 1
         return pushed
 
 
@@ -311,24 +215,22 @@ class SetFlow(FlowNet):
         self.through = [0] * g.n
         self.fout = [0] * g.n
         self.fin = [0] * g.n
-        self.spare = (1 << g.n) - 1
-        self.used = 0
         self._reach = None
         self.value = 0
 
     def run(self, limit: int = INF) -> int:
         """Flow value after pushing up to ``limit`` units in all, one
         shortest path per search, the flow that ``paths`` decomposes."""
-        self.value += self.max_flow(self._augment, limit - self.value)
+        self.value += self.max_flow(limit - self.value)
         return self.value
 
     def min_cut(self, limit: int = INF) -> tuple[int, tuple[int, ...] | None]:
-        """``(value, cut)`` after pushing up to ``limit`` units in all by
-        blocking-flow phases; ``cut`` is ``cut_vertices()`` when the value
-        stays below ``limit`` and ``None`` otherwise.  For callers that read
-        only the value and the cut: the flow itself may differ from the one
-        ``run`` builds, but its value and minimum cut do not."""
-        self.value += self.max_flow(self._phase, limit - self.value)
+        """``(value, cut)`` after pushing up to ``limit`` units in all;
+        ``cut`` is ``cut_vertices()`` when the value stays below ``limit``
+        and ``None`` otherwise.  For callers that read only the value and
+        the cut, which do not depend on the flow the network was seeded
+        with."""
+        self.value += self.max_flow(limit - self.value)
         return self.value, self.cut_vertices() if self.value < limit else None
 
     def paths(self) -> list[tuple[int, ...]]:
@@ -410,7 +312,7 @@ def pair_vertex_cut(g: Graph, x: int, y: int, limit: int = INF):
         return limit, None
     flow = SetFlow(g, (x,), (y,), uncuttable_sources=True, uncuttable_targets=True)
     # the packed short paths are a flow to start from: the cut does not
-    # depend on which maximum flow the phases end at
+    # depend on which maximum flow the searches end at
     for mid in seed:
         flow._apply([2 * x, 2 * x + 1, *(node for v in mid for node in (2 * v, 2 * v + 1)),
                      2 * y, 2 * y + 1])

@@ -323,9 +323,9 @@ def rooted_from_minor(g: Graph, s, j_model: MinorModel, n_avoid: int) -> MinorMo
     ``|s|``-connected host, a model with ``m`` fragments whose pattern
     complement has maximum degree ≤ ``n_avoid`` yields a model of
     ``m - |s|`` fragments attached to ``s`` with the same bound."""
-    pattern = j_model.pattern
     if j_model.host != g:
         raise HypothesisViolatedError("the model must live in the given host")
+    pattern = j_model.pattern
     if complement_max_degree(pattern) > n_avoid:
         raise HypothesisViolatedError(
             "the pattern complement exceeds the degree bound"

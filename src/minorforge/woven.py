@@ -400,11 +400,11 @@ def realize_woven_from_dense_minor(
     eps_fine = eps / 256
     t_dense = 32 * a
     if dense_model is not None:
-        pattern = dense_model.pattern
         if dense_model.host != g:
             raise HypothesisViolatedError(
                 "the dense model must live in the given host"
             )
+        pattern = dense_model.pattern
         if not is_eps_t_dense(pattern, eps_fine, t_dense):
             raise DensityNotMetError("the supplied model is not dense enough")
         j_model = dense_model

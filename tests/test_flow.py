@@ -142,20 +142,13 @@ def _deadline(seconds: int):
 
 
 def test_engine_matches_the_explicit_network(monkeypatch):
-    """Both path finders of the bitmask engine against the arc-record
-    network it replaced: ``run`` (one shortest path per search) gives the
-    same values, paths and cuts, and ``min_cut`` (blocking-flow phases) the
-    same values and cuts, through a capped run resumed to the maximum; a
-    cut is refused while the flow is below the maximum.  After every run
-    the ``spare`` and ``used`` masks match the throughputs.  A phase that
-    revisits dead nodes or leaves its layers can loop forever; the deadline
-    (the test takes a few seconds) turns that into a failure."""
-    phase, apply = FlowNet._phase, FlowNet._apply
-
-    def counted(self, limit):
-        got = phase(self, limit)
-        hits["phase of 2+ units"] += got >= 2
-        return got
+    """The bitmask engine against the arc-record network it replaced:
+    ``run`` gives the same values, paths and cuts, and ``min_cut`` the same
+    values and cuts, through a capped run resumed to the maximum; a cut is
+    refused while the flow is below the maximum.  A search that loses track
+    of what it reached can loop forever; the deadline (the test takes a few
+    seconds) turns that into a failure."""
+    apply = FlowNet._apply
 
     def counted_apply(self, path):
         # out(v) -> in(v) takes a unit off vertex v
@@ -164,7 +157,6 @@ def test_engine_matches_the_explicit_network(monkeypatch):
         )
         apply(self, path)
 
-    monkeypatch.setattr(FlowNet, "_phase", counted)
     monkeypatch.setattr(FlowNet, "_apply", counted_apply)
     hits = Counter()
     with _deadline(60):
@@ -180,10 +172,10 @@ def test_engine_matches_the_explicit_network(monkeypatch):
             s, t = verts[:a], verts[max(0, a - overlap) : a + b]
             hits["overlap"] += bool(set(s) & set(t))
             kwargs = _FLOW_KINDS[i % len(_FLOW_KINDS)]
-            _compare_finders(g, s, t, (kwargs, kwargs), rng, hits, i)
+            _compare_flows(g, s, t, (kwargs, kwargs), rng, hits, i)
             x, y = verts[0], verts[-1]
             if not g.has_edge(x, y):
-                _compare_finders(g, [x], [y], _PAIR_CUT, rng, hits, i)
+                _compare_flows(g, [x], [y], _PAIR_CUT, rng, hits, i)
                 for limit in (INF, 1 + rng.below(3)):
                     got = pair_vertex_cut(g, x, y, limit)
                     assert got == ref.pair_vertex_cut(g, x, y, limit), i
@@ -192,26 +184,24 @@ def test_engine_matches_the_explicit_network(monkeypatch):
         # path is 0-2-5; the second runs 1-4-5, back over 5-2-0 and on by
         # 0-3-6, so the flow ends as 0-3-6 and 1-4-5 and vertex 2 is freed.
         g = graph_from_edge_list(7, [(0, 2), (2, 5), (0, 3), (3, 6), (1, 4), (4, 5)])
-        _compare_finders(g, [0, 1], [5, 6], ({}, {}), Rng(0), hits, "unit off a vertex")
+        _compare_flows(g, [0, 1], [5, 6], ({}, {}), Rng(0), hits, "unit off a vertex")
     for case in ("overlap", "stalled", "doubled start", "refused cut",
                  "pair cut", "pair capped", "unit off a vertex"):
         assert hits[case], case
-    assert hits["capped"] > 100 and hits["phase of 2+ units"] > 100, hits
+    assert hits["capped"] > 100, hits
 
 
-def _compare_finders(g, s, t, kwargs, rng, hits, i):
+def _compare_flows(g, s, t, kwargs, rng, hits, i):
     """``kwargs`` holds the engine's keywords, then the reference's."""
-    engine, phased = SetFlow(g, s, t, **kwargs[0]), SetFlow(g, s, t, **kwargs[0])
+    engine, cutter = SetFlow(g, s, t, **kwargs[0]), SetFlow(g, s, t, **kwargs[0])
     old = ref.SetFlow(g, s, t, **kwargs[1])
     for limit in (1 + rng.below(4), INF):
         value = engine.run(limit)
         assert value == old.run(limit), i
-        _audit_masks(engine, i)
         paths = engine.paths()
         assert paths == old.paths(), i
         cut = engine.cut_vertices() if value < limit else None
-        assert phased.min_cut(limit) == (value, cut), i
-        _audit_masks(phased, i)
+        assert cutter.min_cut(limit) == (value, cut), i
         if value < limit:
             hits["stalled"] += limit != INF  # an unlimited run always stalls
             assert cut == old.cut_vertices(), i
@@ -219,18 +209,11 @@ def _compare_finders(g, s, t, kwargs, rng, hits, i):
             hits["capped"] += 1
             if old.run(INF) > value:  # the reference goes on; the engines stay capped
                 hits["refused cut"] += 1
-                for net in (engine, phased):
+                for net in (engine, cutter):
                     with pytest.raises(InternalInfeasibleError):
                         net.cut_vertices()
         if 2 in Counter(p[0] for p in paths).values():
             hits["doubled start"] += 1
-
-
-def _audit_masks(net, i):
-    """``spare`` and ``used``, kept by ``_apply``, against the throughputs."""
-    spare = sum(1 << v for v, c in enumerate(net.through) if c < net.cap[v])
-    used = sum(1 << v for v, c in enumerate(net.through) if c)
-    assert (net.spare, net.used) == (spare, used), i
 
 
 def _short_path_host(rng):
@@ -255,25 +238,21 @@ def _short_path_host(rng):
 def test_seeded_pair_cut_matches_the_explicit_network(monkeypatch):
     """``pair_vertex_cut`` starts its flow from the packed short paths.
     Against the arc-record network (which starts from nothing) it gives the
-    same value and cut for limits below, at and above the packed count.
-    The preloaded network's ``spare`` and ``used`` masks match its
-    throughputs before any phase runs and after the last, and a capped run
-    that the packing already fills runs no phase."""
-    seeded, phase, apply = SetFlow.min_cut, FlowNet._phase, FlowNet._apply
+    same value and cut for limits below, at and above the packed count,
+    and a capped run that the packing already fills runs no search."""
+    seeded, augment, apply = SetFlow.min_cut, FlowNet._augment, FlowNet._apply
     hits = Counter()
 
     def audited(self, limit=INF):
-        _audit_masks(self, "preloaded")
         seed = self.value
         assert self.through[self.sources[0]] == seed == min(len(packed), limit)
         got = seeded(self, limit)
-        _audit_masks(self, "after the phases")
         hits["beyond the seed"] += got[0] > seed
         return got
 
-    def counted_phase(self, limit):
-        ran.append(limit)
-        return phase(self, limit)
+    def counted_augment(self):
+        ran.append(self.value)
+        return augment(self)
 
     def counted_apply(self, path):
         # in(u) -> out(v) cancels a unit on the graph arc out(v) -> in(u)
@@ -283,7 +262,7 @@ def test_seeded_pair_cut_matches_the_explicit_network(monkeypatch):
         apply(self, path)
 
     monkeypatch.setattr(SetFlow, "min_cut", audited)
-    monkeypatch.setattr(FlowNet, "_phase", counted_phase)
+    monkeypatch.setattr(FlowNet, "_augment", counted_augment)
     monkeypatch.setattr(FlowNet, "_apply", counted_apply)
     for i in range(300):
         rng = Rng(derive_seed(25, i))

@@ -208,6 +208,16 @@ def test_rooted_from_minor_demands_connectivity():
     assert info.value.evidence is not None  # names a cutset
 
 
+def test_rooted_from_minor_checks_the_host_before_the_model():
+    """A model from another host is refused as living elsewhere, before its
+    fragments are checked: {0, 2} is not connected in its own host."""
+    g = complete_graph(68)
+    one_edge = graph_from_edge_list(68, [(0, 1)])
+    elsewhere = MinorModel(one_edge, [{0, 2}] + [{v} for v in range(3, 68)])
+    with pytest.raises(HypothesisViolatedError, match="given host"):
+        rooted_from_minor(g, (0, 1), elsewhere, 0)
+
+
 def _forced_cut_instance(rng, kind):
     """A host, s, t_order, d_sets and n_avoid of one of three kinds:
     "dense" G(n, 4/5 or 9/10) hosts, where most subfamilies see t_order

@@ -251,3 +251,13 @@ def test_realize_with_a_supplied_dense_model():
     elsewhere = MinorModel(complete_graph(68), [{v} for v in range(64)])
     with pytest.raises(HypothesisViolatedError, match="given host"):
         realize_woven_from_dense_minor(g, Fraction(1, 2), 2, request, elsewhere)
+
+
+def test_realize_checks_the_host_before_the_model():
+    """A model from another host is refused as living elsewhere, before its
+    fragments are checked: {0, 2} is not connected in its own host."""
+    one_edge = graph_from_edge_list(68, [(0, 1)])
+    elsewhere = MinorModel(one_edge, [{0, 2}] + [{v} for v in range(3, 66)])
+    request = ((0, 1), tuple(range(2, 8)), tuple(range(8, 14)))
+    with pytest.raises(HypothesisViolatedError, match="given host"):
+        realize_woven_from_dense_minor(complete_graph(68), Fraction(1, 2), 2, request, elsewhere)
