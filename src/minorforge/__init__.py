@@ -40,7 +40,6 @@ from .errors import (
     PathTooLongError,
     TooLargeError,
     UnknownVertexError,
-    WovennessFailedError,
 )
 from .extract import (
     ExtractionTrace,
@@ -111,7 +110,6 @@ from .woven import (
     WovenTriple,
     check_wovenness,
     realize_woven_from_dense_minor,
-    weave,
 )
 
 __version__ = "0.1.0"

@@ -316,7 +316,25 @@ def _config_error(message: str) -> ParseError:
     return ParseError(f"config: {message}")
 
 
+def _config_int(value, key: str) -> int:
+    # JSON true and false load as bool, an int subclass
+    if type(value) is not int:
+        raise _config_error(f"{key} must be an integer, not {json.dumps(value)}")
+    return value
+
+
+def _config_fraction(value, key: str) -> Fraction:
+    if type(value) not in (str, int):
+        raise _config_error(f"{key} must be a p/q string, not {json.dumps(value)}")
+    try:
+        return parse_fraction(str(value))
+    except ParseError as exc:
+        raise _config_error(f"{key} is {exc}") from None
+
+
 def _load_config(path: str) -> dict:
+    """The experiment settings in ``path``, each key checked against the
+    JSON type it needs; ParseError names the first key that is wrong."""
     try:
         raw = json.loads(_read(path))
     except json.JSONDecodeError as exc:
@@ -330,31 +348,33 @@ def _load_config(path: str) -> dict:
     if kind not in ("gnp", "bipartite"):
         raise _config_error(f"unknown ensemble kind {kind!r}")
     cfg: dict = {"kind": kind}
-    try:
-        if kind == "gnp":
-            cfg["n"] = int(ens["n"])
-        else:
-            cfg["a"] = int(ens["a"])
-            cfg["b"] = int(ens["b"])
-        cfg["count"] = int(ens.get("count", 1))
-        cfg["p_grid"] = [parse_fraction(str(p)) for p in _as_list(ens.get("p", "1/2"))]
-        cfg["eps_grid"] = [
-            parse_fraction(str(e)) for e in _as_list(raw.get("eps", []))
-        ]
-        cfg["t_grid"] = [int(t) for t in _as_list(raw.get("t", []))]
-        cfg["c_scale"] = parse_fraction(str(raw.get("c_scale", DEFAULT_C_SCALE)))
-        cfg["seed"] = int(raw.get("seed", 0))
-        cfg["attempts"] = (
-            int(raw["attempts"]) if "attempts" in raw else None
-        )
-        cfg["out"] = raw.get("out")
-    except (KeyError, ValueError, TypeError) as exc:
-        raise _config_error(str(exc)) from None
-    for p in cfg["p_grid"]:
-        if not 0 <= p <= 1:
-            raise _config_error("every p must lie in [0,1]")
-    if cfg["count"] < 0 or cfg["seed"] < 0:
-        raise _config_error("count and seed must be nonnegative")
+    for key in ("n",) if kind == "gnp" else ("a", "b"):
+        if key not in ens:
+            raise _config_error(f"{key} is required for a {kind} ensemble")
+        cfg[key] = _config_int(ens[key], key)
+    cfg["count"] = _config_int(ens.get("count", 1), "count")
+    cfg["p_grid"] = [_config_fraction(p, "p") for p in _as_list(ens.get("p", "1/2"))]
+    cfg["eps_grid"] = [_config_fraction(e, "eps") for e in _as_list(raw.get("eps", []))]
+    cfg["t_grid"] = [_config_int(t, "t") for t in _as_list(raw.get("t", []))]
+    cfg["c_scale"] = (
+        _config_fraction(raw["c_scale"], "c_scale") if "c_scale" in raw else DEFAULT_C_SCALE
+    )
+    cfg["seed"] = _config_int(raw.get("seed", 0), "seed")
+    cfg["attempts"] = (
+        _config_int(raw["attempts"], "attempts") if "attempts" in raw else None
+    )
+    cfg["out"] = raw.get("out")
+    if cfg["out"] is not None and not isinstance(cfg["out"], str):
+        raise _config_error(f"out must be a file name, not {json.dumps(cfg['out'])}")
+    if not all(0 <= p <= 1 for p in cfg["p_grid"]):
+        raise _config_error("p must lie in [0,1]")
+    for key in ("count", "seed"):
+        if cfg[key] < 0:
+            raise _config_error(f"{key} must be nonnegative")
+    if cfg["attempts"] is not None and cfg["attempts"] < 1:
+        raise _config_error("attempts must be at least 1")
+    if cfg["c_scale"] <= 0:
+        raise _config_error("c_scale must be positive")
     return cfg
 
 

@@ -89,12 +89,6 @@ class NeighborsUnavailableError(MinorforgeError):
     pass
 
 
-class WovennessFailedError(MinorforgeError):
-    def __init__(self, message: str, counterexample=None):
-        super().__init__(message)
-        self.counterexample = counterexample
-
-
 class InternalInfeasibleError(MinorforgeError):
     """A step the supporting argument guarantees turned out infeasible: a bug,
     not a user error."""

@@ -5,11 +5,9 @@ endpoint lists S, T of length b (equal entries allowed only at equal
 index), some dense-pattern model rooted at R coexists with a linkage
 joining the pairs, the two meeting exactly in R & (S | T).
 
-Three entry points: ``check_wovenness`` decides the property triple by
-triple, ``weave`` reroutes an existing linkage around a chosen subgraph
-while planting a rooted model inside it, and
-``realize_woven_from_dense_minor`` produces a witness for one request in
-a highly connected host carrying a very dense minor.
+Two entry points: ``check_wovenness`` decides the property triple by
+triple, and ``realize_woven_from_dense_minor`` produces a witness for one
+request in a highly connected host carrying a very dense minor.
 """
 
 from __future__ import annotations
@@ -25,7 +23,6 @@ from .errors import (
     HypothesisViolatedError,
     InternalInfeasibleError,
     TooLargeError,
-    WovennessFailedError,
 )
 from .graph import (
     Graph,
@@ -38,12 +35,7 @@ from .graph import (
     mask_vertices,
 )
 from .model import MinorModel, is_rooted_at
-from .paths import (
-    PathFamily,
-    _valid_pair_convention,
-    audit_path_family,
-    require_paths,
-)
+from .paths import PathFamily, _valid_pair_convention, require_paths
 from .rooted import rooted_from_minor
 
 __all__ = [
@@ -51,7 +43,6 @@ __all__ = [
     "WovenTriple",
     "check_wovenness",
     "realize_woven_from_dense_minor",
-    "weave",
 ]
 
 
@@ -86,15 +77,8 @@ class WovenReport:
     counterexample: WovenTriple | None
 
 
-def _pattern_dense(pattern: Graph, eps: Fraction, a: int) -> bool:
-    # one vertex has no pair to miss; the shared predicate starts at two
-    if a == 1:
-        return pattern.n == 1
-    return is_eps_t_dense(pattern, eps, a)
-
-
-def _spend(budget: list[int]) -> None:
-    budget[0] -= 1
+def _spend(budget: list[int], nodes: int = 1) -> None:
+    budget[0] -= nodes
     if budget[0] <= 0:
         raise TooLargeError("wovenness search budget exhausted")
 
@@ -106,7 +90,10 @@ def _rooted_dense_model(
     inside the vertex mask ``allowed`` whose pattern misses at most an eps
     share of its pairs.  Fragments (vertex masks) grow one adjacent vertex
     at a time; states are deduplicated, so the search covers every tuple
-    of disjoint connected supersets of the root singletons."""
+    of disjoint connected supersets of the root singletons.
+
+    The host and eps are fixed within one ``check_wovenness``, so its
+    memo keys this search by ``(allowed, roots)`` alone."""
     a = len(roots)
     # joined >= (1 - eps) * a(a-1)/2, in integers
     num, den = eps.numerator, eps.denominator
@@ -141,12 +128,17 @@ def _rooted_dense_model(
 
 
 def _triple_witness(
-    g: Graph, eps: Fraction, roots, pairs, budget: list[int]
+    g: Graph, eps: Fraction, roots, pairs, budget: list[int], memo: dict
 ) -> tuple[MinorModel, PathFamily] | None:
     """Decide one triple exactly: enumerate every linkage for ``pairs``
     that stays off the non-endpoint roots, and for each try to plant a
     rooted dense model in what remains.  ``None`` means no witness
-    exists for this triple."""
+    exists for this triple.
+
+    ``memo`` maps ``(allowed, roots)`` to the nodes a model search spent
+    and its result.  A repeated search is charged its recorded nodes
+    again, so the budget runs out exactly where searching afresh would
+    exhaust it."""
     endpoints = mask_of(v for p in pairs for v in p)
     shared_roots = mask_of(roots) & endpoints
     forbidden = mask_of(roots) & ~endpoints
@@ -155,7 +147,15 @@ def _triple_witness(
 
     def attempt_model(used: int):
         allowed = ((1 << g.n) - 1) & ~used | shared_roots
-        model = _rooted_dense_model(g, allowed, roots, eps, budget)
+        key = (allowed, roots)
+        hit = memo.get(key)
+        if hit is None:
+            before = budget[0]
+            model = _rooted_dense_model(g, allowed, roots, eps, budget)
+            memo[key] = before - budget[0], model
+        else:
+            spent, model = hit
+            _spend(budget, spent)
         if model is None:
             return None
         fam = PathFamily(list(paths), "linkage", pairs=pairs)
@@ -225,11 +225,12 @@ def check_wovenness(g: Graph, eps, a: int, b: int) -> WovenReport:
     if g.n > WOVEN_CAP:
         raise TooLargeError(f"exhaustive wovenness is capped at {WOVEN_CAP} vertices")
     budget = [SEARCH_NODES]
+    memo: dict = {}
     records: list[WovenTriple] = []
     counterexample: WovenTriple | None = None
     for roots, srcs, tgts in _all_triples(g.n, a, b):
         witness = _triple_witness(
-            g, eps, roots, tuple(zip(srcs, tgts)), budget
+            g, eps, roots, tuple(zip(srcs, tgts)), budget, memo
         )
         if witness is None:
             counterexample = WovenTriple(roots, srcs, tgts, False)
@@ -246,100 +247,6 @@ def check_wovenness(g: Graph, eps, a: int, b: int) -> WovenReport:
         records=tuple(records),
         counterexample=counterexample,
     )
-
-
-def weave(
-    g: Graph,
-    f_vertices,
-    roots,
-    prior_linkage: PathFamily,
-    *,
-    eps=Fraction(1, 2),
-):
-    """Reroute ``prior_linkage`` so it crosses ``f_vertices`` only along
-    freshly planted paths, while rooting a dense-pattern model at
-    ``roots`` inside that vertex set.
-
-    Every prior path meeting the set is truncated at its first and last
-    vertices there; the stretch between them is replaced by a path found
-    together with the model by an exhaustive witness search on the
-    induced subgraph.  Returns the model and the rerouted family, both
-    audited again on the host, with failures raised as
-    WovennessFailedError.
-    """
-    eps = Fraction(eps)
-    f_set = frozenset(f_vertices)
-    for v in f_set:
-        g.check_vertex(v)
-    root_list = sorted(set(roots))
-    if not root_list:
-        raise HypothesisViolatedError("need at least one root")
-    if not f_set.issuperset(root_list):
-        raise HypothesisViolatedError("roots must lie in the chosen set")
-    if prior_linkage.kind != "linkage" or prior_linkage.pairs is None:
-        raise HypothesisViolatedError("prior family must be a linkage")
-    require_paths(g, prior_linkage)
-    prior = prior_linkage.paths
-    pairs = prior_linkage.pairs
-
-    crossing: list[int] = []
-    cut_at: dict[int, tuple[int, int]] = {}
-    for i, p in enumerate(prior):
-        inside = [j for j, v in enumerate(p) if v in f_set]
-        if inside:
-            crossing.append(i)
-            cut_at[i] = (inside[0], inside[-1])
-
-    sub, old_of_new = induced_subgraph(g, f_set)
-    new_of_old = {v: j for j, v in enumerate(old_of_new)}
-    roots_sub = tuple(new_of_old[r] for r in root_list)
-    pairs_sub = tuple(
-        (new_of_old[prior[i][cut_at[i][0]]], new_of_old[prior[i][cut_at[i][1]]])
-        for i in crossing
-    )
-
-    witness = _triple_witness(sub, eps, roots_sub, pairs_sub, [SEARCH_NODES])
-    if witness is None:
-        raise WovennessFailedError(
-            "no rooted dense model coexists with the induced pairs"
-        )
-    model_sub, fam_sub = witness
-
-    # pull the witness back to host ids
-    frags = [
-        frozenset(old_of_new[x] for x in frag) for frag in model_sub.fragments
-    ]
-    model = MinorModel(g, frags)
-    rerouted = list(prior)
-    for pos, i in enumerate(crossing):
-        first, last = cut_at[i]
-        middle = tuple(old_of_new[x] for x in fam_sub.paths[pos])
-        rerouted[i] = prior[i][:first] + middle + prior[i][last + 1 :]
-    fam = PathFamily(rerouted, "linkage", pairs=pairs)
-
-    # audits: family contract, vertex origins, model quality, and the
-    # model-linkage intersection bound
-    problems = audit_path_family(g, fam)
-    if problems:
-        raise WovennessFailedError(f"rerouted family invalid: {problems[0]}")
-    prior_vertices = prior_linkage.vertices()
-    if not fam.vertices() <= f_set | prior_vertices:
-        raise WovennessFailedError("rerouted family left the allowed ground")
-    try:
-        pattern = model.pattern
-    except Exception as exc:
-        raise WovennessFailedError(f"witness model invalid: {exc}") from exc
-    if not is_rooted_at(model, root_list):
-        raise WovennessFailedError("witness model is not rooted as requested")
-    if not _pattern_dense(pattern, eps, len(root_list)):
-        raise WovennessFailedError("witness pattern misses the density mark")
-    endpoint_set = {v for p in pairs for v in p}
-    meet = model.used_vertices() & fam.vertices()
-    if not meet <= (set(root_list) & endpoint_set):
-        raise WovennessFailedError(
-            "model and linkage meet outside the shared roots"
-        )
-    return model, fam
 
 
 def realize_woven_from_dense_minor(

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from minorforge.cli import main
 from minorforge.graphio import dump_report, stable_view
@@ -190,6 +191,59 @@ def test_experiment_reports_are_stable(tmp_path, capsys):
     r2 = json.loads((tmp_path / "r2.json").read_text())
     assert r1 != r2 or r1["generated_at"] == r2["generated_at"]
     assert dump_report(stable_view(r1)) == dump_report(stable_view(r2))
+
+
+def _mutated(tmp_path, key, value):
+    """The valid experiment config with ``key`` set to ``value``: an
+    ensemble key for n, a, b, count and p (a bipartite ensemble for a and
+    b), a top-level key otherwise; ``...`` drops the key."""
+    cfg = json.loads(_experiment_config(tmp_path, "cfg.json", "rep.json").read_text())
+    if key in ("a", "b"):
+        cfg["ensemble"] = {"kind": "bipartite", "a": 12, "b": 12, "count": 2, "p": ["1"]}
+    where = cfg["ensemble"] if key in ("n", "a", "b", "count", "p") else cfg
+    if value is ...:
+        del where[key]
+    else:
+        where[key] = value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+def _refused(tmp_path, capsys, key, value):
+    code, out, err = _run(capsys, "experiment", str(_mutated(tmp_path, key, value)))
+    assert code == 1, (key, value, out, err)
+    assert err.startswith(f"error: config: {key} "), (key, value, err)
+    assert "Traceback" not in err and not out
+    assert not (tmp_path / "rep.json").exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("out", 2), ("out", 5), ("out", ["r.json"]), ("out", True),
+    ("n", 10.7), ("n", True), ("n", "10"), ("n", ...),
+    ("a", 4.5), ("b", False), ("b", ...),
+    ("count", 2.0), ("count", False), ("count", -1),
+    ("seed", 3.5), ("seed", True), ("seed", -1),
+    ("t", [3.0]), ("t", [True]), ("t", 3.5),
+    ("attempts", 0), ("attempts", -2), ("attempts", 1.5), ("attempts", True),
+    ("c_scale", "0"), ("c_scale", 0), ("c_scale", "-1/4"), ("c_scale", 0.25),
+    ("c_scale", True), ("c_scale", None),
+    ("p", ["3/2"]), ("p", [0.5]), ("eps", [0.2]), ("eps", ["x"]),
+])
+def test_experiment_config_names_the_bad_key(tmp_path, capsys, key, value):
+    """Every key is checked against the JSON type it needs: a wrong type,
+    a float or bool for an integer, or a value out of range exits 1 with
+    a line naming the key, before anything is written."""
+    _refused(tmp_path, capsys, key, value)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(["n", "count", "seed", "t", "attempts"]),
+       st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.booleans(),
+                 st.text(max_size=4), st.none()))
+def test_experiment_config_refuses_non_integers(tmp_path, capsys, key, value):
+    _refused(tmp_path, capsys, key, value)
 
 
 def test_experiment_bad_config(tmp_path, capsys):

@@ -18,7 +18,6 @@ ALLOWED = {
     "replay_extraction": "the checker for extraction-trace certificates",
     "contract_model": "the independent oracle for model validation",
     "anticomplete": "the oracle for the attached-search precondition in tests",
-    "weave": "a documented entry point of the woven construction",
     "attached_model_search": "the attached-model lemma with its separation hypothesis "
     "checked; rooted_from_minor runs the same loop where connectivity implies it",
 }

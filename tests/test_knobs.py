@@ -21,7 +21,6 @@ from test_exports import _callers, _exports
 
 ALLOWED = {
     "realize_woven_from_dense_minor.dense_model": "carries the lemma's own dense-minor hypothesis",
-    "weave.eps": "the density of the planted model; weave is itself kept without a caller",
 }
 
 

@@ -83,4 +83,4 @@ def test_relabelling_keeps_the_woven_verdict(case):
         back = {perm[v]: v for v in range(g.n)}
         roots = tuple(back[r] for r in bad.roots)
         pairs = tuple((back[s], back[t]) for s, t in zip(bad.sources, bad.targets))
-        assert _triple_witness(g, eps, roots, pairs, [SEARCH_NODES]) is None
+        assert _triple_witness(g, eps, roots, pairs, [SEARCH_NODES], {}) is None

@@ -8,7 +8,6 @@ import pytest
 from minorforge import (
     MinorModel,
     greedy_dense_subgraph,
-    PathFamily,
     audit_path_family,
     build_dense_minor,
     check_wovenness,
@@ -19,15 +18,15 @@ from minorforge import (
     random_graph,
     realize_woven_from_dense_minor,
     require_valid,
-    weave,
 )
 from minorforge.errors import (
     DensityNotMetError,
     HypothesisViolatedError,
     TooLargeError,
-    WovennessFailedError,
 )
 from minorforge.rng import Rng, derive_seed
+
+import woven_reference as woven_ref
 
 
 def _cut_gadget():
@@ -76,54 +75,85 @@ def test_exhaustive_cap_and_validation():
         check_wovenness(complete_graph(5), Fraction(1, 2), 1, -1)
 
 
-def test_weave_reroutes_through_fenced_vertices():
-    g = complete_graph(8)
-    fence = (0, 1, 2, 3, 4)
-    prior = PathFamily(((5, 2, 6), (7,)), "linkage", pairs=((5, 6), (7, 7)))
-    assert audit_path_family(g, prior) == []
-    model, rerouted = weave(g, fence, roots=(0, 1), prior_linkage=prior)
-    require_valid(model)
-    assert is_rooted_at(model, (0, 1))
-    assert is_eps_t_dense(model.pattern, Fraction(1, 2), 2)
-    assert audit_path_family(g, rerouted) == []
-    assert rerouted.pairs == prior.pairs
-    # endpoints survive, the visited fence interior may be swapped out
-    for old, new in zip(prior.paths, rerouted.paths):
-        assert old[0] == new[0] and old[-1] == new[-1]
-    assert not model.used_vertices() & rerouted.vertices() - {0, 1}
+def _decided(report):
+    """Everything a wovenness report decides: the verdict, the count, and
+    each record's triple, outcome, fragments and paths."""
+    return report.verdict, report.checked, report.counterexample, [
+        (rec.roots, rec.sources, rec.targets, rec.ok,
+         rec.model and rec.model.fragments, rec.linkage and rec.linkage.paths)
+        for rec in report.records
+    ]
 
 
-def test_weave_validates_inputs():
-    g = complete_graph(8)
-    prior = PathFamily(((5, 2, 6),), "linkage", pairs=((5, 6),))
-    with pytest.raises(HypothesisViolatedError):
-        weave(g, (0, 1, 2), roots=(0, 7), prior_linkage=prior)  # root off fence
-    bad_kind = PathFamily(((5, 2, 6),), "between", s={5}, t={6})
-    with pytest.raises(HypothesisViolatedError):
-        weave(g, (0, 1, 2), roots=(0,), prior_linkage=bad_kind)
+def _small_hosts():
+    """Seeded G(n, p) on 5 to 7 vertices, at p = 1/2 and 5/6."""
+    for i in range(6):
+        n, p = 5 + i % 3, (Fraction(1, 2), Fraction(5, 6))[i // 3]
+        yield random_graph(n, p, Rng(derive_seed(31, i)))
 
 
-def test_weave_rejects_bogus_realizer(monkeypatch):
-    """weave audits the pulled-back witness on the host, so a witness search
-    that lies is caught there."""
+def test_memoised_wovenness_matches_the_reference():
+    """Reusing a rooted model search decides every triple as searching
+    afresh does: same verdict, count, records, fragments and paths."""
+    verdicts = Counter()
+    for g in _small_hosts():
+        for a in (1, 2):
+            for b in (0, 1):
+                report = check_wovenness(g, Fraction(1, 2), a, b)
+                expected, _ = woven_ref.check_wovenness(g, Fraction(1, 2), a, b)
+                assert _decided(report) == _decided(expected), (g.edges(), a, b)
+                verdicts[report.verdict] += 1
+    assert verdicts["proven"] and verdicts["refuted-with-counterexample"]
+
+
+@pytest.mark.parametrize("seed_index", [0, 1])
+def test_memoised_wovenness_runs_out_at_the_same_budgets(monkeypatch, seed_index):
+    """A repeated model search is charged its recorded nodes again, so for
+    every node budget up to the reference's whole spend and one past it,
+    the library raises TooLargeError exactly when the reference does, and
+    otherwise returns the same report."""
     import minorforge.woven as woven
 
-    g = complete_graph(8)
-    prior = PathFamily(((5, 2, 6),), "linkage", pairs=((5, 6),))
+    g = (complete_graph(4), random_graph(6, Fraction(1, 2), Rng(derive_seed(31, 1))))[seed_index]
+    _, total = woven_ref.check_wovenness(g, Fraction(1, 2), 2, 1)
+    raised = 0
+    for nodes in range(1, total + 2):
+        monkeypatch.setattr(woven, "SEARCH_NODES", nodes)
+        try:
+            expected, _ = woven_ref.check_wovenness(g, Fraction(1, 2), 2, 1, nodes)
+        except TooLargeError:
+            with pytest.raises(TooLargeError):
+                check_wovenness(g, Fraction(1, 2), 2, 1)
+            raised += 1
+        else:
+            assert _decided(check_wovenness(g, Fraction(1, 2), 2, 1)) == _decided(expected)
+    assert raised == total
 
-    def liar(sub, eps, roots_sub, pairs_sub, budget):
-        # claims a model that is not rooted where it should be
-        model = MinorModel(sub, [frozenset({v}) for v in range(2)])
-        fam = PathFamily(
-            tuple((s,) if s == t else (s, t) for s, t in pairs_sub),
-            "linkage",
-            pairs=tuple(pairs_sub),
-        )
-        return model, fam
 
-    monkeypatch.setattr(woven, "_triple_witness", liar)
-    with pytest.raises(WovennessFailedError, match="witness model is not rooted as requested"):
-        weave(g, (0, 1, 2, 3), roots=(3,), prior_linkage=prior)
+def test_wovenness_reuses_repeated_model_searches(monkeypatch):
+    """On K_6 with two roots and one pair most model attempts repeat an
+    (allowed, roots) key already searched; the library runs the search
+    once per key, fewer times than the reference attempts a model."""
+    import minorforge.woven as woven
+
+    runs = Counter()
+
+    def counted(module, tag):
+        search = module._rooted_dense_model
+
+        def wrapper(*args):
+            runs[tag] += 1
+            return search(*args)
+
+        monkeypatch.setattr(module, "_rooted_dense_model", wrapper)
+
+    counted(woven, "library")
+    counted(woven_ref, "reference")
+    g = complete_graph(6)
+    report = check_wovenness(g, Fraction(1, 2), 2, 1)
+    expected, _ = woven_ref.check_wovenness(g, Fraction(1, 2), 2, 1)
+    assert _decided(report) == _decided(expected)
+    assert 0 < runs["library"] < runs["reference"], runs
 
 
 def test_library_validates_each_model_at_most_once(monkeypatch):
