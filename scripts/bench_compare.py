@@ -17,7 +17,10 @@ verdict, checked in this order:
 - ``within bound``: anything else.
 
 The per-layer numbers of the one traced seed follow, with their ratios
-and no verdict.  Exits with status 1 when any verdict is ``worse``.
+and no verdict.  A work counter (unit ``count``) whose value differs
+between the two files is marked ``changed`` in a last column, since a
+counter that moves has to be named and explained.  Exits with status 1
+when any verdict is ``worse``.
 Standard library only.
 """
 
@@ -67,7 +70,7 @@ def compare(old: dict, new: dict, bench: dict) -> tuple[list[str], int]:
             lines.append(f"{name:18s} failed ops: old {a['failed']}, new {b['failed']}")
     lines.append("")
     lines.append(f"{'workload':18s} {'per-layer metric (one traced seed)':38s} "
-                 f"{'old':>11s} {'new':>11s} {'new/old':>8s}")
+                 f"{'old':>11s} {'new':>11s} {'new/old':>8s}  changed")
     for wl in bench["workloads"]:
         name = wl["name"]
         if name not in old["workloads"] or name not in new["workloads"]:
@@ -79,7 +82,8 @@ def compare(old: dict, new: dict, bench: dict) -> tuple[list[str], int]:
                 continue
             x, y = a[metric]["value"], b[metric]["value"]
             ratio = f"{y / x:8.3f}" if x else f"{'-':>8s}"
-            lines.append(f"{name:18s} {metric:38s} {x:11.4g} {y:11.4g} {ratio}")
+            moved = "  changed" if spec["unit"] == "count" and x != y else ""
+            lines.append(f"{name:18s} {metric:38s} {x:11.4g} {y:11.4g} {ratio}{moved}")
     return lines, worse
 
 

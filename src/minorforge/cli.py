@@ -368,8 +368,12 @@ def _load_config(path: str) -> dict:
         raise _config_error(f"out must be a file name, not {json.dumps(cfg['out'])}")
     if not all(0 <= p <= 1 for p in cfg["p_grid"]):
         raise _config_error("p must lie in [0,1]")
-    for key in ("count", "seed"):
-        if cfg[key] < 0:
+    if not all(0 < e < 1 for e in cfg["eps_grid"]):
+        raise _config_error("eps must lie in (0, 1)")
+    if not all(t >= 2 for t in cfg["t_grid"]):
+        raise _config_error("t must be at least 2")
+    for key in ("n", "a", "b", "count", "seed"):
+        if cfg.get(key, 0) < 0:
             raise _config_error(f"{key} must be nonnegative")
     if cfg["attempts"] is not None and cfg["attempts"] < 1:
         raise _config_error("attempts must be at least 1")

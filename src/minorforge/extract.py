@@ -112,29 +112,20 @@ class _Work:
                 return lb, x, self.arg[x]
             else:
                 heapq.heappop(heap)
-                self._rescan(x, lb)
+                self._rescan(x)
         return None
 
-    def _rescan(self, x: int, floor: int) -> None:
-        """Make row x exact; floor is a lower bound on its least loss, so
-        the first edge reaching it ends the scan."""
+    def _rescan(self, x: int) -> None:
+        """Make row x exact: its least loss, at the smallest y attaining it."""
         bx = self.bits[x]
-        rest = _above(bx, x)
-        if not rest:
+        ys = mask_vertices(_above(bx, x))
+        if not ys:
             self.lb.pop(x, None)
             return
-        best = arg = -1
-        while rest:
-            low = rest & -rest
-            y = low.bit_length() - 1
-            loss = 1 + (bx & self.bits[y]).bit_count()
-            if best < 0 or loss < best:
-                best, arg = loss, y
-                if loss <= floor:
-                    break
-            rest ^= low
-        self.lb[x] = best
-        self.arg[x] = arg
+        common = list(map(int.bit_count, map(bx.__and__, map(self.bits.__getitem__, ys))))
+        least = min(common)
+        self.lb[x] = best = 1 + least
+        self.arg[x] = ys[common.index(least)]
         self.exact |= 1 << x
         heapq.heappush(self.heap, (best, x))
 
@@ -182,7 +173,7 @@ class _Work:
         self.lb.pop(b, None)
         self.exact &= ~(na | nb)
         self._lower(common)
-        self._rescan(a, 1)
+        self._rescan(a)
 
     def pattern(self) -> tuple[Graph, list[int]]:
         reps = sorted(self.frags)
@@ -230,7 +221,7 @@ def _mader_descent(work: _Work, d: int) -> None:
     while True:
         if not work.frags:
             raise ExtractionFailedError("descent consumed the whole graph")
-        deg, v = min((m.bit_count(), r) for r, m in work.bits.items())
+        deg, v = min(zip(map(int.bit_count, work.bits.values()), work.bits))
         if 2 * deg <= d - 1:
             work.delete(v)
             continue

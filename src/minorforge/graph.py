@@ -15,6 +15,7 @@ parameter is sized from a log or a root.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress, count
 from typing import Iterable, Sequence
 
 from .errors import NotAnEdgeError, OrderTooSmallError, UnknownVertexError, check_internal
@@ -210,7 +211,15 @@ def mask_of(vertices: Iterable[int]) -> int:
     return m
 
 
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
 def mask_vertices(mask: int) -> list[int]:
+    """The set bits of ``mask``, ascending.  Masks with more than a dozen
+    set bits are read off their binary digits, least significant first;
+    sparser ones are cheaper to peel one bit at a time."""
+    if mask.bit_count() > 12:
+        return list(compress(count(), bin(mask)[:1:-1].encode().translate(_BIT_BYTES)))
     out = []
     while mask:
         b = mask & -mask

@@ -135,10 +135,14 @@ def _triple_witness(
     rooted dense model in what remains.  ``None`` means no witness
     exists for this triple.
 
-    ``memo`` maps ``(allowed, roots)`` to the nodes a model search spent
-    and its result.  A repeated search is charged its recorded nodes
-    again, so the budget runs out exactly where searching afresh would
-    exhaust it."""
+    ``memo`` holds two kinds of entry, both valid for one host and eps.
+    ``(allowed, roots)`` maps to the nodes a model search spent and its
+    result; a repeated search is charged its recorded nodes again, so the
+    budget runs out exactly where searching afresh would exhaust it.
+    ``(pairs, paths)`` maps to the witness linkage built from those paths
+    once it has passed ``require_paths``; every later triple that finds
+    the same linkage shares that audited family.  The audit spends no
+    nodes, so reusing it leaves the budget alone."""
     endpoints = mask_of(v for p in pairs for v in p)
     shared_roots = mask_of(roots) & endpoints
     forbidden = mask_of(roots) & ~endpoints
@@ -158,8 +162,13 @@ def _triple_witness(
             _spend(budget, spent)
         if model is None:
             return None
-        fam = PathFamily(list(paths), "linkage", pairs=pairs)
-        return model, require_paths(g, fam)
+        # a snapshot: the walk goes on to extend and pop ``paths``
+        found = (pairs, tuple(paths))
+        fam = memo.get(found)
+        if fam is None:
+            fam = require_paths(g, PathFamily(found[1], "linkage", pairs=pairs))
+            memo[found] = fam
+        return model, fam
 
     def rec(i: int, used: int):
         if i == k:

@@ -87,3 +87,24 @@ def test_wide_spread_is_better_only_when_every_run_wins(tmp_path):
         "throughput_ops_s": "better", "peak_rss_mb": "unresolved",
     }
     assert "failed ops: old 0, new 2" in done.stdout
+
+
+def test_per_layer_marks_only_counters_that_moved(tmp_path):
+    """A count metric whose value differs between the files ends its row
+    with ``changed``; equal counts and timings that moved carry no mark,
+    and the end-to-end rows and exit status stay as they were."""
+    e2e = {m: _metric([10, 10, 10], 0.0) for m in
+           ("setup_s", "latency_p50_ms", "throughput_ops_s", "peak_rss_mb")}
+    old = _summary(e2e, {"graph.gen_s": 0.9, "graph.calls": 7, "paths.calls": 6131,
+                         "flow.calls": 0})
+    new = _summary(e2e, {"graph.gen_s": 0.3, "graph.calls": 7, "paths.calls": 1801,
+                         "flow.calls": 4})
+    done, rows = _run(tmp_path, old, new)
+    assert done.returncode == 0, done.stderr
+    assert {v for _, v in rows.values()} == {"within bound"} and len(rows) == 4
+    layer = {ln.split()[1]: ln.split()[2:] for ln in done.stdout.splitlines()
+             if ln.startswith("pipeline_gnp") and len(ln.split()) < 9}
+    assert layer["paths.calls"] == ["6131", "1801", "0.294", "changed"]
+    assert layer["flow.calls"] == ["0", "4", "-", "changed"]
+    assert layer["graph.calls"] == ["7", "7", "1.000"]
+    assert layer["graph.gen_s"] == ["0.9", "0.3", "0.333"]

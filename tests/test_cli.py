@@ -229,6 +229,9 @@ def _refused(tmp_path, capsys, key, value):
     ("c_scale", "0"), ("c_scale", 0), ("c_scale", "-1/4"), ("c_scale", 0.25),
     ("c_scale", True), ("c_scale", None),
     ("p", ["3/2"]), ("p", [0.5]), ("eps", [0.2]), ("eps", ["x"]),
+    ("eps", ["0"]), ("eps", ["3/2"]), ("eps", ["1"]), ("eps", ["1/10", "-1/2"]),
+    ("t", [0]), ("t", [-2]), ("t", [1]), ("t", [3, 1]),
+    ("n", -1), ("a", -3), ("b", -1),
 ])
 def test_experiment_config_names_the_bad_key(tmp_path, capsys, key, value):
     """Every key is checked against the JSON type it needs: a wrong type,

@@ -63,6 +63,35 @@ def test_masks_round_trip():
     assert mask_vertices(0b100101) == [0, 2, 5]
 
 
+def _peeled(mask: int) -> list[int]:
+    out = []
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        out.append(low.bit_length() - 1)
+    return out
+
+
+def test_mask_vertices_matches_the_bit_loop():
+    """Wide masks are read off their binary digits and narrow ones bit by
+    bit; both give the set bits in ascending order, on either side of the
+    twelve-bit switch and at every width up to 300."""
+    rng = Rng(derive_seed(17, 0))
+    masks = [0, (1 << 300) - 1, (1 << 13) - 1, (1 << 12) - 1]
+    masks += [1 << i for i in range(301)]
+    for width in range(301):
+        for num, den in ((1, 16), (1, 2), (9, 10), (1, 1)):
+            masks.append(sum(1 << i for i in range(width) if rng.below(den) < num))
+        if width >= 13:
+            for ones in (12, 13):
+                picked = list(range(width))
+                rng.shuffle(picked)
+                masks.append(mask_of(picked[:ones]))
+    assert any(m.bit_count() == 12 for m in masks) and any(m.bit_count() == 13 for m in masks)
+    for mask in masks:
+        assert mask_vertices(mask) == _peeled(mask), bin(mask)
+
+
 def test_components():
     g = graph_from_edge_list(5, [(0, 1), (2, 3)])
     assert g.component_masks() == [0b00011, 0b01100, 0b10000]

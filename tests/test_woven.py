@@ -22,6 +22,7 @@ from minorforge import (
 from minorforge.errors import (
     DensityNotMetError,
     HypothesisViolatedError,
+    InternalInfeasibleError,
     TooLargeError,
 )
 from minorforge.rng import Rng, derive_seed
@@ -154,6 +155,87 @@ def test_wovenness_reuses_repeated_model_searches(monkeypatch):
     expected, _ = woven_ref.check_wovenness(g, Fraction(1, 2), 2, 1)
     assert _decided(report) == _decided(expected)
     assert 0 < runs["library"] < runs["reference"], runs
+
+
+def test_memoised_linkages_are_audited_and_shared():
+    """Every proven record's linkage re-audits clean, and records whose
+    linkages have equal pairs and paths share one audited family."""
+    shared = 0
+    for g in _small_hosts():
+        for a in (1, 2):
+            for b in (0, 1):
+                report = check_wovenness(g, Fraction(1, 2), a, b)
+                proven = [rec for rec in report.records if rec.ok]
+                by_linkage = {}
+                for rec in proven:
+                    fam = rec.linkage
+                    assert audit_path_family(g, fam) == [], (g.edges(), a, b, rec)
+                    assert fam.pairs == tuple(zip(rec.sources, rec.targets))
+                    first = by_linkage.setdefault((fam.pairs, fam.paths), fam)
+                    assert first is fam, (g.edges(), a, b, rec)
+                shared += len(proven) - len(by_linkage)
+    assert shared
+
+
+def _counted_audits(monkeypatch, module, seen: list):
+    audit = module.require_paths
+
+    def counted(g, fam):
+        seen.append((fam.pairs, fam.paths))
+        return audit(g, fam)
+
+    monkeypatch.setattr(module, "require_paths", counted)
+
+
+def test_wovenness_audits_each_linkage_once(monkeypatch):
+    """On K_6 with two roots and one pair many triples find a linkage
+    already found: the library audits each distinct (pairs, paths) once,
+    fewer times than the reference audits."""
+    import minorforge.woven as woven
+
+    library, reference = [], []
+    _counted_audits(monkeypatch, woven, library)
+    _counted_audits(monkeypatch, woven_ref, reference)
+    g = complete_graph(6)
+    report = check_wovenness(g, Fraction(1, 2), 2, 1)
+    expected, _ = woven_ref.check_wovenness(g, Fraction(1, 2), 2, 1)
+    assert _decided(report) == _decided(expected)
+    assert max(Counter(library).values()) == 1
+    assert 0 < len(library) < len(reference), (len(library), len(reference))
+
+
+def test_linkage_memo_keeps_only_audited_families(monkeypatch):
+    """The memo holds exactly the families the records carry, each under
+    its own (pairs, paths); a family whose audit fails is never stored,
+    so the same triple is audited, and refused, again."""
+    import minorforge.woven as woven
+
+    memos, witness = [], woven._triple_witness
+
+    def spy(g, eps, roots, pairs, budget, memo):
+        memos.append(memo)
+        return witness(g, eps, roots, pairs, budget, memo)
+
+    monkeypatch.setattr(woven, "_triple_witness", spy)
+    g = random_graph(6, Fraction(5, 6), Rng(derive_seed(31, 4)))
+    report = check_wovenness(g, Fraction(1, 2), 2, 1)
+    assert all(memo is memos[0] for memo in memos)
+    stored = {
+        key: fam for key, fam in memos[0].items() if isinstance(fam, woven.PathFamily)
+    }
+    assert all(key == (fam.pairs, fam.paths) for key, fam in stored.items())
+    carried = {id(rec.linkage) for rec in report.records if rec.ok}
+    assert {id(fam) for fam in stored.values()} == carried
+
+    def refuse(g, fam):
+        raise InternalInfeasibleError("refused for the test")
+
+    monkeypatch.setattr(woven, "require_paths", refuse)
+    memo: dict = {}
+    for _ in range(2):
+        with pytest.raises(InternalInfeasibleError):
+            witness(complete_graph(5), Fraction(1, 2), (0, 1), ((2, 3),), [100], memo)
+    assert not any(isinstance(fam, woven.PathFamily) for fam in memo.values())
 
 
 def test_library_validates_each_model_at_most_once(monkeypatch):
