@@ -34,7 +34,6 @@ from .errors import (
     MinorforgeError,
     NeighborsUnavailableError,
     NotAnEdgeError,
-    NotDisjointError,
     OrderTooSmallError,
     ParseError,
     PathTooLongError,
@@ -42,20 +41,15 @@ from .errors import (
     UnknownVertexError,
 )
 from .extract import (
-    ExtractionTrace,
     dense_connected_minor,
-    dense_connected_minor_with_trace,
     k_connected_subgraph,
     mader_min_degree_minor,
-    mader_min_degree_minor_with_trace,
-    replay_extraction,
 )
 from .graph import (
     Graph,
     average_degree,
     complement_max_degree,
     complete_graph,
-    contract_edge_mapped,
     edge_density,
     graph_from_edge_list,
     greedy_dense_subgraph,
@@ -77,9 +71,7 @@ from .graphio import (
 from .model import (
     MinorModel,
     ModelReport,
-    anticomplete,
     compose_models,
-    contract_model,
     is_attached_to,
     is_rooted_at,
     require_valid,

@@ -40,10 +40,6 @@ class InvalidModelError(MinorforgeError):
         self.fragment = fragment
 
 
-class NotDisjointError(InvalidModelError):
-    pass
-
-
 class ExtractionFailedError(MinorforgeError):
     """Descent terminated without a certifiable witness."""
 

@@ -4,72 +4,15 @@ connectivity guarantees, and k-connected subgraphs."""
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .config import SEARCH_NODES
 from .connectivity import vertex_connectivity_with_cutset
-from .errors import (
-    ExtractionFailedError,
-    HypothesisViolatedError,
-    ParseError,
-    check_internal,
-)
+from .errors import ExtractionFailedError, HypothesisViolatedError, check_internal
 from .graph import Graph, _induced, average_degree, induced_subgraph, mask_of, mask_vertices
 from .model import MinorModel
 
 _EXHAUSTIVE_ORDER = 12  # widest pattern the stuck-descent fallback will search
-
-
-@dataclass(frozen=True)
-class ExtractionTrace:
-    """Auditable record of a descent: replaying the steps from the host
-    reproduces the final model.  Each step is (kind, vertices, edge count of
-    the pattern after the step); vertices are fragment representatives, a
-    fragment's representative being its smallest host vertex."""
-
-    steps: tuple[tuple[str, tuple[int, ...], int], ...]
-    final_model: MinorModel
-
-
-def replay_extraction(host: Graph, trace: ExtractionTrace) -> MinorModel:
-    """Replay the steps from the host and check each step's edge count.
-    Fragments are vertex masks, each with the mask of its neighbours off
-    the fragment; a step recounts from them only the pattern edges at the
-    fragment it deleted or merged."""
-    frag = {v: 1 << v for v in range(host.n)}
-    nbr = {v: host.neighbor_bits(v) for v in range(host.n)}
-    m = host.m
-
-    def degree(r: int) -> int:
-        return sum(1 for f in frag.values() if nbr[r] & f)
-
-    for i, (kind, verts, m_after) in enumerate(trace.steps):
-        if kind not in ("delete", "contract"):
-            raise ParseError(f"step {i}: unknown step kind {kind!r}")
-        for r in verts:
-            if r not in frag:
-                raise ParseError(f"step {i}: no fragment has representative {r}")
-        if kind == "delete":
-            (r,) = verts
-            m -= degree(r)
-            del frag[r], nbr[r]
-        else:
-            a, b = verts
-            keep, gone = (a, b) if a < b else (b, a)
-            if keep == gone or not nbr[keep] & frag[gone]:
-                raise ExtractionFailedError(
-                    f"step {i}: contracts fragments {a} and {b}, which are not adjacent"
-                )
-            m -= degree(keep) + degree(gone) - 1
-            frag[keep] |= frag.pop(gone)
-            nbr[keep] = (nbr[keep] | nbr.pop(gone)) & ~frag[keep]
-            m += degree(keep)
-        if m != m_after:
-            raise ExtractionFailedError(
-                f"step {i}: replayed pattern has {m} edges, trace says {m_after}"
-            )
-    return MinorModel(host, [frozenset(mask_vertices(frag[r])) for r in sorted(frag)])
 
 
 def _above(mask: int, x: int) -> int:
@@ -84,7 +27,8 @@ class _Work:
     holds the edges xy with y > x; lb[x] is a lower bound on its least
     loss.  When bit x of `exact` is set the bound is attained and arg[x]
     is the smallest y attaining it.  Rows with edges are keyed (lb[x], x)
-    in a lazy heap whose entries not matching lb are stale."""
+    in a lazy heap whose entries not matching lb are stale.  `steps`
+    records each move as (kind, representatives, edge count after it)."""
 
     def __init__(self, g: Graph):
         self.g = g
@@ -370,22 +314,15 @@ def _certified_descent(g: Graph, d: int) -> tuple[_Work, MinorModel]:
     return work, model
 
 
-def mader_min_degree_minor_with_trace(
-    g: Graph, d: int
-) -> tuple[MinorModel, ExtractionTrace]:
-    work, model = _certified_descent(g, d)
-    return model, ExtractionTrace(tuple(work.steps), model)
-
-
 def mader_min_degree_minor(g: Graph, d: int) -> MinorModel:
     """Minor with at most d vertices and min degree at least d/2, from any
     host of average degree at least d-1."""
-    return mader_min_degree_minor_with_trace(g, d)[0]
+    return _certified_descent(g, d)[1]
 
 
-def dense_connected_minor_with_trace(
-    g: Graph, d: int
-) -> tuple[MinorModel, ExtractionTrace]:
+def dense_connected_minor(g: Graph, d: int) -> MinorModel:
+    """Minor with at most d vertices, min degree at least d/3, and
+    connectivity at least d/6."""
     work, model = _certified_descent(g, d)
     pat, reps = work.pattern()
     if pat.n >= 2:
@@ -399,7 +336,7 @@ def dense_connected_minor_with_trace(
                 work.delete(reps[i])
             model = work.model()
     _certify_dense_connected(model, d)
-    return model, ExtractionTrace(tuple(work.steps), model)
+    return model
 
 
 def _small_side(pat: Graph, cut: int) -> int:
@@ -423,12 +360,6 @@ def _certify_dense_connected(model: MinorModel, d: int) -> None:
         raise ExtractionFailedError(
             "restriction finished without meeting the density targets"
         )
-
-
-def dense_connected_minor(g: Graph, d: int) -> MinorModel:
-    """Minor with at most d vertices, min degree at least d/3, and
-    connectivity at least d/6."""
-    return dense_connected_minor_with_trace(g, d)[0]
 
 
 def _connectivity_descent(g: Graph, k: int) -> int | None:

@@ -294,17 +294,6 @@ def _induced(bits, kept: int) -> Graph:
     return Graph._from_masks(at, rows)
 
 
-def contract_edge_mapped(g: Graph, u: int, v: int) -> tuple[Graph, tuple[int, ...]]:
-    """Contract edge uv into a simple graph on n-1 vertices, plus the
-    old-to-new index map (u and v share an image)."""
-    if not g.has_edge(u, v):
-        raise NotAnEdgeError(f"({u},{v}) is not an edge")
-    lo, hi = min(u, v), max(u, v)
-    old_to_new = tuple(x if x < hi else lo if x == hi else x - 1 for x in range(g.n))
-    edges = [(old_to_new[a], old_to_new[b]) for a, b in g.edges() if (a, b) != (lo, hi)]
-    return Graph(g.n - 1, edges), old_to_new
-
-
 def greedy_dense_subgraph(g: Graph, t: int) -> tuple[int, ...]:
     """Peel minimum-degree vertices down to a t-subset; density never drops.
 

@@ -35,7 +35,8 @@ __all__ = [
 
 REPORT_SCHEMA = 1
 
-_FRACTION_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
+_FRACTION_RE = re.compile(r"^-?[0-9]+(/[1-9][0-9]*)?$")
+_INT_RE = re.compile(r"0|-?[1-9][0-9]*")
 
 
 def parse_fraction(text: str) -> Fraction:
@@ -58,10 +59,11 @@ def _tokens(line: str, lineno: int, tag: str, count: int) -> list[str]:
 
 
 def _int(token: str, lineno: int) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise ParseError(f"line {lineno}: not an integer: {token!r}") from None
+    """A canonical decimal integer: ASCII digits, no sign but a leading
+    minus, no leading zero, no underscore."""
+    if not _INT_RE.fullmatch(token):
+        raise ParseError(f"line {lineno}: not an integer: {token!r}")
+    return int(token)
 
 
 def parse_graph(text: str) -> tuple[Graph, int | None]:

@@ -20,13 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import (
-    InvalidModelError,
-    NotDisjointError,
-    OrderTooSmallError,
-    check_internal,
-)
-from .graph import Graph, contract_edge_mapped, induced_subgraph, mask_of
+from .errors import InvalidModelError, OrderTooSmallError
+from .graph import Graph, mask_of
 
 
 @dataclass(frozen=True)
@@ -129,43 +124,6 @@ def require_valid(m: MinorModel) -> ModelReport:
     return report
 
 
-def contract_model(m: MinorModel) -> Graph:
-    """The same pattern obtained the slow way: restrict the host to the
-    fragments and contract each fragment edge by edge.  Serves as an
-    independent cross-check of ``MinorModel.pattern``."""
-    require_valid(m)
-    used = sorted(m.used_vertices())
-    sub, old_of_new = induced_subgraph(m.host, used)
-    frag_index = {}
-    for i, frag in enumerate(m.fragments):
-        for v in frag:
-            frag_index[v] = i
-    label = [frag_index[old_of_new[x]] for x in range(sub.n)]
-    while True:
-        pick = None
-        for u, v in sub.edges():
-            if label[u] == label[v]:
-                pick = (u, v)
-                break
-        if pick is None:
-            break
-        u, v = pick
-        sub, old_to_new = contract_edge_mapped(sub, u, v)
-        new_label = [0] * sub.n
-        for old, lab in enumerate(label):
-            new_label[old_to_new[old]] = lab
-        label = new_label
-    check_internal(
-        sorted(label) == list(range(len(m.fragments))),
-        "contracting the fragments must leave one vertex per fragment",
-    )
-    relabel = {v: label[v] for v in range(sub.n)}
-    return Graph(
-        len(m.fragments),
-        [(relabel[u], relabel[v]) for u, v in sub.edges()],
-    )
-
-
 def is_rooted_at(m: MinorModel, s) -> bool:
     """True when the fragments and ``s`` pair off: as many fragments as
     vertices of ``s``, each fragment meeting ``s`` exactly once."""
@@ -190,19 +148,6 @@ def is_attached_to(m: MinorModel, s) -> bool:
             return False
         covered |= hit
     return covered == s
-
-
-def anticomplete(g: Graph, a, b) -> bool:
-    """No edge between the disjoint sets ``a`` and ``b``."""
-    a = frozenset(a)
-    b = frozenset(b)
-    if a & b:
-        raise NotDisjointError("sets overlap; anticompleteness is undefined")
-    for v in a:
-        g.check_vertex(v)
-    for v in b:
-        g.check_vertex(v)
-    return not g.neighborhood(mask_of(a)) & mask_of(b)
 
 
 def compose_models(outer: MinorModel, inner: MinorModel) -> MinorModel:

@@ -1,8 +1,10 @@
-"""Every export has a caller.
+"""Every export has a caller, and test oracles stay in the tests.
 
 A name that ``minorforge/__init__.py`` imports stays only if a construction,
 the CLI, the benchmark, a script or the acceptance gate refers to it, or if
-``ALLOWED`` says why it stays without one.  References are read from the
+``ALLOWED`` says why it stays without one.  Oracles that only tests call
+live in ``tests/*_reference.py``: the package never imports them, and some
+test module imports each one.  References and imports are read from the
 syntax tree, so a word in a docstring or a comment does not count.
 """
 
@@ -13,11 +15,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "minorforge"
+TESTS = ROOT / "tests"
 
 ALLOWED = {
-    "replay_extraction": "the checker for extraction-trace certificates",
-    "contract_model": "the independent oracle for model validation",
-    "anticomplete": "the oracle for the attached-search precondition in tests",
     "attached_model_search": "the attached-model lemma with its separation hypothesis "
     "checked; rooted_from_minor runs the same loop where connectivity implies it",
 }
@@ -83,3 +83,28 @@ def test_every_export_has_a_caller():
     uncalled = names - referenced - set(ALLOWED)
     assert not uncalled, f"exports with no caller and no reason to stay: {sorted(uncalled)}"
     assert set(ALLOWED) <= names - referenced, "ALLOWED names an export that is gone or called"
+    assert set(ALLOWED) == {"attached_model_search"}
+
+
+def _imported(path: Path) -> set[str]:
+    """Top-level names of the modules that ``path`` imports."""
+    out: set[str] = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            out |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            out.add(node.module.split(".")[0])
+    return out
+
+
+def test_the_package_imports_nothing_from_the_tests():
+    test_modules = {p.stem for p in TESTS.glob("*.py")} | {"tests"}
+    for path in sorted(PACKAGE.glob("*.py")):
+        assert not _imported(path) & test_modules, f"{path.name} imports from tests/"
+
+
+def test_every_reference_module_has_a_test_that_imports_it():
+    references = {p.stem for p in TESTS.glob("*_reference.py")}
+    imported = set().union(*map(_imported, TESTS.glob("test_*.py")))
+    assert "model_reference" in references
+    assert references <= imported, f"unused oracles: {sorted(references - imported)}"

@@ -1,33 +1,23 @@
 from __future__ import annotations
 
-import dataclasses
 from fractions import Fraction
 
 import pytest
 
 from minorforge import (
-    ExtractionTrace,
-    MinorModel,
     average_degree,
     complete_graph,
     dense_connected_minor,
-    dense_connected_minor_with_trace,
     graph_from_edge_list,
     induced_subgraph,
     k_connected_subgraph,
     mader_min_degree_minor,
-    mader_min_degree_minor_with_trace,
     random_graph,
-    replay_extraction,
     require_valid,
     vertex_connectivity,
 )
 from minorforge import extract
-from minorforge.errors import (
-    ExtractionFailedError,
-    HypothesisViolatedError,
-    ParseError,
-)
+from minorforge.errors import ExtractionFailedError, HypothesisViolatedError
 from minorforge.graph import mask_vertices
 from minorforge.rng import Rng, derive_seed
 
@@ -71,81 +61,6 @@ def test_mader_rejects_sparse_host():
         mader_min_degree_minor(path, 6)
     with pytest.raises(HypothesisViolatedError):
         mader_min_degree_minor(complete_graph(5), 1)
-
-
-def test_trace_replays_to_the_same_model():
-    rng = Rng(derive_seed(31, 0))
-    g = random_graph(24, Fraction(1, 2), rng)
-    model, trace = mader_min_degree_minor_with_trace(g, 8)
-    replayed = replay_extraction(g, trace)
-    assert replayed.fragments == model.fragments
-    assert trace.final_model.fragments == model.fragments
-
-
-def _tampered(trace, index):
-    steps = list(trace.steps)
-    kind, verts, m_after = steps[index]
-    steps[index] = (kind, verts, m_after + 1)
-    return dataclasses.replace(trace, steps=tuple(steps))
-
-
-def test_replay_rejects_a_tampered_trace():
-    g = random_graph(24, Fraction(1, 2), Rng(derive_seed(31, 0)))
-    _, trace = mader_min_degree_minor_with_trace(g, 8)
-    with pytest.raises(ExtractionFailedError, match="step 3"):
-        replay_extraction(g, _tampered(trace, 3))
-    bad_kind = dataclasses.replace(
-        trace, steps=(("split", (0,), g.m),) + trace.steps[1:]
-    )
-    with pytest.raises(ParseError, match="step 0"):
-        replay_extraction(g, bad_kind)
-
-
-_TAMPER_SCRIPT = """
-import dataclasses
-from fractions import Fraction
-from minorforge import (
-    Rng, derive_seed, mader_min_degree_minor_with_trace, random_graph,
-    replay_extraction,
-)
-from minorforge.errors import ExtractionFailedError
-
-g = random_graph(24, Fraction(1, 2), Rng(derive_seed(31, 0)))
-_, trace = mader_min_degree_minor_with_trace(g, 8)
-steps = list(trace.steps)
-kind, verts, m_after = steps[3]
-steps[3] = (kind, verts, m_after + 1)
-try:
-    replay_extraction(g, dataclasses.replace(trace, steps=tuple(steps)))
-except ExtractionFailedError as err:
-    print(err)
-else:
-    raise SystemExit("tampered trace accepted")
-"""
-
-
-def test_replay_rejects_a_tampered_trace_under_optimize():
-    assert "step 3" in run_optimized(_TAMPER_SCRIPT)
-
-
-def test_replay_rejects_a_contraction_of_nonadjacent_fragments():
-    path = graph_from_edge_list(3, [(0, 1), (1, 2)])
-    trace = ExtractionTrace(
-        steps=(("contract", (0, 2), 1),),
-        final_model=MinorModel(path, [{0, 2}, {1}]),
-    )
-    with pytest.raises(ExtractionFailedError, match="step 0"):
-        replay_extraction(path, trace)
-
-
-def test_replay_rejects_an_unknown_representative():
-    path = graph_from_edge_list(3, [(0, 1), (1, 2)])
-    trace = ExtractionTrace(
-        steps=(("contract", (0, 1), 1), ("delete", (1,), 0)),
-        final_model=MinorModel(path, [{0, 1}]),
-    )
-    with pytest.raises(ParseError, match="step 1"):
-        replay_extraction(path, trace)
 
 
 def _full_scan_descent(work, d: int, hits: dict[str, int]) -> None:
@@ -370,6 +285,42 @@ def test_dense_connected_validates_the_descent_model_once(monkeypatch):
     assert seen == [tuple(frozenset({v}) for v in range(18)), model.fragments]
 
 
+_CERTIFICATE_SCRIPT = """
+from minorforge import MinorModel, complete_graph, graph_from_edge_list, mader_min_degree_minor
+from minorforge import extract
+from minorforge.errors import ExtractionFailedError
+
+
+def refused(call, *args):
+    try:
+        call(*args)
+    except ExtractionFailedError as err:
+        print(err)
+    else:
+        raise SystemExit(f"{call.__name__} accepted a model that misses its targets")
+
+
+extract._mader_descent = lambda work, d: None  # returns without shrinking K_10
+refused(mader_min_degree_minor, complete_graph(10), 6)
+sides = (range(10), range(8, 18))
+split = graph_from_edge_list(
+    18, sorted({(a, b) for side in sides for a in side for b in side if a < b})
+)
+refused(extract._certify_dense_connected, MinorModel(split, [{v} for v in range(18)]), 18)
+"""
+
+
+def test_descent_certificates_refuse_under_optimize():
+    """Both checks that certify the descent's model raise a typed error
+    with asserts stripped: a descent that leaves K_10 above order 6, and
+    two K_10 sharing two vertices, which meet the degree bound for d = 18
+    but have connectivity 2 < 18/6."""
+    assert run_optimized(_CERTIFICATE_SCRIPT).splitlines() == [
+        "descent finished without meeting the order/degree targets",
+        "restriction finished without meeting the density targets",
+    ]
+
+
 def test_dense_connected_on_seeded_graphs():
     for i in range(20):
         rng = Rng(derive_seed(32, i))
@@ -379,12 +330,11 @@ def test_dense_connected_on_seeded_graphs():
             g = random_graph(n, Fraction(3, 5), rng.spawn(rng.below(1 << 30)))
             if average_degree(g) >= d:
                 break
-        model, trace = dense_connected_minor_with_trace(g, d)
+        model = dense_connected_minor(g, d)
         pat = require_valid(model).pattern
         assert pat.n <= d
         assert 3 * pat.min_degree() >= d
         assert 6 * vertex_connectivity(pat) >= d
-        assert replay_extraction(g, trace).fragments == model.fragments
 
 
 def test_k_connected_subgraph():

@@ -11,7 +11,6 @@ from minorforge import (
     average_degree,
     complement_max_degree,
     complete_graph,
-    contract_edge_mapped,
     edge_density,
     graph_from_edge_list,
     greedy_dense_subgraph,
@@ -30,6 +29,7 @@ from minorforge.errors import (
 from minorforge.rng import _GOLDEN, Rng, derive_seed
 
 from conftest import petersen, run_optimized
+from model_reference import contract_edge_mapped
 from rng_reference import (
     ReferenceRng,
     plant_rejection,

@@ -33,7 +33,7 @@ def test_fraction_parsing():
     assert parse_fraction("3/4") == Fraction(3, 4)
     assert parse_fraction("7") == Fraction(7)
     assert parse_fraction("-2/5") == Fraction(-2, 5)
-    for bad in ("0.5", "1/0", "1/-2", "a", "", "1 /2"):
+    for bad in ("0.5", "1/0", "1/-2", "a", "", "1 /2", "\uff13/4", "1/\u0664", "1/4\u0664"):
         with pytest.raises(ParseError):
             parse_fraction(bad)
     assert format_fraction(Fraction(1, 2)) == "1/2"
@@ -78,6 +78,33 @@ def test_parse_error_carries_line_number():
     with pytest.raises(ParseError) as info:
         parse_graph("p 3 2\ne 0 1\ne 1 1\n")
     assert "3" in str(info.value)
+    with pytest.raises(ParseError, match="^line 1: negative counts"):
+        parse_graph("p -1 0\n")
+
+
+def _parse_model_on_k4(text):
+    return parse_model(text, complete_graph(4))
+
+
+@pytest.mark.parametrize(
+    "parse, text, line",
+    [
+        (parse_graph, "p 3 1\ne 0 +2\n", 2),
+        (parse_graph, "p 1_1 0\n", 1),
+        (parse_graph, "p \uff13 0\n", 1),  # full-width 3
+        (parse_graph, "p 3 1\ne 0 \uff12\n", 2),  # full-width 2
+        (parse_graph, "p 03 0\n", 1),
+        (parse_graph, "p 3 0\nb -0\n", 2),
+        (_parse_model_on_k4, "model 1\nf +0 0 1\n", 2),
+        (_parse_model_on_k4, "model 1\nf 0 0 \u0661\n", 2),  # Arabic-Indic 1
+        (_parse_model_on_k4, "model 0_1\n", 1),
+    ],
+)
+def test_parsers_read_canonical_integers_only(parse, text, line):
+    """Signs, underscores, leading zeros and non-ASCII digits would parse
+    under int() and then serialize to different bytes."""
+    with pytest.raises(ParseError, match=f"^line {line}: not an integer"):
+        parse(text)
 
 
 def test_model_round_trip():

@@ -5,10 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from minorforge import (
     MinorModel,
-    anticomplete,
     complete_graph,
     compose_models,
-    contract_model,
     graph_from_edge_list,
     is_attached_to,
     is_rooted_at,
@@ -18,6 +16,7 @@ from minorforge import (
 from minorforge.errors import InvalidModelError
 
 from conftest import brute_connected, petersen, run_optimized
+from model_reference import anticomplete, contract_model
 
 
 def _path6():

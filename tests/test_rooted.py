@@ -7,7 +7,6 @@ import pytest
 
 from minorforge import (
     MinorModel,
-    anticomplete,
     attached_model_search,
     complement_max_degree,
     complete_graph,
@@ -25,6 +24,7 @@ from minorforge.rng import Rng, derive_seed
 import rooted_reference as rooted_ref
 import separation_reference as sep_ref
 from conftest import all_separations
+from model_reference import anticomplete
 
 
 def _brute_avoiding_separation_exists(g, s, t_order, d_sets, n_avoid):
