@@ -68,6 +68,11 @@ def hitting_set_check(
     return covered, undominated, ok
 
 
+def _check_attempts(max_attempts: int) -> None:
+    if max_attempts < 1:
+        raise HypothesisViolatedError("need at least one attempt", evidence=max_attempts)
+
+
 def sample_hitting_set(
     g: Graph,
     a_list,
@@ -85,8 +90,7 @@ def sample_hitting_set(
         raise HypothesisViolatedError("eps must lie strictly between 0 and 1")
     if r < 1:
         raise HypothesisViolatedError("the sample size must be at least 1")
-    if max_attempts < 1:
-        raise HypothesisViolatedError("need at least one attempt")
+    _check_attempts(max_attempts)
     if not (n >= g.n and 6 * g.n >= n):
         raise HypothesisViolatedError(
             "the scale parameter must lie within [|g|, 6|g|]"
@@ -215,6 +219,7 @@ def build_dense_minor(
 ) -> MinorModel:
     """(eps,t)-dense minor from average degree: extract a low-order dense
     connected minor, then place t branch sets by hitting-set rounds."""
+    _check_attempts(max_attempts)
     eps = Fraction(eps)
     if not 0 < eps < Fraction(1, 3):
         raise HypothesisViolatedError("eps must lie strictly between 0 and 1/3")
@@ -251,6 +256,7 @@ def build_dense_minor_in_dense_graph(
     """(eps,t)-dense minor inside an already-dense host: grow t cores in a
     low-complement-degree third of the graph, then stitch each core
     connected through fresh common neighbors outside it."""
+    _check_attempts(max_attempts)
     eps = Fraction(eps)
     if not 0 < eps < 1:
         raise HypothesisViolatedError("eps must lie strictly between 0 and 1")
@@ -384,6 +390,7 @@ def build_dense_minor_bipartite(
     """(eps,t)-dense minor in a bipartite host with enough edges: contract a
     random choice function onto part of a low-degree anchor's neighborhood,
     then build inside the contracted pattern."""
+    _check_attempts(max_attempts)
     a_set, b_set = _check_bipartition(g, side_a, side_b)
     eps = Fraction(eps)
     if not 0 < eps < Fraction(1, 3):

@@ -186,6 +186,11 @@ def _pattern_summary(model: MinorModel) -> dict:
 
 
 def _cmd_extract(args) -> int:
+    kwargs = {}
+    if args.attempts is not None:
+        if args.attempts < 1:
+            return _usage("--attempts must be at least 1")
+        kwargs["max_attempts"] = args.attempts
     g, side = parse_graph(_read(args.graph))
     mode = args.mode
     if mode in ("mader", "dense-connected"):
@@ -203,9 +208,6 @@ def _cmd_extract(args) -> int:
         if args.eps is None or args.t is None:
             return _usage("extract dense-minor needs --eps and --t")
         c_scale = args.c_scale if args.c_scale is not None else DEFAULT_C_SCALE
-        kwargs = {}
-        if args.attempts is not None:
-            kwargs["max_attempts"] = args.attempts
         model = build_dense_minor(
             g, args.eps, args.t, c_scale, Rng(args.seed), **kwargs
         )
@@ -216,9 +218,6 @@ def _cmd_extract(args) -> int:
         if side is None:
             return _usage("input graph lacks a bipartition header")
         c_scale = args.c_scale if args.c_scale is not None else DEFAULT_C_SCALE
-        kwargs = {}
-        if args.attempts is not None:
-            kwargs["max_attempts"] = args.attempts
         model = build_dense_minor_bipartite(
             g, range(side), range(side, g.n), args.eps, args.t, c_scale,
             Rng(args.seed), **kwargs

@@ -36,8 +36,10 @@ def vertex_connectivity_with_cutset(g: Graph):
     best = INF
     best_cut: tuple[int, ...] | None = None
     for x, y in pairs:
-        # a pair that packs ``best`` disjoint short paths returns no cut
-        # before any flow is built (the path-packing lemma in flow.py)
+        # a pair whose seed, the packed short paths then greedy shortest
+        # ones, reaches ``best`` disjoint paths returns no cut before any
+        # flow is built; a shorter seed starts the flow and leaves the cut
+        # as it is, since the cut is the same for every maximum flow
         value, cut = pair_vertex_cut(g, x, y, limit=best)
         if cut is not None and value < best:
             best = value

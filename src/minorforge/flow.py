@@ -36,10 +36,17 @@ an a is never adjacent to y nor such a b to x; every x-y vertex cut has a
 vertex on each of them, so their number (``_short_paths``) is a lower
 bound on its size.  When either count reaches the limit, a capped run
 would stop at the limit with no cut.  ``pair_vertex_cut`` applies the
-path-packing lemma itself: it returns ``(limit, None)`` without building
-a network when the packed paths reach the limit, and below the limit they
-seed its flow: they form a flow, and the searches take it on to a
-maximum one.
+path-packing lemma itself, and goes on past it: when the packed paths
+fall short of the limit, it adds greedy shortest x-y paths
+(``Graph.shortest_path``) through vertices no earlier path uses, until
+the limit or until none is left (``_seed_paths``).  These paths are
+internally disjoint too, so their number is again a lower bound on every
+x-y cut.  A seed that reaches the limit returns ``(limit, None)`` without
+building a network; a shorter one is a flow to start from, and the
+searches take it on to a maximum one, rerouting seed paths over reverse
+arcs where a greedy choice blocked other paths.  Since the cut is the
+same for every maximum flow and a capped run stops at exactly its limit,
+the value and cut do not depend on the seed.
 """
 
 from __future__ import annotations
@@ -299,6 +306,22 @@ def _short_paths(bits, x: int, y: int, limit: int) -> list[tuple[int, ...]]:
     return paths
 
 
+def _seed_paths(g: Graph, x: int, y: int, limit: int) -> list[tuple[int, ...]]:
+    """Middles of at most ``limit`` internally disjoint x-y paths, for
+    nonadjacent x and y: the packed short paths, then greedy shortest x-y
+    paths (``Graph.shortest_path``) through vertices no earlier one uses,
+    until ``limit`` paths or none is left."""
+    paths = _short_paths(g._bits, x, y, limit)
+    used = mask_of(v for mid in paths for v in mid)
+    while len(paths) < limit:
+        path = g.shortest_path(1 << x, 1 << y, ~used)  # y is never used
+        if path is None:
+            break
+        paths.append(path[1:-1])
+        used |= mask_of(path[1:-1])
+    return paths
+
+
 def pair_vertex_cut(g: Graph, x: int, y: int, limit: int = INF):
     """Maximum internally disjoint x-y paths for a nonadjacent pair and,
     when the maximum is below ``limit``, a minimum vertex cut separating
@@ -307,12 +330,14 @@ def pair_vertex_cut(g: Graph, x: int, y: int, limit: int = INF):
         raise HypothesisViolatedError(
             "a pair cut needs two distinct nonadjacent vertices", evidence=(x, y)
         )
-    seed = _short_paths(g._bits, x, y, limit)
+    if limit < 0:
+        raise HypothesisViolatedError(f"limit must be nonnegative, got {limit}", evidence=limit)
+    seed = _seed_paths(g, x, y, limit)
     if len(seed) >= limit:
         return limit, None
     flow = SetFlow(g, (x,), (y,), uncuttable_sources=True, uncuttable_targets=True)
-    # the packed short paths are a flow to start from: the cut does not
-    # depend on which maximum flow the searches end at
+    # the seed paths are a flow to start from: the cut does not depend on
+    # which maximum flow the searches end at
     for mid in seed:
         flow._apply([2 * x, 2 * x + 1, *(node for v in mid for node in (2 * v, 2 * v + 1)),
                      2 * y, 2 * y + 1])

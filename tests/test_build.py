@@ -213,6 +213,40 @@ def test_build_dense_minor_validates():
         build_dense_minor(sparse, Fraction(1, 4), 3, Fraction(8), Rng(0))
 
 
+def test_builders_refuse_fewer_than_one_attempt(monkeypatch):
+    """Each builder succeeds with one attempt and refuses fewer at entry,
+    before it samples: ``build_dense_minor`` on K_24 takes its fast path
+    and would never reach ``sample_hitting_set``'s own check."""
+    import minorforge.build as build
+
+    dense = complete_graph(40)
+    bip = random_bipartite(40, 40, Fraction(4, 5), Rng(derive_seed(52, 0)))
+    eps = Fraction(1, 5)
+    calls = (
+        lambda k: build_dense_minor(
+            complete_graph(24), Fraction(1, 4), 3, Fraction(1, 4), Rng(1), max_attempts=k
+        ),
+        lambda k: build_dense_minor_in_dense_graph(dense, eps, 3, Rng(7), max_attempts=k),
+        lambda k: build_dense_minor_bipartite(
+            bip, range(40), range(40, 80), eps, 3, Fraction(1, 8), Rng(derive_seed(52, 1)),
+            max_attempts=k,
+        ),
+    )
+    for call in calls:
+        assert call(1).fragments
+
+    def sampled(*args):
+        raise AssertionError("sampled with fewer than one attempt")
+
+    monkeypatch.setattr(build, "sample_hitting_set", sampled)
+    for call in calls:
+        for k in (0, -1):
+            with pytest.raises(HypothesisViolatedError, match="at least one attempt"):
+                call(k)
+    with pytest.raises(HypothesisViolatedError, match="at least one attempt"):
+        sample_hitting_set(dense, [], 2, Fraction(1, 2), 40, Rng(0), max_attempts=0)
+
+
 def test_build_in_dense_graph():
     g = complete_graph(40)
     model = build_dense_minor_in_dense_graph(g, Fraction(1, 5), 3, Rng(7))

@@ -147,6 +147,17 @@ def test_io_failures_exit_one(tmp_path, capsys):
     assert _run(capsys, "nonsense-command")[0] == 1
 
 
+def test_extract_refuses_fewer_than_one_attempt(tmp_path, capsys):
+    graph = tmp_path / "g.graph"
+    _run(capsys, "gen", "--n", "120", "--p", "1/2", "--seed", "7", "--out", str(graph))
+    argv = ("extract", "dense-minor", str(graph), "--eps", "1/10", "--t", "4", "--c-scale", "6")
+    for attempts in ("0", "-1"):
+        assert _run(capsys, *argv, "--attempts", attempts) == (
+            1, "", "error: --attempts must be at least 1\n")
+    code, out, _ = _run(capsys, *argv, "--attempts", "1")
+    assert code == 0 and "result: ok" in out
+
+
 def test_construction_failure_exits_two(tmp_path, capsys):
     graph = tmp_path / "g.graph"
     graph.write_text("p 4 3\ne 0 1\ne 1 2\ne 2 3\n")

@@ -16,7 +16,7 @@ from minorforge import (
     vertex_connectivity_with_cutset,
 )
 from minorforge.errors import HypothesisViolatedError, InternalInfeasibleError
-from minorforge.flow import INF, FlowNet, SetFlow, _short_paths
+from minorforge.flow import INF, FlowNet, SetFlow, _seed_paths, _short_paths
 from minorforge.rng import Rng, derive_seed
 
 import flow_reference as ref
@@ -78,6 +78,15 @@ def test_pair_vertex_cut():
     for x, y in ((0, 1), (2, 2)):
         with pytest.raises(HypothesisViolatedError):
             pair_vertex_cut(g2, x, y)
+
+
+def test_pair_vertex_cut_refuses_a_negative_limit():
+    g = graph_from_edge_list(5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)])
+    for limit in (-1, -3):
+        with pytest.raises(HypothesisViolatedError, match="nonnegative") as info:
+            pair_vertex_cut(g, 0, 4, limit=limit)
+        assert info.value.evidence == limit
+    assert pair_vertex_cut(g, 0, 4, limit=0) == (0, None)
 
 
 def test_set_flow_value_matches_brute_paths():
@@ -236,16 +245,17 @@ def _short_path_host(rng):
 
 
 def test_seeded_pair_cut_matches_the_explicit_network(monkeypatch):
-    """``pair_vertex_cut`` starts its flow from the packed short paths.
-    Against the arc-record network (which starts from nothing) it gives the
-    same value and cut for limits below, at and above the packed count,
-    and a capped run that the packing already fills runs no search."""
+    """``pair_vertex_cut`` starts its flow from the seed paths: the packed
+    short paths, then greedy shortest paths.  Against the arc-record
+    network (which starts from nothing) it gives the same value and cut
+    for limits below, at and above the seed count, and a capped run that
+    the seed already fills runs no search."""
     seeded, augment, apply = SetFlow.min_cut, FlowNet._augment, FlowNet._apply
     hits = Counter()
 
     def audited(self, limit=INF):
         seed = self.value
-        assert self.through[self.sources[0]] == seed == min(len(packed), limit)
+        assert self.through[self.sources[0]] == seed == min(len(seeds), limit)
         got = seeded(self, limit)
         hits["beyond the seed"] += got[0] > seed
         return got
@@ -264,23 +274,108 @@ def test_seeded_pair_cut_matches_the_explicit_network(monkeypatch):
     monkeypatch.setattr(SetFlow, "min_cut", audited)
     monkeypatch.setattr(FlowNet, "_augment", counted_augment)
     monkeypatch.setattr(FlowNet, "_apply", counted_apply)
-    for i in range(300):
+    for i in range(800):
         rng = Rng(derive_seed(25, i))
         g = _short_path_host(rng)
         packed = _short_paths(g._bits, 0, 1, INF)
+        seeds = _seed_paths(g, 0, 1, INF)
+        assert seeds[: len(packed)] == packed, i
         hits["length-3 seed"] += any(len(mid) == 2 for mid in packed)
-        for limit in sorted({max(1, len(packed) - 1), len(packed) or 1, len(packed) + 1, INF}):
+        hits["greedy seed"] += len(seeds) > len(packed)
+        for limit in sorted({max(1, len(seeds) - 1), len(seeds) or 1, len(seeds) + 1, INF}):
             ran = []
             got = pair_vertex_cut(g, 0, 1, limit)
             assert got == ref.pair_vertex_cut(g, 0, 1, limit), (i, limit)
-            if limit <= len(packed):
+            if limit <= len(seeds):
                 assert got == (limit, None) and not ran, (i, limit)
                 hits["filled by the seed"] += 1
             elif got[1] is not None:
                 hits["cut"] += 1
-    assert hits["length-3 seed"] > 250, hits
+    assert hits["length-3 seed"] > 250 and hits["greedy seed"] > 100, hits
     assert hits["filled by the seed"] > 400 and hits["cut"] > 300, hits
     assert hits["beyond the seed"] > 150 and hits["seed rerouted"] > 50, hits
+
+
+def _chorded_paths_host(rng):
+    """x = 0 and y = 1 joined by k internally disjoint paths of 4 to 7
+    edges, plus random chords between inner vertices of two of them.  The
+    maximum is k, the degree of x, but a chord can make a shortest x-y
+    path that takes vertices of two of the k paths, so the greedy seed
+    stalls below k and the flow reroutes it over a reverse arc."""
+    k = 2 + rng.below(4)
+    paths, n = [], 2
+    for _ in range(k):
+        paths.append(range(n, n + 3 + rng.below(4)))
+        n = paths[-1].stop
+    edges = [arc for inner in paths for arc in zip((0, *inner), (*inner, 1))]
+    for _ in range(1 + rng.below(2 * k)):
+        p, q = rng.below(k), rng.below(k)
+        if p != q:
+            edges.append((paths[p][rng.below(len(paths[p]))], paths[q][rng.below(len(paths[q]))]))
+    return graph_from_edge_list(n, edges)
+
+
+def test_greedy_seed_paths_are_disjoint_and_keep_the_cut(monkeypatch):
+    """Past the packed short paths, ``pair_vertex_cut`` seeds its flow with
+    greedy shortest x-y paths.  On small G(n, p) hosts, pairs of
+    G(60..80, 1/5) and chorded paths, the seed paths are x-y paths of the
+    host, internally disjoint, and start with the packed ones; the value
+    and cut match the arc-record network at limits below, at and above
+    the seed count.  Some limits are filled by greedy paths with no
+    network built, some greedy seeds stall below the maximum, and some
+    flows reroute a greedy path over a reverse arc."""
+    build, apply = SetFlow.__init__, FlowNet._apply
+    hits = Counter()
+
+    def counted_build(self, *args, **kwargs):
+        built.append(self)
+        build(self, *args, **kwargs)
+
+    def counted_apply(self, path):
+        # in(u) -> out(v) cancels the unit on the graph arc out(v) -> in(u)
+        hits["greedy rerouted"] += any(
+            node & 1 and prev != node - 1 and (node >> 1, prev >> 1) in greedy_arcs
+            for prev, node in zip(path, path[1:])
+        )
+        apply(self, path)
+
+    monkeypatch.setattr(SetFlow, "__init__", counted_build)
+    monkeypatch.setattr(FlowNet, "_apply", counted_apply)
+    kinds = ("small", "gnp", "chorded")
+    with _deadline(60):
+        for i in range(600):
+            rng, kind = Rng(derive_seed(26, i)), kinds[i % 3]
+            if kind == "small":
+                g = random_graph(3 + rng.below(28), Fraction(1 + rng.below(9), 10), rng.spawn(1))
+            elif kind == "gnp":
+                g = random_graph(60 + rng.below(21), Fraction(1, 5), rng.spawn(1))
+            else:
+                g = _chorded_paths_host(rng)
+            x, y = (0, 1) if kind == "chorded" else (rng.below(g.n), rng.below(g.n))
+            if x == y or g.has_edge(x, y):
+                continue
+            packed = _short_paths(g._bits, x, y, INF)
+            seeds = _seed_paths(g, x, y, INF)
+            assert seeds[: len(packed)] == packed, i
+            inner = [v for mid in seeds for v in mid]
+            assert len(inner) == len(set(inner)) and not {x, y} & set(inner), i
+            for mid in seeds:
+                walk = (x, *mid, y)
+                assert mid and all(map(g.has_edge, walk, walk[1:])), i
+            greedy_arcs = {
+                arc for mid in seeds[len(packed):] for arc in zip((x, *mid), (*mid, y))
+            }
+            hits["stalled", kind] += len(seeds) < ref.pair_vertex_cut(g, x, y)[0]
+            for limit in sorted({max(0, len(seeds) - 1), len(seeds), len(seeds) + 1, INF}):
+                built = []
+                got = pair_vertex_cut(g, x, y, limit)
+                assert got == ref.pair_vertex_cut(g, x, y, limit), (i, limit)
+                if limit <= len(seeds):
+                    assert got == (limit, None) and not built, (i, limit)
+                    hits["filled by greedy paths", kind] += limit > len(packed)
+    assert hits["filled by greedy paths", "gnp"] > 150, hits
+    assert hits["filled by greedy paths", "chorded"] > 250, hits
+    assert hits["stalled", "chorded"] > 50 and hits["greedy rerouted"] > 100, hits
 
 
 _DROPPED_CUT_SCRIPT = """
