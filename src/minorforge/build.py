@@ -32,6 +32,7 @@ from .model import MinorModel, compose_models
 from .params import (
     DEFAULT_MAX_ATTEMPTS,
     DEFAULT_MAX_PATH_LEN,
+    DENSE_EPS_BOUND,
     below_log_inv,
     degree_target,
     desk_sample_size,
@@ -106,6 +107,8 @@ def sample_hitting_set(
                 f"set {i} exceeds the eps^(1/r)*n/12 size bound"
             )
         a_sets.append(a_set)
+    if not g.n:
+        raise HypothesisViolatedError("the host must be nonempty")
     if g.n >= 2:
         base = Fraction(complement_max_degree(g), g.n - 1)
         hypothesis_ok = power_hypothesis(eps, r, base)
@@ -213,21 +216,28 @@ def _split_fast(h: Graph, t: int, eps: Fraction):
     return None
 
 
+def _dense_args(max_attempts: int, eps, t: int, c_scale) -> tuple[Fraction, Fraction]:
+    """The argument checks that open both dense-minor builders; returns
+    eps and c_scale as Fractions."""
+    _check_attempts(max_attempts)
+    eps = Fraction(eps)
+    if not 0 < eps < DENSE_EPS_BOUND:
+        raise HypothesisViolatedError(f"eps must lie strictly between 0 and {DENSE_EPS_BOUND}")
+    if t < 2:
+        raise HypothesisViolatedError("t must be at least 2")
+    c_scale = Fraction(c_scale)
+    if c_scale <= 0:
+        raise HypothesisViolatedError("the scale constant must be positive")
+    return eps, c_scale
+
+
 def build_dense_minor(
     g: Graph, eps, t: int, c_scale, rng: Rng,
     *, max_attempts: int = DEFAULT_MAX_ATTEMPTS,
 ) -> MinorModel:
     """(eps,t)-dense minor from average degree: extract a low-order dense
     connected minor, then place t branch sets by hitting-set rounds."""
-    _check_attempts(max_attempts)
-    eps = Fraction(eps)
-    if not 0 < eps < Fraction(1, 3):
-        raise HypothesisViolatedError("eps must lie strictly between 0 and 1/3")
-    if t < 2:
-        raise HypothesisViolatedError("t must be at least 2")
-    c_scale = Fraction(c_scale)
-    if c_scale <= 0:
-        raise HypothesisViolatedError("the scale constant must be positive")
+    eps, c_scale = _dense_args(max_attempts, eps, t, c_scale)
     # avg < c t sqrt(ln(1/eps)), squared: both sides are nonnegative
     if below_log_inv(average_degree(g) ** 2 / (c_scale * t) ** 2, eps):
         raise HypothesisViolatedError(
@@ -390,16 +400,8 @@ def build_dense_minor_bipartite(
     """(eps,t)-dense minor in a bipartite host with enough edges: contract a
     random choice function onto part of a low-degree anchor's neighborhood,
     then build inside the contracted pattern."""
-    _check_attempts(max_attempts)
+    eps, c_scale = _dense_args(max_attempts, eps, t, c_scale)
     a_set, b_set = _check_bipartition(g, side_a, side_b)
-    eps = Fraction(eps)
-    if not 0 < eps < Fraction(1, 3):
-        raise HypothesisViolatedError("eps must lie strictly between 0 and 1/3")
-    if t < 2:
-        raise HypothesisViolatedError("t must be at least 2")
-    c_scale = Fraction(c_scale)
-    if c_scale <= 0:
-        raise HypothesisViolatedError("the scale constant must be positive")
     if len(a_set) < len(b_set):
         a_set, b_set = b_set, a_set
     if not b_set:
@@ -423,6 +425,10 @@ def build_dense_minor_bipartite(
         for v in sorted(a_set, key=lambda v: (g.degree(v), v))
         if g.degree(v) >= n_pick
     ][:8]
+    if not candidates:
+        raise HypothesisViolatedError(
+            f"no vertex on the larger side has {n_pick} neighbors", evidence=n_pick
+        )
     attempts = 0
     for ci, u0 in enumerate(candidates):
         roots = mask_vertices(g.neighbor_bits(u0))[:n_pick]
@@ -444,7 +450,5 @@ def build_dense_minor_bipartite(
             if is_eps_t_dense(final.pattern, eps, t):
                 return final
     raise AttemptsExhaustedError(
-        f"no certified pattern in {max(attempts, 1)} attempts",
-        max(attempts, 1),
-        True,
+        f"no certified pattern in {attempts} attempts", attempts, True
     )

@@ -51,7 +51,7 @@ from .graphio import (
     to_dot,
 )
 from .model import MinorModel, validate_model
-from .params import DEFAULT_C_SCALE, sqrt_log_inv
+from .params import DEFAULT_C_SCALE, DEFAULT_MAX_ATTEMPTS, DENSE_EPS_BOUND, sqrt_log_inv
 from .paths import PathFamily, Separation, find_linkage, menger
 from .rng import Rng, derive_seed
 
@@ -185,47 +185,34 @@ def _pattern_summary(model: MinorModel) -> dict:
     return fields
 
 
+def _dense_minor(g: Graph, side: int | None, eps: Fraction, t: int,
+                 c_scale: Fraction, seed: int, attempts: int) -> MinorModel:
+    """The (eps, t)-dense minor built in g, taken as bipartite with side A
+    ``0..side-1`` when side is given."""
+    if side is None:
+        return build_dense_minor(g, eps, t, c_scale, Rng(seed), max_attempts=attempts)
+    return build_dense_minor_bipartite(
+        g, range(side), range(side, g.n), eps, t, c_scale, Rng(seed), max_attempts=attempts
+    )
+
+
+_NEEDS = {
+    "mader": ("d",), "dense-connected": ("d",), "kconn": ("k",),
+    "dense-minor": ("eps", "t"), "dense-minor-bipartite": ("eps", "t"),
+}
+
+
 def _cmd_extract(args) -> int:
-    kwargs = {}
-    if args.attempts is not None:
-        if args.attempts < 1:
-            return _usage("--attempts must be at least 1")
-        kwargs["max_attempts"] = args.attempts
+    if args.attempts < 1:
+        return _usage("--attempts must be at least 1")
     g, side = parse_graph(_read(args.graph))
     mode = args.mode
-    if mode in ("mader", "dense-connected"):
-        if args.d is None:
-            return _usage(f"extract {mode} needs --d")
-        model = (
-            mader_min_degree_minor(g, args.d)
-            if mode == "mader"
-            else dense_connected_minor(g, args.d)
-        )
-        fields = _pattern_summary(model)
-        if mode == "dense-connected":
-            fields["pattern_connectivity"] = vertex_connectivity(model.pattern)
-    elif mode == "dense-minor":
-        if args.eps is None or args.t is None:
-            return _usage("extract dense-minor needs --eps and --t")
-        c_scale = args.c_scale if args.c_scale is not None else DEFAULT_C_SCALE
-        model = build_dense_minor(
-            g, args.eps, args.t, c_scale, Rng(args.seed), **kwargs
-        )
-        fields = _pattern_summary(model)
-    elif mode == "dense-minor-bipartite":
-        if args.eps is None or args.t is None:
-            return _usage("extract dense-minor-bipartite needs --eps and --t")
-        if side is None:
-            return _usage("input graph lacks a bipartition header")
-        c_scale = args.c_scale if args.c_scale is not None else DEFAULT_C_SCALE
-        model = build_dense_minor_bipartite(
-            g, range(side), range(side, g.n), args.eps, args.t, c_scale,
-            Rng(args.seed), **kwargs
-        )
-        fields = _pattern_summary(model)
-    elif mode == "kconn":
-        if args.k is None:
-            return _usage("extract kconn needs --k")
+    if any(getattr(args, flag) is None for flag in _NEEDS[mode]):
+        return _usage(f"extract {mode} needs " + " and ".join(f"--{f}" for f in _NEEDS[mode]))
+    bipartite = mode == "dense-minor-bipartite"
+    if bipartite and side is None:
+        return _usage("input graph lacks a bipartition header")
+    if mode == "kconn":
         verts = k_connected_subgraph(g, args.k)
         model = MinorModel(g, [frozenset((v,)) for v in verts])
         fields = {
@@ -234,8 +221,17 @@ def _cmd_extract(args) -> int:
             "connectivity_at_least": args.k,
             "vertices": " ".join(map(str, verts)),
         }
-    else:  # pragma: no cover - argparse restricts choices
-        return _usage(f"unknown extract mode {mode!r}")
+    else:
+        if mode == "mader":
+            model = mader_min_degree_minor(g, args.d)
+        elif mode == "dense-connected":
+            model = dense_connected_minor(g, args.d)
+        else:
+            model = _dense_minor(g, side if bipartite else None, args.eps, args.t,
+                                 args.c_scale, args.seed, args.attempts)
+        fields = _pattern_summary(model)
+        if mode == "dense-connected":
+            fields["pattern_connectivity"] = vertex_connectivity(model.pattern)
     if args.out is not None:
         _emit(serialize_model(model), args.out)
     if args.format == "json":
@@ -331,8 +327,9 @@ def _config_fraction(value, key: str) -> Fraction:
         raise _config_error(f"{key} is {exc}") from None
 
 
-def _load_config(path: str) -> dict:
-    """The experiment settings in ``path``, each key checked against the
+def _load_config(path: str) -> tuple[dict, str | None]:
+    """The experiment settings in ``path``, under the keys the report
+    echoes, and the report's file name.  Each key is checked against the
     JSON type it needs; ParseError names the first key that is wrong."""
     try:
         raw = json.loads(_read(path))
@@ -352,53 +349,32 @@ def _load_config(path: str) -> dict:
             raise _config_error(f"{key} is required for a {kind} ensemble")
         cfg[key] = _config_int(ens[key], key)
     cfg["count"] = _config_int(ens.get("count", 1), "count")
-    cfg["p_grid"] = [_config_fraction(p, "p") for p in _as_list(ens.get("p", "1/2"))]
-    cfg["eps_grid"] = [_config_fraction(e, "eps") for e in _as_list(raw.get("eps", []))]
-    cfg["t_grid"] = [_config_int(t, "t") for t in _as_list(raw.get("t", []))]
+    cfg["p"] = [_config_fraction(p, "p") for p in _as_list(ens.get("p", "1/2"))]
+    cfg["eps"] = [_config_fraction(e, "eps") for e in _as_list(raw.get("eps", []))]
+    cfg["t"] = [_config_int(t, "t") for t in _as_list(raw.get("t", []))]
     cfg["c_scale"] = (
         _config_fraction(raw["c_scale"], "c_scale") if "c_scale" in raw else DEFAULT_C_SCALE
     )
     cfg["seed"] = _config_int(raw.get("seed", 0), "seed")
-    cfg["attempts"] = (
-        _config_int(raw["attempts"], "attempts") if "attempts" in raw else None
-    )
-    cfg["out"] = raw.get("out")
-    if cfg["out"] is not None and not isinstance(cfg["out"], str):
-        raise _config_error(f"out must be a file name, not {json.dumps(cfg['out'])}")
-    if not all(0 <= p <= 1 for p in cfg["p_grid"]):
+    if "attempts" in raw:
+        cfg["attempts"] = _config_int(raw["attempts"], "attempts")
+    out = raw.get("out")
+    if out is not None and not isinstance(out, str):
+        raise _config_error(f"out must be a file name, not {json.dumps(out)}")
+    if not all(0 <= p <= 1 for p in cfg["p"]):
         raise _config_error("p must lie in [0,1]")
-    if not all(0 < e < 1 for e in cfg["eps_grid"]):
-        raise _config_error("eps must lie in (0, 1)")
-    if not all(t >= 2 for t in cfg["t_grid"]):
+    if not all(0 < e < DENSE_EPS_BOUND for e in cfg["eps"]):
+        raise _config_error(f"eps must lie in (0, {DENSE_EPS_BOUND})")
+    if not all(t >= 2 for t in cfg["t"]):
         raise _config_error("t must be at least 2")
     for key in ("n", "a", "b", "count", "seed"):
         if cfg.get(key, 0) < 0:
             raise _config_error(f"{key} must be nonnegative")
-    if cfg["attempts"] is not None and cfg["attempts"] < 1:
+    if cfg.get("attempts", 1) < 1:
         raise _config_error("attempts must be at least 1")
     if cfg["c_scale"] <= 0:
         raise _config_error("c_scale must be positive")
-    return cfg
-
-
-def _config_echo(cfg: dict) -> dict:
-    echo = {
-        "kind": cfg["kind"],
-        "count": cfg["count"],
-        "p": [format_fraction(p) for p in cfg["p_grid"]],
-        "eps": [format_fraction(e) for e in cfg["eps_grid"]],
-        "t": cfg["t_grid"],
-        "c_scale": format_fraction(cfg["c_scale"]),
-        "seed": cfg["seed"],
-    }
-    if cfg["kind"] == "gnp":
-        echo["n"] = cfg["n"]
-    else:
-        echo["a"] = cfg["a"]
-        echo["b"] = cfg["b"]
-    if cfg["attempts"] is not None:
-        echo["attempts"] = cfg["attempts"]
-    return echo
+    return cfg, out
 
 
 def _run_instance(cfg: dict, p: Fraction, eps: Fraction, t: int,
@@ -419,20 +395,11 @@ def _run_instance(cfg: dict, p: Fraction, eps: Fraction, t: int,
         "seed_build": seed_build,
         "avg_degree": format_fraction(average_degree(g)),
     }
-    kwargs = {}
-    if cfg["attempts"] is not None:
-        kwargs["max_attempts"] = cfg["attempts"]
     started = time.perf_counter_ns()
     try:
-        if cfg["kind"] == "gnp":
-            model = build_dense_minor(
-                g, eps, t, cfg["c_scale"], Rng(seed_build), **kwargs
-            )
-        else:
-            model = build_dense_minor_bipartite(
-                g, range(cfg["a"]), range(cfg["a"], g.n), eps, t,
-                cfg["c_scale"], Rng(seed_build), **kwargs
-            )
+        # a gnp config has no side A, so cfg.get("a") picks the plain builder
+        model = _dense_minor(g, cfg.get("a"), eps, t, cfg["c_scale"], seed_build,
+                             cfg.get("attempts", DEFAULT_MAX_ATTEMPTS))
         report = validate_model(model)
         ok = report.valid and is_eps_t_dense(report.pattern, eps, t)
         record["success"] = ok
@@ -451,13 +418,8 @@ def _run_instance(cfg: dict, p: Fraction, eps: Fraction, t: int,
 
 
 def _cmd_experiment(args) -> int:
-    cfg = _load_config(args.config)
-    cells = [
-        (p, eps, t)
-        for p in cfg["p_grid"]
-        for eps in cfg["eps_grid"]
-        for t in cfg["t_grid"]
-    ]
+    cfg, out = _load_config(args.config)
+    cells = [(p, eps, t) for p in cfg["p"] for eps in cfg["eps"] for t in cfg["t"]]
     records = []
     cell_rows = []
     for ci, (p, eps, t) in enumerate(cells):
@@ -492,10 +454,9 @@ def _cmd_experiment(args) -> int:
         "total": len(records),
         "total_successes": sum(1 for r in records if r["success"]),
     }
-    report = make_report(_config_echo(cfg), records, aggregates)
-    text = dump_report(report)
-    out = args.out if args.out is not None else cfg.get("out")
-    _emit(text, out)
+    if args.out is not None:
+        out = args.out
+    _emit(dump_report(make_report(cfg, records, aggregates)), out)
     if out is not None:
         stem, _ = os.path.splitext(out)
         with open(stem + ".csv", "w", encoding="utf-8", newline="") as fh:
@@ -553,9 +514,9 @@ def _build_parser() -> argparse.ArgumentParser:
     ext.add_argument("--k", type=int, default=None)
     ext.add_argument("--eps", type=_rational, default=None)
     ext.add_argument("--t", type=int, default=None)
-    ext.add_argument("--c-scale", type=_rational, default=None,
+    ext.add_argument("--c-scale", type=_rational, default=DEFAULT_C_SCALE,
                      dest="c_scale")
-    ext.add_argument("--attempts", type=int, default=None)
+    ext.add_argument("--attempts", type=int, default=DEFAULT_MAX_ATTEMPTS)
     ext.add_argument("--seed", type=_seed, default=0)
     ext.add_argument("--out", default=None)
     ext.add_argument("--format", choices=["text", "json"], default="text")

@@ -10,7 +10,7 @@ refuse hosts above the fixed vertex caps of config.
 from __future__ import annotations
 
 from .config import COLORING_CAP, SEPARABLE_CAP
-from .errors import TooLargeError
+from .errors import HypothesisViolatedError, TooLargeError
 from .graph import Graph, induced_subgraph, mask_vertices
 
 
@@ -94,6 +94,8 @@ def is_chromatic_separable(g: Graph, m: int):
     number is monotone under vertex addition, it suffices to scan bipartitions
     A, V-A; chi values per subset are cached.
     """
+    if m < 0:
+        raise HypothesisViolatedError("m must be nonnegative", evidence=m)
     if g.n > SEPARABLE_CAP:
         raise TooLargeError(f"separability cap {SEPARABLE_CAP} exceeded by n={g.n}")
     chi = chromatic_number_exact(g)

@@ -195,7 +195,7 @@ def make_report(config: dict, records: list, aggregates: dict) -> dict:
 
 
 def dump_report(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    return json.dumps(report, indent=2, sort_keys=True, default=format_fraction) + "\n"
 
 
 def stable_view(report: dict) -> dict:

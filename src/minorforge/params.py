@@ -20,6 +20,8 @@ from .errors import HypothesisViolatedError
 DEFAULT_C_SCALE = Fraction(3360)
 DEFAULT_MAX_PATH_LEN = 14
 DEFAULT_MAX_ATTEMPTS = 64
+# both dense-minor builders need eps strictly between 0 and this
+DENSE_EPS_BOUND = Fraction(1, 3)
 
 
 def sqrt_log_inv(eps: Fraction) -> float:

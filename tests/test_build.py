@@ -155,6 +155,8 @@ def test_sample_hitting_set_validates():
     with pytest.raises(HypothesisViolatedError):
         # one candidate set above the size bound
         sample_hitting_set(g, [set(range(10))], 2, Fraction(1, 2), 10, rng)
+    with pytest.raises(HypothesisViolatedError, match="nonempty"):
+        sample_hitting_set(graph_from_edge_list(0, []), [], 1, Fraction(1, 2), 0, rng)
 
 
 def test_sample_hitting_set_exhaustion_warns_and_raises():
@@ -283,3 +285,26 @@ def test_build_dense_minor_bipartite():
         build_dense_minor_bipartite(
             g, side_a, side_b, Fraction(1, 5), 3, Fraction(10**6), Rng(0)
         )
+
+
+def test_bipartite_builder_without_an_anchor_tries_nothing(monkeypatch):
+    """No vertex on the larger side has ``n_pick`` neighbors, so no
+    contraction runs and the builder says why instead of reporting an
+    attempt."""
+    import minorforge.build as build
+
+    contractions = []
+
+    def counted(*args):
+        contractions.append(args)
+        return bipartite_random_contraction(*args)
+
+    monkeypatch.setattr(build, "bipartite_random_contraction", counted)
+    g = random_bipartite(30, 30, Fraction(1, 2), Rng(1))
+    with pytest.raises(HypothesisViolatedError, match="neighbors") as info:
+        build_dense_minor_bipartite(
+            g, range(30), range(30, 60), Fraction(1, 5), 3, Fraction(1, 100), Rng(1)
+        )
+    assert contractions == []
+    assert isinstance(info.value.evidence, int)
+    assert all(g.degree(v) < info.value.evidence for v in range(g.n))

@@ -158,6 +158,34 @@ def test_extract_refuses_fewer_than_one_attempt(tmp_path, capsys):
     assert code == 0 and "result: ok" in out
 
 
+def test_extract_dense_minor_bipartite(tmp_path, capsys):
+    graph = tmp_path / "b.graph"
+    _run(capsys, "gen", "--bipartite", "40", "40", "--p", "4/5", "--seed", "2",
+         "--out", str(graph))
+    code, out, err = _run(capsys, "extract", "dense-minor-bipartite", str(graph),
+                          "--eps", "1/5", "--t", "3", "--c-scale", "1/8", "--seed", "1")
+    assert (code, err) == (0, "")
+    assert "result: ok\nfragments_count: 3\n" in out
+
+
+def test_extract_dense_minor_bipartite_needs_a_bipartition(tmp_path, capsys):
+    graph = tmp_path / "g.graph"
+    graph.write_text("p 3 2\ne 0 1\ne 1 2\n")
+    assert _run(capsys, "extract", "dense-minor-bipartite", str(graph),
+                "--eps", "1/5", "--t", "3") == (
+        1, "", "error: input graph lacks a bipartition header\n")
+
+
+def test_extract_dense_minor_bipartite_without_an_anchor(tmp_path, capsys):
+    graph = tmp_path / "h.graph"
+    _run(capsys, "gen", "--bipartite", "40", "40", "--p", "1/2", "--seed", "3",
+         "--out", str(graph))
+    assert _run(capsys, "extract", "dense-minor-bipartite", str(graph),
+                "--eps", "1/5", "--t", "3", "--c-scale", "1/100") == (
+        2, "", "construction failed: HypothesisViolatedError: "
+               "no vertex on the larger side has 36 neighbors\n")
+
+
 def test_construction_failure_exits_two(tmp_path, capsys):
     graph = tmp_path / "g.graph"
     graph.write_text("p 4 3\ne 0 1\ne 1 2\ne 2 3\n")
@@ -191,6 +219,23 @@ def test_experiment_report_and_csv(tmp_path, capsys):
     csv_text = (tmp_path / "rep.csv").read_text().splitlines()
     assert csv_text[0].startswith("cell,")
     assert len(csv_text) == 2  # header plus the single cell
+
+
+def test_experiment_on_a_bipartite_ensemble(tmp_path, capsys):
+    path = _experiment_config(tmp_path, "cfg.json", "rep.json")
+    cfg = json.loads(path.read_text())
+    cfg["ensemble"] = {"kind": "bipartite", "a": 40, "b": 40, "count": 2, "p": ["4/5"]}
+    cfg["c_scale"] = "1/8"
+    cfg["seed"] = 1
+    path.write_text(json.dumps(cfg))
+    assert _run(capsys, "experiment", str(path)) == (0, "", "")
+    report = json.loads((tmp_path / "rep.json").read_text())
+    assert report["config"] == {
+        "kind": "bipartite", "a": 40, "b": 40, "count": 2, "p": ["4/5"],
+        "eps": ["1/5"], "t": [3], "c_scale": "1/8", "seed": 1,
+    }
+    assert [r["success"] for r in report["records"]] == [True, True]
+    assert all(len(r["fragments"]) == 3 for r in report["records"])
 
 
 def test_experiment_reports_are_stable(tmp_path, capsys):
@@ -243,6 +288,7 @@ def _refused(tmp_path, capsys, key, value):
     ("eps", ["0"]), ("eps", ["3/2"]), ("eps", ["1"]), ("eps", ["1/10", "-1/2"]),
     ("t", [0]), ("t", [-2]), ("t", [1]), ("t", [3, 1]),
     ("n", -1), ("a", -3), ("b", -1),
+    ("eps", ["1/3"]), ("eps", ["1/2"]),
 ])
 def test_experiment_config_names_the_bad_key(tmp_path, capsys, key, value):
     """Every key is checked against the JSON type it needs: a wrong type,

@@ -11,7 +11,7 @@ from minorforge import (
     is_chromatic_separable,
     random_graph,
 )
-from minorforge.errors import TooLargeError
+from minorforge.errors import HypothesisViolatedError, TooLargeError
 from minorforge.rng import Rng, derive_seed
 
 from conftest import brute_chromatic, brute_colorable, petersen
@@ -107,3 +107,7 @@ def test_separable_trivial_and_caps():
     assert is_chromatic_separable(complete_graph(3), 3)[0] is True
     with pytest.raises(TooLargeError):
         is_chromatic_separable(complete_graph(15), 1)
+    for n in (0, 3):  # a negative slack m is refused, not shifted
+        with pytest.raises(HypothesisViolatedError, match="nonnegative") as info:
+            is_chromatic_separable(complete_graph(n), -1)
+        assert info.value.evidence == -1
