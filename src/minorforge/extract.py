@@ -28,7 +28,14 @@ class _Work:
     loss.  When bit x of `exact` is set the bound is attained and arg[x]
     is the smallest y attaining it.  Rows with edges are keyed (lb[x], x)
     in a lazy heap whose entries not matching lb are stale.  `steps`
-    records each move as (kind, representatives, edge count after it)."""
+    records each move as (kind, representatives, edge count after it).
+
+    Pigeonhole floor: for a pattern edge xy on n live vertices,
+    N(x) - {y} and N(y) - {x} both lie among the other n - 2 vertices, so
+    they share at least deg x + deg y - n of them and every loss in row x
+    is at least 1 + deg x + delta - n, delta the least pattern degree.  A
+    bound raised to that floor is still a lower bound, so rows can leave
+    the heap front without a scan."""
 
     def __init__(self, g: Graph):
         self.g = g
@@ -44,10 +51,13 @@ class _Work:
         # sorted, hence already a heap
         self.heap: list[tuple[int, int]] = [(1, v) for v in self.lb]
 
-    def least_loss_edge(self) -> tuple[int, int, int] | None:
+    def least_loss_edge(self, delta: int) -> tuple[int, int, int] | None:
         """Lexicographically least (loss, a, b) over pattern edges a < b,
-        or None when the pattern has no edges."""
+        or None when the pattern has no edges.  `delta` is the least
+        pattern degree; a front row below its floor is lifted to it
+        instead of rescanned."""
         heap = self.heap
+        floor = 1 + delta - len(self.frags)
         while heap:
             lb, x = heap[0]
             if self.lb.get(x) != lb:
@@ -55,9 +65,18 @@ class _Work:
             elif self.exact >> x & 1:
                 return lb, x, self.arg[x]
             else:
-                heapq.heappop(heap)
-                self._rescan(x)
+                lifted = floor + self.bits[x].bit_count()
+                if lifted > lb:
+                    self._lift(x, lifted)
+                else:
+                    heapq.heappop(heap)
+                    self._rescan(x)
         return None
+
+    def _lift(self, x: int, bound: int) -> None:
+        """Raise the bound of row x, the heap front, to its floor."""
+        self.lb[x] = bound
+        heapq.heapreplace(self.heap, (bound, x))
 
     def _rescan(self, x: int) -> None:
         """Make row x exact: its least loss, at the smallest y attaining it."""
@@ -161,7 +180,11 @@ def _mader_descent(work: _Work, d: int) -> None:
     smallest b.  Deletions and contractions keep the invariant by lowering
     the bound of each row whose losses can fall (by at most one) and
     dropping the exactness of each row whose losses can rise, so only
-    those rows are ever rescanned."""
+    those rows are ever rescanned.  A row at the heap front whose bound is
+    below the pigeonhole floor of `_Work` (1 + deg x + delta - n, with
+    delta the least degree computed at the top of each iteration) is
+    lifted to the floor without a scan; the floor is at most its least
+    loss, so the invariant holds and only exact rows are ever returned."""
     while True:
         if not work.frags:
             raise ExtractionFailedError("descent consumed the whole graph")
@@ -173,7 +196,7 @@ def _mader_descent(work: _Work, d: int) -> None:
         if n_pat <= d:
             return
         slack = 2 * work.e - (d - 1) * n_pat
-        best = work.least_loss_edge()
+        best = work.least_loss_edge(deg)
         if best is None:
             raise ExtractionFailedError("no edges left above target order")
         loss, a, b = best

@@ -18,7 +18,13 @@ from fractions import Fraction
 from itertools import compress, count
 from typing import Iterable, Sequence
 
-from .errors import NotAnEdgeError, OrderTooSmallError, UnknownVertexError, check_internal
+from .errors import (
+    HypothesisViolatedError,
+    NotAnEdgeError,
+    OrderTooSmallError,
+    UnknownVertexError,
+    check_internal,
+)
 from .rng import Rng
 
 
@@ -330,9 +336,7 @@ def random_graph(n: int, p: Fraction, rng: Rng) -> Graph:
     """G(n,p): each pair independently, exact Bernoulli, pairs in sorted
     order.  Row u is one coin mask over the pairs uv, v > u, so the stream
     is consumed exactly as one ``bernoulli`` draw per pair would."""
-    p = Fraction(p)
-    if not 0 <= p <= 1:
-        raise ValueError("p must lie in [0,1]")
+    p = _probability(p)
     bits = [0] * n
     for u in range(n):
         _add_row(bits, u, rng.coin_mask(n - u - 1, p) << (u + 1))
@@ -342,15 +346,20 @@ def random_graph(n: int, p: Fraction, rng: Rng) -> Graph:
 def random_bipartite(a: int, b: int, p: Fraction, rng: Rng) -> Graph:
     """Random bipartite graph; side A is 0..a-1, side B is a..a+b-1.  Pairs
     are drawn in sorted order, one coin mask over side B per vertex of A."""
-    p = Fraction(p)
-    if not 0 <= p <= 1:
-        raise ValueError("p must lie in [0,1]")
+    p = _probability(p)
     if a < 0 or b < 0:
         raise OrderTooSmallError("side sizes must be nonnegative")
     bits = [0] * (a + b)
     for u in range(a):
         _add_row(bits, u, rng.coin_mask(b, p) << a)
     return Graph._from_masks(a + b, bits)
+
+
+def _probability(p) -> Fraction:
+    p = Fraction(p)
+    if not 0 <= p <= 1:
+        raise HypothesisViolatedError(f"p must lie in [0,1], got {p}", evidence=p)
+    return p
 
 
 def _add_row(bits: list[int], u: int, row: int) -> None:

@@ -57,6 +57,8 @@ def find_separation_avoiding(g: Graph, s, t_order: int, d_list, n_avoid: int):
     d_sets = _disjoint_sets(g, d_list, "avoidable sets")
     if n_avoid < 0:
         raise HypothesisViolatedError("the avoidance count must be nonnegative")
+    if t_order < 0:
+        raise HypothesisViolatedError("the separation order must be nonnegative")
     k = n_avoid + 1
     if k > len(d_sets):
         return None

@@ -109,7 +109,19 @@ def _full_scan_descent(work, d: int, hits: dict[str, int]) -> None:
 
 class _AuditedWork(extract._Work):
     """Workspace that checks its row bounds against a full scan after
-    every step."""
+    every step and every least-loss query, where the pigeonhole floor
+    raises bounds; `lifts` counts those raises."""
+
+    lifts = 0
+
+    def least_loss_edge(self, delta):
+        best = super().least_loss_edge(delta)
+        self.audit()
+        return best
+
+    def _lift(self, x, bound):
+        super()._lift(x, bound)
+        self.lifts += 1
 
     def delete(self, rep):
         super().delete(rep)
@@ -180,15 +192,36 @@ def _descent_hosts(count):
 
 def test_incremental_descent_matches_full_scan():
     hits = {"delete": 0, "degree_safe": 0, "exhaustive": 0}
+    lifts = 0
     for g, d in _descent_hosts(240):
         reference = _descend(
             extract._Work(g), d,
             lambda work, dd: _full_scan_descent(work, dd, hits),
         )
-        assert _descend(_AuditedWork(g), d, extract._mader_descent) == reference
+        work = _AuditedWork(g)
+        assert _descend(work, d, extract._mader_descent) == reference
+        lifts += work.lifts
     assert hits["delete"] >= 1
     assert hits["degree_safe"] >= 1
     assert hits["exhaustive"] >= 1
+    assert lifts >= 5000  # the floor acts, and the audits above cover it
+
+
+def test_pigeonhole_floor_saves_rescans(monkeypatch):
+    """Work counter: the descent's rescans on the descent hosts.  Without
+    the floor in `least_loss_edge` there are about half as many again."""
+    rescans = 0
+    rescan = extract._Work._rescan
+
+    def counted(self, x):
+        nonlocal rescans
+        rescans += 1
+        rescan(self, x)
+
+    monkeypatch.setattr(extract._Work, "_rescan", counted)
+    for g, d in _descent_hosts(240):
+        _descend(extract._Work(g), d, extract._mader_descent)
+    assert rescans <= 15000
 
 
 def _ref_degree_safe_contraction(work, d: int):

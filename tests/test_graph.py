@@ -22,6 +22,7 @@ from minorforge import (
     random_graph,
 )
 from minorforge.errors import (
+    HypothesisViolatedError,
     NotAnEdgeError,
     OrderTooSmallError,
     UnknownVertexError,
@@ -441,6 +442,17 @@ def test_mask_built_graphs_match_edge_lists():
         random_graph(-1, Fraction(1, 2), Rng(0))
     with pytest.raises(OrderTooSmallError):
         random_bipartite(-1, 3, Fraction(1, 2), Rng(0))
+
+
+@pytest.mark.parametrize("p", [Fraction(-1, 10), Fraction(11, 10), 2])
+def test_generators_refuse_p_outside_the_unit_interval(p):
+    for draw in (
+        lambda: random_graph(4, p, Rng(0)),
+        lambda: random_bipartite(2, 2, p, Rng(0)),
+    ):
+        with pytest.raises(HypothesisViolatedError) as err:
+            draw()
+        assert err.value.evidence == p
 
 
 def _induced_by_neighbour(g, keep):

@@ -89,6 +89,10 @@ def test_separation_search_validates_inputs():
         find_separation_avoiding(g, {0}, 2, [{1, 2}, {2, 3}], 0)
     with pytest.raises(HypothesisViolatedError):
         find_separation_avoiding(g, {0}, 2, [{1}], -1)
+    with pytest.raises(HypothesisViolatedError):
+        find_separation_avoiding(g, {0}, -1, [{1}, {2}], 0)
+    # no separation has order below 0
+    assert find_separation_avoiding(g, {0}, 0, [{1}, {2}], 0) is None
     # more subfamilies required than sets given: vacuously none
     assert find_separation_avoiding(g, {0}, 2, [{1}], 3) is None
 
