@@ -3,14 +3,14 @@
 A greedy clique gives the lower bound, and k counts up from it until the
 k-colorability search succeeds.  That search precolors the clique and never
 opens more than one fresh color per step, and it is complete, so the first
-k it succeeds at is the chromatic number.  Both solvers are exponential and
-refuse hosts above the fixed vertex caps of config.
+k it succeeds at is the chromatic number.  Both solvers are exponential: they
+refuse hosts above config's vertex caps, and a call stops at SEARCH_NODES nodes.
 """
 
 from __future__ import annotations
 
-from .config import COLORING_CAP, SEPARABLE_CAP
-from .errors import HypothesisViolatedError, TooLargeError
+from .config import COLORING_CAP, SEARCH_NODES, SEPARABLE_CAP
+from .errors import Budget, HypothesisViolatedError, TooLargeError
 from .graph import Graph, induced_subgraph, mask_vertices
 
 
@@ -35,16 +35,15 @@ def _greedy_clique(g: Graph) -> list[int]:
     return best
 
 
-def _colorable_with(g: Graph, k: int, clique: list[int]) -> list[int] | None:
-    """Backtracking k-coloring with the clique precolored; None if impossible."""
-    if len(clique) > k:
-        return None
+def _colorable_with(g: Graph, k: int, clique: list[int], budget: Budget) -> list[int] | None:
+    """Backtracking k-coloring, clique precolored, one budget node a step; None if impossible."""
     color = [-1] * g.n
     for i, v in enumerate(clique):
         color[v] = i
     uncolored = g.n - len(clique)
 
     def step(remaining: int, max_used: int) -> bool:
+        budget.spend()
         if remaining == 0:
             return True
         pick, pick_key, pick_sat = -1, None, 0
@@ -76,13 +75,17 @@ def chromatic_number_exact(g: Graph) -> int:
     """Exact chi(g); refuses graphs over ``COLORING_CAP`` vertices."""
     if g.n > COLORING_CAP:
         raise TooLargeError(f"coloring cap {COLORING_CAP} exceeded by n={g.n}")
+    return _chi(g, Budget(SEARCH_NODES, TooLargeError, "coloring search budget exhausted"))
+
+
+def _chi(g: Graph, budget: Budget) -> int:
     if g.n == 0:
         return 0
     if g.m == 0:
         return 1
     clique = _greedy_clique(g)
     k = len(clique)
-    while _colorable_with(g, k, clique) is None:
+    while _colorable_with(g, k, clique, budget) is None:
         k += 1
     return k
 
@@ -92,13 +95,15 @@ def is_chromatic_separable(g: Graph, m: int):
 
     Returns (False, None) or (True, (a_tuple, b_tuple)).  Since chromatic
     number is monotone under vertex addition, it suffices to scan bipartitions
-    A, V-A; chi values per subset are cached.
+    A, V-A; chi values per subset are cached.  One budget covers the call:
+    every colouring step and every split scanned.
     """
     if m < 0:
         raise HypothesisViolatedError("m must be nonnegative", evidence=m)
     if g.n > SEPARABLE_CAP:
         raise TooLargeError(f"separability cap {SEPARABLE_CAP} exceeded by n={g.n}")
-    chi = chromatic_number_exact(g)
+    budget = Budget(SEARCH_NODES, TooLargeError, "separability search budget exhausted")
+    chi = _chi(g, budget)
     need = chi - m
     if need <= 0:
         # even empty subgraphs qualify
@@ -110,13 +115,14 @@ def is_chromatic_separable(g: Graph, m: int):
             return memo[mask]
         verts = [v for v in range(g.n) if (mask >> v) & 1]
         sub, _ = induced_subgraph(g, verts)
-        val = chromatic_number_exact(sub)
+        val = _chi(sub, budget)
         memo[mask] = val
         return val
 
     full = (1 << g.n) - 1
     # vertex 0 pinned to side A so each unordered split is visited once
     for half in range(1 << (g.n - 1)):
+        budget.spend()
         a_mask = (half << 1) | 1
         b_mask = full & ~a_mask
         if a_mask.bit_count() < need or b_mask.bit_count() < need:

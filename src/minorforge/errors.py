@@ -9,7 +9,12 @@ from __future__ import annotations
 
 
 class MinorforgeError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors; ``evidence`` holds what refutes
+    the input or, for an exhausted search, the nodes it spent."""
+
+    def __init__(self, message: str, evidence=None):
+        super().__init__(message)
+        self.evidence = evidence
 
 
 class ParseError(MinorforgeError):
@@ -68,10 +73,6 @@ class DensityNotMetError(MinorforgeError):
 class HypothesisViolatedError(MinorforgeError):
     """Input breaks a stated precondition; carries the offending evidence."""
 
-    def __init__(self, message: str, evidence=None):
-        super().__init__(message)
-        self.evidence = evidence
-
 
 class InvalidBipartitionError(MinorforgeError, ValueError):
     pass
@@ -88,6 +89,19 @@ class NeighborsUnavailableError(MinorforgeError):
 class InternalInfeasibleError(MinorforgeError):
     """A step the supporting argument guarantees turned out infeasible: a bug,
     not a user error."""
+
+
+class Budget:
+    """The node budget of one exact search: ``spend`` raises ``error(message)``,
+    with ``spent`` as evidence, once ``spent`` reaches ``nodes``."""
+
+    def __init__(self, nodes: int, error: type[MinorforgeError], message: str):
+        self.nodes, self.error, self.message, self.spent = nodes, error, message, 0
+
+    def spend(self, n: int = 1) -> None:
+        self.spent += n
+        if self.spent >= self.nodes:
+            raise self.error(self.message, evidence=self.spent)
 
 
 def check_internal(cond: bool, msg: str) -> None:

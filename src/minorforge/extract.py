@@ -8,7 +8,7 @@ from fractions import Fraction
 
 from .config import SEARCH_NODES
 from .connectivity import vertex_connectivity_with_cutset
-from .errors import ExtractionFailedError, HypothesisViolatedError, check_internal
+from .errors import Budget, ExtractionFailedError, HypothesisViolatedError, check_internal
 from .graph import Graph, _induced, average_degree, induced_subgraph, mask_of, mask_vertices
 from .model import MinorModel
 
@@ -248,8 +248,7 @@ def _exhaustive_finish(work: _Work, d: int) -> None:
     """Search every delete/contract sequence on the current (small) pattern
     for a minor meeting the order and degree targets, then apply it."""
     pat, reps = work.pattern()
-    budget = [SEARCH_NODES]
-    moves = _search_small_minor(pat, d, budget)
+    moves = _search_small_minor(pat, d)
     if moves is None:
         raise ExtractionFailedError(
             f"no minor of order <= {d} with min degree >= {d}/2 exists here"
@@ -263,7 +262,8 @@ def _exhaustive_finish(work: _Work, d: int) -> None:
             )
 
 
-def _search_small_minor(h: Graph, d: int, budget: list[int]):
+def _search_small_minor(h: Graph, d: int):
+    budget = Budget(SEARCH_NODES, ExtractionFailedError, "fallback search budget exhausted")
     h_bits = [h.neighbor_bits(v) for v in range(h.n)]
 
     def nb_mask(f: frozenset[int]) -> int:
@@ -288,9 +288,7 @@ def _search_small_minor(h: Graph, d: int, budget: list[int]):
     moves: list[tuple] = []
 
     def rec(state: frozenset[frozenset[int]]) -> bool:
-        budget[0] -= 1
-        if budget[0] <= 0:
-            raise ExtractionFailedError("fallback search budget exhausted")
+        budget.spend()
         if state in visited:
             return False
         visited.add(state)

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 from .config import LINKAGE_PAIRS_CAP, LINKAGE_VERTEX_CAP, SEARCH_NODES
 from .errors import (
+    Budget,
     HypothesisViolatedError,
     InternalInfeasibleError,
     LinkageFailedError,
@@ -206,7 +207,7 @@ def find_linkage(g: Graph, pairs) -> PathFamily | None:
     for si, ti in pairs:
         endpoint_mask |= (1 << si) | (1 << ti)
     full = (1 << g.n) - 1
-    budget = [SEARCH_NODES]
+    budget = Budget(SEARCH_NODES, TooLargeError, "linkage search budget exhausted")
     failed: set[tuple[int, int]] = set()
 
     def pair_feasible(idx: int, used: int) -> bool:
@@ -241,9 +242,7 @@ def find_linkage(g: Graph, pairs) -> PathFamily | None:
 
         def dfs(cur: int, path: list[int], path_mask: int) -> bool:
             nonlocal result
-            budget[0] -= 1
-            if budget[0] <= 0:
-                raise TooLargeError("linkage search budget exhausted")
+            budget.spend()
             # ti is never blocked: pair_feasible checked it is unused
             for w in mask_vertices(g.neighbor_bits(cur) & ~(block | path_mask)):
                 wb = 1 << w

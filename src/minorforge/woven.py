@@ -19,6 +19,7 @@ from itertools import combinations, permutations
 from .config import SEARCH_NODES, WOVEN_CAP
 from .connectivity import vertex_connectivity_with_cutset
 from .errors import (
+    Budget,
     DensityNotMetError,
     HypothesisViolatedError,
     InternalInfeasibleError,
@@ -77,14 +78,8 @@ class WovenReport:
     counterexample: WovenTriple | None
 
 
-def _spend(budget: list[int], nodes: int = 1) -> None:
-    budget[0] -= nodes
-    if budget[0] <= 0:
-        raise TooLargeError("wovenness search budget exhausted")
-
-
 def _rooted_dense_model(
-    g: Graph, allowed: int, roots, eps: Fraction, budget: list[int]
+    g: Graph, allowed: int, roots, eps: Fraction, budget: Budget
 ) -> MinorModel | None:
     """Exhaustive search for a model rooted at ``roots`` with fragments
     inside the vertex mask ``allowed`` whose pattern misses at most an eps
@@ -102,7 +97,7 @@ def _rooted_dense_model(
     seen = {start}
     stack = [start]
     while stack:
-        _spend(budget)
+        budget.spend()
         frags = stack.pop()
         reach = [g.neighborhood(f) for f in frags]
         joined = sum(
@@ -128,7 +123,7 @@ def _rooted_dense_model(
 
 
 def _triple_witness(
-    g: Graph, eps: Fraction, roots, pairs, budget: list[int], memo: dict
+    g: Graph, eps: Fraction, roots, pairs, budget: Budget, memo: dict
 ) -> tuple[MinorModel, PathFamily] | None:
     """Decide one triple exactly: enumerate every linkage for ``pairs``
     that stays off the non-endpoint roots, and for each try to plant a
@@ -154,12 +149,12 @@ def _triple_witness(
         key = (allowed, roots)
         hit = memo.get(key)
         if hit is None:
-            before = budget[0]
+            before = budget.spent
             model = _rooted_dense_model(g, allowed, roots, eps, budget)
-            memo[key] = before - budget[0], model
+            memo[key] = budget.spent - before, model
         else:
             spent, model = hit
-            _spend(budget, spent)
+            budget.spend(spent)
         if model is None:
             return None
         # a snapshot: the walk goes on to extend and pop ``paths``
@@ -186,7 +181,7 @@ def _triple_witness(
         acc = [s]
 
         def walk(cur: int, on: int):
-            _spend(budget)
+            budget.spend()
             for w in mask_vertices(g.neighbor_bits(cur) & ~(on | blocked)):
                 if w == t:
                     paths.append(tuple(acc) + (t,))
@@ -233,7 +228,7 @@ def check_wovenness(g: Graph, eps, a: int, b: int) -> WovenReport:
         raise HypothesisViolatedError("the pair count cannot be negative")
     if g.n > WOVEN_CAP:
         raise TooLargeError(f"exhaustive wovenness is capped at {WOVEN_CAP} vertices")
-    budget = [SEARCH_NODES]
+    budget = Budget(SEARCH_NODES, TooLargeError, "wovenness search budget exhausted")
     memo: dict = {}
     records: list[WovenTriple] = []
     counterexample: WovenTriple | None = None

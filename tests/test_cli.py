@@ -5,7 +5,7 @@ import json
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from minorforge.cli import main
+from minorforge.cli import _instance_seeds, main
 from minorforge.graphio import dump_report, stable_view
 
 
@@ -247,6 +247,19 @@ def test_experiment_reports_are_stable(tmp_path, capsys):
     r2 = json.loads((tmp_path / "r2.json").read_text())
     assert r1 != r2 or r1["generated_at"] == r2["generated_at"]
     assert dump_report(stable_view(r1)) == dump_report(stable_view(r2))
+
+
+def test_experiment_seeds_differ_across_masters():
+    """Masters 0-63 over 8 cells of 64 instances derive 65,536 distinct graph
+    and build seeds; untagged, cell 0 swapped master and instance."""
+    seeds = [
+        seed
+        for master in range(64)
+        for ci in range(8)
+        for ii in range(64)
+        for seed in _instance_seeds(master, ci, ii)
+    ]
+    assert len(set(seeds)) == len(seeds) == 65_536
 
 
 def _mutated(tmp_path, key, value):

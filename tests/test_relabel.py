@@ -23,6 +23,7 @@ from minorforge import (
     vertex_connectivity,
 )
 from minorforge.config import SEARCH_NODES
+from minorforge.errors import Budget, TooLargeError
 from minorforge.woven import _triple_witness
 
 
@@ -83,4 +84,5 @@ def test_relabelling_keeps_the_woven_verdict(case):
         back = {perm[v]: v for v in range(g.n)}
         roots = tuple(back[r] for r in bad.roots)
         pairs = tuple((back[s], back[t]) for s, t in zip(bad.sources, bad.targets))
-        assert _triple_witness(g, eps, roots, pairs, [SEARCH_NODES], {}) is None
+        budget = Budget(SEARCH_NODES, TooLargeError, "wovenness search budget exhausted")
+        assert _triple_witness(g, eps, roots, pairs, budget, {}) is None

@@ -20,6 +20,7 @@ from minorforge import (
     require_valid,
 )
 from minorforge.errors import (
+    Budget,
     DensityNotMetError,
     HypothesisViolatedError,
     InternalInfeasibleError,
@@ -233,8 +234,9 @@ def test_linkage_memo_keeps_only_audited_families(monkeypatch):
     monkeypatch.setattr(woven, "require_paths", refuse)
     memo: dict = {}
     for _ in range(2):
+        budget = Budget(100, TooLargeError, "wovenness search budget exhausted")
         with pytest.raises(InternalInfeasibleError):
-            witness(complete_graph(5), Fraction(1, 2), (0, 1), ((2, 3),), [100], memo)
+            witness(complete_graph(5), Fraction(1, 2), (0, 1), ((2, 3),), budget, memo)
     assert not any(isinstance(fam, woven.PathFamily) for fam in memo.values())
 
 
