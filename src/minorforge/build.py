@@ -58,9 +58,7 @@ def hitting_set_check(
     counts indices whose set contains s, and vertices outside s with no
     neighbor in s; passes iff the first is at most eps * len(a_list) and
     the second is at most the cap."""
-    s_set = frozenset(s)
-    for v in s_set:
-        g.check_vertex(v)
+    s_set = g.vertex_set(s)
     covered = sum(1 for a in a_list if s_set <= frozenset(a))
     s_mask = mask_of(s_set)
     full = (1 << g.n) - 1
@@ -99,9 +97,7 @@ def sample_hitting_set(
     a_sets = []
     cap = undominated_bound(eps, r, n)
     for i, a in enumerate(a_list):
-        a_set = frozenset(a)
-        for v in a_set:
-            g.check_vertex(v)
+        a_set = g.vertex_set(a)
         if len(a_set) > cap:
             raise HypothesisViolatedError(
                 f"set {i} exceeds the eps^(1/r)*n/12 size bound"
@@ -139,9 +135,7 @@ def connect_within(g: Graph, s) -> tuple[int, ...]:
     """Superset of s inducing a connected subgraph, built by stitching the
     pieces of g[s] together along shortest paths of at most
     ``DEFAULT_MAX_PATH_LEN`` edges each."""
-    s_set = set(s)
-    for v in s_set:
-        g.check_vertex(v)
+    s_set = g.vertex_set(s)
     if not s_set:
         return ()
     if not g.is_connected():
@@ -165,45 +159,30 @@ def connect_within(g: Graph, s) -> tuple[int, ...]:
     return tuple(mask_vertices(b))
 
 
-def _grow_round(
-    h: Graph,
-    placed: list[int],
-    r: int,
-    eps: Fraction,
-    n_scale: int,
-    rng: Rng,
+def _sample_round(
+    g: Graph, pool: int, placed: list[int], r: int, eps: Fraction, n: int, rng: Rng,
     max_attempts: int,
-) -> None:
-    """One placement round: sample a hitting set in the remaining graph
-    against the non-neighbor sets of everything placed (vertex masks),
-    stitch it connected, and append it to placed."""
-    used = 0
+) -> tuple[Graph, tuple[int, ...], HittingSetResult]:
+    """One placement round: a hitting set sampled in the graph that the
+    vertices of ``pool`` outside every ``placed`` mask induce, against one
+    set per placed mask, the indices with no neighbour in it.  Returns the
+    induced graph, its relabel map and the sample."""
     for b in placed:
-        used |= b
-    f_graph, old = induced_subgraph(h, mask_vertices(((1 << h.n) - 1) & ~used))
-    a_list = [_non_neighbors(h, old, b) for b in placed]
-    res = sample_hitting_set(
-        f_graph, a_list, r, eps, n_scale, rng, max_attempts
-    )
-    stitched = connect_within(f_graph, res.s)
-    b_new = mask_of(old[i] for i in stitched)
-    reach = h.neighborhood(b_new)
-    count = sum(1 for b in placed if not reach & b)
-    check_internal(
-        count <= eps * len(placed), "stitched set lost the sampled adjacency"
-    )
-    placed.append(b_new)
-
-
-def _non_neighbors(g: Graph, old, b: int) -> frozenset[int]:
-    """Indices ``i`` whose vertex ``old[i]`` has no neighbour in ``b``."""
-    reach = g.neighborhood(b)
-    return frozenset(i for i, v in enumerate(old) if not reach >> v & 1)
+        pool &= ~b
+    f_graph, old = induced_subgraph(g, mask_vertices(pool))
+    a_list = []
+    for b in placed:
+        reach = g.neighborhood(b)
+        a_list.append(frozenset(i for i, v in enumerate(old) if not reach >> v & 1))
+    return f_graph, old, sample_hitting_set(f_graph, a_list, r, eps, n, rng, max_attempts)
 
 
 def _split_fast(h: Graph, t: int, eps: Fraction):
     """Cheap deterministic candidate: t-1 singletons plus the rest as one
-    lump; works whenever the extracted pattern is essentially complete."""
+    lump; works whenever the extracted pattern is essentially complete.
+    Each plain move of the descent keeps 2e >= (d-1)n, which at order
+    n <= d forces n = d and K_d; so only a pattern left by the descent's
+    fallbacks (degree-safe contraction, exhaustive finish) can fail here."""
     if h.n < t:
         return None
     rest = ((1 << h.n) - 1) >> (t - 1) << (t - 1)
@@ -236,7 +215,9 @@ def build_dense_minor(
     *, max_attempts: int = DEFAULT_MAX_ATTEMPTS,
 ) -> MinorModel:
     """(eps,t)-dense minor from average degree: extract a low-order dense
-    connected minor, then place t branch sets by hitting-set rounds."""
+    connected minor, then place t branch sets by hitting-set rounds.  The
+    rounds run only after the descent's fallbacks: without them it ends at
+    K_d, which ``_split_fast`` always splits."""
     eps, c_scale = _dense_args(max_attempts, eps, t, c_scale)
     # avg < c t sqrt(ln(1/eps)), squared: both sides are nonnegative
     if below_log_inv(average_degree(g) ** 2 / (c_scale * t) ** 2, eps):
@@ -252,7 +233,14 @@ def build_dense_minor(
     r = desk_sample_size(eps, t, d)
     placed: list[int] = []
     for _ in range(t):
-        _grow_round(h, placed, r, eps, d, rng, max_attempts)
+        f_graph, old, res = _sample_round(
+            h, (1 << h.n) - 1, placed, r, eps, d, rng, max_attempts
+        )
+        b_new = mask_of(old[i] for i in connect_within(f_graph, res.s))
+        reach = h.neighborhood(b_new)
+        count = sum(1 for b in placed if not reach & b)
+        check_internal(count <= eps * len(placed), "stitched set lost the sampled adjacency")
+        placed.append(b_new)
     inner = MinorModel(h, [mask_vertices(b) for b in placed])
     final = compose_models(h_model, inner)
     if not is_eps_t_dense(final.pattern, eps, t):
@@ -289,31 +277,22 @@ def build_dense_minor_in_dense_graph(
         raise HypothesisViolatedError(
             "not enough vertices with few non-neighbors"
         )
-    s_pool_set = frozenset(s_pool)
-    cores: list[frozenset[int]] = []
-    for k in range(t):
-        used = set().union(*cores) if cores else set()
-        keep = sorted(s_pool_set - used)
-        f_graph, old = induced_subgraph(g, keep)
-        a_list = [_non_neighbors(g, old, mask_of(core)) for core in cores]
-        res = sample_hitting_set(f_graph, a_list, r, eps, n, rng, max_attempts)
-        cores.append(frozenset(old[i] for i in res.s))
-    fragments = _stitch_outside(g, cores, s_pool_set)
-    model = MinorModel(g, fragments)
+    pool = mask_of(s_pool)
+    cores: list[int] = []
+    for _ in range(t):
+        _, old, res = _sample_round(g, pool, cores, r, eps, n, rng, max_attempts)
+        cores.append(mask_of(old[i] for i in res.s))
+    model = MinorModel(g, _stitch_outside(g, cores, pool))
     if not is_eps_t_dense(model.pattern, eps, t):
         raise DensityNotMetError("final pattern misses the density target")
     return model
 
 
-def _stitch_outside(
-    g: Graph, cores: list[frozenset[int]], s_pool: frozenset[int]
-) -> list[frozenset[int]]:
-    """Join each core's pieces through unused common neighbors outside the
-    pool, keeping all fragments pairwise disjoint."""
-    used = mask_of(s_pool)
-    out: list[frozenset[int]] = []
-    for core in cores:
-        b = mask_of(core)
+def _stitch_outside(g: Graph, cores: list[int], used: int) -> list[list[int]]:
+    """Join each core mask's pieces through unused common neighbors outside
+    the pool mask ``used``, keeping all fragments pairwise disjoint."""
+    out: list[list[int]] = []
+    for b in cores:
         while True:
             comps = g.components_in(b)
             if len(comps) <= 1:
@@ -327,14 +306,12 @@ def _stitch_outside(
             w = shared & -shared
             used |= w
             b |= w
-        out.append(frozenset(mask_vertices(b)))
+        out.append(mask_vertices(b))
     return out
 
 
 def _check_bipartition(g: Graph, side_a, side_b) -> tuple[frozenset, frozenset]:
-    a_set, b_set = frozenset(side_a), frozenset(side_b)
-    for v in a_set | b_set:
-        g.check_vertex(v)
+    a_set, b_set = g.vertex_set(side_a), g.vertex_set(side_b)
     if a_set & b_set or len(a_set) + len(b_set) != g.n:
         raise InvalidBipartitionError("sides must partition the vertices")
     for u, w in g.edges():

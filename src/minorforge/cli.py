@@ -241,6 +241,8 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if not 0 <= args.eps < 1:
+        return _usage("--eps must lie in [0, 1)")
     g, _ = parse_graph(_read(args.graph))
     model = parse_model(_read(args.model), g)
     report = validate_model(model)

@@ -113,8 +113,7 @@ def is_chromatic_separable(g: Graph, m: int):
     def chi_of(mask: int) -> int:
         if mask in memo:
             return memo[mask]
-        verts = [v for v in range(g.n) if (mask >> v) & 1]
-        sub, _ = induced_subgraph(g, verts)
+        sub, _ = induced_subgraph(g, mask_vertices(mask))
         val = _chi(sub, budget)
         memo[mask] = val
         return val
@@ -128,7 +127,5 @@ def is_chromatic_separable(g: Graph, m: int):
         if a_mask.bit_count() < need or b_mask.bit_count() < need:
             continue
         if chi_of(a_mask) >= need and chi_of(b_mask) >= need:
-            a = tuple(v for v in range(g.n) if (a_mask >> v) & 1)
-            b = tuple(v for v in range(g.n) if (b_mask >> v) & 1)
-            return True, (a, b)
+            return True, (tuple(mask_vertices(a_mask)), tuple(mask_vertices(b_mask)))
     return False, None

@@ -202,9 +202,7 @@ class SetFlow(FlowNet):
         uncuttable_sources: bool = False,
         uncuttable_targets: bool = False,
     ):
-        s, t = frozenset(s), frozenset(t)
-        for v in s | t:
-            g.check_vertex(v)
+        s, t = g.vertex_set(s), g.vertex_set(t)
         self.bits = g._bits  # the host's own mask tuple: immutable, so shared
         self.sources = sorted(s)
         self.smask, self.tmask = mask_of(s), mask_of(t)

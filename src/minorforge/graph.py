@@ -7,9 +7,11 @@ another, its components, a shortest path into a set) are the mask methods
 below.  ``neighbors()`` builds a frozenset from the mask for callers outside
 the package.  ``Graph(n, edges)`` checks an edge list; code that already
 holds symmetric masks (the generators, induced subgraphs, model patterns)
-builds through the trusted ``Graph._from_masks``.  All density comparisons
-are exact rational arithmetic over Fraction; floats appear only where a
-parameter is sized from a log or a root.
+builds through the trusted ``Graph._from_masks``.  Entry points that take
+a vertex set read it through ``vertex_set``, which checks every member in
+range.  All density comparisons are exact rational arithmetic over
+Fraction; floats appear only where a parameter is sized from a log or a
+root.
 """
 
 from __future__ import annotations
@@ -79,6 +81,16 @@ class Graph:
     def check_vertex(self, v: int) -> None:
         if not (0 <= v < self.n):
             raise UnknownVertexError(f"vertex {v} out of range for n={self.n}")
+
+    def vertex_set(self, vertices: Iterable[int]) -> frozenset[int]:
+        """``vertices`` as a frozenset, every member checked in range: the
+        one intake for the vertex sets that entry points accept."""
+        out = frozenset(vertices)
+        n = self.n
+        for v in out:
+            if not 0 <= v < n:
+                self.check_vertex(v)  # raises, naming v
+        return out
 
     def neighbors(self, v: int) -> frozenset[int]:
         self.check_vertex(v)
@@ -273,9 +285,7 @@ def complement_max_degree(g: Graph) -> int:
 
 def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
     """Induced subgraph plus the relabel map: new index i is old vertex map[i]."""
-    old = sorted(set(keep))
-    for v in old:
-        g.check_vertex(v)
+    old = sorted(g.vertex_set(keep))
     return _induced(g._bits, mask_of(old)), tuple(old)
 
 

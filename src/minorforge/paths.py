@@ -138,12 +138,6 @@ def require_paths(g: Graph, fam: PathFamily) -> PathFamily:
     return fam
 
 
-def _check_sets(g: Graph, *sets) -> None:
-    for vs in sets:
-        for v in vs:
-            g.check_vertex(v)
-
-
 def _separation_from_cut(g: Graph, s, cut) -> Separation:
     """Side ``a``: the cut plus what ``s`` reaches around it; side ``b``:
     the cut plus everything else."""
@@ -160,9 +154,7 @@ def menger(g: Graph, s, t, k: int):
     two is returned."""
     if k < 0:
         raise HypothesisViolatedError(f"path count must be nonnegative, got {k}", evidence=k)
-    s = frozenset(s)
-    t = frozenset(t)
-    _check_sets(g, s, t)
+    s, t = g.vertex_set(s), g.vertex_set(t)
     if k == 0:
         return PathFamily((), "between", s=s, t=t)
     flow = SetFlow(g, s, t)
@@ -196,9 +188,7 @@ def find_linkage(g: Graph, pairs) -> PathFamily | None:
     pairs = [tuple(p) for p in pairs]
     if len(pairs) > LINKAGE_PAIRS_CAP or g.n > LINKAGE_VERTEX_CAP:
         raise TooLargeError("instance beyond the exact-search caps")
-    for si, ti in pairs:
-        g.check_vertex(si)
-        g.check_vertex(ti)
+    g.vertex_set(v for p in pairs for v in p)
     problem = _valid_pair_convention(pairs)
     if problem:
         raise HypothesisViolatedError(problem)
@@ -288,8 +278,7 @@ def knit_connect(g: Graph, s, parts) -> list[frozenset[int]]:
     partition of ``s``, each containing its part and avoiding every other
     part.  Singleton parts map to themselves; larger parts get two fresh
     neighbors per vertex chained by one linkage found outside ``s``."""
-    s = frozenset(s)
-    _check_sets(g, s)
+    s = g.vertex_set(s)
     parts = [tuple(p) for p in parts]
     flat = [v for p in parts for v in p]
     if len(set(flat)) != len(flat) or set(flat) != s or any(not p for p in parts):

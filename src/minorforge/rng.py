@@ -29,7 +29,12 @@ def _mix(z: int) -> int:
 
 
 def derive_seed(master: int, *indices: int) -> int:
-    """Child seed for a sweep cell: master XOR-folded with mixed indices."""
+    """Child seed for a sweep cell: master XOR-folded with mixed indices.
+    Since ``_mix(0) == 0``, a leading index 0 lets the master and the next
+    index swap: ``derive_seed(3, 0, 5) == derive_seed(5, 0, 3)`` and
+    ``derive_seed(1, 0, 2, 0) == derive_seed(2, 0, 1, 0)``.  A caller whose
+    master varies must lead with a nonzero tag; changing the fold would
+    move every seeded output."""
     s = master & _MASK
     for k in indices:
         s = _mix(s ^ _mix(k & _MASK))

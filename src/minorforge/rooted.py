@@ -37,8 +37,7 @@ def _disjoint_sets(g: Graph, d_list, what: str) -> list[frozenset[int]]:
     for d in d_sets:
         if not d:
             raise HypothesisViolatedError(f"{what} must be nonempty")
-        for v in d:
-            g.check_vertex(v)
+        g.vertex_set(d)
         if claimed & d:
             raise HypothesisViolatedError(f"{what} must be disjoint")
         claimed |= d
@@ -51,9 +50,7 @@ def find_separation_avoiding(g: Graph, s, t_order: int, d_list, n_avoid: int):
     ``None`` when no such separation exists.  Decided exactly: for each
     (n_avoid+1)-subfamily, a set-flow with uncuttable targets finds the
     smallest cut keeping ``s`` away from the subfamily's union."""
-    s = frozenset(s)
-    for v in s:
-        g.check_vertex(v)
+    s = g.vertex_set(s)
     d_sets = _disjoint_sets(g, d_list, "avoidable sets")
     if n_avoid < 0:
         raise HypothesisViolatedError("the avoidance count must be nonnegative")
@@ -248,9 +245,7 @@ def _attached_fragments(g: Graph, s_mask: int, d_sets, n_avoid: int):
 def _attached_inputs(g: Graph, s, d_list, n_avoid: int):
     """The attachment set and the branch sets, checked against every
     hypothesis of the attached-model search but the separation one."""
-    s = frozenset(s)
-    for v in s:
-        g.check_vertex(v)
+    s = g.vertex_set(s)
     t = len(s)
     if t < 1:
         raise HypothesisViolatedError("the attachment set must be nonempty")

@@ -290,8 +290,7 @@ def realize_woven_from_dense_minor(
         raise HypothesisViolatedError(f"need exactly {a} distinct roots")
     if len(s_tuple) != b or len(t_tuple) != b:
         raise HypothesisViolatedError(f"need exactly {b} endpoints per side")
-    for v in r_tuple + s_tuple + t_tuple:
-        g.check_vertex(v)
+    g.vertex_set(r_tuple + s_tuple + t_tuple)
     problem = _valid_pair_convention(list(zip(s_tuple, t_tuple)))
     if problem:
         raise HypothesisViolatedError(problem)

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import decimal
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -255,6 +257,62 @@ def test_build_in_dense_graph():
     assert is_eps_t_dense(require_valid(model).pattern, Fraction(1, 5), 3)
     with pytest.raises(HypothesisViolatedError):
         build_dense_minor_in_dense_graph(g, Fraction(1, 5), 4, Rng(7))  # n < 12t
+
+
+def _outcome_digest(outcomes) -> str:
+    return hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
+
+
+def test_build_dense_minor_rounds_behind_a_failed_fast_split(monkeypatch):
+    """The descent ends at K_d, so ``_split_fast`` never fails on a real run
+    and the hitting-set rounds only follow its fallbacks.  Forced to fail,
+    it hands 30 seeded hosts to the rounds: each success is valid and
+    dense after t samples, and the fragments and refusals are pinned."""
+    import minorforge.build as build
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return sample_hitting_set(*args, **kwargs)
+
+    monkeypatch.setattr(build, "_split_fast", lambda h, t, eps: None)
+    monkeypatch.setattr(build, "sample_hitting_set", counted)
+    eps, t = Fraction(1, 5), 3
+    outcomes = []
+    for s in range(30):
+        g = random_graph(30, Fraction(1, 2), Rng(derive_seed(60, s)))
+        calls.clear()
+        try:
+            model = build_dense_minor(g, eps, t, Fraction(1, 2), Rng(derive_seed(61, s)))
+        except HypothesisViolatedError as e:
+            outcomes.append(str(e))
+            continue
+        assert is_eps_t_dense(require_valid(model).pattern, eps, t)
+        assert len(calls) == t
+        outcomes.append([sorted(f) for f in model.fragments])
+    assert sum(isinstance(o, list) for o in outcomes) == 6
+    assert _outcome_digest(outcomes) == (
+        "696a860e6de024d7ec63d68b5f68b322866a61b26f3fc356fcf3a0d86f4b95e0"
+    )
+
+
+def test_build_in_dense_graph_seeded_outcomes():
+    eps, t = Fraction(1, 5), 3
+    outcomes = []
+    for s in range(24):
+        g = random_graph(72 + 12 * (s % 3), Fraction(99, 100), Rng(derive_seed(62, s)))
+        try:
+            model = build_dense_minor_in_dense_graph(g, eps, t, Rng(derive_seed(63, s)))
+        except HypothesisViolatedError as e:
+            outcomes.append(str(e))
+            continue
+        assert is_eps_t_dense(require_valid(model).pattern, eps, t)
+        outcomes.append([sorted(f) for f in model.fragments])
+    assert sum(isinstance(o, list) for o in outcomes) == 20
+    assert _outcome_digest(outcomes) == (
+        "a4f0df8fd0c283e021df96f4f5e925e9eaded076fb57862a816d6ae1e6827154"
+    )
 
 
 def test_bipartite_random_contraction():

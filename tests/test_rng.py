@@ -76,6 +76,12 @@ def test_derive_seed_stable_and_sensitive():
     assert 0 <= s < 1 << 64
 
 
+def test_derive_seed_swaps_master_and_index_after_a_leading_zero():
+    assert derive_seed(3, 0, 5) == derive_seed(5, 0, 3)
+    assert derive_seed(1, 0, 2, 0) == derive_seed(2, 0, 1, 0)
+    assert derive_seed(1, 5, 2, 0) != derive_seed(2, 5, 1, 0)
+
+
 # -- the bulk draws against the one-draw-at-a-time reference ------------------
 
 _PROBS = [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(1, 20), Fraction(4, 5),
