@@ -243,6 +243,8 @@ def _cmd_extract(args) -> int:
 def _cmd_verify(args) -> int:
     if not 0 <= args.eps < 1:
         return _usage("--eps must lie in [0, 1)")
+    if args.t < 2:
+        return _usage("--t must be at least 2")
     g, _ = parse_graph(_read(args.graph))
     model = parse_model(_read(args.model), g)
     report = validate_model(model)
@@ -254,7 +256,7 @@ def _cmd_verify(args) -> int:
         ))
         return 2
     pattern = report.pattern
-    ok = is_eps_t_dense(pattern, args.eps, args.t)
+    ok = pattern.n == args.t and is_eps_t_dense(pattern, args.eps)
     fields: dict = {
         "result": "valid" if ok else "invalid",
         "pattern_order": pattern.n,
@@ -262,7 +264,7 @@ def _cmd_verify(args) -> int:
     }
     if pattern.n != args.t:
         fields["violation"] = f"pattern order {pattern.n} differs from t"
-    elif pattern.n >= 2:
+    else:
         fields.update(_density_fields(pattern))
         if not ok:
             fields["violation"] = "density below the threshold"

@@ -344,25 +344,38 @@ def complete_graph(n: int) -> Graph:
 
 def random_graph(n: int, p: Fraction, rng: Rng) -> Graph:
     """G(n,p): each pair independently, exact Bernoulli, pairs in sorted
-    order.  Row u is one coin mask over the pairs uv, v > u, so the stream
-    is consumed exactly as one ``bernoulli`` draw per pair would."""
+    order.  One coin mask covers all pairs, so the stream is consumed
+    exactly as one ``bernoulli`` draw per pair would.  Its coins fill the
+    upper triangle of an n x n row-major matrix of digits, and vertex v's
+    mask is row v (the pairs vw, w > v) joined with column v (the pairs
+    uv, u < v)."""
     p = _probability(p)
-    bits = [0] * n
-    for u in range(n):
-        _add_row(bits, u, rng.coin_mask(n - u - 1, p) << (u + 1))
-    return Graph._from_masks(n, bits)
+    coins = _coin_digits(n * (n - 1) // 2, p, rng)
+    rows, at = [], 0
+    for u in range(1, n + 1):
+        rows.append("0" * u + coins[at:at + n - u])
+        at += n - u
+    mat = "".join(rows)
+    return Graph._from_masks(
+        n, [int(mat[v * n:v * n + n][::-1], 2) | int(mat[v::n][::-1], 2) for v in range(n)]
+    )
 
 
 def random_bipartite(a: int, b: int, p: Fraction, rng: Rng) -> Graph:
     """Random bipartite graph; side A is 0..a-1, side B is a..a+b-1.  Pairs
-    are drawn in sorted order, one coin mask over side B per vertex of A."""
+    are drawn in sorted order from one coin mask, read as an a x b row-major
+    matrix: vertex u of A takes row u, vertex a + j of B takes column j."""
     p = _probability(p)
     if a < 0 or b < 0:
         raise OrderTooSmallError("side sizes must be nonnegative")
-    bits = [0] * (a + b)
-    for u in range(a):
-        _add_row(bits, u, rng.coin_mask(b, p) << a)
-    return Graph._from_masks(a + b, bits)
+    if not (a and b):
+        return Graph._from_masks(a + b, [0] * (a + b))
+    mat = _coin_digits(a * b, p, rng)
+    return Graph._from_masks(
+        a + b,
+        [int(mat[u * b:u * b + b][::-1], 2) << a for u in range(a)]
+        + [int(mat[j::b][::-1], 2) for j in range(b)],
+    )
 
 
 def _probability(p) -> Fraction:
@@ -372,15 +385,9 @@ def _probability(p) -> Fraction:
     return p
 
 
-def _add_row(bits: list[int], u: int, row: int) -> None:
-    """Join u to every vertex of ``row``, mirroring each edge into the
-    neighbour's mask."""
-    bits[u] |= row
-    bit = 1 << u
-    while row:
-        low = row & -row
-        row ^= low
-        bits[low.bit_length() - 1] |= bit
+def _coin_digits(width: int, p: Fraction, rng: Rng) -> str:
+    """``rng.coin_mask(width, p)`` as a string of digits, coin k at index k."""
+    return format(rng.coin_mask(width, p), f"0{width}b")[::-1]
 
 
 def graph_from_edge_list(n: int, edges: Sequence[tuple[int, int]]) -> Graph:

@@ -5,20 +5,61 @@ generator is SplitMix64, fixed once for the whole repository: the same seed
 yields the same stream on every platform and Python version, which is what
 makes report bytes reproducible.
 
-``below``, ``coin_mask`` and ``shuffle`` run the SplitMix64 step of
-``next_u64`` and ``_mix`` inline on a local copy of the state, with its
-constants written out, and compute each rejection limit once per bound.
-They consume the stream draw for draw as ``next_u64`` followed by the
-rejection test would, so every later draw from the same Rng is unchanged.
+``coin_mask`` draws through the lane kernel ``_lanes``.  The i-th draw
+after a state mixes ``state + i * GOLDEN mod 2**64``, an arithmetic
+progression, so ``_lanes`` runs the SplitMix64 finaliser on a batch of up
+to ``_LANES`` draws at once, each in its own 128-bit lane of one Python
+integer.  That is exact: a lane holds a 64-bit value, and a 64 x 64-bit
+product fits in 128 bits, so nothing carries into the next lane; a shift
+right brings the next lane's low bits only into the top of a lane, and the
+64-bit mask after each step removes them.  ``coin_mask`` then keeps the
+batch's draws below the rejection limit, in order, and asks for a further
+batch of only as many draws as coins are still missing, so it consumes the
+stream draw for draw as successive ``bernoulli`` draws would.
+
+``below`` and ``shuffle`` take one bound per draw and stay scalar: they run
+the SplitMix64 step of ``next_u64`` and ``_mix`` inline on a local copy of
+the state, with its constants written out, and compute each rejection
+limit once per bound.  Every draw leaves the state as ``next_u64`` followed
+by the rejection test would, so every later draw from the same Rng is
+unchanged.
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 _MASK = (1 << 64) - 1
 _SPAN = 1 << 64
 _GOLDEN = 0x9E3779B97F4A7C15
+
+# The lane kernel's batch size (a power of two) and its constants, one
+# 128-bit lane per draw: a 1 in each lane, the 64-bit mask in each lane,
+# and (i + 1) * GOLDEN mod 2**64 in lane i.
+_LANES = 1024
+
+
+def _ones_and_ramp() -> tuple[int, int]:
+    """A 1 in each of ``_LANES`` lanes, and i + 1 in lane i, by doubling:
+    lanes m..2m-1 are a copy of lanes 0..m-1, plus m in each for the ramp."""
+    ones = ramp = m = 1
+    while m < _LANES:
+        ramp |= (ramp + m * ones) << (m << 7)
+        ones |= ones << (m << 7)
+        m <<= 1
+    return ones, ramp
+
+
+_ONES, _RAMP = _ones_and_ramp()
+_LOW = _ONES * _MASK
+_STEPS = _RAMP * _GOLDEN & _LOW
+# The kernel writes its lanes in the host's byte order, so ``cast("Q")``
+# reads every 64-bit word whole.  Little-endian puts lane 0 first, low word
+# before high; big-endian puts lane 0 last, high word before low, so there
+# the low words are every second word counted back from the end.
+_LOW_WORDS = 2 if sys.byteorder == "little" else -2
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
 def _mix(z: int) -> int:
@@ -26,6 +67,19 @@ def _mix(z: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
     return z ^ (z >> 31)
+
+
+def _lanes(state: int, w: int) -> list[int]:
+    """The next ``w`` outputs (1 <= w <= _LANES) of a stream whose state is
+    ``state``: ``[_mix(state + (i + 1) * _GOLDEN) for i in range(w)]``,
+    computed in 128-bit lanes of one integer."""
+    cut = (1 << (w << 7)) - 1
+    low = _LOW & cut
+    z = ((_STEPS & cut) + state * (_ONES & cut)) & low
+    z = ((z ^ (z >> 30)) & low) * 0xBF58476D1CE4E5B9 & low
+    z = ((z ^ (z >> 27)) & low) * 0x94D049BB133111EB & low
+    z ^= z >> 31  # bits above 63 of a lane stay unmasked: only low words are read
+    return memoryview(z.to_bytes(w << 4, sys.byteorder)).cast("Q")[::_LOW_WORDS].tolist()
 
 
 def derive_seed(master: int, *indices: int) -> int:
@@ -97,21 +151,17 @@ class Rng:
         num, den = p.numerator, p.denominator
         limit = _SPAN - _SPAN % den
         state = self._state
-        out = 0
-        bit = 1
-        for _ in range(width):
-            while True:
-                state = (state + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-                z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-                z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-                z ^= z >> 31
-                if z < limit:
-                    break
-            if z % den < num:
-                out |= bit
-            bit <<= 1
+        kept = []
+        left = width
+        while left:
+            # never more draws than coins missing, so none is drawn ahead
+            w = min(left, _LANES)
+            coins = bytes([z % den < num for z in _lanes(state, w) if z < limit])
+            state = (state + w * _GOLDEN) & _MASK
+            kept.append(coins)
+            left -= len(coins)
         self._state = state
-        return out
+        return int(b"".join(kept)[::-1].translate(_DIGITS), 2)
 
     def shuffle(self, items: list) -> None:
         """Fisher-Yates from the back, drawing ``below(i + 1)`` for each i."""

@@ -23,6 +23,7 @@ from minorforge import (
     require_valid,
     sample_hitting_set,
 )
+from minorforge.build import _stitch_outside
 from minorforge.errors import (
     AttemptsExhaustedError,
     DisconnectedHostError,
@@ -30,6 +31,8 @@ from minorforge.errors import (
     PathTooLongError,
     UnknownVertexError,
 )
+from minorforge.graph import mask_of
+from minorforge.model import MinorModel
 from minorforge.params import below_log_inv, power_hypothesis, sqrt_log_inv, undominated_bound
 from minorforge.rng import Rng, derive_seed
 
@@ -313,6 +316,18 @@ def test_build_in_dense_graph_seeded_outcomes():
     assert _outcome_digest(outcomes) == (
         "a4f0df8fd0c283e021df96f4f5e925e9eaded076fb57862a816d6ae1e6827154"
     )
+
+
+def test_stitch_outside_gives_each_core_its_own_joiner():
+    # cores {0, 1} and {2, 3} are each a non-adjacent pair, and their only
+    # common neighbours are 4 and 5, both outside the pool {0, 1, 2, 3}
+    g = graph_from_edge_list(6, [(c, j) for c in range(4) for j in (4, 5)])
+    pool = mask_of(range(4))
+    fragments = _stitch_outside(g, [mask_of((0, 1)), mask_of((2, 3))], pool)
+    assert fragments == [[0, 1, 4], [2, 3, 5]]
+    require_valid(MinorModel(g, fragments))
+    with pytest.raises(HypothesisViolatedError, match="ran out of fresh common neighbors"):
+        _stitch_outside(g, [mask_of((0, 1)), mask_of((2, 3))], pool | mask_of((5,)))
 
 
 def test_bipartite_random_contraction():

@@ -82,6 +82,22 @@ def test_verify_flags_invalid_model(tmp_path, capsys):
     assert "invalid" in out
 
 
+def test_verify_refuses_t_below_two_and_judges_a_short_pattern(tmp_path, capsys):
+    graph = tmp_path / "g.graph"
+    graph.write_text("p 3 3\ne 0 1\ne 0 2\ne 1 2\n")
+    model = tmp_path / "m.model"
+    model.write_text("model 1\nf 0 0 1\n")
+    for t in ("1", "0", "-3"):
+        code, out, err = _run(capsys, "verify", str(graph), str(model),
+                              "--eps", "1/2", "--t", t)
+        assert (code, out, err) == (1, "", "error: --t must be at least 2\n")
+    # a one-fragment pattern is judged against t, not refused by the predicate
+    code, out, _ = _run(capsys, "verify", str(graph), str(model), "--eps", "1/2", "--t", "2")
+    assert code == 2
+    assert "result: invalid" in out
+    assert "pattern order 1 differs from t" in out
+
+
 def test_verify_json_format(tmp_path, capsys):
     graph = tmp_path / "g.graph"
     graph.write_text("p 3 3\ne 0 1\ne 0 2\ne 1 2\n")

@@ -141,6 +141,8 @@ BATTERY = [
     ("verify-eps-one", ("verify", "tri.graph", "pair.model", "--eps", "1", "--t", "2")),
     ("verify-eps-big", ("verify", "tri.graph", "pair.model", "--eps", "3/2", "--t", "2")),
     ("verify-eps-negative", ("verify", "tri.graph", "pair.model", "--eps=-1/2", "--t", "2")),
+    ("verify-t-one", ("verify", "tri.graph", "pair.model", "--eps", "1/2", "--t", "1")),
+    ("verify-t-negative", ("verify", "tri.graph", "pair.model", "--eps", "1/2", "--t", "-3")),
     ("paths-linkage", ("paths", "path.graph", "--pairs", "0:4")),
     ("paths-not-linkable", ("paths", "path.graph", "--pairs", "0:4,1:3")),
     ("paths-separation", ("paths", "path.graph", "--s", "0", "--t", "4", "--k", "2",

@@ -27,7 +27,7 @@ from minorforge.errors import (
     OrderTooSmallError,
     UnknownVertexError,
 )
-from minorforge.rng import _GOLDEN, Rng, derive_seed
+from minorforge.rng import _GOLDEN, _LANES, Rng, derive_seed
 
 from conftest import petersen, run_optimized
 from model_reference import contract_edge_mapped
@@ -420,6 +420,23 @@ def test_generators_skip_a_planted_rejection_like_the_reference():
         rng, ref = Rng(seed), ReferenceRng(seed)
         got = make(*args, p, rng)
         # one draw per pair plus the refused one
+        assert rng._state == (seed + (pairs + 1) * _GOLDEN) & ((1 << 64) - 1)
+        _same_graph_and_stream(got, reference(*args, p, ref), rng, ref)
+
+
+@pytest.mark.parametrize("k", [_LANES - 1, _LANES])
+def test_generators_skip_a_planted_rejection_at_a_batch_edge(k):
+    # the one coin mask of each generator spans more than one batch of
+    # draws; the refused draw closes the first batch or opens the second
+    seed = plant_rejection(k)
+    p = Fraction(2, 7)
+    for make, reference, args, pairs in (
+        (random_graph, reference_random_graph, (50,), 50 * 49 // 2),
+        (random_bipartite, reference_random_bipartite, (20, 60), 20 * 60),
+    ):
+        assert pairs > _LANES + 1
+        rng, ref = Rng(seed), ReferenceRng(seed)
+        got = make(*args, p, rng)
         assert rng._state == (seed + (pairs + 1) * _GOLDEN) & ((1 << 64) - 1)
         _same_graph_and_stream(got, reference(*args, p, ref), rng, ref)
 

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import struct
+import sys
 from fractions import Fraction
 
 import pytest
 
-from minorforge.rng import _GOLDEN, Rng, derive_seed
+from minorforge.rng import _GOLDEN, _LANES, _LOW_WORDS, _MASK, Rng, _lanes, _mix, derive_seed
 
 from rng_reference import ReferenceRng, plant_rejection
 
@@ -93,7 +95,9 @@ _HALF_REJECTED = (1 << 63) + 1
 def test_coin_mask_is_successive_bernoulli_draws():
     probs = _PROBS + [Fraction(1, _HALF_REJECTED), Fraction(3, 2), Fraction(-1, 2)]
     for i, p in enumerate(probs):
-        for width in (0, 1, 2, 63, 64, 65, 130):
+        # the last five widths span one to four batches of the lane kernel
+        for width in (0, 1, 2, 63, 64, 65, 130,
+                      _LANES - 1, _LANES, _LANES + 1, 2 * _LANES, 3 * _LANES + 5):
             seed = derive_seed(11, i, width)
             new, ref = Rng(seed), ReferenceRng(seed)
             want = sum(ref.bernoulli(p) << k for k in range(width))
@@ -139,3 +143,49 @@ def test_planted_rejection_is_skipped_like_the_reference():
     ref.shuffle(want)
     assert got == want
     assert new._state == ref._state == (seed + 10 * _GOLDEN) & ((1 << 64) - 1)
+
+
+# -- the lane kernel -------------------------------------------------------------
+
+
+def test_lanes_are_successive_mixes():
+    # states near the top of the range wrap inside the batch
+    for state in (0, 1, 0x123456789ABCDEF, _MASK - _GOLDEN, _MASK):
+        for w in (1, 2, _LANES - 1, _LANES):
+            assert _lanes(state, w) == [_mix(state + (i + 1) * _GOLDEN) for i in range(w)]
+
+
+def test_lane_words_do_not_depend_on_byte_order():
+    # ``cast("Q")`` reads the host's order; struct's "<" and ">" stand in
+    # for a little- and a big-endian host reading the bytes that the kernel
+    # writes there
+    lows = [_mix(7 + (i + 1) * _GOLDEN) for i in range(5)]
+    packed = sum((((i + 3) << 64) | z) << (128 * i) for i, z in enumerate(lows))
+    for order, code, step in (("little", "<", 2), ("big", ">", -2)):
+        words = struct.unpack(f"{code}10Q", packed.to_bytes(80, order))
+        assert list(words[::step]) == lows
+    assert _LOW_WORDS == (2 if sys.byteorder == "little" else -2)
+
+
+def test_half_rejected_coins_need_more_than_one_batch():
+    # about half of each batch is refused, so the width takes further batches
+    p = Fraction(1, _HALF_REJECTED)
+    seed = derive_seed(16, 0)
+    new, ref = Rng(seed), ReferenceRng(seed)
+    assert new.coin_mask(_LANES, p) == sum(ref.bernoulli(p) << k for k in range(_LANES))
+    draws = (new._state - seed) * pow(_GOLDEN, -1, 1 << 64) & _MASK
+    assert _LANES < draws < 4 * _LANES
+    assert new.next_u64() == ref.next_u64()
+
+
+@pytest.mark.parametrize("k", [_LANES - 1, _LANES])
+def test_planted_rejection_at_a_batch_edge_costs_one_draw(k):
+    # draw _LANES - 1 closes the first batch, draw _LANES opens the second
+    seed = plant_rejection(k)
+    p = Fraction(2, 7)
+    for width in (_LANES + 1, 2 * _LANES):
+        new, ref = Rng(seed), ReferenceRng(seed)
+        want = sum(ref.bernoulli(p) << i for i in range(width))
+        assert new.coin_mask(width, p) == want
+        assert new._state == ref._state == (seed + (width + 1) * _GOLDEN) & _MASK
+        assert new.next_u64() == ref.next_u64()
