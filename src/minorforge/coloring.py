@@ -11,64 +11,91 @@ from __future__ import annotations
 
 from .config import COLORING_CAP, SEARCH_NODES, SEPARABLE_CAP
 from .errors import Budget, HypothesisViolatedError, TooLargeError
-from .graph import Graph, induced_subgraph, mask_vertices
+from .graph import Graph, _induced, mask_vertices
 
 
 def _greedy_clique(g: Graph) -> list[int]:
-    """A maximal clique grown greedily from each high-degree seed; best kept."""
-    if g.n == 0:
-        return []
-    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+    """A maximal clique grown greedily from each high-degree seed; best kept.
+    Each step adds the candidate with the most neighbours among the
+    candidates, the least such vertex on a tie."""
+    bits = g._bits
+    deg = [b.bit_count() for b in bits]
+    # a stable sort: equal degrees stay in ascending order
+    order = sorted(range(g.n), key=deg.__getitem__, reverse=True)
     best: list[int] = []
-    for seed in order[: min(5, g.n)]:
+    for seed in order[:5]:
+        # a clique through seed has at most deg + 1 vertices, and later
+        # seeds have no larger degree, so none can beat best
+        if deg[seed] < len(best):
+            break
         clique = [seed]
-        cand = g.neighbor_bits(seed)
+        cand = bits[seed]
         while cand:
-            u = min(
-                mask_vertices(cand),
-                key=lambda x: (-(g.neighbor_bits(x) & cand).bit_count(), x),
-            )
+            u, most, rest = -1, -1, cand
+            while rest:  # ascending, so a tie keeps the least vertex
+                low = rest & -rest
+                rest ^= low
+                x = low.bit_length() - 1
+                inside = (bits[x] & cand).bit_count()
+                if inside > most:
+                    u, most = x, inside
             clique.append(u)
-            cand &= g.neighbor_bits(u)
+            cand &= bits[u]
         if len(clique) > len(best):
             best = clique
     return best
 
 
 def _colorable_with(g: Graph, k: int, clique: list[int], budget: Budget) -> list[int] | None:
-    """Backtracking k-coloring, clique precolored, one budget node a step; None if impossible."""
-    color = [-1] * g.n
-    for i, v in enumerate(clique):
-        color[v] = i
-    uncolored = g.n - len(clique)
+    """Backtracking k-coloring, clique precolored, one budget node a step; None if impossible.
 
-    def step(remaining: int, max_used: int) -> bool:
+    Each step colours the uncoloured vertex of most distinct neighbour
+    colours, then of most neighbours, then the least, trying its free
+    colours in ascending order and at most one colour not used yet.  Every
+    colour is kept as the mask of its class, so a vertex's neighbour colours
+    are the classes its neighbour mask meets."""
+    bits = g._bits
+    deg = [b.bit_count() for b in bits]
+    classes = [0] * k
+    for i, v in enumerate(clique):
+        classes[i] = 1 << v
+    uncolored = (1 << g.n) - 1
+    for v in clique:
+        uncolored ^= 1 << v
+
+    def step(free: int, used: int) -> bool:
         budget.spend()
-        if remaining == 0:
+        if not free:
             return True
-        pick, pick_key, pick_sat = -1, None, 0
-        for v in range(g.n):
-            if color[v] != -1:
-                continue
+        live = classes[:used]
+        pick, pick_sat, pick_deg, rest = -1, -1, -1, free
+        while rest:  # ascending, so a tie keeps the least vertex
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
+            nb = bits[v]
             sat = 0
-            for w in mask_vertices(g.neighbor_bits(v)):
-                if color[w] != -1:
-                    sat |= 1 << color[w]
-            key = (-sat.bit_count(), -g.degree(v), v)
-            if pick_key is None or key < pick_key:
-                pick, pick_key, pick_sat = v, key, sat
-        limit = min(k, max_used + 1)
-        for c in range(limit):
-            if not (pick_sat >> c) & 1:
-                color[pick] = c
-                if step(remaining - 1, max(max_used, c + 1)):
+            for cls in live:
+                if nb & cls:
+                    sat += 1
+            if sat > pick_sat or sat == pick_sat and deg[v] > pick_deg:
+                pick, pick_sat, pick_deg = v, sat, deg[v]
+        nb, bit = bits[pick], 1 << pick
+        for c in range(min(k, used + 1)):
+            if not nb & classes[c]:
+                classes[c] |= bit
+                if step(free ^ bit, max(used, c + 1)):
                     return True
-                color[pick] = -1
+                classes[c] ^= bit
         return False
 
-    if step(uncolored, len(clique)):
-        return color
-    return None
+    if not step(uncolored, len(clique)):
+        return None
+    color = [-1] * g.n
+    for c, cls in enumerate(classes):
+        for v in mask_vertices(cls):
+            color[v] = c
+    return color
 
 
 def chromatic_number_exact(g: Graph) -> int:
@@ -113,8 +140,8 @@ def is_chromatic_separable(g: Graph, m: int):
     def chi_of(mask: int) -> int:
         if mask in memo:
             return memo[mask]
-        sub, _ = induced_subgraph(g, mask_vertices(mask))
-        val = _chi(sub, budget)
+        # every mask is a split of range(g.n), so no member needs a check
+        val = _chi(_induced(g._bits, mask), budget)
         memo[mask] = val
         return val
 

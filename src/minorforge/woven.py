@@ -33,7 +33,6 @@ from .graph import (
     induced_subgraph,
     is_eps_t_dense,
     mask_of,
-    mask_vertices,
 )
 from .model import MinorModel, is_rooted_at
 from .paths import PathFamily, _valid_pair_convention, require_paths
@@ -78,17 +77,41 @@ class WovenReport:
     counterexample: WovenTriple | None
 
 
+def _host_tables(g: Graph) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Two tables indexed by every vertex mask of ``g``: the mask's
+    vertices in ascending order, and its neighbourhood.  Each entry extends
+    the one of the mask without its lowest vertex, so both cost one step
+    per mask; ``check_wovenness`` caps hosts at ``WOVEN_CAP`` vertices, so
+    a table has at most 2**WOVEN_CAP entries."""
+    bits = g._bits
+    size = 1 << g.n
+    verts: list[tuple[int, ...]] = [()] * size
+    nb = [0] * size
+    for m in range(1, size):
+        low = m & -m
+        v = low.bit_length() - 1
+        verts[m] = (v,) + verts[m ^ low]
+        nb[m] = nb[m ^ low] | bits[v]
+    return verts, nb
+
+
+# the memo key of the host tables: no search or linkage key is a string
+_TABLES = "host tables"
+
+
 def _rooted_dense_model(
-    g: Graph, allowed: int, roots, eps: Fraction, budget: Budget
+    g: Graph, allowed: int, roots, eps: Fraction, budget: Budget, tables
 ) -> MinorModel | None:
     """Exhaustive search for a model rooted at ``roots`` with fragments
     inside the vertex mask ``allowed`` whose pattern misses at most an eps
     share of its pairs.  Fragments (vertex masks) grow one adjacent vertex
     at a time; states are deduplicated, so the search covers every tuple
-    of disjoint connected supersets of the root singletons.
+    of disjoint connected supersets of the root singletons.  ``tables``
+    are the host's ``_host_tables``.
 
     The host and eps are fixed within one ``check_wovenness``, so its
     memo keys this search by ``(allowed, roots)`` alone."""
+    verts, nb = tables
     a = len(roots)
     # joined >= (1 - eps) * a(a-1)/2, in integers
     num, den = eps.numerator, eps.denominator
@@ -99,21 +122,22 @@ def _rooted_dense_model(
     while stack:
         budget.spend()
         frags = stack.pop()
-        reach = [g.neighborhood(f) for f in frags]
-        joined = sum(
-            1
-            for i in range(a)
-            for j in range(i + 1, a)
-            if reach[i] & frags[j]
-        )
-        if a == 1 or 2 * den * joined >= need:
-            return MinorModel(g, [mask_vertices(f) for f in frags])
+        if a == 1:
+            return MinorModel(g, [verts[f] for f in frags])
+        reach = [nb[f] for f in frags]
+        joined = 0
+        for i in range(a - 1):
+            for j in range(i + 1, a):
+                if reach[i] & frags[j]:
+                    joined += 1
+        if 2 * den * joined >= need:
+            return MinorModel(g, [verts[f] for f in frags])
         used = 0
         for f in frags:
             used |= f
         fresh = []
         for idx in range(a):
-            for v in mask_vertices(reach[idx] & allowed & ~used):
+            for v in verts[reach[idx] & allowed & ~used]:
                 cand = frags[:idx] + (frags[idx] | 1 << v,) + frags[idx + 1 :]
                 if cand not in seen:
                     seen.add(cand)
@@ -130,7 +154,8 @@ def _triple_witness(
     rooted dense model in what remains.  ``None`` means no witness
     exists for this triple.
 
-    ``memo`` holds two kinds of entry, both valid for one host and eps.
+    ``memo`` holds three kinds of entry, all valid for one host and eps.
+    ``_TABLES`` maps to the host's ``_host_tables``, built on first use.
     ``(allowed, roots)`` maps to the nodes a model search spent and its
     result; a repeated search is charged its recorded nodes again, so the
     budget runs out exactly where searching afresh would exhaust it.
@@ -138,19 +163,29 @@ def _triple_witness(
     once it has passed ``require_paths``; every later triple that finds
     the same linkage shares that audited family.  The audit spends no
     nodes, so reusing it leaves the budget alone."""
-    endpoints = mask_of(v for p in pairs for v in p)
-    shared_roots = mask_of(roots) & endpoints
-    forbidden = mask_of(roots) & ~endpoints
+    tables = memo.get(_TABLES)
+    if tables is None:
+        tables = memo[_TABLES] = _host_tables(g)
+    verts = tables[0]
+    bits = g._bits
+    endpoints = root_mask = 0
+    for s, t in pairs:
+        endpoints |= 1 << s | 1 << t
+    for r in roots:
+        root_mask |= 1 << r
+    shared_roots = root_mask & endpoints
+    forbidden = root_mask & ~endpoints
+    full = (1 << g.n) - 1
     k = len(pairs)
     paths: list[tuple[int, ...]] = []
 
     def attempt_model(used: int):
-        allowed = ((1 << g.n) - 1) & ~used | shared_roots
+        allowed = full & ~used | shared_roots
         key = (allowed, roots)
         hit = memo.get(key)
         if hit is None:
             before = budget.spent
-            model = _rooted_dense_model(g, allowed, roots, eps, budget)
+            model = _rooted_dense_model(g, allowed, roots, eps, budget, tables)
             memo[key] = budget.spent - before, model
         else:
             spent, model = hit
@@ -178,14 +213,16 @@ def _triple_witness(
             return out
         # t is never blocked: it is unused, an endpoint and off the walk
         blocked = used | forbidden | endpoints & ~(1 << s | 1 << t)
+        last = i + 1 == k
         acc = [s]
 
         def walk(cur: int, on: int):
             budget.spend()
-            for w in mask_vertices(g.neighbor_bits(cur) & ~(on | blocked)):
+            for w in verts[bits[cur] & ~(on | blocked)]:
                 if w == t:
                     paths.append(tuple(acc) + (t,))
-                    out = rec(i + 1, used | on | 1 << t)
+                    done = used | on | 1 << t
+                    out = attempt_model(done) if last else rec(i + 1, done)
                     paths.pop()
                     if out is not None:
                         return out
@@ -206,7 +243,8 @@ def _all_triples(n: int, a: int, b: int):
     for roots in combinations(range(n), a):
         for srcs in combinations(range(n), b):
             for tgts in permutations(range(n), b):
-                if all(
+                # a source may equal only the target at its own index
+                if b < 2 or all(
                     srcs[i] != tgts[j]
                     for i in range(b)
                     for j in range(b)
@@ -218,14 +256,22 @@ def _all_triples(n: int, a: int, b: int):
 def check_wovenness(g: Graph, eps, a: int, b: int) -> WovenReport:
     """Test the woven property triple by triple: enumerate every admissible
     (roots, sources, targets) choice on hosts up to the order cap and
-    decide each one exactly, stopping at the first without a witness."""
+    decide each one exactly, stopping at the first without a witness.
+
+    Refused with HypothesisViolatedError, the bad value as evidence: eps
+    outside (0, 1), since at eps >= 1 every pattern is dense enough; a or
+    b not an integer; a below 1, b below 0, or either above ``g.n``, where
+    no root set or endpoint list of that size exists."""
     eps = Fraction(eps)
-    if eps <= 0:
-        raise HypothesisViolatedError("eps must be positive")
-    if a < 1:
-        raise HypothesisViolatedError("need at least one root")
-    if b < 0:
-        raise HypothesisViolatedError("the pair count cannot be negative")
+    if not 0 < eps < 1:
+        raise HypothesisViolatedError(f"eps must lie in (0, 1), got {eps}", evidence=eps)
+    for name, value, least in (("root count a", a, 1), ("pair count b", b, 0)):
+        if not isinstance(value, int):
+            raise HypothesisViolatedError(f"the {name} must be an integer", evidence=value)
+        if not least <= value <= g.n:
+            raise HypothesisViolatedError(
+                f"the {name} must lie in [{least}, {g.n}], got {value}", evidence=value
+            )
     if g.n > WOVEN_CAP:
         raise TooLargeError(f"exhaustive wovenness is capped at {WOVEN_CAP} vertices")
     budget = Budget(SEARCH_NODES, TooLargeError, "wovenness search budget exhausted")

@@ -1,0 +1,58 @@
+"""``scripts/ab_pairs.py``'s summary of alternating benchmark pairs, on
+synthetic run results."""
+
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "ab_pairs.py"
+_spec = importlib.util.spec_from_file_location("ab_pairs", SCRIPT)
+ab_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(ab_pairs)
+
+SPECS = [{"name": "throughput_ops_s", "better": "higher"},
+         {"name": "latency_p50_ms", "better": "lower"}]
+
+
+def _result(throughput, latency, failed=0, correct=True):
+    return {"correct": correct, "attempted": 100, "failed": failed, "metrics": {
+        "throughput_ops_s": {"value": throughput, "unit": "1/s"},
+        "latency_p50_ms": {"value": latency, "unit": "ms"},
+    }}
+
+
+def _rows(lines):
+    return {ln.split()[0]: ln.split()[1:] for ln in lines[1:-1]}
+
+
+def test_summary_gives_quartiles_wins_and_ratio():
+    parent = [_result(t, l) for t, l in ((100, 10), (104, 9), (96, 11), (102, 10), (98, 12))]
+    change = [_result(t, l) for t, l in ((130, 8), (125, 8.5), (99, 9), (128, 10), (120, 13))]
+    lines = ab_pairs.summarise(list(zip(parent, change)), SPECS)
+    rows = _rows(lines)
+    # exclusive quartiles of 96, 98, 100, 102, 104 are 97 and 103
+    assert rows["throughput_ops_s"] == ["97", "100", "103", "109.5", "125", "129",
+                                        "5/5", "1.250", "yes"]
+    # latency: lower is better and a tie (10 -> 10) is not a win; the
+    # medians 10 -> 9 differ by less than the parent's quartiles 9.5-11.5
+    assert rows["latency_p50_ms"][6:] == ["3/5", "0.900", "no"]
+    assert lines[-1] == "failed ops: parent 0, change 0; incorrect runs: parent 0, change 0"
+
+
+def test_summary_within_the_parent_spread_and_failures():
+    """A gap inside the parent's inter-quartile range is not beyond it; one
+    pair gives its own values as all three quartiles; failed ops and
+    incorrect runs are summed per side."""
+    pairs = [(_result(100, 10), _result(101, 10.1)), (_result(80, 12), _result(79, 12))]
+    rows = _rows(ab_pairs.summarise(pairs, SPECS))
+    assert rows["throughput_ops_s"][6:] == ["1/2", "1.000", "no"]
+    one = ab_pairs.summarise([(_result(100, 10, failed=2), _result(90, 11, correct=False))], SPECS)
+    assert _rows(one)["throughput_ops_s"] == ["100", "100", "100", "90", "90", "90",
+                                              "0/1", "0.900", "yes"]
+    assert one[-1] == "failed ops: parent 2, change 0; incorrect runs: parent 0, change 1"
+
+
+def test_seed_ranges():
+    assert ab_pairs.parse_seeds("1-10") == list(range(1, 11))
+    assert ab_pairs.parse_seeds("7") == [7]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,9 +12,10 @@ from minorforge import (
     is_chromatic_separable,
     random_graph,
 )
-from minorforge.errors import HypothesisViolatedError, TooLargeError
+from minorforge.errors import Budget, HypothesisViolatedError, TooLargeError
 from minorforge.rng import Rng, derive_seed
 
+import coloring_reference as coloring_ref
 from conftest import brute_chromatic, brute_colorable, petersen
 
 
@@ -111,3 +113,100 @@ def test_separable_trivial_and_caps():
         with pytest.raises(HypothesisViolatedError, match="nonnegative") as info:
             is_chromatic_separable(complete_graph(n), -1)
         assert info.value.evidence == -1
+
+
+def _complement_of_cycle(n):
+    return graph_from_edge_list(
+        n, [(u, v) for u in range(n) for v in range(u + 1, n) if (v - u) % n not in (1, n - 1)]
+    )
+
+
+def _colouring_corpus():
+    """(host, separability slack or None): seeded G(n, p) for n up to 20,
+    the benchmark's G(18-20, 1/2) colouring hosts and G(10, 1/2)
+    separability hosts with m = 0, 1, 2, and the complements of C17 and
+    C19."""
+    for i in range(150):
+        rng = Rng(derive_seed(41, i))
+        n = 1 + rng.below(20)
+        yield random_graph(n, Fraction(1 + rng.below(9), 10), rng.spawn(1)), None
+    for i in range(9):
+        rng = Rng(derive_seed(42, i))
+        yield random_graph(18 + i % 3, Fraction(1, 2), rng.spawn(1)), None
+        yield random_graph(10, Fraction(1, 2), rng.spawn(2)), i % 3
+    for n in (17, 19):
+        yield _complement_of_cycle(n), None
+
+
+def _recorded_budgets(monkeypatch):
+    """Every Budget the colouring module builds from now on, in order."""
+    import minorforge.coloring as coloring
+
+    built = []
+
+    class Recorded(Budget):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(coloring, "Budget", Recorded)
+    return built
+
+
+def test_colouring_matches_the_reference_node_for_node(monkeypatch):
+    """Colour-class masks change no step of the search: the library and the
+    list-walking reference pick the same clique, return the same colouring
+    for every k from the clique size to chi, and spend the same nodes in
+    each; chi and the separability answer agree, with equal spends."""
+    import minorforge.coloring as coloring
+
+    built = _recorded_budgets(monkeypatch)
+    separable = Counter()
+    for g, m in _colouring_corpus():
+        clique = coloring._greedy_clique(g)
+        assert clique == coloring_ref._greedy_clique(g), g.edges()
+        chi, spent = coloring_ref.chromatic_number_exact(g)
+        assert chromatic_number_exact(g) == chi
+        assert built[-1].spent == spent, g.edges()
+        for k in range(len(clique), chi + 1) if g.m else ():
+            ours = Budget(10**9, TooLargeError, "unused")
+            theirs = Budget(10**9, TooLargeError, "unused")
+            got = coloring._colorable_with(g, k, clique, ours)
+            assert got == coloring_ref._colorable_with(g, k, clique, theirs)
+            assert (got is not None) == (k == chi)
+            assert ours.spent == theirs.spent
+        if m is not None:
+            expected, spent = coloring_ref.is_chromatic_separable(g, m)
+            assert is_chromatic_separable(g, m) == expected
+            assert built[-1].spent == spent, (g.edges(), m)
+            separable[expected[0]] += 1
+    assert separable[True] and separable[False]
+
+
+@pytest.mark.parametrize("host", ["petersen", "complement of C9"])
+def test_colouring_runs_out_at_the_same_budgets(monkeypatch, host):
+    """For every node budget up to the reference's whole spend and one past
+    it, chi and separability raise TooLargeError exactly when the reference
+    does, and otherwise give its answer."""
+    import minorforge.coloring as coloring
+
+    g = petersen() if host == "petersen" else _complement_of_cycle(9)
+    searches = (
+        (chromatic_number_exact, coloring_ref.chromatic_number_exact),
+        (lambda h: is_chromatic_separable(h, 0),
+         lambda h, nodes=10**9: coloring_ref.is_chromatic_separable(h, 0, nodes)),
+    )
+    for ours, theirs in searches:
+        _, total = theirs(g)
+        raised = 0
+        for nodes in range(1, total + 2):
+            monkeypatch.setattr(coloring, "SEARCH_NODES", nodes)
+            try:
+                expected, _ = theirs(g, nodes)
+            except TooLargeError:
+                with pytest.raises(TooLargeError, match="budget exhausted"):
+                    ours(g)
+                raised += 1
+            else:
+                assert ours(g) == expected
+        assert raised == total

@@ -19,6 +19,7 @@ from minorforge import (
     realize_woven_from_dense_minor,
     require_valid,
 )
+from minorforge.config import WOVEN_CAP
 from minorforge.errors import (
     Budget,
     DensityNotMetError,
@@ -26,6 +27,7 @@ from minorforge.errors import (
     InternalInfeasibleError,
     TooLargeError,
 )
+from minorforge.graph import mask_vertices
 from minorforge.rng import Rng, derive_seed
 
 import woven_reference as woven_ref
@@ -130,6 +132,62 @@ def test_memoised_wovenness_runs_out_at_the_same_budgets(monkeypatch, seed_index
         else:
             assert _decided(check_wovenness(g, Fraction(1, 2), 2, 1)) == _decided(expected)
     assert raised == total
+
+
+def test_wovenness_spends_the_reference_nodes(monkeypatch):
+    """The memoised, table-driven walk charges exactly the nodes of the
+    reference walk, which searches every model afresh, on every small
+    host, root count and pair count."""
+    import minorforge.woven as woven
+
+    built = []
+
+    class Recorded(Budget):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(woven, "Budget", Recorded)
+    for g in _small_hosts():
+        for a in (1, 2):
+            for b in (0, 1):
+                check_wovenness(g, Fraction(1, 2), a, b)
+                _, spent = woven_ref.check_wovenness(g, Fraction(1, 2), a, b)
+                assert built[-1].spent == spent, (g.edges(), a, b)
+
+
+def test_host_tables_match_the_mask_helpers():
+    """Both per-host tables agree with ``mask_vertices`` and
+    ``Graph.neighborhood`` on every mask of seeded hosts up to the cap."""
+    import minorforge.woven as woven
+
+    for n in range(WOVEN_CAP + 1):
+        g = random_graph(n, Fraction(1, 2), Rng(derive_seed(32, n)))
+        verts, nb = woven._host_tables(g)
+        assert len(verts) == len(nb) == 1 << n
+        for m in range(1 << n):
+            assert verts[m] == tuple(mask_vertices(m)), (n, m)
+            assert nb[m] == g.neighborhood(m), (n, m)
+
+
+def test_wovenness_refuses_what_it_cannot_honour():
+    """A root set or endpoint list longer than the host, a fractional
+    count, and eps of 1 or more are refused with the bad value as
+    evidence, where they used to prove vacuously or fail in itertools."""
+    k3 = complete_graph(3)
+    for eps, a, b, bad in (
+        (Fraction(1, 2), 4, 1, 4),
+        (Fraction(1, 2), 1, 4, 4),
+        (Fraction(2), 1, 1, Fraction(2)),
+        (Fraction(1), 1, 1, Fraction(1)),
+        (Fraction(1, 2), 1.5, 1, 1.5),
+        (Fraction(1, 2), 1, 0.5, 0.5),
+    ):
+        with pytest.raises(HypothesisViolatedError) as info:
+            check_wovenness(k3, eps, a, b)
+        assert info.value.evidence == bad and type(info.value.evidence) is type(bad)
+    # the largest legal counts still run: every vertex a root, every one an endpoint
+    assert check_wovenness(k3, Fraction(1, 2), 3, 3).checked > 0
 
 
 def test_wovenness_reuses_repeated_model_searches(monkeypatch):
