@@ -16,7 +16,9 @@ from .errors import (
     HypothesisViolatedError,
     InvalidBipartitionError,
     PathTooLongError,
+    check_count,
     check_internal,
+    check_rational,
 )
 from .extract import dense_connected_minor
 from .graph import (
@@ -58,25 +60,22 @@ def hitting_set_check(
     counts indices whose set contains s, and vertices outside s with no
     neighbor in s; passes iff the first is at most eps * len(a_list) and
     the second is at most the cap."""
+    eps = check_rational("eps", eps, 1)
+    check_count("the undominated cap", undominated_cap, 0)
     s_set = g.vertex_set(s)
     covered = sum(1 for a in a_list if s_set <= frozenset(a))
     s_mask = mask_of(s_set)
     full = (1 << g.n) - 1
     undominated = (full & ~s_mask & ~g.neighborhood(s_mask)).bit_count()
-    ok = covered <= Fraction(eps) * len(a_list) and undominated <= undominated_cap
+    ok = covered <= eps * len(a_list) and undominated <= undominated_cap
     return covered, undominated, ok
-
-
-def _check_attempts(max_attempts: int) -> None:
-    if max_attempts < 1:
-        raise HypothesisViolatedError("need at least one attempt", evidence=max_attempts)
 
 
 def sample_hitting_set(
     g: Graph,
     a_list,
     r: int,
-    eps,
+    eps: Fraction,
     n: int,
     rng: Rng,
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
@@ -84,16 +83,10 @@ def sample_hitting_set(
     """Up to r vertices drawn uniformly with repetition, retried until the
     two-part acceptance test passes: few given sets contain the draw, and
     few vertices are left without a neighbor in it."""
-    eps = Fraction(eps)
-    if not 0 < eps < 1:
-        raise HypothesisViolatedError("eps must lie strictly between 0 and 1")
-    if r < 1:
-        raise HypothesisViolatedError("the sample size must be at least 1")
-    _check_attempts(max_attempts)
-    if not (n >= g.n and 6 * g.n >= n):
-        raise HypothesisViolatedError(
-            "the scale parameter must lie within [|g|, 6|g|]"
-        )
+    eps = check_rational("eps", eps, 1)
+    check_count("the sample size", r, 1)
+    check_count("max_attempts", max_attempts, 1)
+    check_count("the scale parameter", n, g.n, 6 * g.n)
     a_sets = []
     cap = undominated_bound(eps, r, n)
     for i, a in enumerate(a_list):
@@ -195,30 +188,18 @@ def _split_fast(h: Graph, t: int, eps: Fraction):
     return None
 
 
-def _dense_args(max_attempts: int, eps, t: int, c_scale) -> tuple[Fraction, Fraction]:
-    """The argument checks that open both dense-minor builders; returns
-    eps and c_scale as Fractions."""
-    _check_attempts(max_attempts)
-    eps = Fraction(eps)
-    if not 0 < eps < DENSE_EPS_BOUND:
-        raise HypothesisViolatedError(f"eps must lie strictly between 0 and {DENSE_EPS_BOUND}")
-    if t < 2:
-        raise HypothesisViolatedError("t must be at least 2")
-    c_scale = Fraction(c_scale)
-    if c_scale <= 0:
-        raise HypothesisViolatedError("the scale constant must be positive")
-    return eps, c_scale
-
-
 def build_dense_minor(
-    g: Graph, eps, t: int, c_scale, rng: Rng,
+    g: Graph, eps: Fraction, t: int, c_scale: Fraction, rng: Rng,
     *, max_attempts: int = DEFAULT_MAX_ATTEMPTS,
 ) -> MinorModel:
     """(eps,t)-dense minor from average degree: extract a low-order dense
     connected minor, then place t branch sets by hitting-set rounds.  The
     rounds run only after the descent's fallbacks: without them it ends at
     K_d, which ``_split_fast`` always splits."""
-    eps, c_scale = _dense_args(max_attempts, eps, t, c_scale)
+    check_count("max_attempts", max_attempts, 1)
+    eps = check_rational("eps", eps, DENSE_EPS_BOUND)
+    check_count("t", t, 2)
+    c_scale = check_rational("the scale constant", c_scale)
     # avg < c t sqrt(ln(1/eps)), squared: both sides are nonnegative
     if below_log_inv(average_degree(g) ** 2 / (c_scale * t) ** 2, eps):
         raise HypothesisViolatedError(
@@ -249,17 +230,14 @@ def build_dense_minor(
 
 
 def build_dense_minor_in_dense_graph(
-    g: Graph, eps, t: int, rng: Rng, *, max_attempts: int = DEFAULT_MAX_ATTEMPTS
+    g: Graph, eps: Fraction, t: int, rng: Rng, *, max_attempts: int = DEFAULT_MAX_ATTEMPTS
 ) -> MinorModel:
     """(eps,t)-dense minor inside an already-dense host: grow t cores in a
     low-complement-degree third of the graph, then stitch each core
     connected through fresh common neighbors outside it."""
-    _check_attempts(max_attempts)
-    eps = Fraction(eps)
-    if not 0 < eps < 1:
-        raise HypothesisViolatedError("eps must lie strictly between 0 and 1")
-    if t < 2:
-        raise HypothesisViolatedError("t must be at least 2")
+    check_count("max_attempts", max_attempts, 1)
+    eps = check_rational("eps", eps, 1)
+    check_count("t", t, 2)
     n = g.n
     if n < 12 * t:
         raise HypothesisViolatedError("need at least 12*t vertices")
@@ -371,13 +349,16 @@ def _greedy_cross_pairs(g: Graph, t: int, eps: Fraction):
 
 
 def build_dense_minor_bipartite(
-    g: Graph, side_a, side_b, eps, t: int, c_scale, rng: Rng,
+    g: Graph, side_a, side_b, eps: Fraction, t: int, c_scale: Fraction, rng: Rng,
     *, max_attempts: int = DEFAULT_MAX_ATTEMPTS,
 ) -> MinorModel:
     """(eps,t)-dense minor in a bipartite host with enough edges: contract a
     random choice function onto part of a low-degree anchor's neighborhood,
     then build inside the contracted pattern."""
-    eps, c_scale = _dense_args(max_attempts, eps, t, c_scale)
+    check_count("max_attempts", max_attempts, 1)
+    eps = check_rational("eps", eps, DENSE_EPS_BOUND)
+    check_count("t", t, 2)
+    c_scale = check_rational("the scale constant", c_scale)
     a_set, b_set = _check_bipartition(g, side_a, side_b)
     if len(a_set) < len(b_set):
         a_set, b_set = b_set, a_set

@@ -10,7 +10,7 @@ refuse hosts above config's vertex caps, and a call stops at SEARCH_NODES nodes.
 from __future__ import annotations
 
 from .config import COLORING_CAP, SEARCH_NODES, SEPARABLE_CAP
-from .errors import Budget, HypothesisViolatedError, TooLargeError
+from .errors import Budget, TooLargeError, check_count
 from .graph import Graph, _induced, mask_vertices
 
 
@@ -125,8 +125,7 @@ def is_chromatic_separable(g: Graph, m: int):
     A, V-A; chi values per subset are cached.  One budget covers the call:
     every colouring step and every split scanned.
     """
-    if m < 0:
-        raise HypothesisViolatedError("m must be nonnegative", evidence=m)
+    check_count("m", m, 0)
     if g.n > SEPARABLE_CAP:
         raise TooLargeError(f"separability cap {SEPARABLE_CAP} exceeded by n={g.n}")
     budget = Budget(SEARCH_NODES, TooLargeError, "separability search budget exhausted")

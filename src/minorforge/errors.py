@@ -3,9 +3,14 @@
 Every operation that can fail does so by raising one of these, never by
 returning a partial result.  Construction failures carry enough context to
 tell a refuted hypothesis from an exhausted retry budget.
+
+Exported routines read integer and rational parameters through ``check_count``
+and ``check_rational``, which refuse a bad one by name, the value as ``evidence``.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 
 class MinorforgeError(Exception):
@@ -110,3 +115,35 @@ def check_internal(cond: bool, msg: str) -> None:
     under ``python -O``."""
     if not cond:
         raise InternalInfeasibleError(msg)
+
+
+def check_count(name: str, value, least, most=None, error=HypothesisViolatedError) -> int:
+    """``value`` when it is an int, not a ``bool``, in ``[least, most]`` (``None``:
+    that end open); else raise ``error`` naming ``name``, ``value`` as evidence."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise error(f"{name} must be an integer", evidence=value)
+    if least is not None and value < least or most is not None and value > most:
+        span = f"be at least {least}" if most is None else f"lie in [{least}, {most}]"
+        raise error(f"{name} must {span}", evidence=value)
+    return value
+
+
+def check_rational(name: str, value, high=None, ends: str = "()") -> Fraction:
+    """``value`` as a Fraction when it is a rational, not a ``bool``, from 0 to
+    ``high`` (``None``: no upper end), each end closed (``[``, ``]``) or open
+    as ``ends`` says; else HypothesisViolatedError, ``value`` as evidence."""
+    try:
+        q = None if isinstance(value, bool) else Fraction(value)
+    except (TypeError, ValueError, OverflowError):
+        q = None
+    if q is not None and (q > 0 if ends[0] == "(" else q >= 0) and (
+            high is None or (q < high if ends[1] == ")" else q <= high)):
+        return q
+    if q is None:
+        span = "be a rational"
+    elif high is None:
+        span = "be positive" if ends[0] == "(" else "be nonnegative"
+    else:
+        span = (f"lie strictly between 0 and {high}" if ends == "()"
+                else f"lie in {ends[0]}0, {high}{ends[1]}")
+    raise HypothesisViolatedError(f"{name} must {span}", evidence=value)

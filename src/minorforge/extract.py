@@ -8,7 +8,8 @@ from fractions import Fraction
 
 from .config import SEARCH_NODES
 from .connectivity import vertex_connectivity_with_cutset
-from .errors import Budget, ExtractionFailedError, HypothesisViolatedError, check_internal
+from .errors import (Budget, ExtractionFailedError, HypothesisViolatedError, check_count,
+                     check_internal)
 from .graph import Graph, _induced, average_degree, induced_subgraph, mask_of, mask_vertices
 from .model import MinorModel
 
@@ -318,8 +319,7 @@ def _search_small_minor(h: Graph, d: int):
 def _certified_descent(g: Graph, d: int) -> tuple[_Work, MinorModel]:
     """The descent from the densest component of ``g`` down to order at
     most d and min degree at least d/2, with its model certified."""
-    if d < 2:
-        raise HypothesisViolatedError("the degree target must be at least 2")
+    check_count("the degree target", d, 2)
     if average_degree(g) < d - 1:
         raise HypothesisViolatedError(
             f"average degree below {d - 1} cannot support the target"
@@ -417,8 +417,7 @@ def _connectivity_descent(g: Graph, k: int) -> int | None:
 def k_connected_subgraph(g: Graph, k: int) -> tuple[int, ...]:
     """Vertex set inducing a k-connected subgraph, from any host of average
     degree at least 4k."""
-    if k < 1:
-        raise HypothesisViolatedError("the connectivity target must be >= 1")
+    check_count("the connectivity target", k, 1)
     if average_degree(g) < 4 * k:
         raise HypothesisViolatedError(
             f"average degree below {4 * k} cannot support the target"

@@ -51,7 +51,7 @@ the value and cut do not depend on the seed.
 
 from __future__ import annotations
 
-from .errors import HypothesisViolatedError, check_internal
+from .errors import HypothesisViolatedError, check_count, check_internal
 from .graph import Graph, mask_of, mask_vertices
 
 INF = 1 << 30
@@ -324,12 +324,11 @@ def pair_vertex_cut(g: Graph, x: int, y: int, limit: int = INF):
     """Maximum internally disjoint x-y paths for a nonadjacent pair and,
     when the maximum is below ``limit``, a minimum vertex cut separating
     them (never containing x or y).  Returns ``(value, cut_or_None)``."""
+    check_count("limit", limit, 0)
     if x == y or g.has_edge(x, y):
         raise HypothesisViolatedError(
             "a pair cut needs two distinct nonadjacent vertices", evidence=(x, y)
         )
-    if limit < 0:
-        raise HypothesisViolatedError(f"limit must be nonnegative, got {limit}", evidence=limit)
     seed = _seed_paths(g, x, y, limit)
     if len(seed) >= limit:
         return limit, None

@@ -21,11 +21,13 @@ from itertools import compress, count
 from typing import Iterable, Sequence
 
 from .errors import (
-    HypothesisViolatedError,
+    MinorforgeError,
     NotAnEdgeError,
     OrderTooSmallError,
     UnknownVertexError,
+    check_count,
     check_internal,
+    check_rational,
 )
 from .rng import Rng
 
@@ -34,17 +36,21 @@ class Graph:
     __slots__ = ("n", "m", "_bits")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
-        if n < 0:
-            raise OrderTooSmallError("vertex count must be nonnegative")
-        bits = [0] * n
+        bits = [0] * check_count("the vertex count", n, 0, error=OrderTooSmallError)
         m = 0
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise UnknownVertexError(f"edge ({u},{v}) out of range for n={n}")
-            if u == v:
-                raise NotAnEdgeError(f"loop at {u} not allowed")
-            if bits[u] >> v & 1:
-                continue
+        for e in edges:
+            try:  # a malformed item fails the unpack, a compare or a shift
+                u, v = e
+                if not (0 <= u < n and 0 <= v < n):
+                    raise UnknownVertexError(f"edge ({u},{v}) out of range for n={n}")
+                if u == v:
+                    raise NotAnEdgeError(f"loop at {u} not allowed")
+                if bits[u] >> v & 1:
+                    continue
+            except (TypeError, ValueError) as exc:
+                if isinstance(exc, MinorforgeError):
+                    raise
+                raise NotAnEdgeError(f"{e!r} is not a pair of vertices", evidence=e) from None
             bits[u] |= 1 << v
             bits[v] |= 1 << u
             m += 1
@@ -58,8 +64,6 @@ class Graph:
         callers whose masks are symmetric by construction.  Checks in O(n)
         what costs nothing to check: one mask per vertex, no neighbour out
         of range, no loop, an even degree sum; ``audit`` checks the rest."""
-        if n < 0:
-            raise OrderTooSmallError("vertex count must be nonnegative")
         bits = tuple(bits)
         check_internal(len(bits) == n, "one mask per vertex")
         span = degsum = 0
@@ -79,17 +83,20 @@ class Graph:
     # -- basic access ------------------------------------------------------
 
     def check_vertex(self, v: int) -> None:
-        if not (0 <= v < self.n):
-            raise UnknownVertexError(f"vertex {v} out of range for n={self.n}")
+        if v.__class__ is not int or not 0 <= v < self.n:
+            raise UnknownVertexError(f"vertex {v!r} out of range for n={self.n}", evidence=v)
 
     def vertex_set(self, vertices: Iterable[int]) -> frozenset[int]:
         """``vertices`` as a frozenset, every member checked in range: the
         one intake for the vertex sets that entry points accept."""
         out = frozenset(vertices)
         n = self.n
-        for v in out:
-            if not 0 <= v < n:
-                self.check_vertex(v)  # raises, naming v
+        try:
+            for v in out:
+                if not 0 <= v < n:
+                    self.check_vertex(v)  # raises, naming v
+        except TypeError:  # v does not compare with an int
+            self.check_vertex(v)
         return out
 
     def neighbors(self, v: int) -> frozenset[int]:
@@ -264,19 +271,20 @@ def edge_density(g: Graph) -> Fraction:
 
 
 def is_eps_t_dense(g: Graph, eps: Fraction, t: int | None = None) -> bool:
-    """True iff g has t vertices (default: all of them) and m >= (1-eps)*C(t,2)."""
+    """True iff g has t vertices (default: all of them) and m >= (1-eps)*C(t,2).
+    eps must lie in [0, 1), where the predicate can fail, and t be at least 2."""
+    eps = check_rational("eps", eps, 1, "[)")
     if g.n < 2:
         raise OrderTooSmallError("density predicate needs at least 2 vertices")
-    if t is not None and g.n != t:
+    if t is not None and (g.n != t or t.__class__ is not int):
+        check_count("t", t, 2)
         return False
     pairs = g.n * (g.n - 1) // 2
-    return Fraction(g.m) >= (1 - Fraction(eps)) * pairs
+    return Fraction(g.m) >= (1 - eps) * pairs
 
 
 def complement_max_degree(g: Graph) -> int:
     """Largest number of non-neighbors over all vertices: n - 1 - min degree."""
-    if g.n == 0:
-        raise OrderTooSmallError("complement degree of the empty graph")
     return g.n - 1 - g.min_degree()
 
 
@@ -316,8 +324,7 @@ def greedy_dense_subgraph(g: Graph, t: int) -> tuple[int, ...]:
     Each deletion removes a vertex of degree <= average, so the survivor's
     exact density is >= the density before; checked at every step.
     """
-    if not (2 <= t <= g.n):
-        raise OrderTooSmallError(f"need 2 <= t <= {g.n}, got t={t}")
+    check_count("t", t, 2, g.n, OrderTooSmallError)
     alive = (1 << g.n) - 1
     deg = [b.bit_count() for b in g._bits]
     edges = g.m
@@ -339,6 +346,7 @@ def greedy_dense_subgraph(g: Graph, t: int) -> tuple[int, ...]:
 
 
 def complete_graph(n: int) -> Graph:
+    check_count("the vertex count", n, 0, error=OrderTooSmallError)
     return Graph._from_masks(n, [((1 << n) - 1) ^ (1 << v) for v in range(n)])
 
 
@@ -349,7 +357,8 @@ def random_graph(n: int, p: Fraction, rng: Rng) -> Graph:
     upper triangle of an n x n row-major matrix of digits, and vertex v's
     mask is row v (the pairs vw, w > v) joined with column v (the pairs
     uv, u < v)."""
-    p = _probability(p)
+    p = check_rational("p", p, 1, "[]")
+    check_count("the vertex count", n, 0, error=OrderTooSmallError)
     coins = _coin_digits(n * (n - 1) // 2, p, rng)
     rows, at = [], 0
     for u in range(1, n + 1):
@@ -365,9 +374,9 @@ def random_bipartite(a: int, b: int, p: Fraction, rng: Rng) -> Graph:
     """Random bipartite graph; side A is 0..a-1, side B is a..a+b-1.  Pairs
     are drawn in sorted order from one coin mask, read as an a x b row-major
     matrix: vertex u of A takes row u, vertex a + j of B takes column j."""
-    p = _probability(p)
-    if a < 0 or b < 0:
-        raise OrderTooSmallError("side sizes must be nonnegative")
+    p = check_rational("p", p, 1, "[]")
+    check_count("side a", a, 0, error=OrderTooSmallError)
+    check_count("side b", b, 0, error=OrderTooSmallError)
     if not (a and b):
         return Graph._from_masks(a + b, [0] * (a + b))
     mat = _coin_digits(a * b, p, rng)
@@ -376,13 +385,6 @@ def random_bipartite(a: int, b: int, p: Fraction, rng: Rng) -> Graph:
         [int(mat[u * b:u * b + b][::-1], 2) << a for u in range(a)]
         + [int(mat[j::b][::-1], 2) for j in range(b)],
     )
-
-
-def _probability(p) -> Fraction:
-    p = Fraction(p)
-    if not 0 <= p <= 1:
-        raise HypothesisViolatedError(f"p must lie in [0,1], got {p}", evidence=p)
-    return p
 
 
 def _coin_digits(width: int, p: Fraction, rng: Rng) -> str:

@@ -15,7 +15,7 @@ import re
 from datetime import datetime, timezone
 from fractions import Fraction
 
-from .errors import ParseError
+from .errors import HypothesisViolatedError, ParseError, check_count
 from .graph import Graph
 from .model import MinorModel
 
@@ -112,7 +112,7 @@ def parse_graph(text: str) -> tuple[Graph, int | None]:
 def serialize_graph(g: Graph, side_a: int | None = None) -> str:
     out = [f"p {g.n} {g.m}"]
     if side_a is not None:
-        out.append(f"b {side_a}")
+        out.append(f"b {check_count('side_a', side_a, 0, g.n)}")
     out.extend(f"e {u} {v}" for u, v in g.edges())
     return "\n".join(out) + "\n"
 
@@ -161,10 +161,12 @@ _DOT_COLORS = (
 
 
 def to_dot(g: Graph, model: MinorModel | None = None) -> str:
-    """DOT text; with a model, fragments become colored clusters."""
+    """DOT text; with a model of ``g``, fragments become colored clusters."""
     out = ["graph G {", "  node [shape=circle];"]
     covered: set[int] = set()
     if model is not None:
+        if model.host != g:
+            raise HypothesisViolatedError("the model must live in the given host", evidence=model)
         for i, frag in enumerate(model.fragments):
             color = _DOT_COLORS[i % len(_DOT_COLORS)]
             out.append(f"  subgraph cluster_{i} {{")

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import InvalidModelError, OrderTooSmallError
+from .errors import InvalidModelError, OrderTooSmallError, UnknownVertexError
 from .graph import Graph, mask_of
 
 
@@ -83,14 +83,16 @@ def validate_model(m: MinorModel) -> ModelReport:
             violations.append((i, "empty fragment"))
             masks.append(0)
             continue
-        bad = [v for v in frag if not (0 <= v < g.n)]
+        try:  # a member that is not an int fails the compare or the shift
+            bad = [v for v in frag if not (0 <= v < g.n)]
+            mask = mask_of(v for v in frag if 0 <= v < g.n) if bad else mask_of(frag)
+        except TypeError:
+            v = next(v for v in frag if not isinstance(v, int))
+            raise UnknownVertexError(f"fragment {i} holds {v!r}, not a vertex", evidence=v) from None
+        masks.append(mask)
         if bad:
             violations.append((i, f"vertex {min(bad)} outside host"))
-            masks.append(mask_of(v for v in frag if 0 <= v < g.n))
-            continue
-        mask = mask_of(frag)
-        masks.append(mask)
-        if g.reach(mask & -mask, mask) != mask:
+        elif g.reach(mask & -mask, mask) != mask:
             violations.append((i, "fragment not connected in host"))
     for i in range(len(masks)):
         for j in range(i + 1, len(masks)):

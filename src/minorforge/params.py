@@ -15,7 +15,7 @@ import decimal
 import math
 from fractions import Fraction
 
-from .errors import HypothesisViolatedError
+from .errors import check_count, check_rational
 
 DEFAULT_C_SCALE = Fraction(3360)
 DEFAULT_MAX_PATH_LEN = 14
@@ -26,9 +26,7 @@ DENSE_EPS_BOUND = Fraction(1, 3)
 
 def sqrt_log_inv(eps: Fraction) -> float:
     """sqrt(log(1/eps)) in double precision."""
-    eps = Fraction(eps)
-    if not 0 < eps < 1:
-        raise HypothesisViolatedError(f"eps must lie in (0, 1), got {eps}", evidence=eps)
+    eps = check_rational("eps", eps, 1)
     return math.sqrt(math.log(1 / float(eps)))
 
 
@@ -40,9 +38,7 @@ def below_log_inv(q: Fraction, eps: Fraction) -> bool:
     |ln x| * 10**(1 - prec) of the true value.  The precision doubles until
     q lies outside that interval, which it does: ln(1/eps) is irrational
     for rational eps in (0, 1)."""
-    eps = Fraction(eps)
-    if not 0 < eps < 1:
-        raise HypothesisViolatedError(f"eps must lie in (0, 1), got {eps}", evidence=eps)
+    eps = check_rational("eps", eps, 1)
     q = Fraction(q)
     prec = 40
     while True:
@@ -61,6 +57,8 @@ def below_log_inv(q: Fraction, eps: Fraction) -> bool:
 def degree_target(eps: Fraction, t: int, c_scale: Fraction) -> int:
     """d = ceil(c_scale * t * sqrt(log(1/eps))), in double precision: a
     size, not a threshold."""
+    check_count("t", t, 2)
+    c_scale = check_rational("the scale constant", c_scale)
     return math.ceil(float(c_scale) * t * sqrt_log_inv(eps))
 
 
@@ -74,25 +72,20 @@ def desk_sample_size(eps: Fraction, t: int, d: int) -> int:
     return min(reference_sample_size(eps), max(2, d // (84 * t)))
 
 
-def root_down(eps: Fraction, r: int) -> Fraction:
-    """eps^(1/r) in double precision, nudged one ulp down, as an exact rational."""
-    f = float(Fraction(eps)) ** (1.0 / r)
-    return Fraction(math.nextafter(f, 0.0))
-
-
 def undominated_bound(eps: Fraction, r: int, n: int) -> int:
-    """Largest integer count allowed under the eps^(1/r)*n/12 threshold."""
-    return math.floor(root_down(eps, r) * n / 12)
+    """Largest integer count allowed under the eps^(1/r)*n/12 threshold, with
+    eps^(1/r) in double precision, nudged one ulp down, as an exact rational."""
+    eps = check_rational("eps", eps, 1)
+    check_count("the sample size", r, 1)
+    check_count("the scale parameter", n, 0)
+    return math.floor(Fraction(math.nextafter(float(eps) ** (1.0 / r), 0.0)) * n / 12)
 
 
 def power_hypothesis(eps: Fraction, r: int, base: Fraction) -> bool:
     """Whether 24^r * base^(r^2) <= eps; exact rationals when small enough."""
-    eps = Fraction(eps)
-    base = Fraction(base)
-    if base < 0:
-        raise HypothesisViolatedError(f"base must be nonnegative, got {base}", evidence=base)
-    if eps <= 0:
-        raise HypothesisViolatedError(f"eps must be positive, got {eps}", evidence=eps)
+    base = check_rational("base", base, ends="[)")
+    eps = check_rational("eps", eps)
+    check_count("the sample size", r, 1)
     if base == 0:
         return True
     if r * r <= 4096:

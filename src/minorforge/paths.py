@@ -13,6 +13,7 @@ from .errors import (
     LinkageFailedError,
     NeighborsUnavailableError,
     TooLargeError,
+    check_count,
     check_internal,
 )
 from .flow import SetFlow
@@ -152,8 +153,7 @@ def menger(g: Graph, s, t, k: int):
     internal vertex in ``s | t``) or a separation of order below ``k`` with
     ``s`` inside one side and ``t`` inside the other.  Exactly one of the
     two is returned."""
-    if k < 0:
-        raise HypothesisViolatedError(f"path count must be nonnegative, got {k}", evidence=k)
+    check_count("the path count", k, 0)
     s, t = g.vertex_set(s), g.vertex_set(t)
     if k == 0:
         return PathFamily((), "between", s=s, t=t)
@@ -169,16 +169,17 @@ def menger(g: Graph, s, t, k: int):
     return sep
 
 
-def _valid_pair_convention(pairs) -> str | None:
-    k = len(pairs)
-    for i in range(k):
-        si, ti = pairs[i]
-        for j in range(k):
-            if i != j:
-                sj, tj = pairs[j]
-                if si == sj or ti == tj or si == tj:
-                    return f"pairs {i},{j} collide"
-    return None
+def _check_pair_convention(pairs) -> None:
+    """Raise HypothesisViolatedError unless every item of ``pairs`` is a
+    pair and no endpoint recurs across pairs (``s_i == t_i`` is allowed)."""
+    try:
+        for i, (si, ti) in enumerate(pairs):
+            for j, (sj, tj) in enumerate(pairs):
+                if i != j and (si == sj or ti == tj or si == tj):
+                    raise HypothesisViolatedError(f"pairs {i},{j} collide")
+    except ValueError:  # the unpack of an item that is not a pair
+        bad = next(p for p in pairs if len(p) != 2)
+        raise HypothesisViolatedError(f"{bad} is not a pair", evidence=bad) from None
 
 
 def find_linkage(g: Graph, pairs) -> PathFamily | None:
@@ -189,9 +190,7 @@ def find_linkage(g: Graph, pairs) -> PathFamily | None:
     if len(pairs) > LINKAGE_PAIRS_CAP or g.n > LINKAGE_VERTEX_CAP:
         raise TooLargeError("instance beyond the exact-search caps")
     g.vertex_set(v for p in pairs for v in p)
-    problem = _valid_pair_convention(pairs)
-    if problem:
-        raise HypothesisViolatedError(problem)
+    _check_pair_convention(pairs)
     k = len(pairs)
     endpoint_mask = 0
     for si, ti in pairs:

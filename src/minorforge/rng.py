@@ -30,6 +30,8 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 
+from .errors import OrderTooSmallError, check_count
+
 _MASK = (1 << 64) - 1
 _SPAN = 1 << 64
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -89,9 +91,9 @@ def derive_seed(master: int, *indices: int) -> int:
     ``derive_seed(1, 0, 2, 0) == derive_seed(2, 0, 1, 0)``.  A caller whose
     master varies must lead with a nonzero tag; changing the fold would
     move every seeded output."""
-    s = master & _MASK
+    s = check_count("the master seed", master, None) & _MASK
     for k in indices:
-        s = _mix(s ^ _mix(k & _MASK))
+        s = _mix(s ^ _mix(check_count("an index", k, None) & _MASK))
     return s
 
 
@@ -99,8 +101,7 @@ class Rng:
     """SplitMix64 stream with unbiased integer draws."""
 
     def __init__(self, seed: int):
-        self.seed = seed & _MASK
-        self._state = seed & _MASK
+        self.seed = self._state = check_count("the seed", seed, None) & _MASK
 
     def next_u64(self) -> int:
         self._state = (self._state + _GOLDEN) & _MASK
@@ -108,9 +109,8 @@ class Rng:
 
     def below(self, n: int) -> int:
         """Uniform integer in [0, n), by rejection so the draw is unbiased."""
-        if n <= 0:
-            raise ValueError("below() needs a positive bound")
-        if n == 1:
+        if n <= 1:  # one inline compare on the draw path; the intake refuses n < 1
+            check_count("the bound", n, 1, error=OrderTooSmallError)
             return 0
         limit = _SPAN - _SPAN % n
         state = self._state

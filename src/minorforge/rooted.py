@@ -21,6 +21,7 @@ from .connectivity import vertex_connectivity_with_cutset
 from .errors import (
     HypothesisViolatedError,
     TooLargeError,
+    check_count,
     check_internal,
 )
 from .flow import SetFlow
@@ -50,12 +51,10 @@ def find_separation_avoiding(g: Graph, s, t_order: int, d_list, n_avoid: int):
     ``None`` when no such separation exists.  Decided exactly: for each
     (n_avoid+1)-subfamily, a set-flow with uncuttable targets finds the
     smallest cut keeping ``s`` away from the subfamily's union."""
+    check_count("the separation order", t_order, 0)
+    check_count("the avoidance count", n_avoid, 0)
     s = g.vertex_set(s)
     d_sets = _disjoint_sets(g, d_list, "avoidable sets")
-    if n_avoid < 0:
-        raise HypothesisViolatedError("the avoidance count must be nonnegative")
-    if t_order < 0:
-        raise HypothesisViolatedError("the separation order must be nonnegative")
     k = n_avoid + 1
     if k > len(d_sets):
         return None
@@ -251,7 +250,7 @@ def _attached_inputs(g: Graph, s, d_list, n_avoid: int):
         raise HypothesisViolatedError("the attachment set must be nonempty")
     d_sets = _disjoint_sets(g, d_list, "branch sets")
     m = len(d_sets)
-    if n_avoid < 0 or m < n_avoid + 2 * t:
+    if m < n_avoid + 2 * t:
         raise HypothesisViolatedError(
             "need at least the avoidance count plus twice the attachment size"
         )
@@ -304,6 +303,7 @@ def attached_model_search(g: Graph, s, d_list, n_avoid: int) -> MinorModel:
     ``|s|`` keeps more than ``n_avoid`` of the sets missing ``s`` away from
     it (HypothesisViolatedError with the separation as evidence), then runs
     the contraction/split argument over the given branch sets."""
+    check_count("the avoidance count", n_avoid, 0)
     s, d_sets = _attached_inputs(g, s, d_list, n_avoid)
     avoidable = [d for d in d_sets if not d & s]
     sep = find_separation_avoiding(g, s, len(s), avoidable, n_avoid)
@@ -320,6 +320,7 @@ def rooted_from_minor(g: Graph, s, j_model: MinorModel, n_avoid: int) -> MinorMo
     ``|s|``-connected host, a model with ``m`` fragments whose pattern
     complement has maximum degree ≤ ``n_avoid`` yields a model of
     ``m - |s|`` fragments attached to ``s`` with the same bound."""
+    check_count("the avoidance count", n_avoid, 0)
     if j_model.host != g:
         raise HypothesisViolatedError("the model must live in the given host")
     pattern = j_model.pattern

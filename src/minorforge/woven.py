@@ -24,6 +24,8 @@ from .errors import (
     HypothesisViolatedError,
     InternalInfeasibleError,
     TooLargeError,
+    check_count,
+    check_rational,
 )
 from .graph import (
     Graph,
@@ -35,7 +37,7 @@ from .graph import (
     mask_of,
 )
 from .model import MinorModel, is_rooted_at
-from .paths import PathFamily, _valid_pair_convention, require_paths
+from .paths import PathFamily, _check_pair_convention, require_paths
 from .rooted import rooted_from_minor
 
 __all__ = [
@@ -253,25 +255,16 @@ def _all_triples(n: int, a: int, b: int):
                     yield roots, srcs, tgts
 
 
-def check_wovenness(g: Graph, eps, a: int, b: int) -> WovenReport:
+def check_wovenness(g: Graph, eps: Fraction, a: int, b: int) -> WovenReport:
     """Test the woven property triple by triple: enumerate every admissible
     (roots, sources, targets) choice on hosts up to the order cap and
     decide each one exactly, stopping at the first without a witness.
 
-    Refused with HypothesisViolatedError, the bad value as evidence: eps
-    outside (0, 1), since at eps >= 1 every pattern is dense enough; a or
-    b not an integer; a below 1, b below 0, or either above ``g.n``, where
-    no root set or endpoint list of that size exists."""
-    eps = Fraction(eps)
-    if not 0 < eps < 1:
-        raise HypothesisViolatedError(f"eps must lie in (0, 1), got {eps}", evidence=eps)
-    for name, value, least in (("root count a", a, 1), ("pair count b", b, 0)):
-        if not isinstance(value, int):
-            raise HypothesisViolatedError(f"the {name} must be an integer", evidence=value)
-        if not least <= value <= g.n:
-            raise HypothesisViolatedError(
-                f"the {name} must lie in [{least}, {g.n}], got {value}", evidence=value
-            )
+    eps must lie in (0, 1): at eps >= 1 every pattern is dense enough; a in
+    [1, g.n] and b in [0, g.n]: no root set or endpoint list has another size."""
+    eps = check_rational("eps", eps, 1)
+    check_count("the root count a", a, 1, g.n)
+    check_count("the pair count b", b, 0, g.n)
     if g.n > WOVEN_CAP:
         raise TooLargeError(f"exhaustive wovenness is capped at {WOVEN_CAP} vertices")
     budget = Budget(SEARCH_NODES, TooLargeError, "wovenness search budget exhausted")
@@ -301,7 +294,7 @@ def check_wovenness(g: Graph, eps, a: int, b: int) -> WovenReport:
 
 def realize_woven_from_dense_minor(
     g: Graph,
-    eps,
+    eps: Fraction,
     a: int,
     request,
     dense_model: MinorModel | None = None,
@@ -322,24 +315,16 @@ def realize_woven_from_dense_minor(
     attached fragments.  Returns the model and the linkage, fully audited
     and disjoint.
     """
-    eps = Fraction(eps)
-    if eps <= 0:
-        raise HypothesisViolatedError("eps must be positive")
-    if a < 2:
-        raise HypothesisViolatedError("need at least two roots")
-    r_req, s_req, t_req = request
-    r_tuple = tuple(r_req)
-    s_tuple = tuple(s_req)
-    t_tuple = tuple(t_req)
+    eps = check_rational("eps", eps, 1)
+    check_count("the root count a", a, 2)
+    r_tuple, s_tuple, t_tuple = (tuple(x) for x in request)
     b = 3 * a
     if len(r_tuple) != a or len(set(r_tuple)) != a:
         raise HypothesisViolatedError(f"need exactly {a} distinct roots")
     if len(s_tuple) != b or len(t_tuple) != b:
         raise HypothesisViolatedError(f"need exactly {b} endpoints per side")
     g.vertex_set(r_tuple + s_tuple + t_tuple)
-    problem = _valid_pair_convention(list(zip(s_tuple, t_tuple)))
-    if problem:
-        raise HypothesisViolatedError(problem)
+    _check_pair_convention(list(zip(s_tuple, t_tuple)))
     endpoint_set = set(s_tuple) | set(t_tuple)
     if set(r_tuple) & endpoint_set:
         raise HypothesisViolatedError(

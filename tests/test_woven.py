@@ -171,8 +171,8 @@ def test_host_tables_match_the_mask_helpers():
 
 
 def test_wovenness_refuses_what_it_cannot_honour():
-    """A root set or endpoint list longer than the host, a fractional
-    count, and eps of 1 or more are refused with the bad value as
+    """A root set or endpoint list longer than the host, a fractional or
+    bool count, and eps of 1 or more are refused with the bad value as
     evidence, where they used to prove vacuously or fail in itertools."""
     k3 = complete_graph(3)
     for eps, a, b, bad in (
@@ -182,6 +182,8 @@ def test_wovenness_refuses_what_it_cannot_honour():
         (Fraction(1), 1, 1, Fraction(1)),
         (Fraction(1, 2), 1.5, 1, 1.5),
         (Fraction(1, 2), 1, 0.5, 0.5),
+        (Fraction(1, 2), True, 2, True),
+        (Fraction(1, 2), 1, False, False),
     ):
         with pytest.raises(HypothesisViolatedError) as info:
             check_wovenness(k3, eps, a, b)
