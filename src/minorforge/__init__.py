@@ -56,7 +56,6 @@ from .graph import (
     induced_subgraph,
     is_eps_t_dense,
     mask_of,
-    mask_vertices,
     random_bipartite,
     random_graph,
 )

@@ -2,26 +2,29 @@
 
 from __future__ import annotations
 
-from .errors import OrderTooSmallError, check_internal
+from .errors import OrderTooSmallError, check_count, check_internal
 from .flow import INF, pair_vertex_cut
 from .graph import Graph, mask_vertices
 
 
-def vertex_connectivity_with_cutset(g: Graph):
+def vertex_connectivity_with_cutset(g: Graph, limit: int = INF):
     """Connectivity ``k`` plus a minimum cutset of size ``k``.
 
     Returns ``(k, cutset)`` where ``cutset`` is a sorted tuple, or
     ``(n - 1, None)`` for a complete graph (which has no cutset at all).
-    Requires at least two vertices.
+    A caller that asks only whether ``k >= limit`` gets ``(limit, None)``
+    when it is, and the search stops short of the pair cuts that reach
+    ``limit``.  Requires at least two vertices.
     """
+    limit = check_count("limit", limit, 0)
     n = g.n
     if n < 2:
         raise OrderTooSmallError("connectivity needs at least two vertices")
     if 2 * g.m == n * (n - 1):
-        return n - 1, None
+        return min(n - 1, limit), None
     if not g.is_connected():
         # lone vertices disconnect nothing; the empty set is the witness
-        return 0, ()
+        return (0, ()) if limit else (0, None)
     # Any minimum cutset either avoids some minimum-degree vertex v (then it
     # separates v from a non-neighbor) or contains v (then v keeps neighbors
     # on both sides, a nonadjacent pair inside N(v)).  Checking those pair
@@ -33,7 +36,7 @@ def vertex_connectivity_with_cutset(g: Graph):
     pairs = [(v, w) for w in mask_vertices((1 << n) - 1 & ~nv & ~(1 << v))]
     for x in mask_vertices(nv):
         pairs.extend((x, y) for y in mask_vertices((nv & ~bits[x]) >> (x + 1) << (x + 1)))
-    best = INF
+    best = limit
     best_cut: tuple[int, ...] | None = None
     for x, y in pairs:
         # a pair whose seed, the packed short paths then greedy shortest
@@ -44,7 +47,7 @@ def vertex_connectivity_with_cutset(g: Graph):
         if cut is not None and value < best:
             best = value
             best_cut = cut
-    check_internal(best_cut is not None, "non-complete graph must admit some cutset")
+    check_internal(best_cut is not None or limit < INF, "non-complete graph must admit some cutset")
     return best, best_cut
 
 

@@ -347,7 +347,7 @@ def dense_connected_minor(g: Graph, d: int) -> MinorModel:
     work, model = _certified_descent(g, d)
     pat, reps = work.pattern()
     if pat.n >= 2:
-        kappa, cutset = vertex_connectivity_with_cutset(pat)
+        kappa, cutset = vertex_connectivity_with_cutset(pat, -(-d // 6))
         if 6 * kappa < d:
             check_internal(
                 cutset is not None, "a pattern below the connectivity target has a cutset"
@@ -375,7 +375,7 @@ def _certify_dense_connected(model: MinorModel, d: int) -> None:
     pattern = model.pattern
     ok = 2 <= pattern.n <= d and 3 * pattern.min_degree() >= d
     if ok:
-        kappa, _ = vertex_connectivity_with_cutset(pattern)
+        kappa, _ = vertex_connectivity_with_cutset(pattern, -(-d // 6))
         ok = 6 * kappa >= d
     if not ok:
         raise ExtractionFailedError(
@@ -393,7 +393,7 @@ def _connectivity_descent(g: Graph, k: int) -> int | None:
         if cur.bit_count() < k + 1:
             return None
         sub, old = induced_subgraph(g, mask_vertices(cur))
-        kappa, cutset = vertex_connectivity_with_cutset(sub)
+        kappa, cutset = vertex_connectivity_with_cutset(sub, k)
         if kappa >= k:
             return cur
         if cutset is None:

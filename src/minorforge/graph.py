@@ -8,10 +8,10 @@ below.  ``neighbors()`` builds a frozenset from the mask for callers outside
 the package.  ``Graph(n, edges)`` checks an edge list; code that already
 holds symmetric masks (the generators, induced subgraphs, model patterns)
 builds through the trusted ``Graph._from_masks``.  Entry points that take
-a vertex set read it through ``vertex_set``, which checks every member in
-range.  All density comparisons are exact rational arithmetic over
-Fraction; floats appear only where a parameter is sized from a log or a
-root.
+a vertex set read it through ``vertex_set``, which checks that every member
+is an int in range.  All density comparisons are exact rational arithmetic
+over Fraction; floats appear only where a parameter is sized from a log or
+a root.
 """
 
 from __future__ import annotations
@@ -87,16 +87,13 @@ class Graph:
             raise UnknownVertexError(f"vertex {v!r} out of range for n={self.n}", evidence=v)
 
     def vertex_set(self, vertices: Iterable[int]) -> frozenset[int]:
-        """``vertices`` as a frozenset, every member checked in range: the
-        one intake for the vertex sets that entry points accept."""
+        """``vertices`` as a frozenset, every member checked an int in range:
+        the one intake for the vertex sets that entry points accept."""
         out = frozenset(vertices)
         n = self.n
-        try:
-            for v in out:
-                if not 0 <= v < n:
-                    self.check_vertex(v)  # raises, naming v
-        except TypeError:  # v does not compare with an int
-            self.check_vertex(v)
+        for v in out:
+            if v.__class__ is not int or not 0 <= v < n:
+                self.check_vertex(v)  # raises, naming v
         return out
 
     def neighbors(self, v: int) -> frozenset[int]:

@@ -9,8 +9,8 @@ Validation runs at most once per model inside the package: the first read of
 ``MinorModel.pattern`` validates and keeps the pattern, since neither the
 model nor its host can change.  An invalid model raises
 :class:`InvalidModelError` on every read, because nothing is kept.  A model
-whose pattern follows from a validated one (``MinorModel._derived``) is not
-validated at all.
+whose pattern follows from a validated one, or from an induced subgraph
+(``MinorModel._derived``), is not validated at all.
 :func:`validate_model` and :func:`require_valid` always validate from
 scratch, for callers that re-check a certificate independently.
 """
@@ -39,8 +39,9 @@ class MinorModel:
     def _derived(cls, host: Graph, fragments, pattern: Graph) -> "MinorModel":
         """A model whose pattern the caller derived from a validated model
         (say, by keeping some of its fragments and renumbering them into a
-        host that drops only vertices they avoid), so it is not validated
-        again."""
+        host that drops only vertices they avoid), or the singletons of an
+        ascending vertex list whose induced subgraph is the pattern, so it
+        is not validated again."""
         model = cls(host, fragments)
         model.__dict__["pattern"] = pattern
         return model

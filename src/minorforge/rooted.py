@@ -329,7 +329,7 @@ def rooted_from_minor(g: Graph, s, j_model: MinorModel, n_avoid: int) -> MinorMo
             "the pattern complement exceeds the degree bound"
         )
     s, d_sets = _attached_inputs(g, s, j_model.fragments, n_avoid)
-    k, cutset = vertex_connectivity_with_cutset(g)
+    k, cutset = vertex_connectivity_with_cutset(g, len(s))
     if k < len(s):
         raise HypothesisViolatedError(
             f"host connectivity {k} is below the attachment size",

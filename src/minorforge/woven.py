@@ -317,7 +317,12 @@ def realize_woven_from_dense_minor(
     """
     eps = check_rational("eps", eps, 1)
     check_count("the root count a", a, 2)
-    r_tuple, s_tuple, t_tuple = (tuple(x) for x in request)
+    try:
+        r_tuple, s_tuple, t_tuple = (tuple(x) for x in request)
+    except (TypeError, ValueError):  # not three parts, or a part not a list
+        raise HypothesisViolatedError(
+            "the request must be three lists: roots, sources, targets", evidence=request
+        ) from None
     b = 3 * a
     if len(r_tuple) != a or len(set(r_tuple)) != a:
         raise HypothesisViolatedError(f"need exactly {a} distinct roots")
@@ -331,7 +336,7 @@ def realize_woven_from_dense_minor(
             "roots and endpoints must be disjoint for this construction"
         )
 
-    kappa, cutset = vertex_connectivity_with_cutset(g)
+    kappa, cutset = vertex_connectivity_with_cutset(g, 8 * a)
     if kappa < 8 * a:
         raise HypothesisViolatedError(
             f"host connectivity {kappa} is below {8 * a}",
@@ -351,12 +356,15 @@ def realize_woven_from_dense_minor(
         j_model = dense_model
     else:
         cand = greedy_dense_subgraph(g, t_dense) if g.n >= t_dense else ()
-        if not cand or not is_eps_t_dense(induced_subgraph(g, cand)[0], eps_fine, t_dense):
+        dense = induced_subgraph(g, cand)[0]
+        if not cand or not is_eps_t_dense(dense, eps_fine, t_dense):
             raise HypothesisViolatedError(
                 f"the greedy subgraph on {t_dense} vertices is not "
                 f"({eps_fine}, {t_dense})-dense; pass a dense model"
             )
-        j_model = MinorModel(g, [frozenset((v,)) for v in cand])
+        # singletons are connected and pairwise disjoint, and cand ascends
+        # as the induced subgraph numbers it: that subgraph is their pattern
+        j_model = MinorModel._derived(g, [frozenset((v,)) for v in cand], dense)
 
     # drop branch sets whose pattern vertex misses too many others, then
     # those touching the roots or the collapsed equal pairs

@@ -502,3 +502,46 @@ def test_pair_skip_matches_connectivity_without_it(monkeypatch):
     assert one_short["packed"] == 110, one_short
     assert calls["reference flows"] - calls["engine flows"] > 3000, calls
     assert calls["packing skip"] > 1500, calls
+
+
+def _capped_hosts():
+    """Seeded G(n, p) and planted hosts, complete graphs, disconnected
+    graphs, and both graphs on two vertices."""
+    kinds = ("any", "dense", "planted", "packed")
+    for i in range(120):
+        yield _connectivity_host(Rng(derive_seed(27, i)), kinds[i % 4])
+    for n in range(2, 8):
+        yield complete_graph(n)
+    for i in range(4):
+        g = random_graph(4 + i, Fraction(3, 4), Rng(derive_seed(27, 1, i)))
+        shifted = [(u + 4 + i, v + 4 + i) for u, v in g.edges()]
+        yield graph_from_edge_list(2 * (4 + i), g.edges() + shifted)
+    yield graph_from_edge_list(2, [])
+    yield graph_from_edge_list(2, [(0, 1)])
+
+
+def test_capped_connectivity_matches_the_uncapped_call():
+    """Asked whether the connectivity reaches ``limit``, the search gives
+    the uncapped ``(k, cutset)`` when ``k < limit`` and ``(limit, None)``
+    otherwise, for every limit from 0 to n + 1."""
+    below = 0
+    for g in _capped_hosts():
+        full = vertex_connectivity_with_cutset(g)
+        for limit in range(g.n + 2):
+            got = vertex_connectivity_with_cutset(g, limit)
+            want = full if full[0] < limit else (limit, None)
+            assert got == want, (g, g.edges(), limit)
+            below += full[0] < limit
+    assert below > 1000, below
+
+
+def test_uncapped_connectivity_still_demands_a_cutset(monkeypatch):
+    """A pair loop that finds no cut is an internal fault when no limit
+    was asked for, and the answer ``(limit, None)`` when one was."""
+    import minorforge.connectivity as connectivity
+
+    monkeypatch.setattr(connectivity, "pair_vertex_cut", lambda g, x, y, limit: (limit, None))
+    path = graph_from_edge_list(3, [(0, 1), (1, 2)])
+    with pytest.raises(InternalInfeasibleError, match="must admit some cutset"):
+        vertex_connectivity_with_cutset(path)
+    assert vertex_connectivity_with_cutset(path, 1) == (1, None)

@@ -17,7 +17,6 @@ from minorforge import (
     induced_subgraph,
     is_eps_t_dense,
     mask_of,
-    mask_vertices,
     random_bipartite,
     random_graph,
 )
@@ -27,6 +26,7 @@ from minorforge.errors import (
     OrderTooSmallError,
     UnknownVertexError,
 )
+from minorforge.graph import mask_vertices
 from minorforge.rng import _GOLDEN, _LANES, Rng, derive_seed
 
 from conftest import petersen, run_optimized

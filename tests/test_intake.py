@@ -52,6 +52,7 @@ from minorforge import (
     serialize_graph,
     to_dot,
     undominated_bound,
+    vertex_connectivity_with_cutset,
 )
 from minorforge.errors import check_count, check_rational
 
@@ -165,6 +166,8 @@ ROWS = {
         UnknownVertexError, lambda v: pair_vertex_cut(P5, v, 4), (1.5, True, -1, 5)),
     ("pair_vertex_cut", "y"): (
         UnknownVertexError, lambda v: pair_vertex_cut(P5, 0, v), (1.5, True, -1, 5)),
+    ("vertex_connectivity_with_cutset", "limit"): (
+        HVE, lambda v: vertex_connectivity_with_cutset(P5, v), (1.5, True, -1)),
     ("mader_min_degree_minor", "d"): (
         HVE, lambda v: mader_min_degree_minor(K5, v), (2.5, True, 1)),
     ("dense_connected_minor", "d"): (
@@ -197,7 +200,6 @@ ROWS = {
 
 # exported names whose int or rational parameters need no row, and why
 EXEMPT = {
-    "mask_vertices": "its mask is a bit set, not a count, on the hottest path of the package",
     "HittingSetResult": "a result record that the sampler fills in",
     "WovenReport": "a result record that check_wovenness fills in",
 }

@@ -65,11 +65,14 @@ ENTRY_POINTS = {
 }
 
 
-@pytest.mark.parametrize("bad", [-1, N])
+@pytest.mark.parametrize("bad", [-1, N, 1.5])
 @pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
 def test_each_entry_point_names_a_vertex_out_of_range(name, bad):
-    with pytest.raises(UnknownVertexError, match=rf"^vertex {bad} out of range for n={N}$"):
+    """Out of range, or a float inside it: the intake names the member
+    rather than letting a later shift raise a bare ``TypeError``."""
+    with pytest.raises(UnknownVertexError, match=rf"^vertex {bad} out of range for n={N}$") as info:
         ENTRY_POINTS[name](complete_graph(N), bad)
+    assert info.value.evidence == bad and type(info.value.evidence) is type(bad)
 
 
 def test_disjoint_sets_check_each_set_nonempty_before_range():

@@ -18,6 +18,7 @@ from minorforge import (
     random_graph,
     realize_woven_from_dense_minor,
     require_valid,
+    validate_model,
 )
 from minorforge.config import WOVEN_CAP
 from minorforge.errors import (
@@ -321,9 +322,11 @@ def test_library_validates_each_model_at_most_once(monkeypatch):
     request = ((0, 1), tuple(range(2, 8)), tuple(range(8, 14)))
     realize_woven_from_dense_minor(k68_less_one, Fraction(1, 2), 2, request)
     counts = Counter((m.host, m.fragments) for m in seen)
-    # three models in the pipeline, three in the woven construction, whose
-    # fourth (the one it hands the attached search) derives its pattern
-    assert len(seen) == 6 and max(counts.values()) == 1, counts
+    # three models in the pipeline, two in the woven construction: its
+    # greedy singletons take the induced subgraph of the density check as
+    # their pattern, and the one it hands the attached search derives its
+    # pattern from theirs
+    assert len(seen) == 5 and max(counts.values()) == 1, counts
 
 
 def _woven_corpus():
@@ -365,6 +368,26 @@ def test_woven_derives_the_attached_search_model_pattern(monkeypatch):
         assert model.pattern == require_valid(model).pattern
 
 
+def test_woven_derives_the_greedy_singleton_pattern(monkeypatch):
+    """With no dense model given, the greedy singletons carry the subgraph
+    that the density check induced as their pattern, unvalidated, and
+    validating the same singletons from scratch gives an equal pattern."""
+    derived, built = [], MinorModel._derived
+
+    def recorded(host, fragments, pattern):
+        derived.append(built(host, fragments, pattern))
+        return derived[-1]
+
+    monkeypatch.setattr(MinorModel, "_derived", staticmethod(recorded))
+    for g, request in _woven_corpus():
+        realize_woven_from_dense_minor(g, Fraction(1, 2), 2, request)
+        (model,) = [m for m in derived if m.host is g]
+        derived.clear()
+        cand = greedy_dense_subgraph(g, 64)
+        assert model.fragments == tuple(frozenset((v,)) for v in cand)
+        assert model.pattern == validate_model(MinorModel(g, model.fragments)).pattern
+
+
 def test_realize_from_dense_minor_end_to_end():
     g = complete_graph(80)
     request = ((0, 1), tuple(range(60, 66)), tuple(range(66, 72)))
@@ -395,6 +418,11 @@ def test_realize_validates_connectivity_and_shape():
         realize_woven_from_dense_minor(
             g, Fraction(1, 2), 2, ((0, 1), (2, 3), (4, 5))
         )
+    for request in (((0, 1), tuple(range(2, 8))), ((0, 1), (2,), (3,), (4,)), ((0, 1), 2, 3)):
+        # not three lists
+        with pytest.raises(HypothesisViolatedError, match="three lists") as info:
+            realize_woven_from_dense_minor(g, Fraction(1, 2), 2, request)
+        assert info.value.evidence == request
 
 
 def test_realize_refuses_a_host_without_a_dense_subgraph():
