@@ -10,7 +10,7 @@ from .config import SEARCH_NODES
 from .connectivity import vertex_connectivity_with_cutset
 from .errors import (Budget, ExtractionFailedError, HypothesisViolatedError, check_count,
                      check_internal)
-from .graph import Graph, _induced, average_degree, induced_subgraph, mask_of, mask_vertices
+from .graph import Graph, average_degree, induced_subgraph, mask_of, mask_vertices
 from .model import MinorModel
 
 _EXHAUSTIVE_ORDER = 12  # widest pattern the stuck-descent fallback will search
@@ -139,10 +139,6 @@ class _Work:
         self._lower(common)
         self._rescan(a)
 
-    def pattern(self) -> tuple[Graph, list[int]]:
-        reps = sorted(self.frags)
-        return _induced(self.bits, mask_of(reps)), reps
-
     def model(self) -> MinorModel:
         return MinorModel(
             self.g, [frozenset(self.frags[r]) for r in sorted(self.frags)]
@@ -154,7 +150,7 @@ def _restrict_to_best_component(work: _Work) -> None:
     best = 0
     best_avg = Fraction(-1)
     # components come ordered by least vertex, so a tie keeps the earlier one
-    for comp in g.component_masks():
+    for comp in g.components_in((1 << g.n) - 1):
         inner = sum((g.neighbor_bits(v) & comp).bit_count() for v in mask_vertices(comp))
         avg = Fraction(inner, comp.bit_count())
         if avg > best_avg:
@@ -247,73 +243,56 @@ def _degree_safe_contraction(work: _Work, d: int) -> tuple[int, int] | None:
 
 def _exhaustive_finish(work: _Work, d: int) -> None:
     """Search every delete/contract sequence on the current (small) pattern
-    for a minor meeting the order and degree targets, then apply it."""
-    pat, reps = work.pattern()
-    moves = _search_small_minor(pat, d)
+    for a minor meeting the order and degree targets, then apply it, each
+    fragment named by its least vertex, its key in the workspace."""
+    moves = _search_small_minor(work.bits, d)
     if moves is None:
         raise ExtractionFailedError(
             f"no minor of order <= {d} with min degree >= {d}/2 exists here"
         )
-    for move in moves:
-        if move[0] == "delete":
-            work.delete(min(reps[i] for i in move[1]))
-        else:
-            work.contract(
-                min(reps[i] for i in move[1]), min(reps[i] for i in move[2])
-            )
+    for kind, *frags in moves:  # kind names the _Work method: delete or contract
+        getattr(work, kind)(*((f & -f).bit_length() - 1 for f in frags))
 
 
-def _search_small_minor(h: Graph, d: int):
+def _search_small_minor(rows: dict[int, int], d: int):
+    """Moves from the pattern with neighbour masks ``rows`` to a minor of
+    order at most d and min degree at least d/2, or None.  A state is the
+    tuple of its fragment masks by least vertex; contracting f and a later
+    h puts f | h in f's slot, whose least vertex it keeps."""
     budget = Budget(SEARCH_NODES, ExtractionFailedError, "fallback search budget exhausted")
-    h_bits = [h.neighbor_bits(v) for v in range(h.n)]
-
-    def nb_mask(f: frozenset[int]) -> int:
-        bits = 0
-        for v in f:
-            bits |= h_bits[v]
-        return bits & ~mask_of(f)
-
-    def achieved(state: frozenset[frozenset[int]]) -> bool:
-        if not state or len(state) > d:
-            return False
-        frs = sorted(state, key=min)
-        masks = [mask_of(f) for f in frs]
-        nbms = [nb_mask(f) for f in frs]
-        degs = [
-            sum(1 for j in range(len(frs)) if j != i and nbms[i] & masks[j])
-            for i in range(len(frs))
-        ]
-        return 2 * min(degs) >= d
-
-    visited: set[frozenset[frozenset[int]]] = set()
+    visited: set[tuple[int, ...]] = set()
     moves: list[tuple] = []
 
-    def rec(state: frozenset[frozenset[int]]) -> bool:
+    def rec(state: tuple[int, ...]) -> bool:
         budget.spend()
         if state in visited:
             return False
         visited.add(state)
-        if achieved(state):
+        nbs = []
+        for f in state:
+            nb = 0
+            for v in mask_vertices(f):
+                nb |= rows[v]
+            nbs.append(nb & ~f)
+        degs = [sum(1 for h in state if nb & h) for nb in nbs]
+        if state and len(state) <= d and 2 * min(degs) >= d:
             return True
-        frs = sorted(state, key=min)
-        for i in range(len(frs)):
-            mi = nb_mask(frs[i])
-            for j in range(i + 1, len(frs)):
-                if not mi & mask_of(frs[j]):
+        for i, f in enumerate(state):
+            for j, h in enumerate(state[i + 1:], i + 1):
+                if not nbs[i] & h:
                     continue
-                nxt = (state - {frs[i], frs[j]}) | {frs[i] | frs[j]}
-                moves.append(("contract", frs[i], frs[j]))
-                if rec(nxt):
+                moves.append(("contract", f, h))
+                if rec(state[:i] + (f | h,) + state[i + 1:j] + state[j + 1:]):
                     return True
                 moves.pop()
-        for f in frs:
+        for i, f in enumerate(state):
             moves.append(("delete", f))
-            if rec(state - {f}):
+            if rec(state[:i] + state[i + 1:]):
                 return True
             moves.pop()
         return False
 
-    return moves if rec(frozenset(frozenset((v,)) for v in range(h.n))) else None
+    return moves if rec(tuple(1 << v for v in sorted(rows))) else None
 
 
 def _certified_descent(g: Graph, d: int) -> tuple[_Work, MinorModel]:
@@ -345,7 +324,7 @@ def dense_connected_minor(g: Graph, d: int) -> MinorModel:
     """Minor with at most d vertices, min degree at least d/3, and
     connectivity at least d/6."""
     work, model = _certified_descent(g, d)
-    pat, reps = work.pattern()
+    pat, reps = model.pattern, sorted(work.frags)
     if pat.n >= 2:
         kappa, cutset = vertex_connectivity_with_cutset(pat, -(-d // 6))
         if 6 * kappa < d:

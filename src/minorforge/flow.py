@@ -229,15 +229,6 @@ class SetFlow(FlowNet):
         self.value += self.max_flow(limit - self.value)
         return self.value
 
-    def min_cut(self, limit: int = INF) -> tuple[int, tuple[int, ...] | None]:
-        """``(value, cut)`` after pushing up to ``limit`` units in all;
-        ``cut`` is ``cut_vertices()`` when the value stays below ``limit``
-        and ``None`` otherwise.  For callers that read only the value and
-        the cut, which do not depend on the flow the network was seeded
-        with."""
-        self.value += self.max_flow(limit - self.value)
-        return self.value, self.cut_vertices() if self.value < limit else None
-
     def paths(self) -> list[tuple[int, ...]]:
         """Decompose the current flow into vertex paths, one per unit: a
         walk leaves its source along the lowest arc with a unit not yet
@@ -339,6 +330,7 @@ def pair_vertex_cut(g: Graph, x: int, y: int, limit: int = INF):
         flow._apply([2 * x, 2 * x + 1, *(node for v in mid for node in (2 * v, 2 * v + 1)),
                      2 * y, 2 * y + 1])
     flow.value = len(seed)
-    value, cut = flow.min_cut(limit)
+    value = flow.run(limit)
+    cut = flow.cut_vertices() if value < limit else None
     check_internal(cut is None or len(cut) == value, "cut size must match the maximum flow")
     return value, cut

@@ -21,6 +21,7 @@ from itertools import compress, count
 from typing import Iterable, Sequence
 
 from .errors import (
+    HypothesisViolatedError,
     MinorforgeError,
     NotAnEdgeError,
     OrderTooSmallError,
@@ -88,8 +89,14 @@ class Graph:
 
     def vertex_set(self, vertices: Iterable[int]) -> frozenset[int]:
         """``vertices`` as a frozenset, every member checked an int in range:
-        the one intake for the vertex sets that entry points accept."""
-        out = frozenset(vertices)
+        the one intake for entry points' vertex sets.  An argument that is not
+        iterable, or has an unhashable member, is refused with it as evidence."""
+        try:
+            out = frozenset(vertices)
+        except TypeError:
+            raise HypothesisViolatedError(
+                f"{vertices!r} is not a set of vertices", evidence=vertices
+            ) from None
         n = self.n
         for v in out:
             if v.__class__ is not int or not 0 <= v < n:
@@ -216,10 +223,6 @@ class Graph:
                     return tuple(reversed(path))
                 queue.append(w)
         return None
-
-    def component_masks(self) -> list[int]:
-        """Connected components as bitmasks, ordered by least vertex."""
-        return self.components_in((1 << self.n) - 1)
 
     def is_connected(self) -> bool:
         full = (1 << self.n) - 1

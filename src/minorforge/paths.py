@@ -169,7 +169,19 @@ def menger(g: Graph, s, t, k: int):
     return sep
 
 
-def _check_pair_convention(pairs) -> None:
+def _tuples(items) -> list[tuple]:
+    """Each item of ``items`` as a tuple.  HypothesisViolatedError names
+    ``items`` when it is not iterable, else the first item that is not."""
+    out, item = [], items  # the argument until the loop binds an item
+    try:
+        for item in items:
+            out.append(tuple(item))
+    except TypeError:
+        raise HypothesisViolatedError(f"{item!r} is not iterable", evidence=item) from None
+    return out
+
+
+def _check_pair_convention(pairs: list[tuple]) -> None:
     """Raise HypothesisViolatedError unless every item of ``pairs`` is a
     pair and no endpoint recurs across pairs (``s_i == t_i`` is allowed)."""
     try:
@@ -186,15 +198,12 @@ def find_linkage(g: Graph, pairs) -> PathFamily | None:
     """Exact search for disjoint paths joining each pair, or ``None`` when
     provably no linkage exists.  Endpoints must be distinct across pairs
     (``s_i == t_i`` is allowed and yields a one-vertex path)."""
-    pairs = [tuple(p) for p in pairs]
+    pairs = _tuples(pairs)
     if len(pairs) > LINKAGE_PAIRS_CAP or g.n > LINKAGE_VERTEX_CAP:
         raise TooLargeError("instance beyond the exact-search caps")
-    g.vertex_set(v for p in pairs for v in p)
     _check_pair_convention(pairs)
+    endpoint_mask = mask_of(g.vertex_set([v for p in pairs for v in p]))
     k = len(pairs)
-    endpoint_mask = 0
-    for si, ti in pairs:
-        endpoint_mask |= (1 << si) | (1 << ti)
     full = (1 << g.n) - 1
     budget = Budget(SEARCH_NODES, TooLargeError, "linkage search budget exhausted")
     failed: set[tuple[int, int]] = set()
@@ -278,7 +287,7 @@ def knit_connect(g: Graph, s, parts) -> list[frozenset[int]]:
     part.  Singleton parts map to themselves; larger parts get two fresh
     neighbors per vertex chained by one linkage found outside ``s``."""
     s = g.vertex_set(s)
-    parts = [tuple(p) for p in parts]
+    parts = _tuples(parts)
     flat = [v for p in parts for v in p]
     if len(set(flat)) != len(flat) or set(flat) != s or any(not p for p in parts):
         raise HypothesisViolatedError("parts must partition s")
@@ -298,13 +307,9 @@ def knit_connect(g: Graph, s, parts) -> list[frozenset[int]]:
             for u, w in zip(part, part[1:]):
                 link_pairs.append((second_nbr[u], first_nbr[w]))
                 owner.append(pi)
-    used_endpoints = {v for pair in link_pairs for v in pair}
-    unused_fresh = {
-        v
-        for part in multi
-        for v in (first_nbr[part[0]], second_nbr[part[-1]])
-        if v not in used_endpoints
-    }
+    # every pick is fresh and distinct, and the links start at second_nbr
+    # of all but a part's last vertex and end at first_nbr of all but its first
+    unused_fresh = {v for part in multi for v in (first_nbr[part[0]], second_nbr[part[-1]])}
     keep = sorted(set(range(g.n)) - s - unused_fresh)
     sub, old_of_new = induced_subgraph(g, keep)
     new_of_old = {v: i for i, v in enumerate(old_of_new)}

@@ -73,10 +73,10 @@ def find_separation_avoiding(g: Graph, s, t_order: int, d_list, n_avoid: int):
         # the capped flow would find no cut, so it is not built
         if (smask & g.neighborhood(union)).bit_count() >= t_order:
             continue
-        _, cut = SetFlow(g, s, mask_vertices(union), uncuttable_targets=True).min_cut(t_order)
-        if cut is None:
+        flow = SetFlow(g, s, mask_vertices(union), uncuttable_targets=True)
+        if flow.run(t_order) >= t_order:
             continue
-        sep = _separation_from_cut(g, s, cut)
+        sep = _separation_from_cut(g, s, flow.cut_vertices())
         check_internal(sep.order < t_order, "avoiding cut is too large")
         check_internal(s <= sep.a, "avoiding cut lost a source")
         check_internal(

@@ -1,7 +1,8 @@
 """Test-only reference: the separation-avoiding search and the vertex
 connectivity loop as they were before the forced-cut skips, kept verbatim
-apart from this docstring, the imports below and the search-node cap, now
-the constant ``SEARCH_NODES``.
+apart from this docstring, the imports below, the search-node cap, now
+the constant ``SEARCH_NODES``, and the capped flow's cut, now read by
+``SetFlow.run`` and ``cut_vertices``.
 
 Both build a capped flow for every subfamily or pair, including those
 whose answer adjacency already forces.  ``test_rooted.py`` and
@@ -56,9 +57,10 @@ def find_separation_avoiding(g: Graph, s, t_order: int, d_list, n_avoid: int):
         union = frozenset().union(*(d_sets[i] for i in combo))
         if s & union:
             continue
-        _, cut = SetFlow(g, s, union, uncuttable_targets=True).min_cut(t_order)
-        if cut is None:
+        flow = SetFlow(g, s, union, uncuttable_targets=True)
+        if flow.run(t_order) >= t_order:
             continue
+        cut = flow.cut_vertices()
         sep = _separation_from_cut(g, s, cut)
         check_internal(sep.order < t_order, "avoiding cut is too large")
         check_internal(s <= sep.a, "avoiding cut lost a source")

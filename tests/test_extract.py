@@ -17,10 +17,11 @@ from minorforge import (
     vertex_connectivity,
 )
 from minorforge import extract
-from minorforge.errors import ExtractionFailedError, HypothesisViolatedError
-from minorforge.graph import mask_vertices
+from minorforge.errors import Budget, ExtractionFailedError, HypothesisViolatedError
+from minorforge.graph import mask_of, mask_vertices
 from minorforge.rng import Rng, derive_seed
 
+import extract_reference
 from conftest import petersen, run_optimized
 
 
@@ -267,6 +268,57 @@ def test_degree_safe_contraction_matches_the_full_degree_scan(monkeypatch):
     for g, d in _descent_hosts(240):
         _descend(extract._Work(g), d, extract._mader_descent)
     assert picked >= 20 and refused >= 20
+
+
+def _embedded_patterns(count: int):
+    """Seeded G(n, p) patterns, n 2-9, with a degree target d 2-6, each
+    also given as rows keyed by n distinct host ids drawn from 0..3n-1,
+    so that the ids are not contiguous; ``reps[i]`` hosts vertex i."""
+    for i in range(count):
+        rng = Rng(derive_seed(28, i))
+        n, d = 2 + rng.below(8), 2 + rng.below(5)
+        pat = random_graph(n, Fraction(1 + rng.below(9), 10), rng.spawn(0))
+        pool = list(range(3 * n))
+        rng.shuffle(pool)
+        reps = sorted(pool[:n])
+        rows = {reps[v]: mask_of(reps[w] for w in pat.neighbors(v)) for v in range(n)}
+        yield pat, rows, reps, d
+
+
+@pytest.mark.parametrize("nodes", [None, 40])
+def test_stuck_descent_search_matches_the_frozenset_reference(monkeypatch, nodes):
+    """The mask-native search on the descent's rows returns the moves of
+    the frozenset search on the renumbered pattern, fragment for fragment,
+    and spends the same budget; with a budget of 40 nodes both run out at
+    the same patterns."""
+    budgets = []
+
+    class Recorded(Budget):
+        def __init__(self, *args):
+            super().__init__(*args)
+            budgets.append(self)
+
+    for module in (extract, extract_reference):
+        monkeypatch.setattr(module, "Budget", Recorded)
+        if nodes is not None:
+            monkeypatch.setattr(module, "SEARCH_NODES", nodes)
+
+    def run(search, *args):
+        try:
+            return search(*args), budgets[-1].spent
+        except ExtractionFailedError as exc:
+            return "exhausted", exc.evidence
+
+    outcomes = set()
+    for pat, rows, reps, d in _embedded_patterns(800):
+        want, want_spent = run(extract_reference._search_small_minor, pat, d)
+        if isinstance(want, list):
+            want = [(kind, *(mask_of(reps[v] for v in f) for f in frags))
+                    for kind, *frags in want]
+        got, got_spent = run(extract._search_small_minor, rows, d)
+        assert (got, got_spent) == (want, want_spent), (pat.edges(), reps, d)
+        outcomes.add("moves" if isinstance(got, list) and got else str(got))
+    assert outcomes >= ({"moves", "None"} if nodes is None else {"moves", "exhausted"})
 
 
 def test_dense_connected_contract():

@@ -152,11 +152,11 @@ def _deadline(seconds: int):
 
 def test_engine_matches_the_explicit_network(monkeypatch):
     """The bitmask engine against the arc-record network it replaced:
-    ``run`` gives the same values, paths and cuts, and ``min_cut`` the same
-    values and cuts, through a capped run resumed to the maximum; a cut is
-    refused while the flow is below the maximum.  A search that loses track
-    of what it reached can loop forever; the deadline (the test takes a few
-    seconds) turns that into a failure."""
+    ``run`` gives the same values, paths and cuts, through a capped run
+    resumed to the maximum; a cut is refused while the flow is below the
+    maximum.  A search that loses track of what it reached can loop
+    forever; the deadline (the test takes a few seconds) turns that into
+    a failure."""
     apply = FlowNet._apply
 
     def counted_apply(self, path):
@@ -202,25 +202,22 @@ def test_engine_matches_the_explicit_network(monkeypatch):
 
 def _compare_flows(g, s, t, kwargs, rng, hits, i):
     """``kwargs`` holds the engine's keywords, then the reference's."""
-    engine, cutter = SetFlow(g, s, t, **kwargs[0]), SetFlow(g, s, t, **kwargs[0])
+    engine = SetFlow(g, s, t, **kwargs[0])
     old = ref.SetFlow(g, s, t, **kwargs[1])
     for limit in (1 + rng.below(4), INF):
         value = engine.run(limit)
         assert value == old.run(limit), i
         paths = engine.paths()
         assert paths == old.paths(), i
-        cut = engine.cut_vertices() if value < limit else None
-        assert cutter.min_cut(limit) == (value, cut), i
         if value < limit:
             hits["stalled"] += limit != INF  # an unlimited run always stalls
-            assert cut == old.cut_vertices(), i
+            assert engine.cut_vertices() == old.cut_vertices(), i
         else:
             hits["capped"] += 1
-            if old.run(INF) > value:  # the reference goes on; the engines stay capped
+            if old.run(INF) > value:  # the reference goes on; the engine stays capped
                 hits["refused cut"] += 1
-                for net in (engine, cutter):
-                    with pytest.raises(InternalInfeasibleError):
-                        net.cut_vertices()
+                with pytest.raises(InternalInfeasibleError):
+                    engine.cut_vertices()
         if 2 in Counter(p[0] for p in paths).values():
             hits["doubled start"] += 1
 
@@ -250,14 +247,14 @@ def test_seeded_pair_cut_matches_the_explicit_network(monkeypatch):
     network (which starts from nothing) it gives the same value and cut
     for limits below, at and above the seed count, and a capped run that
     the seed already fills runs no search."""
-    seeded, augment, apply = SetFlow.min_cut, FlowNet._augment, FlowNet._apply
+    seeded, augment, apply = SetFlow.run, FlowNet._augment, FlowNet._apply
     hits = Counter()
 
     def audited(self, limit=INF):
         seed = self.value
         assert self.through[self.sources[0]] == seed == min(len(seeds), limit)
         got = seeded(self, limit)
-        hits["beyond the seed"] += got[0] > seed
+        hits["beyond the seed"] += got > seed
         return got
 
     def counted_augment(self):
@@ -271,7 +268,7 @@ def test_seeded_pair_cut_matches_the_explicit_network(monkeypatch):
         )
         apply(self, path)
 
-    monkeypatch.setattr(SetFlow, "min_cut", audited)
+    monkeypatch.setattr(SetFlow, "run", audited)
     monkeypatch.setattr(FlowNet, "_augment", counted_augment)
     monkeypatch.setattr(FlowNet, "_apply", counted_apply)
     for i in range(800):

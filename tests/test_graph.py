@@ -95,7 +95,7 @@ def test_mask_vertices_matches_the_bit_loop():
 
 def test_components():
     g = graph_from_edge_list(5, [(0, 1), (2, 3)])
-    assert g.component_masks() == [0b00011, 0b01100, 0b10000]
+    assert g.components_in(0b11111) == [0b00011, 0b01100, 0b10000]
     assert not g.is_connected()
     assert complete_graph(3).is_connected()
     assert Graph(0).is_connected()

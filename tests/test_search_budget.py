@@ -29,7 +29,8 @@ SEARCHES = {
     "linkage": (paths, TooLargeError, lambda: paths.find_linkage(_GRID, [(0, 8), (2, 6)])),
     # a path has no minor of min degree 2, so the fallback searches every state
     "extraction fallback": (
-        extract, ExtractionFailedError, lambda: extract._search_small_minor(_PATH, 4)
+        extract, ExtractionFailedError,
+        lambda: extract._search_small_minor(dict(enumerate(_PATH._bits)), 4),
     ),
     "wovenness": (
         woven, TooLargeError,

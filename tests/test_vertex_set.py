@@ -83,6 +83,31 @@ def test_disjoint_sets_check_each_set_nonempty_before_range():
         find_separation_avoiding(g, {0}, 1, [{1}, {N}, set()], 0)
 
 
+# probe on K5 -> (call, the evidence it must carry, the message it must give)
+MALFORMED = {
+    "menger, an int for s": (lambda g: menger(g, 3, [1], 1), 3, "3 is not a set of vertices"),
+    "induced_subgraph, an int": (lambda g: induced_subgraph(g, 3), 3, "3 is not a set of vertices"),
+    "connect_within, None": (lambda g: connect_within(g, None), None,
+                             "None is not a set of vertices"),
+    "find_linkage, an int item": (lambda g: find_linkage(g, [5]), 5, "5 is not iterable"),
+    "find_linkage, None": (lambda g: find_linkage(g, None), None, "None is not iterable"),
+    "find_linkage, list endpoints": (lambda g: find_linkage(g, [([0], [1])]), [[0], [1]],
+                                     r"\[\[0\], \[1\]\] is not a set of vertices"),
+    "knit_connect, an int part": (lambda g: knit_connect(g, {0, 1}, [5]), 5, "5 is not iterable"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_vertex_sets_and_items_are_refused_by_name(name):
+    """A vertex set that is not iterable or has an unhashable member, and a
+    linkage pair or knit part that is not iterable, raise
+    ``HypothesisViolatedError`` naming it, not a bare ``TypeError``."""
+    run, evidence, message = MALFORMED[name]
+    with pytest.raises(HypothesisViolatedError, match=f"^{message}$") as info:
+        run(complete_graph(5))
+    assert type(info.value) is HypothesisViolatedError and info.value.evidence == evidence
+
+
 def _checks_in_loops(tree: ast.AST) -> list[int]:
     """Lines of ``check_vertex`` calls inside a loop or a comprehension."""
     loops = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.GeneratorExp)
