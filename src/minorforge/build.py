@@ -19,6 +19,7 @@ from .errors import (
     check_count,
     check_internal,
     check_rational,
+    check_vertex_sets,
 )
 from .extract import dense_connected_minor
 from .graph import (
@@ -63,7 +64,7 @@ def hitting_set_check(
     eps = check_rational("eps", eps, 1)
     check_count("the undominated cap", undominated_cap, 0)
     s_set = g.vertex_set(s)
-    covered = sum(1 for a in a_list if s_set <= frozenset(a))
+    covered = sum(1 for a in check_vertex_sets(a_list) if s_set <= a)
     s_mask = mask_of(s_set)
     full = (1 << g.n) - 1
     undominated = (full & ~s_mask & ~g.neighborhood(s_mask)).bit_count()

@@ -128,6 +128,18 @@ def check_count(name: str, value, least, most=None, error=HypothesisViolatedErro
     return value
 
 
+def check_vertex_sets(family) -> tuple[frozenset, ...]:
+    """Each member of ``family`` as a frozenset, not yet checked against a
+    host; HypothesisViolatedError, ``family`` as evidence, when it is not
+    iterable or has a member that is not a set."""
+    try:
+        return tuple(map(frozenset, family))
+    except TypeError:
+        raise HypothesisViolatedError(
+            f"{family!r} is not a family of vertex sets", evidence=family
+        ) from None
+
+
 def check_rational(name: str, value, high=None, ends: str = "()") -> Fraction:
     """``value`` as a Fraction when it is a rational, not a ``bool``, from 0 to
     ``high`` (``None``: no upper end), each end closed (``[``, ``]``) or open

@@ -26,17 +26,19 @@ class _Work:
     adjacency as bitmasks.  The loss of a pattern edge xy is
     1 + |N(x) & N(y)|, the edge count a contraction of xy removes.  Row x
     holds the edges xy with y > x; lb[x] is a lower bound on its least
-    loss.  When bit x of `exact` is set the bound is attained and arg[x]
-    is the smallest y attaining it.  Rows with edges are keyed (lb[x], x)
-    in a lazy heap whose entries not matching lb are stale.  `steps`
-    records each move as (kind, representatives, edge count after it).
+    loss, 0 when row x is not queued.  When bit x of `exact` is set the
+    bound is attained and arg[x] is the smallest y attaining it.  Every
+    row with edges is queued by its bound: bit x of bucket[b] is set when
+    lb[x] = b, and every bucket below `low` is empty.  A row whose edges
+    all went stays queued until it reaches the front.  `steps` records
+    each move as (kind, representatives, edge count after it).
 
     Pigeonhole floor: for a pattern edge xy on n live vertices,
     N(x) - {y} and N(y) - {x} both lie among the other n - 2 vertices, so
     they share at least deg x + deg y - n of them and every loss in row x
     is at least 1 + deg x + delta - n, delta the least pattern degree.  A
     bound raised to that floor is still a lower bound, so rows can leave
-    the heap front without a scan."""
+    the queue front without a scan."""
 
     def __init__(self, g: Graph):
         self.g = g
@@ -44,71 +46,88 @@ class _Work:
         self.bits: dict[int, int] = {v: g.neighbor_bits(v) for v in range(g.n)}
         self.e = g.m
         self.steps: list[tuple[str, tuple[int, ...], int]] = []
-        self.lb: dict[int, int] = {
-            v: 1 for v in range(g.n) if _above(self.bits[v], v)
-        }
+        # a loss is at most 1 + (n - 2), so bounds fit in buckets 1..n
+        self.bucket = [0] * (g.n + 1)
+        self.bucket[1] = mask_of(v for v in range(g.n) if _above(self.bits[v], v))
+        self.lb = [1 if self.bucket[1] >> v & 1 else 0 for v in range(g.n)]
+        self.low = 1
         self.arg: dict[int, int] = {}
         self.exact = 0
-        # sorted, hence already a heap
-        self.heap: list[tuple[int, int]] = [(1, v) for v in self.lb]
 
     def least_loss_edge(self, delta: int) -> tuple[int, int, int] | None:
         """Lexicographically least (loss, a, b) over pattern edges a < b,
         or None when the pattern has no edges.  `delta` is the least
         pattern degree; a front row below its floor is lifted to it
         instead of rescanned."""
-        heap = self.heap
+        bucket = self.bucket
         floor = 1 + delta - len(self.frags)
-        while heap:
-            lb, x = heap[0]
-            if self.lb.get(x) != lb:
-                heapq.heappop(heap)
-            elif self.exact >> x & 1:
-                return lb, x, self.arg[x]
+        b = self.low
+        while b < len(bucket):
+            rows = bucket[b]
+            if not rows:
+                b += 1
+                continue
+            x = (rows & -rows).bit_length() - 1
+            if self.exact >> x & 1:
+                self.low = b
+                return b, x, self.arg[x]
+            lifted = floor + self.bits[x].bit_count()
+            if lifted > b:
+                self._lift(x, lifted)
             else:
-                lifted = floor + self.bits[x].bit_count()
-                if lifted > lb:
-                    self._lift(x, lifted)
-                else:
-                    heapq.heappop(heap)
-                    self._rescan(x)
+                self._rescan(x)
+        self.low = b
         return None
 
     def _lift(self, x: int, bound: int) -> None:
-        """Raise the bound of row x, the heap front, to its floor."""
+        """Raise the bound of row x, the queue front, to its floor."""
+        self.bucket[self.lb[x]] ^= 1 << x
+        self.bucket[bound] |= 1 << x
         self.lb[x] = bound
-        heapq.heapreplace(self.heap, (bound, x))
+
+    def _drop(self, x: int) -> None:
+        """Take row x out of the queue."""
+        if self.lb[x]:
+            self.bucket[self.lb[x]] ^= 1 << x
+            self.lb[x] = 0
 
     def _rescan(self, x: int) -> None:
         """Make row x exact: its least loss, at the smallest y attaining it."""
+        self._drop(x)
         bx = self.bits[x]
         ys = mask_vertices(_above(bx, x))
         if not ys:
-            self.lb.pop(x, None)
             return
         common = list(map(int.bit_count, map(bx.__and__, map(self.bits.__getitem__, ys))))
         least = min(common)
         self.lb[x] = best = 1 + least
+        self.bucket[best] |= 1 << x
+        self.low = min(self.low, best)
         self.arg[x] = ys[common.index(least)]
         self.exact |= 1 << x
-        heapq.heappush(self.heap, (best, x))
 
     def _lower(self, mask: int) -> None:
         """Rows in mask lost one common neighbor of some of their edges:
         each of their losses dropped by at most one."""
-        lb = self.lb
+        lb, bucket, low = self.lb, self.bucket, self.low
         for x in mask_vertices(mask):
-            bound = lb.get(x, 1)
+            bound = lb[x]
             if bound > 1:
-                lb[x] = bound - 1
-                heapq.heappush(self.heap, (bound - 1, x))
+                bit = 1 << x
+                bucket[bound] ^= bit
+                bound -= 1
+                bucket[bound] |= bit
+                lb[x] = bound
+                if bound < low:
+                    low = bound
+        self.low = low
 
     def delete(self, rep: int) -> None:
         nb = self.bits.pop(rep)
         keep = ~(1 << rep)
         for w in mask_vertices(nb):
             self.bits[w] &= keep
-        self.lb.pop(rep, None)
+        self._drop(rep)
         self.exact &= ~nb
         self._lower(nb)
         self.e -= nb.bit_count()
@@ -134,7 +153,7 @@ class _Work:
         # the losses only rise or their edges vanish; an edge xb with x
         # outside N(a) turns into xa, whose common neighbors include all
         # of the old N(x) & N(b), so x < a needs no new bound either.
-        self.lb.pop(b, None)
+        self._drop(b)
         self.exact &= ~(na | nb)
         self._lower(common)
         self._rescan(a)
@@ -170,14 +189,15 @@ def _mader_descent(work: _Work, d: int) -> None:
     (loss, a, b) over pattern edges a < b.  It is read off the row bounds
     of `_Work` instead of a scan of every edge.  Invariant: every live row
     with edges has lb at most its least loss, with equality and the
-    smallest attaining b when it is exact.  So when the heap front (lb, a)
-    is exact, every other row r has (least loss of r, r) >= (lb[r], r) >
-    (lb, a), and (lb, a, arg[a]) is the least triple with the same
-    tie-break as a full scan: smallest loss, then smallest a, then
-    smallest b.  Deletions and contractions keep the invariant by lowering
-    the bound of each row whose losses can fall (by at most one) and
-    dropping the exactness of each row whose losses can rise, so only
-    those rows are ever rescanned.  A row at the heap front whose bound is
+    smallest attaining b when it is exact.  The queue front (lb, a) is the
+    lowest row a of the lowest non-empty bucket lb, so when it is exact
+    every other row r has (least loss of r, r) >= (lb[r], r) > (lb, a),
+    and (lb, a, arg[a]) is the least triple with the same tie-break as a
+    full scan: smallest loss, then smallest a, then smallest b.  Deletions
+    and contractions keep the invariant by moving each row whose losses
+    can fall (by at most one) down one bucket and dropping the exactness
+    of each row whose losses can rise, so only those rows are ever
+    rescanned.  A row at the queue front whose bound is
     below the pigeonhole floor of `_Work` (1 + deg x + delta - n, with
     delta the least degree computed at the top of each iteration) is
     lifted to the floor without a scan; the floor is at most its least

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import InvalidModelError, OrderTooSmallError, UnknownVertexError
+from .errors import InvalidModelError, OrderTooSmallError, UnknownVertexError, check_vertex_sets
 from .graph import Graph, mask_of
 
 
@@ -31,9 +31,7 @@ class MinorModel:
 
     def __init__(self, host: Graph, fragments) -> None:
         object.__setattr__(self, "host", host)
-        object.__setattr__(
-            self, "fragments", tuple(frozenset(f) for f in fragments)
-        )
+        object.__setattr__(self, "fragments", check_vertex_sets(fragments))
 
     @classmethod
     def _derived(cls, host: Graph, fragments, pattern: Graph) -> "MinorModel":

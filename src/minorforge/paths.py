@@ -288,8 +288,8 @@ def knit_connect(g: Graph, s, parts) -> list[frozenset[int]]:
     neighbors per vertex chained by one linkage found outside ``s``."""
     s = g.vertex_set(s)
     parts = _tuples(parts)
-    flat = [v for p in parts for v in p]
-    if len(set(flat)) != len(flat) or set(flat) != s or any(not p for p in parts):
+    members = frozenset().union(*map(g.vertex_set, parts))
+    if len(members) != sum(map(len, parts)) or members != s or not all(parts):
         raise HypothesisViolatedError("parts must partition s")
     banned = set(s)
     first_nbr: dict[int, int] = {}

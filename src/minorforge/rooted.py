@@ -23,6 +23,7 @@ from .errors import (
     TooLargeError,
     check_count,
     check_internal,
+    check_vertex_sets,
 )
 from .flow import SetFlow
 from .graph import Graph, complement_max_degree, mask_of, mask_vertices
@@ -30,10 +31,10 @@ from .model import MinorModel, is_attached_to
 from .paths import Separation, _separation_from_cut, menger
 
 
-def _disjoint_sets(g: Graph, d_list, what: str) -> list[frozenset[int]]:
+def _disjoint_sets(g: Graph, d_list, what: str) -> tuple[frozenset[int], ...]:
     """The sets of ``d_list``, each checked nonempty, in range and disjoint
     from the ones before it."""
-    d_sets = [frozenset(d) for d in d_list]
+    d_sets = check_vertex_sets(d_list)
     claimed: set[int] = set()
     for d in d_sets:
         if not d:

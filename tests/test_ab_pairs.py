@@ -53,6 +53,24 @@ def test_summary_within_the_parent_spread_and_failures():
     assert one[-1] == "failed ops: parent 2, change 0; incorrect runs: parent 0, change 1"
 
 
+def test_held_out_seeds_get_their_own_table():
+    """Seeds 1-10: the full table, then one over seeds 7-10 alone; a range
+    that misses any of 7-10 gets no second table."""
+    seeds = list(range(1, 11))
+    pairs = [(_result(100, 10), _result(100 + 10 * (s >= 7), 10 - (s >= 7))) for s in seeds]
+    lines = ab_pairs.report(seeds, pairs, SPECS)
+    full = ab_pairs.summarise(pairs, SPECS)
+    assert lines[:len(full)] == full
+    assert lines[len(full)] == "held-out seeds 7-10: 4 pairs"
+    held = lines[len(full) + 1:]
+    assert held == ab_pairs.summarise(pairs[6:], SPECS)
+    assert _rows(held)["throughput_ops_s"][6:] == ["4/4", "1.100", "yes"]
+    assert _rows(held)["latency_p50_ms"][6:] == ["4/4", "0.900", "yes"]
+    assert _rows(full)["throughput_ops_s"][6] == "4/10"
+    assert ab_pairs.report(seeds[:9], pairs[:9], SPECS) == ab_pairs.summarise(pairs[:9], SPECS)
+    assert ab_pairs.report([7, 8, 9, 10], pairs[6:], SPECS)[-len(held):] == held
+
+
 def test_seed_ranges():
     assert ab_pairs.parse_seeds("1-10") == list(range(1, 11))
     assert ab_pairs.parse_seeds("7") == [7]

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from minorforge import (
+    MinorModel,
     UnknownVertexError,
     attached_model_search,
     bipartite_random_contraction,
@@ -94,13 +95,28 @@ MALFORMED = {
     "find_linkage, list endpoints": (lambda g: find_linkage(g, [([0], [1])]), [[0], [1]],
                                      r"\[\[0\], \[1\]\] is not a set of vertices"),
     "knit_connect, an int part": (lambda g: knit_connect(g, {0, 1}, [5]), 5, "5 is not iterable"),
+    "knit_connect, a list member": (lambda g: knit_connect(g, {0, 1}, [[[0], 1]]), ([0], 1),
+                                    r"\(\[0\], 1\) is not a set of vertices"),
+    "separation sets, an int set": (lambda g: find_separation_avoiding(g, {0}, 1, [5], 0), [5],
+                                    r"\[5\] is not a family of vertex sets"),
+    "separation sets, None": (lambda g: find_separation_avoiding(g, {0}, 1, None, 0), None,
+                              "None is not a family of vertex sets"),
+    "attached sets, an int set": (lambda g: attached_model_search(g, {0}, [5], 0), [5],
+                                  r"\[5\] is not a family of vertex sets"),
+    "hitting_set_check, an int set": (lambda g: hitting_set_check(g, {0}, [5], Fraction(1, 2), 5),
+                                      [5], r"\[5\] is not a family of vertex sets"),
+    "MinorModel, an int fragment": (lambda g: MinorModel(g, [5]).pattern, [5],
+                                    r"\[5\] is not a family of vertex sets"),
+    "MinorModel, None": (lambda g: MinorModel(g, None).pattern, None,
+                         "None is not a family of vertex sets"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED))
 def test_malformed_vertex_sets_and_items_are_refused_by_name(name):
-    """A vertex set that is not iterable or has an unhashable member, and a
-    linkage pair or knit part that is not iterable, raise
+    """A vertex set that is not iterable or has an unhashable member, a
+    linkage pair or knit part that is not iterable, and a family of vertex
+    sets that is not iterable or has a member that is not a set, raise
     ``HypothesisViolatedError`` naming it, not a bare ``TypeError``."""
     run, evidence, message = MALFORMED[name]
     with pytest.raises(HypothesisViolatedError, match=f"^{message}$") as info:
