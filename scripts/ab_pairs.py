@@ -11,12 +11,15 @@ alike.  Each run's last output line is its result.
 
 For each end-to-end metric of ``BENCHMARK.json`` it then prints each
 side's median and quartiles, the pairs the change won (strictly better in
-the metric's direction), the ratio of the medians change/parent, and
-whether the medians differ by more than the parent's inter-quartile range.
-A last line gives each side's failed ops and incorrect runs.  When the
-seeds include all of the held-out seeds 7-10, a second table follows that
-summarises those four pairs alone.  Each pair's values go to standard
-error as the runs finish.  Standard library only.
+the metric's direction), the ratio of the medians change/parent, whether
+the medians differ by more than the parent's inter-quartile range, and a
+verdict: ``scripts/bench_compare.py``'s ``verdict`` on each side's median,
+relative inter-quartile range and values, with the metric's bound from
+``BENCHMARK.json`` (``worse``, ``unresolved``, ``better`` or ``within
+bound``).  A last line gives each side's failed ops and incorrect runs.
+When the seeds include all of the held-out seeds 7-10, a second table
+follows that summarises those four pairs alone.  Each pair's values go to
+standard error as the runs finish.  Standard library only.
 """
 
 from __future__ import annotations
@@ -29,6 +32,8 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "scripts"))
+from bench_compare import verdict  # noqa: E402
 HELD_OUT = range(7, 11)  # seeds that every speed claim also reports alone
 
 
@@ -46,13 +51,20 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, statistics.median(values), q3
 
 
+def as_summary(values: list[float]) -> dict:
+    """One side's runs as ``verdict`` reads a summary: the median, the
+    inter-quartile range over the median (perfbench's spread), the values."""
+    q1, med, q3 = quartiles(values)
+    return {"median": med, "spread": (q3 - q1) / med if med else 0.0, "values": values}
+
+
 def summarise(pairs: list[tuple[dict, dict]], specs: list[dict]) -> list[str]:
     """Report lines for ``pairs`` of (parent, change) run results, each the
     JSON object that ends a perfbench run, over the end-to-end metrics
-    ``specs`` (``name`` and ``better`` of each)."""
+    ``specs`` (``name``, ``better`` and ``bound`` of each)."""
     lines = [f"{'metric':18s} {'parent q1':>10s} {'median':>10s} {'q3':>10s} "
              f"{'change q1':>10s} {'median':>10s} {'q3':>10s} {'won':>6s} "
-             f"{'ratio':>7s}  beyond parent IQR"]
+             f"{'ratio':>7s}  beyond parent IQR  verdict"]
     for spec in specs:
         name = spec["name"]
         sign = 1 if spec["better"] == "higher" else -1
@@ -62,9 +74,10 @@ def summarise(pairs: list[tuple[dict, dict]], specs: list[dict]) -> list[str]:
         (oq1, omed, oq3), (nq1, nmed, nq3) = quartiles(old), quartiles(new)
         ratio = f"{nmed / omed:7.3f}" if omed else f"{'-':>7s}"
         beyond = "yes" if abs(nmed - omed) > oq3 - oq1 else "no"
+        judged = verdict(as_summary(old), as_summary(new), spec["better"], spec["bound"])
         lines.append(f"{name:18s} {oq1:10.4g} {omed:10.4g} {oq3:10.4g} "
                      f"{nq1:10.4g} {nmed:10.4g} {nq3:10.4g} {f'{won}/{len(pairs)}':>6s} "
-                     f"{ratio}  {beyond}")
+                     f"{ratio}  {beyond:17s}  {judged}")
     failed = [sum(run[side]["failed"] for run in pairs) for side in (0, 1)]
     wrong = [sum(not run[side]["correct"] for run in pairs) for side in (0, 1)]
     lines.append(f"failed ops: parent {failed[0]}, change {failed[1]}; "

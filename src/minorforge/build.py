@@ -311,22 +311,18 @@ def bipartite_random_contraction(
     g.check_vertex(u0)
     if u0 not in a_set:
         raise HypothesisViolatedError("the anchor must lie on side_a")
-    s_set = frozenset(s)
-    if not s_set:
+    s_mask = mask_of(g.vertex_set(s))
+    if not s_mask:
         raise HypothesisViolatedError("the root set must be nonempty")
-    if not s_set <= frozenset(mask_vertices(g.neighbor_bits(u0))):
+    if s_mask & ~g.neighbor_bits(u0):
         raise HypothesisViolatedError("roots must be neighbors of the anchor")
-    s_mask = mask_of(s_set)
-    phi: dict[int, int] = {}
+    # one mask per root, ascending, taking in each vertex contracted into it
+    frags = {x: 1 << x for x in mask_vertices(s_mask)}
     for u in sorted(a_set - {u0}):
         cands = mask_vertices(g.neighbor_bits(u) & s_mask)
         if cands:
-            phi[u] = cands[rng.below(len(cands))]
-    fragments = [
-        frozenset({x} | {u for u, y in phi.items() if y == x})
-        for x in sorted(s_set)
-    ]
-    model = MinorModel(g, fragments)
+            frags[cands[rng.below(len(cands))]] |= 1 << u
+    model = MinorModel(g, [mask_vertices(f) for f in frags.values()])
     return model.pattern, model
 
 

@@ -39,6 +39,10 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         bits = [0] * check_count("the vertex count", n, 0, error=OrderTooSmallError)
         m = 0
+        try:
+            edges = iter(edges)
+        except TypeError:
+            raise NotAnEdgeError(f"{edges!r} is not an edge list", evidence=edges) from None
         for e in edges:
             try:  # a malformed item fails the unpack, a compare or a shift
                 u, v = e

@@ -129,7 +129,7 @@ def is_rooted_at(m: MinorModel, s) -> bool:
     """True when the fragments and ``s`` pair off: as many fragments as
     vertices of ``s``, each fragment meeting ``s`` exactly once."""
     m.pattern  # raises on an invalid model
-    s = frozenset(s)
+    s = m.host.vertex_set(s)
     if len(m.fragments) != len(s):
         return False
     return all(len(f & s) == 1 for f in m.fragments)
@@ -139,7 +139,7 @@ def is_attached_to(m: MinorModel, s) -> bool:
     """True when the first ``|s|`` fragments each meet ``s`` in exactly one
     vertex, together covering ``s`` (later fragments then avoid ``s``)."""
     m.pattern  # raises on an invalid model
-    s = frozenset(s)
+    s = m.host.vertex_set(s)
     if len(s) > len(m.fragments):
         raise OrderTooSmallError("more attachment vertices than fragments")
     covered: set[int] = set()

@@ -18,6 +18,7 @@ from .errors import (
 )
 from .flow import SetFlow
 from .graph import Graph, induced_subgraph, mask_of, mask_vertices
+from .model import MinorModel, validate_model
 
 
 @dataclass(frozen=True)
@@ -88,7 +89,7 @@ def audit_path_family(g: Graph, fam: PathFamily) -> list[str]:
         if not p:
             out.append(f"path {i} is empty")
             continue
-        if any(not (0 <= v < g.n) for v in p):
+        if any(v.__class__ is not int or not 0 <= v < g.n for v in p):
             out.append(f"path {i} leaves the host")
             continue
         if len(set(p)) != len(p):
@@ -268,19 +269,6 @@ def find_linkage(g: Graph, pairs) -> PathFamily | None:
     return require_paths(g, fam)
 
 
-def _pick_fresh(g: Graph, u: int, banned: set[int], count: int) -> list[int]:
-    picked = []
-    for w in mask_vertices(g.neighbor_bits(u)):
-        if w not in banned:
-            picked.append(w)
-            banned.add(w)
-            if len(picked) == count:
-                return picked
-    raise NeighborsUnavailableError(
-        f"vertex {u} lacks {count} unclaimed neighbors outside the working set"
-    )
-
-
 def knit_connect(g: Graph, s, parts) -> list[frozenset[int]]:
     """Connected, pairwise disjoint vertex sets, one per part of the given
     partition of ``s``, each containing its part and avoiding every other
@@ -291,46 +279,44 @@ def knit_connect(g: Graph, s, parts) -> list[frozenset[int]]:
     members = frozenset().union(*map(g.vertex_set, parts))
     if len(members) != sum(map(len, parts)) or members != s or not all(parts):
         raise HypothesisViolatedError("parts must partition s")
-    banned = set(s)
-    first_nbr: dict[int, int] = {}
-    second_nbr: dict[int, int] = {}
-    multi = [p for p in parts if len(p) >= 2]
-    for part in multi:
-        for u in part:
-            a, b = _pick_fresh(g, u, banned, 2)
-            first_nbr[u] = a
-            second_nbr[u] = b
-    link_pairs: list[tuple[int, int]] = []
+    # the two least free neighbours of each vertex of a larger part join
+    # its blob; a link runs from one vertex's second pick to the next's first
+    taken = mask_of(s)
+    blobs = [mask_of(p) for p in parts]
+    links: list[tuple[int, int]] = []
     owner: list[int] = []
     for pi, part in enumerate(parts):
-        if len(part) >= 2:
-            for u, w in zip(part, part[1:]):
-                link_pairs.append((second_nbr[u], first_nbr[w]))
+        if len(part) < 2:
+            continue
+        for k, u in enumerate(part):
+            free = g.neighbor_bits(u) & ~taken
+            rest = free & free - 1
+            if not rest:
+                raise NeighborsUnavailableError(
+                    f"vertex {u} lacks 2 unclaimed neighbors outside the working set"
+                )
+            first, second = free ^ rest, rest & -rest
+            taken |= first | second
+            blobs[pi] |= first | second
+            if k:
+                links.append((prev, first.bit_length() - 1))
                 owner.append(pi)
-    # every pick is fresh and distinct, and the links start at second_nbr
-    # of all but a part's last vertex and end at first_nbr of all but its first
-    unused_fresh = {v for part in multi for v in (first_nbr[part[0]], second_nbr[part[-1]])}
-    keep = sorted(set(range(g.n)) - s - unused_fresh)
-    sub, old_of_new = induced_subgraph(g, keep)
-    new_of_old = {v: i for i, v in enumerate(old_of_new)}
-    sub_pairs = [(new_of_old[a], new_of_old[b]) for a, b in link_pairs]
-    linked = find_linkage(sub, sub_pairs)
+            prev = second.bit_length() - 1
+    # the links end at every pick but a part's very first and very last:
+    # the linkage avoids s and those, in one renumbered subgraph
+    ends = mask_of(v for link in links for v in link)
+    keep = (1 << g.n) - 1 & ~taken | ends
+    sub, old_of_new = induced_subgraph(g, mask_vertices(keep))
+    linked = find_linkage(
+        sub, [tuple((keep & (1 << v) - 1).bit_count() for v in link) for link in links]
+    )
     if linked is None:
         raise LinkageFailedError("no disjoint connectors exist outside s")
-    out: list[set[int]] = [set(p) for p in parts]
-    for pi, part in enumerate(parts):
-        if len(part) >= 2:
-            for u in part:
-                out[pi].add(first_nbr[u])
-                out[pi].add(second_nbr[u])
     for path, pi in zip(linked.paths, owner):
-        out[pi].update(old_of_new[x] for x in path)
-    sets = [frozenset(c) for c in out]
-    for i in range(len(sets)):
-        for j in range(i + 1, len(sets)):
-            check_internal(not sets[i] & sets[j], "knit sets must be disjoint")
-    for part, c in zip(parts, sets):
-        mask = mask_of(c)
-        check_internal(set(part) <= c, "knit set must contain its part")
-        check_internal(g.reach(mask & -mask, mask) == mask, "knit set must be connected")
+        blobs[pi] |= mask_of(old_of_new[x] for x in path)
+    sets = [frozenset(mask_vertices(b)) for b in blobs]
+    check_internal(validate_model(MinorModel(g, sets)).valid,
+                   "knit sets must be nonempty, disjoint and connected")
+    check_internal(all(c.issuperset(p) for p, c in zip(parts, sets)),
+                   "knit set must contain its part")
     return sets

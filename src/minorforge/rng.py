@@ -30,7 +30,7 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 
-from .errors import OrderTooSmallError, check_count
+from .errors import OrderTooSmallError, check_count, check_rational
 
 _MASK = (1 << 64) - 1
 _SPAN = 1 << 64
@@ -109,7 +109,7 @@ class Rng:
 
     def below(self, n: int) -> int:
         """Uniform integer in [0, n), by rejection so the draw is unbiased."""
-        if n <= 1:  # one inline compare on the draw path; the intake refuses n < 1
+        if n.__class__ is not int or n <= 1:  # one inline test on the draw path
             check_count("the bound", n, 1, error=OrderTooSmallError)
             return 0
         limit = _SPAN - _SPAN % n
@@ -129,7 +129,7 @@ class Rng:
         return seq[self.below(len(seq))]
 
     def sample_with_replacement(self, seq, r: int) -> list:
-        return [self.choice(seq) for _ in range(r)]
+        return [self.choice(seq) for _ in range(check_count("the sample size", r, 0))]
 
     def bernoulli(self, p: Fraction) -> bool:
         """Exact-probability coin: compares a uniform draw against p's terms."""
@@ -144,11 +144,11 @@ class Rng:
         i-th of ``width`` successive ``bernoulli(p)`` draws, and the stream
         is consumed exactly as those draws consume it (none at all when
         p <= 0 or p >= 1)."""
-        if width <= 0 or p <= 0:
+        if check_count("the coin count", width, 0) == 0 or p <= 0:
             return 0
         if p >= 1:
             return (1 << width) - 1
-        num, den = p.numerator, p.denominator
+        num, den = check_rational("p", p, 1).as_integer_ratio()
         limit = _SPAN - _SPAN % den
         state = self._state
         kept = []

@@ -35,6 +35,7 @@ from .graph import (
     induced_subgraph,
     is_eps_t_dense,
     mask_of,
+    mask_vertices,
 )
 from .model import MinorModel, is_rooted_at
 from .paths import PathFamily, _check_pair_convention, require_paths
@@ -330,8 +331,8 @@ def realize_woven_from_dense_minor(
         raise HypothesisViolatedError(f"need exactly {b} endpoints per side")
     g.vertex_set(r_tuple + s_tuple + t_tuple)
     _check_pair_convention(list(zip(s_tuple, t_tuple)))
-    endpoint_set = set(s_tuple) | set(t_tuple)
-    if set(r_tuple) & endpoint_set:
+    roots, ends = mask_of(r_tuple), mask_of(s_tuple + t_tuple)
+    if roots & ends:
         raise HypothesisViolatedError(
             "roots and endpoints must be disjoint for this construction"
         )
@@ -369,15 +370,15 @@ def realize_woven_from_dense_minor(
     # drop branch sets whose pattern vertex misses too many others, then
     # those touching the roots or the collapsed equal pairs
     pat = j_model.pattern
-    half = eps * a / 2
-    trivial = [i for i in range(b) if s_tuple[i] == t_tuple[i]]
-    trivial_set = {s_tuple[i] for i in trivial}
-    removed = set(r_tuple) | trivial_set
+    # a miss count is an integer: at most eps * a / 2 exactly when at most
+    # that bound's floor
+    cap = eps * a // 2
+    removed = roots | mask_of(s for s, t in zip(s_tuple, t_tuple) if s == t)
     kept = [
         i
         for i in range(pat.n)
-        if Fraction(pat.n - 1 - pat.degree(i)) <= half
-        and not (j_model.fragments[i] & removed)
+        if pat.n - 1 - pat.degree(i) <= cap
+        and not mask_of(j_model.fragments[i]) & removed
     ]
     m = len(kept)
     if m < 15 * a:
@@ -386,7 +387,7 @@ def realize_woven_from_dense_minor(
         )
 
     # one fresh neighbor per root, outside everything already spoken for
-    taken = mask_of(r_tuple) | mask_of(endpoint_set)
+    taken = roots | ends
     r_prime: list[int] = []
     for r in r_tuple:
         free = g.neighbor_bits(r) & ~taken
@@ -397,8 +398,7 @@ def realize_woven_from_dense_minor(
         r_prime.append((free & -free).bit_length() - 1)
         taken |= free & -free
 
-    alive = sorted(set(range(g.n)) - removed)
-    g1, old_of_new = induced_subgraph(g, alive)
+    g1, old_of_new = induced_subgraph(g, mask_vertices((1 << g.n) - 1 & ~removed))
     new_of_old = {v: i for i, v in enumerate(old_of_new)}
     # the kept fragments avoid every removed vertex, so renumbering them
     # into g1 changes neither their connectivity nor their adjacency: j1's
@@ -412,76 +412,55 @@ def realize_woven_from_dense_minor(
         _induced(pat._bits, mask_of(kept)),
     )
     n_av = complement_max_degree(j1.pattern)
-    active = [i for i in range(b) if s_tuple[i] != t_tuple[i]]
-    attach_old = (
-        list(r_prime)
-        + [s_tuple[i] for i in active]
-        + [t_tuple[i] for i in active]
-    )
-    t_att = len(attach_old)
+    attach = r_prime + [s for s, t in zip(s_tuple, t_tuple) if s != t]
+    attach += [t for s, t in zip(s_tuple, t_tuple) if s != t]
+    t_att = len(attach)
     if m < n_av + 2 * t_att:
         raise DensityNotMetError(
             "too few branch sets for the attachment order"
         )
-    attach = [new_of_old[v] for v in attach_old]
-    attached = rooted_from_minor(g1, attach, j1, n_av)
+    attached = rooted_from_minor(g1, [new_of_old[v] for v in attach], j1, n_av)
+    # its fragments back in host ids; each of the first t_att holds exactly
+    # one attachment vertex, the one ``where`` maps to its index
+    frags = [mask_of(old_of_new[x] for x in f) for f in attached.fragments]
+    att = mask_of(attach)
+    where = {(frags[i] & att).bit_length() - 1: i for i in range(t_att)}
 
-    frags = attached.fragments
-    where: dict[int, int] = {}
-    for idx in range(t_att):
-        (hit,) = frags[idx] & frozenset(attach)
-        where[hit] = idx
+    # each pair rides its two attachment fragments plus the least shared
+    # neighbor fragment no earlier pair took; g1 numbers its vertices in
+    # ascending order, so routing in g finds the path routing in g1 would
     f_pat = attached.pattern
-
-    # each pair rides its two attachment fragments plus one shared
-    # neighbor fragment; distinct pairs get distinct connectors
-    chosen: set[int] = set()
-    paths_out: list[tuple[int, ...] | None] = [None] * b
-    for i in trivial:
-        paths_out[i] = (s_tuple[i],)
-    for i in active:
-        si = new_of_old[s_tuple[i]]
-        ti = new_of_old[t_tuple[i]]
-        fs, ft = where[si], where[ti]
-        j_pick = next(
-            (
-                c
-                for c in range(t_att, len(frags))
-                if c not in chosen
-                and f_pat.has_edge(c, fs)
-                and f_pat.has_edge(c, ft)
-            ),
-            None,
-        )
-        if j_pick is None:
+    spare = (1 << len(frags)) - (1 << t_att)
+    paths_out: list[tuple[int, ...]] = []
+    for s, t in zip(s_tuple, t_tuple):
+        if s == t:
+            paths_out.append((s,))
+            continue
+        fs, ft = where[s], where[t]
+        pick = f_pat.neighbor_bits(fs) & f_pat.neighbor_bits(ft) & spare
+        if not pick:
             raise DensityNotMetError(
                 "no shared branch set left to route a pair"
             )
-        chosen.add(j_pick)
-        route = frags[fs] | frags[j_pick] | frags[ft]
-        found = g1.shortest_path(1 << si, 1 << ti, mask_of(route))
+        pick &= -pick
+        spare ^= pick
+        route = frags[fs] | frags[pick.bit_length() - 1] | frags[ft]
+        found = g.shortest_path(1 << s, 1 << t, route)
         if found is None:
             raise InternalInfeasibleError(
                 "routing inside three joined branch sets failed"
             )
-        paths_out[i] = tuple(old_of_new[x] for x in found)
+        paths_out.append(found)
 
-    final_frags = []
-    for pos, r in enumerate(r_tuple):
-        idx = where[new_of_old[r_prime[pos]]]
-        final_frags.append(
-            frozenset(old_of_new[x] for x in frags[idx]) | {r}
-        )
+    final_frags = [
+        mask_vertices(frags[where[v]] | 1 << r) for v, r in zip(r_prime, r_tuple)
+    ]
     model = MinorModel(g, final_frags)
     if not is_rooted_at(model, r_tuple):
         raise InternalInfeasibleError("assembled model lost its rooting")
     if not is_eps_t_dense(model.pattern, eps, a):
         raise DensityNotMetError("assembled pattern misses the density mark")
-    fam = PathFamily(
-        [p for p in paths_out if p is not None],
-        "linkage",
-        pairs=tuple(zip(s_tuple, t_tuple)),
-    )
+    fam = PathFamily(paths_out, "linkage", pairs=tuple(zip(s_tuple, t_tuple)))
     require_paths(g, fam)
     if model.used_vertices() & fam.vertices():
         raise InternalInfeasibleError("model and linkage overlap")

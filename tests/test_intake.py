@@ -214,6 +214,8 @@ PROBES = {
     "Graph with a triple": (NotAnEdgeError, lambda: Graph(3, [(0, 1, 2)]), (0, 1, 2)),
     "Graph with a string vertex": (NotAnEdgeError, lambda: Graph(3, [(0, "a")]), (0, "a")),
     "Graph with a float vertex": (NotAnEdgeError, lambda: Graph(3, [(0, 1.5)]), (0, 1.5)),
+    "Graph with no edge list": (NotAnEdgeError, lambda: Graph(3, None), None),
+    "graph_from_edge_list with an int": (NotAnEdgeError, lambda: graph_from_edge_list(3, 5), 5),
     "find_linkage with a triple": (HVE, lambda: find_linkage(K5, [(0, 1, 2)]), (0, 1, 2)),
     "find_linkage with a string vertex": (
         UnknownVertexError, lambda: find_linkage(K5, [(0, "a")]), "a"),

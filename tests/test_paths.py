@@ -21,10 +21,13 @@ from minorforge.errors import (
     HypothesisViolatedError,
     InternalInfeasibleError,
     LinkageFailedError,
+    MinorforgeError,
     NeighborsUnavailableError,
     TooLargeError,
 )
 from minorforge.rng import Rng, derive_seed
+
+import paths_reference
 
 from conftest import (
     brute_connected,
@@ -43,6 +46,10 @@ def test_audit_flags_structural_defects():
     assert any("repeats" in p for p in audit_path_family(g, repeat))
     off_host = PathFamily(((0, 7),), "between", s={0}, t={7})
     assert any("leaves the host" in p for p in audit_path_family(g, off_host))
+    # an int out of range, a string and a float inside the range: each is
+    # listed, none raises
+    strays = PathFamily(((0, 7), (0, "a"), (1.5, 2)), "between", s={0, 1.5}, t={2, 7, "a"})
+    assert audit_path_family(g, strays) == [f"path {i} leaves the host" for i in range(3)]
     doubled = PathFamily(((0, 1), (0, 1, 2)), "doubled", s={0}, t={1, 2})
     assert audit_path_family(g, doubled) == ["unknown contract kind 'doubled'"]
     with pytest.raises(InternalInfeasibleError):
@@ -187,6 +194,45 @@ def test_knit_connect_failure_is_typed():
         knit_connect(path, (0, 4), [(0, 4)])
     with pytest.raises(HypothesisViolatedError):
         knit_connect(path, (0, 1), [(0,)])  # parts must partition s
+
+
+def _knit_outcome(knit, g, s, parts):
+    """The knit sets, or the error's type and message."""
+    try:
+        return knit(g, s, parts)
+    except MinorforgeError as exc:
+        return type(exc), str(exc)
+
+
+def test_knit_connect_matches_the_dict_reference():
+    """The mask construction returns the reference's sets on every
+    partition of criterion 8's hosts, and on seeded G(n, p) hosts with a
+    random partition of 2 to 4 vertices the same sets or the same error,
+    type and message: too few free neighbours, or no linkage."""
+    for case in range(50):
+        rng = Rng(derive_seed(108, case))
+        n = 18 + rng.below(3)
+        g = complete_graph(n)
+        verts = list(range(n))
+        rng.shuffle(verts)
+        s = tuple(sorted(verts[:6]))
+        for parts in set_partitions(s):
+            want = paths_reference.knit_connect(g, s, parts)
+            assert _knit_outcome(knit_connect, g, s, parts) == want
+    kinds = set()
+    for i in range(200):
+        rng = Rng(derive_seed(110, i))
+        n = 7 + rng.below(6)
+        g = random_graph(n, Fraction(2 + rng.below(3), 6), rng.spawn(1))
+        verts = list(range(n))
+        rng.shuffle(verts)
+        s = verts[:2 + rng.below(3)]
+        label = [rng.below(len(s)) for _ in s]
+        parts = [p for p in (tuple(v for v, j in zip(s, label) if j == k) for k in range(len(s))) if p]
+        got = _knit_outcome(knit_connect, g, s, parts)
+        assert got == _knit_outcome(paths_reference.knit_connect, g, s, parts), i
+        kinds.add(got[0] if isinstance(got, tuple) else list)
+    assert kinds == {list, NeighborsUnavailableError, LinkageFailedError}
 
 
 @settings(max_examples=30, deadline=None)

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from minorforge.errors import HypothesisViolatedError
 from minorforge.rng import _GOLDEN, _LANES, _LOW_WORDS, _MASK, Rng, _lanes, _mix, derive_seed
 
 from rng_reference import ReferenceRng, plant_rejection
@@ -31,6 +32,23 @@ def test_below_range_and_determinism():
 def test_below_rejects_nonpositive():
     with pytest.raises(ValueError):
         Rng(0).below(0)
+
+
+def test_bounds_counts_and_probabilities_are_read_through_the_intake():
+    """A bound that is not an int and a negative sample size or coin count
+    are refused with the value as evidence; a float probability is read
+    as the rational it is and draws what that rational draws."""
+    for call, error, bad in (
+        (lambda: Rng(1).below(2.5), ValueError, 2.5),
+        (lambda: Rng(1).below(True), ValueError, True),
+        (lambda: Rng(1).sample_with_replacement(range(3), -2), HypothesisViolatedError, -2),
+        (lambda: Rng(1).sample_with_replacement(range(3), 1.5), HypothesisViolatedError, 1.5),
+        (lambda: Rng(1).coin_mask(-1, Fraction(1, 2)), HypothesisViolatedError, -1),
+    ):
+        with pytest.raises(error) as info:
+            call()
+        assert info.value.evidence == bad and type(info.value.evidence) is type(bad)
+    assert Rng(3).coin_mask(40, 0.5) == Rng(3).coin_mask(40, Fraction(1, 2))
 
 
 def test_choice_and_sample():

@@ -23,8 +23,11 @@ from minorforge import (
     find_separation_avoiding,
     hitting_set_check,
     induced_subgraph,
+    is_attached_to,
+    is_rooted_at,
     knit_connect,
     menger,
+    random_bipartite,
     realize_woven_from_dense_minor,
     sample_hitting_set,
 )
@@ -37,6 +40,7 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "minorforge"
 N = 16
 HALF = list(range(N // 2))
 REST = list(range(N // 2, N))
+K88 = random_bipartite(N // 2, N // 2, Fraction(1), Rng(0))  # sides HALF and REST
 
 # each entry takes the host and one vertex out of its range
 ENTRY_POINTS = {
@@ -47,6 +51,9 @@ ENTRY_POINTS = {
     "connect_within": lambda g, x: connect_within(g, {0, x}),
     "bipartition side a": lambda g, x: bipartite_random_contraction(
         g, HALF + [x], REST, 0, {N - 1}, Rng(0)
+    ),
+    "bipartite roots": lambda g, x: bipartite_random_contraction(
+        K88, HALF, REST, 0, {N - 1, x}, Rng(0)
     ),
     "bipartition side b": lambda g, x: build_dense_minor_bipartite(
         g, HALF, REST + [x], Fraction(1, 5), 2, Fraction(1, 8), Rng(0)
@@ -63,6 +70,8 @@ ENTRY_POINTS = {
         g, Fraction(1, 2), 2, ((0, x), range(1, 7), range(7, 13))
     ),
     "induced_subgraph": lambda g, x: induced_subgraph(g, [0, x]),
+    "is_rooted_at": lambda g, x: is_rooted_at(MinorModel(g, [[0], [1]]), [0, x]),
+    "is_attached_to": lambda g, x: is_attached_to(MinorModel(g, [[0], [1]]), [0, x]),
 }
 
 
@@ -109,6 +118,13 @@ MALFORMED = {
                                     r"\[5\] is not a family of vertex sets"),
     "MinorModel, None": (lambda g: MinorModel(g, None).pattern, None,
                          "None is not a family of vertex sets"),
+    "is_rooted_at, an int": (lambda g: is_rooted_at(MinorModel(g, [[0]]), 3), 3,
+                             "3 is not a set of vertices"),
+    "is_attached_to, an int": (lambda g: is_attached_to(MinorModel(g, [[0]]), 3), 3,
+                               "3 is not a set of vertices"),
+    "bipartite_random_contraction, an int root set": (
+        lambda g: bipartite_random_contraction(K88, HALF, REST, 0, 3, Rng(0)), 3,
+        "3 is not a set of vertices"),
 }
 
 

@@ -26,9 +26,10 @@ from minorforge.errors import (
     DensityNotMetError,
     HypothesisViolatedError,
     InternalInfeasibleError,
+    MinorforgeError,
     TooLargeError,
 )
-from minorforge.graph import mask_vertices
+from minorforge.graph import Graph, mask_of, mask_vertices
 from minorforge.rng import Rng, derive_seed
 
 import woven_reference as woven_ref
@@ -463,3 +464,99 @@ def test_realize_checks_the_host_before_the_model():
     request = ((0, 1), tuple(range(2, 8)), tuple(range(8, 14)))
     with pytest.raises(HypothesisViolatedError, match="given host"):
         realize_woven_from_dense_minor(complete_graph(68), Fraction(1, 2), 2, request, elsewhere)
+
+
+def _outcome(realize, g, request):
+    """The witness's fragments and paths, or the error's type and message."""
+    try:
+        model, fam = realize(g, Fraction(1, 2), 2, request)
+    except MinorforgeError as exc:
+        return type(exc), str(exc)
+    return model.fragments, fam.paths
+
+
+def _request(rng):
+    order = list(range(68))
+    rng.shuffle(order)
+    return order, (tuple(order[:2]), tuple(order[2:8]), tuple(order[8:14]))
+
+
+def _starved_roots():
+    """K_68 with each root joined to the other root, the endpoints and at
+    most its three least free vertices; a third of the cases leave the
+    second root only the first root's pick."""
+    for i in range(12):
+        rng = Rng(derive_seed(32, i))
+        order, request = _request(rng)
+        free = sorted(order[14:])
+        keep = [set(free[:rng.below(4)]) for _ in range(2)]
+        if i % 3 == 0:
+            keep[1] = set(free[:1])
+        cut = {(r, v) for r, kept in zip(request[0], keep) for v in free if v not in kept}
+        edges = [e for e in complete_graph(68).edges() if e not in cut and e[::-1] not in cut]
+        yield graph_from_edge_list(68, edges), request
+
+
+def _thinned_hosts():
+    """K_68 less 20 to 37 seeded edges: the more edges go, the fewer branch
+    sets are usable, from a witness to no connector left for a pair to
+    too few usable branch sets."""
+    edges = complete_graph(68).edges()
+    for k in range(20, 38):
+        rng = Rng(derive_seed(31, k))
+        drop = set()
+        while len(drop) < k:
+            drop.add(rng.below(len(edges)))
+        g = graph_from_edge_list(68, [e for j, e in enumerate(edges) if j not in drop])
+        yield g, _request(rng)[1]
+
+
+def test_realize_matches_the_id_map_reference(monkeypatch):
+    """The mask construction returns the reference's witness on every host
+    of the corpus, and the reference's refusal, type and message, on
+    seeded hosts that starve a root of free neighbours (connectivity
+    reported as asked for) or leave too few usable branch sets (any
+    greedy subgraph taken as dense).  Each pair is routed inside the same
+    three branch sets too: a path seldom shows its connector, since the
+    connector's vertices are rarely the least on it, so the routing
+    searches are compared as well, read back in host ids."""
+    import minorforge.woven as woven
+
+    searches, search = [], Graph.shortest_path
+
+    def spy(self, sources, targets, within):
+        if within >= 0:  # not the pair cuts' seeding, which avoids a mask
+            searches.append((self.n, sources, targets, within))
+        return search(self, sources, targets, within)
+
+    def run(realize, g, request):
+        searches.clear()
+        got = _outcome(realize, g, request)
+        # the reference routes in the host without the roots and the
+        # collapsed pairs, numbered in ascending order
+        removed = set(request[0]) | {s for s, t in zip(*request[1:]) if s == t}
+        host = [v for v in range(g.n) if v not in removed]
+
+        def lift(mask):
+            return mask_of(host[x] for x in mask_vertices(mask))
+
+        return got, [tuple(q if n == g.n else map(lift, q)) for n, *q in searches]
+
+    def compare(cases):
+        kinds = Counter()
+        for g, request in cases:
+            got, routes = run(woven.realize_woven_from_dense_minor, g, request)
+            assert (got, routes) == run(woven_ref.realize_woven_from_dense_minor, g, request)
+            kinds[got[1].split(" ")[0] if isinstance(got[1], str) else "witness"] += 1
+        return kinds
+
+    monkeypatch.setattr(Graph, "shortest_path", spy)
+    assert compare(_woven_corpus()) == {"witness": 7}
+    with monkeypatch.context() as patch:
+        for module in (woven, woven_ref):
+            patch.setattr(module, "vertex_connectivity_with_cutset", lambda g, k: (k, ()))
+        assert set(compare(_starved_roots())) == {"witness", "root"}
+    with monkeypatch.context() as patch:
+        for module in (woven, woven_ref):
+            patch.setattr(module, "is_eps_t_dense", lambda *args: True)
+        assert set(compare(_thinned_hosts())) == {"witness", "no", "only"}
