@@ -97,6 +97,9 @@ def report(seeds: list[int], pairs: list[tuple[dict, dict]], specs: list[dict]) 
 
 
 def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
+    # the run's working directory is the checkout: a relative path would
+    # be read from there a second time
+    checkout = os.path.abspath(checkout)
     cmd = [sys.executable, os.path.join(checkout, "perfbench", "run.py"),
            "--workload", workload, "--seed", str(seed), "--seconds", str(seconds),
            "--trace", "0"]

@@ -4,10 +4,15 @@
     python3 scripts/bench_compare.py BENCH_OLD.json BENCH_NEW.json
 
 Both files are summaries written by ``perfbench/run.py --workload all
---seeds A-B --save FILE``.  For each workload and end-to-end metric it
-prints both medians, the ratio new/old, both spreads (inter-quartile range
-over median, across seeds) and the bound from ``BENCHMARK.json``, with a
-verdict, checked in this order:
+--seeds A-B --save FILE``.  One header line per file first gives the
+environment it records: ``git_commit``, ``source_sha256``, the Python
+version and ``nproc``.  When the two files name the same commit but their
+source hashes differ, a note says so: at least one was measured on a tree
+that differs from the commit it names.
+
+For each workload and end-to-end metric it prints both medians, the ratio
+new/old, both spreads (inter-quartile range over median, across seeds) and
+the bound from ``BENCHMARK.json``, with a verdict, checked in this order:
 
 - ``worse``: the median is worse than the old one by more than the bound;
 - ``unresolved``: a spread exceeds the bound, and not every new run is
@@ -44,6 +49,22 @@ def verdict(old: dict, new: dict, better: str, bound: float) -> str:
         wins = all(sign * (n - o) > 0 for n in new["values"] for o in old["values"])
         return "better" if wins else "unresolved"
     return "better" if gain > old["spread"] else "within bound"
+
+
+def environments(paths: list[str], summaries: list[dict]) -> list[str]:
+    """One line per summary naming the environment it records, and a note
+    when both name one commit with different source hashes."""
+    envs = [summary.get("environment", {}) for summary in summaries]
+    lines = [f"{side} {path}: git_commit {env.get('git_commit', '-')}, source_sha256 "
+             f"{env.get('source_sha256', '-')}, Python {env.get('python', '-')}, "
+             f"nproc {env.get('nproc', '-')}"
+             for side, path, env in zip(("old", "new"), paths, envs)]
+    a, b = envs
+    if a.get("git_commit") and a.get("git_commit") == b.get("git_commit") and (
+            a.get("source_sha256") != b.get("source_sha256")):
+        lines.append("note: both name the same commit but their source hashes differ; "
+                     "at least one tree differs from the commit it names")
+    return lines
 
 
 def compare(old: dict, new: dict, bench: dict) -> tuple[list[str], int]:
@@ -98,7 +119,7 @@ def main(argv: list[str]) -> int:
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
     lines, worse = compare(summaries[0], summaries[1], bench)
-    print("\n".join(lines))
+    print("\n".join(environments(argv, summaries) + lines))
     return 1 if worse else 0
 
 

@@ -38,6 +38,9 @@ def differences(parent: dict, change: dict) -> list[str]:
 
 
 def run_traced(checkout: str, workload: str, seed: int) -> dict:
+    # the run's working directory is the checkout: a relative path would
+    # be read from there a second time
+    checkout = os.path.abspath(checkout)
     cmd = [sys.executable, os.path.join(checkout, "perfbench", "run.py"),
            "--workload", workload, "--seed", str(seed), "--seconds", "3", "--trace", "1"]
     done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)

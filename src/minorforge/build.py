@@ -11,7 +11,6 @@ from fractions import Fraction
 
 from .errors import (
     AttemptsExhaustedError,
-    DensityNotMetError,
     DisconnectedHostError,
     HypothesisViolatedError,
     InvalidBipartitionError,
@@ -213,6 +212,8 @@ def build_dense_minor(
     if fast is not None:
         return compose_models(h_model, fast)
     r = desk_sample_size(eps, t, d)
+    # round i's set is anticomplete to at most eps * i placed sets, so the
+    # pattern misses at most eps C(t, 2) pairs: the final check cannot fail
     placed: list[int] = []
     for _ in range(t):
         f_graph, old, res = _sample_round(
@@ -225,8 +226,7 @@ def build_dense_minor(
         placed.append(b_new)
     inner = MinorModel(h, [mask_vertices(b) for b in placed])
     final = compose_models(h_model, inner)
-    if not is_eps_t_dense(final.pattern, eps, t):
-        raise DensityNotMetError("final pattern misses the density target")
+    check_internal(is_eps_t_dense(final.pattern, eps, t), "final pattern misses the density target")
     return final
 
 
@@ -258,12 +258,14 @@ def build_dense_minor_in_dense_graph(
         )
     pool = mask_of(s_pool)
     cores: list[int] = []
+    # hitting_set_check lets round i's core be anticomplete to at most
+    # eps * i placed cores, and stitching only adds vertices, so the
+    # pattern misses at most eps C(t, 2) pairs
     for _ in range(t):
         _, old, res = _sample_round(g, pool, cores, r, eps, n, rng, max_attempts)
         cores.append(mask_of(old[i] for i in res.s))
     model = MinorModel(g, _stitch_outside(g, cores, pool))
-    if not is_eps_t_dense(model.pattern, eps, t):
-        raise DensityNotMetError("final pattern misses the density target")
+    check_internal(is_eps_t_dense(model.pattern, eps, t), "final pattern misses the density target")
     return model
 
 
@@ -398,12 +400,12 @@ def build_dense_minor_bipartite(
                     pattern, eps, t, child.spawn(1),
                     max_attempts=max_attempts,
                 )
-            except (HypothesisViolatedError, AttemptsExhaustedError,
-                    DensityNotMetError):
+            except (HypothesisViolatedError, AttemptsExhaustedError):
                 continue
+            # the composed pattern is the inner one, which its builder certified
             final = compose_models(cmodel, inner)
-            if is_eps_t_dense(final.pattern, eps, t):
-                return final
+            check_internal(is_eps_t_dense(final.pattern, eps, t), "composed pattern lost density")
+            return final
     raise AttemptsExhaustedError(
         f"no certified pattern in {attempts} attempts", attempts, True
     )

@@ -72,7 +72,8 @@ class DisconnectedHostError(MinorforgeError):
 
 
 class DensityNotMetError(MinorforgeError):
-    """A built pattern missed its density certificate."""
+    """A supplied dense minor is too sparse; a built pattern that misses its
+    density is a bug (InternalInfeasibleError)."""
 
 
 class HypothesisViolatedError(MinorforgeError):

@@ -132,22 +132,30 @@ class Rng:
         return [self.choice(seq) for _ in range(check_count("the sample size", r, 0))]
 
     def bernoulli(self, p: Fraction) -> bool:
-        """Exact-probability coin: compares a uniform draw against p's terms."""
-        if p <= 0:
-            return False
-        if p >= 1:
-            return True
-        return self.below(p.denominator) < p.numerator
+        """Exact-probability coin: compares a uniform draw against p's terms;
+        a p without terms or compares is read through ``check_rational``."""
+        try:
+            if p <= 0:
+                return False
+            if p >= 1:
+                return True
+            num, den = p.numerator, p.denominator
+        except (TypeError, AttributeError):  # not a number, or a float
+            num, den = check_rational("p", p, 1).as_integer_ratio()
+        return self.below(den) < num
 
     def coin_mask(self, width: int, p: Fraction) -> int:
-        """``width`` coins of probability ``p`` as one mask: bit i is the
-        i-th of ``width`` successive ``bernoulli(p)`` draws, and the stream
-        is consumed exactly as those draws consume it (none at all when
-        p <= 0 or p >= 1)."""
-        if check_count("the coin count", width, 0) == 0 or p <= 0:
-            return 0
-        if p >= 1:
-            return (1 << width) - 1
+        """``width`` coins of probability ``p``, read as ``bernoulli`` reads it,
+        as one mask: bit i is the i-th of ``width`` successive ``bernoulli(p)``
+        draws, and the stream is consumed exactly as those draws consume it
+        (none at all when p <= 0 or p >= 1)."""
+        try:
+            if check_count("the coin count", width, 0) == 0 or p <= 0:
+                return 0
+            if p >= 1:
+                return (1 << width) - 1
+        except TypeError:  # not a number
+            pass
         num, den = check_rational("p", p, 1).as_integer_ratio()
         limit = _SPAN - _SPAN % den
         state = self._state

@@ -22,9 +22,9 @@ from .errors import (
     Budget,
     DensityNotMetError,
     HypothesisViolatedError,
-    InternalInfeasibleError,
     TooLargeError,
     check_count,
+    check_internal,
     check_rational,
 )
 from .graph import (
@@ -314,8 +314,8 @@ def realize_woven_from_dense_minor(
     root neighbors plus the endpoints, routes each pair through a shared
     extra branch set, and assembles the rooted model from the first a
     attached fragments.  Returns the model and the linkage, fully audited
-    and disjoint.
-    """
+    and disjoint.  Past the input checks, counting (noted at each step)
+    guarantees every step, so a failing one raises InternalInfeasibleError."""
     eps = check_rational("eps", eps, 1)
     check_count("the root count a", a, 2)
     try:
@@ -374,27 +374,26 @@ def realize_woven_from_dense_minor(
     # that bound's floor
     cap = eps * a // 2
     removed = roots | mask_of(s for s, t in zip(s_tuple, t_tuple) if s == t)
+    # at least 20a + 1 branch sets are kept.  The pattern has 32a vertices
+    # and misses M <= (eps/256) C(32a, 2) = eps a (32a - 1) / 16 pairs; a
+    # dropped vertex misses cap + 1 > eps a / 2 others, so the D dropped
+    # satisfy D (cap + 1) <= 2M, D < (32a - 1) / 4 < 8a; the a roots and
+    # at most 3a collapsed pairs hit at most 4a more disjoint branch sets
     kept = [
         i
         for i in range(pat.n)
         if pat.n - 1 - pat.degree(i) <= cap
         and not mask_of(j_model.fragments[i]) & removed
     ]
-    m = len(kept)
-    if m < 15 * a:
-        raise DensityNotMetError(
-            f"only {m} usable branch sets remain, need {15 * a}"
-        )
 
-    # one fresh neighbor per root, outside everything already spoken for
+    # one fresh neighbor per root, outside everything already spoken for:
+    # kappa >= 8a gives each root 8a neighbours, and at most 8a - 2 are
+    # taken (a - 1 other roots, 6a endpoints, a - 1 earlier picks)
     taken = roots | ends
     r_prime: list[int] = []
     for r in r_tuple:
         free = g.neighbor_bits(r) & ~taken
-        if not free:
-            raise HypothesisViolatedError(
-                f"root {r} has no free neighbor left"
-            )
+        check_internal(free != 0, f"root {r} has no free neighbor left")
         r_prime.append((free & -free).bit_length() - 1)
         taken |= free & -free
 
@@ -415,10 +414,8 @@ def realize_woven_from_dense_minor(
     attach = r_prime + [s for s, t in zip(s_tuple, t_tuple) if s != t]
     attach += [t for s, t in zip(s_tuple, t_tuple) if s != t]
     t_att = len(attach)
-    if m < n_av + 2 * t_att:
-        raise DensityNotMetError(
-            "too few branch sets for the attachment order"
-        )
+    # n_av <= cap < a/2 and t_att <= 7a, so the 20a + 1 kept sets exceed
+    # n_av + 2 t_att, the count rooted_from_minor asks of its input
     attached = rooted_from_minor(g1, [new_of_old[v] for v in attach], j1, n_av)
     # its fragments back in host ids; each of the first t_att holds exactly
     # one attachment vertex, the one ``where`` maps to its index
@@ -428,7 +425,10 @@ def realize_woven_from_dense_minor(
 
     # each pair rides its two attachment fragments plus the least shared
     # neighbor fragment no earlier pair took; g1 numbers its vertices in
-    # ascending order, so routing in g finds the path routing in g1 would
+    # ascending order, so routing in g finds the path routing in g1 would.
+    # Of the len(kept) - 2 t_att >= 6a + 1 spare fragments, fs and ft each
+    # miss at most n_av < a/2, so the two share more than 5a spares, and
+    # earlier pairs took at most 3a - 1 of them
     f_pat = attached.pattern
     spare = (1 << len(frags)) - (1 << t_att)
     paths_out: list[tuple[int, ...]] = []
@@ -438,30 +438,25 @@ def realize_woven_from_dense_minor(
             continue
         fs, ft = where[s], where[t]
         pick = f_pat.neighbor_bits(fs) & f_pat.neighbor_bits(ft) & spare
-        if not pick:
-            raise DensityNotMetError(
-                "no shared branch set left to route a pair"
-            )
+        check_internal(pick != 0, "no shared branch set left to route a pair")
         pick &= -pick
         spare ^= pick
         route = frags[fs] | frags[pick.bit_length() - 1] | frags[ft]
         found = g.shortest_path(1 << s, 1 << t, route)
-        if found is None:
-            raise InternalInfeasibleError(
-                "routing inside three joined branch sets failed"
-            )
+        check_internal(found is not None, "routing inside three joined branch sets failed")
         paths_out.append(found)
 
     final_frags = [
         mask_vertices(frags[where[v]] | 1 << r) for v, r in zip(r_prime, r_tuple)
     ]
     model = MinorModel(g, final_frags)
-    if not is_rooted_at(model, r_tuple):
-        raise InternalInfeasibleError("assembled model lost its rooting")
-    if not is_eps_t_dense(model.pattern, eps, a):
-        raise DensityNotMetError("assembled pattern misses the density mark")
+    check_internal(is_rooted_at(model, r_tuple), "assembled model lost its rooting")
+    # the a attached fragments miss at most a n_av / 2 <= eps a^2 / 4 <=
+    # eps C(a, 2) pairs, as a >= 2, and the roots only add edges
+    check_internal(
+        is_eps_t_dense(model.pattern, eps, a), "assembled pattern misses the density mark"
+    )
     fam = PathFamily(paths_out, "linkage", pairs=tuple(zip(s_tuple, t_tuple)))
     require_paths(g, fam)
-    if model.used_vertices() & fam.vertices():
-        raise InternalInfeasibleError("model and linkage overlap")
+    check_internal(not model.used_vertices() & fam.vertices(), "model and linkage overlap")
     return model, fam

@@ -107,3 +107,16 @@ def test_verdict_is_bench_compares_on_each_sides_runs():
 def test_seed_ranges():
     assert ab_pairs.parse_seeds("1-10") == list(range(1, 11))
     assert ab_pairs.parse_seeds("7") == [7]
+
+
+def test_a_relative_checkout_is_found_from_the_callers_directory(tmp_path, monkeypatch):
+    """The run's working directory is the checkout, so a relative checkout
+    must be resolved once, not joined to itself: ``co/perfbench/run.py``,
+    never ``co/co/perfbench/run.py``."""
+    script = tmp_path / "co" / "perfbench" / "run.py"
+    script.parent.mkdir(parents=True)
+    script.write_text("import json, sys\nprint(json.dumps({'metrics': {}, 'argv': sys.argv[1:]}))\n")
+    monkeypatch.chdir(tmp_path)
+    got = ab_pairs.run_once("co", "exact_small", 3, 0.5)
+    assert got["argv"] == ["--workload", "exact_small", "--seed", "3", "--seconds", "0.5",
+                           "--trace", "0"]

@@ -108,3 +108,38 @@ def test_per_layer_marks_only_counters_that_moved(tmp_path):
     assert layer["flow.calls"] == ["0", "4", "-", "changed"]
     assert layer["graph.calls"] == ["7", "7", "1.000"]
     assert layer["graph.gen_s"] == ["0.9", "0.3", "0.333"]
+
+
+def _env(commit, source):
+    return {"python": "3.11.7", "implementation": "CPython", "nproc": 2,
+            "git_commit": commit, "source_sha256": source}
+
+
+def test_header_names_each_files_environment(tmp_path):
+    """One header line per file gives its commit, source hash, Python and
+    nproc; a note flags two files that name one commit with different
+    source hashes, and no other pair."""
+    e2e = {m: _metric([10, 10, 10], 0.0) for m in
+           ("setup_s", "latency_p50_ms", "throughput_ops_s", "peak_rss_mb")}
+    old, new = _summary(e2e, {}), _summary(e2e, {})
+    old["environment"], new["environment"] = _env("1ef9735", "733db87a"), _env("1ef9735", "dba9fda3")
+    done, rows = _run(tmp_path, old, new)
+    assert done.returncode == 0, done.stderr
+    head = done.stdout.splitlines()[:3]
+    assert head[0] == (f"old {tmp_path / 'old.json'}: git_commit 1ef9735, "
+                       "source_sha256 733db87a, Python 3.11.7, nproc 2")
+    assert head[1].startswith(f"new {tmp_path / 'new.json'}: git_commit 1ef9735, "
+                              "source_sha256 dba9fda3")
+    assert head[2].startswith("note: both name the same commit")
+    assert len(rows) == 4
+    # one commit and one hash; two commits; no commit recorded on either side
+    for a, b in ((("1ef9735", "733db87a"), ("1ef9735", "733db87a")),
+                 (("1ef9735", "733db87a"), ("22e87eb", "dba9fda3")),
+                 ((None, "733db87a"), (None, "dba9fda3"))):
+        old["environment"], new["environment"] = _env(*a), _env(*b)
+        done, _ = _run(tmp_path, old, new)
+        assert "note:" not in done.stdout
+    del old["environment"], new["environment"]
+    done, _ = _run(tmp_path, old, new)
+    assert done.stdout.splitlines()[0].endswith(
+        "git_commit -, source_sha256 -, Python -, nproc -")

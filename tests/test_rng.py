@@ -35,20 +35,31 @@ def test_below_rejects_nonpositive():
 
 
 def test_bounds_counts_and_probabilities_are_read_through_the_intake():
-    """A bound that is not an int and a negative sample size or coin count
-    are refused with the value as evidence; a float probability is read
-    as the rational it is and draws what that rational draws."""
+    """A bound that is not an int, a negative sample size or coin count, and
+    a probability that is not a rational are refused with the value as
+    evidence; a float probability is read as the rational it is and draws
+    what that rational draws, one coin at a time or as a mask."""
     for call, error, bad in (
         (lambda: Rng(1).below(2.5), ValueError, 2.5),
         (lambda: Rng(1).below(True), ValueError, True),
         (lambda: Rng(1).sample_with_replacement(range(3), -2), HypothesisViolatedError, -2),
         (lambda: Rng(1).sample_with_replacement(range(3), 1.5), HypothesisViolatedError, 1.5),
         (lambda: Rng(1).coin_mask(-1, Fraction(1, 2)), HypothesisViolatedError, -1),
+        (lambda: Rng(1).bernoulli(None), HypothesisViolatedError, None),
+        (lambda: Rng(1).bernoulli("half"), HypothesisViolatedError, "half"),
+        (lambda: Rng(1).bernoulli([1, 2]), HypothesisViolatedError, [1, 2]),
+        (lambda: Rng(1).coin_mask(3, None), HypothesisViolatedError, None),
+        (lambda: Rng(1).coin_mask(3, "half"), HypothesisViolatedError, "half"),
     ):
         with pytest.raises(error) as info:
             call()
         assert info.value.evidence == bad and type(info.value.evidence) is type(bad)
     assert Rng(3).coin_mask(40, 0.5) == Rng(3).coin_mask(40, Fraction(1, 2))
+    for p in (0.5, 0.3, 0.0, 1.0, -2.5):
+        exact, floating = Rng(3), Rng(3)
+        assert [floating.bernoulli(p) for _ in range(40)] == [
+            exact.bernoulli(Fraction(p)) for _ in range(40)]
+        assert floating.next_u64() == exact.next_u64()
 
 
 def test_choice_and_sample():

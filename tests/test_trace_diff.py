@@ -58,3 +58,16 @@ def test_exit_status_is_one_on_any_difference(monkeypatch, capsys):
     runs["change"] = _result(**dict(BASE, flow__calls=17))
     assert trace_diff.main(["parent", "change", "--workload", "woven_dense", "--seed", "5"]) == 1
     assert capsys.readouterr().out.splitlines()[1].split() == ["flow.calls", "18", "->", "17"]
+
+
+def test_a_relative_checkout_is_found_from_the_callers_directory(tmp_path, monkeypatch):
+    """The run's working directory is the checkout, so a relative checkout
+    must be resolved once, not joined to itself: ``co/perfbench/run.py``,
+    never ``co/co/perfbench/run.py``."""
+    script = tmp_path / "co" / "perfbench" / "run.py"
+    script.parent.mkdir(parents=True)
+    script.write_text("import json, sys\nprint(json.dumps({'metrics': {}, 'argv': sys.argv[1:]}))\n")
+    monkeypatch.chdir(tmp_path)
+    got = trace_diff.run_traced("co", "woven_dense", 5)
+    assert got["argv"] == ["--workload", "woven_dense", "--seed", "5", "--seconds", "3",
+                           "--trace", "1"]

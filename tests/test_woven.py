@@ -456,6 +456,47 @@ def test_realize_with_a_supplied_dense_model():
         realize_woven_from_dense_minor(g, Fraction(1, 2), 2, request, elsewhere)
 
 
+def test_realize_at_the_counting_bounds(monkeypatch):
+    """K_{32a} less a cycle on M = floor((eps/256) C(32a, 2)) vertices is
+    (eps/256, 32a)-dense with the least room the counting allows, at eps =
+    255/256: every cycle vertex misses two others, above the cap floor(eps
+    a / 2) <= 1, so all M are dropped, and with every pair collapsed the
+    roots and the pairs drop 4a more; at a = 4 that keeps exactly 20a + 1
+    branch sets.  The cycle, the roots and the endpoints are seeded and
+    disjoint; every request gets an audited witness."""
+    import minorforge.woven as woven
+
+    eps, kept, rooted = Fraction(255, 256), [], woven.rooted_from_minor
+
+    def spy(g, s, j_model, n_avoid):
+        kept.append(len(j_model.fragments))
+        return rooted(g, s, j_model, n_avoid)
+
+    monkeypatch.setattr(woven, "rooted_from_minor", spy)
+    for a in (2, 3, 4):
+        n = 32 * a
+        m_missing = int(eps / 256 * (n * (n - 1) // 2))
+        for collapsed in (False, True):
+            for seed in range(4):
+                rng = Rng(derive_seed(41, a, seed))
+                order = list(range(n))
+                rng.shuffle(order)
+                cycle = order[:m_missing]
+                gone = {frozenset(e) for e in zip(cycle, cycle[1:] + cycle[:1])}
+                edges = [e for e in complete_graph(n).edges() if frozenset(e) not in gone]
+                g = graph_from_edge_list(n, edges)
+                roots, rest = order[m_missing:m_missing + a], order[m_missing + a:]
+                sources = rest[:3 * a]
+                request = (roots, sources, sources if collapsed else rest[3 * a:6 * a])
+                singletons = MinorModel(g, [{v} for v in range(n)])
+                model, fam = realize_woven_from_dense_minor(g, eps, a, request, singletons)
+                require_valid(model)
+                assert is_rooted_at(model, roots)
+                assert audit_path_family(g, fam) == []
+                assert kept[-1] == n - m_missing - (4 * a if collapsed else a)
+    assert len(kept) == 24 and kept[-4:] == [20 * 4 + 1] * 4
+
+
 def test_realize_checks_the_host_before_the_model():
     """A model from another host is refused as living elsewhere, before its
     fragments are checked: {0, 2} is not connected in its own host."""
@@ -513,13 +554,15 @@ def _thinned_hosts():
 
 def test_realize_matches_the_id_map_reference(monkeypatch):
     """The mask construction returns the reference's witness on every host
-    of the corpus, and the reference's refusal, type and message, on
-    seeded hosts that starve a root of free neighbours (connectivity
-    reported as asked for) or leave too few usable branch sets (any
-    greedy subgraph taken as dense).  Each pair is routed inside the same
-    three branch sets too: a path seldom shows its connector, since the
-    connector's vertices are rarely the least on it, so the routing
-    searches are compared as well, read back in host ids."""
+    of the corpus.  Each pair is routed inside the same three branch sets
+    too: a path seldom shows its connector, since the connector's vertices
+    are rarely the least on it, so the routing searches are compared as
+    well, read back in host ids.  Seeded hosts that starve a root of free
+    neighbours (connectivity reported as asked for) or leave too few usable
+    branch sets (any greedy subgraph taken as dense) break the counting the
+    construction rests on: where the reference refuses them, the library
+    must raise too, InternalInfeasibleError at the step the counting
+    guarantees, or the attached search's own intake refusal."""
     import minorforge.woven as woven
 
     searches, search = [], Graph.shortest_path
@@ -546,8 +589,13 @@ def test_realize_matches_the_id_map_reference(monkeypatch):
         kinds = Counter()
         for g, request in cases:
             got, routes = run(woven.realize_woven_from_dense_minor, g, request)
-            assert (got, routes) == run(woven_ref.realize_woven_from_dense_minor, g, request)
-            kinds[got[1].split(" ")[0] if isinstance(got[1], str) else "witness"] += 1
+            want = run(woven_ref.realize_woven_from_dense_minor, g, request)
+            if isinstance(want[0][1], str):  # the reference refused
+                assert isinstance(got[1], str), (want[0], got)
+                kinds[got[0].__name__] += 1
+            else:
+                assert (got, routes) == want
+                kinds["witness"] += 1
         return kinds
 
     monkeypatch.setattr(Graph, "shortest_path", spy)
@@ -555,8 +603,9 @@ def test_realize_matches_the_id_map_reference(monkeypatch):
     with monkeypatch.context() as patch:
         for module in (woven, woven_ref):
             patch.setattr(module, "vertex_connectivity_with_cutset", lambda g, k: (k, ()))
-        assert set(compare(_starved_roots())) == {"witness", "root"}
+        assert compare(_starved_roots()) == {"witness": 5, "InternalInfeasibleError": 7}
     with monkeypatch.context() as patch:
         for module in (woven, woven_ref):
             patch.setattr(module, "is_eps_t_dense", lambda *args: True)
-        assert set(compare(_thinned_hosts())) == {"witness", "no", "only"}
+        assert compare(_thinned_hosts()) == {
+            "witness": 9, "InternalInfeasibleError": 7, "HypothesisViolatedError": 2}

@@ -13,7 +13,9 @@ the same budgets.
 vertex masks, kept verbatim: it renumbers ids between the host and the
 subgraph without the removed vertices, holds roots and endpoints as sets,
 and scans for each pair's connector.  The library must return the same
-witness, or raise the same error with the same message.
+witness wherever this copy does, and raise wherever it refuses; a refusal
+here that the construction's counting rules out is, in the library, an
+InternalInfeasibleError or the attached search's intake refusal.
 """
 
 from __future__ import annotations
