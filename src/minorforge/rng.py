@@ -148,15 +148,18 @@ class Rng:
         """``width`` coins of probability ``p``, read as ``bernoulli`` reads it,
         as one mask: bit i is the i-th of ``width`` successive ``bernoulli(p)``
         draws, and the stream is consumed exactly as those draws consume it
-        (none at all when p <= 0 or p >= 1)."""
+        (none at all when width is 0, p <= 0 or p >= 1)."""
+        check_count("the coin count", width, 0)
         try:
-            if check_count("the coin count", width, 0) == 0 or p <= 0:
+            if p <= 0:
                 return 0
             if p >= 1:
                 return (1 << width) - 1
         except TypeError:  # not a number
             pass
         num, den = check_rational("p", p, 1).as_integer_ratio()
+        if not width:
+            return 0
         limit = _SPAN - _SPAN % den
         state = self._state
         kept = []

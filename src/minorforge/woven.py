@@ -98,10 +98,6 @@ def _host_tables(g: Graph) -> tuple[list[tuple[int, ...]], list[int]]:
     return verts, nb
 
 
-# the memo key of the host tables: no search or linkage key is a string
-_TABLES = "host tables"
-
-
 def _rooted_dense_model(
     g: Graph, allowed: int, roots, eps: Fraction, budget: Budget, tables
 ) -> MinorModel | None:
@@ -113,7 +109,7 @@ def _rooted_dense_model(
     are the host's ``_host_tables``.
 
     The host and eps are fixed within one ``check_wovenness``, so its
-    memo keys this search by ``(allowed, roots)`` alone."""
+    ``_Weave`` memo keys this search by ``(allowed, roots)`` alone."""
     verts, nb = tables
     a = len(roots)
     # joined >= (1 - eps) * a(a-1)/2, in integers
@@ -149,102 +145,100 @@ def _rooted_dense_model(
     return None
 
 
-def _triple_witness(
-    g: Graph, eps: Fraction, roots, pairs, budget: Budget, memo: dict
-) -> tuple[MinorModel, PathFamily] | None:
-    """Decide one triple exactly: enumerate every linkage for ``pairs``
-    that stays off the non-endpoint roots, and for each try to plant a
-    rooted dense model in what remains.  ``None`` means no witness
-    exists for this triple.
+class _Weave:
+    """One ``check_wovenness`` call's state: the host's ``_host_tables``,
+    rows and ``full`` mask, eps, the budget, the memo and the triple being
+    decided.  The walk takes the rest as arguments, so a triple builds no
+    closure.  The memo maps ``(allowed, roots)`` to the nodes a model search
+    spent and its result, and charges a repeat those nodes again, so the
+    budget runs out where searching afresh would.  It maps ``(pairs,
+    paths)`` to that linkage's family once ``require_paths`` passed it;
+    later triples share that family, and the audit spends no nodes."""
 
-    ``memo`` holds three kinds of entry, all valid for one host and eps.
-    ``_TABLES`` maps to the host's ``_host_tables``, built on first use.
-    ``(allowed, roots)`` maps to the nodes a model search spent and its
-    result; a repeated search is charged its recorded nodes again, so the
-    budget runs out exactly where searching afresh would exhaust it.
-    ``(pairs, paths)`` maps to the witness linkage built from those paths
-    once it has passed ``require_paths``; every later triple that finds
-    the same linkage shares that audited family.  The audit spends no
-    nodes, so reusing it leaves the budget alone."""
-    tables = memo.get(_TABLES)
-    if tables is None:
-        tables = memo[_TABLES] = _host_tables(g)
-    verts = tables[0]
-    bits = g._bits
-    endpoints = root_mask = 0
-    for s, t in pairs:
-        endpoints |= 1 << s | 1 << t
-    for r in roots:
-        root_mask |= 1 << r
-    shared_roots = root_mask & endpoints
-    forbidden = root_mask & ~endpoints
-    full = (1 << g.n) - 1
-    k = len(pairs)
-    paths: list[tuple[int, ...]] = []
+    def __init__(self, g: Graph, eps: Fraction, budget: Budget, memo: dict):
+        self.g, self.eps, self.budget, self.memo = g, eps, budget, memo
+        self.tables = _host_tables(g)
+        self.verts, self.bits, self.full = self.tables[0], g._bits, (1 << g.n) - 1
+        self.paths: list[tuple[int, ...]] = []
 
-    def attempt_model(used: int):
-        allowed = full & ~used | shared_roots
-        key = (allowed, roots)
-        hit = memo.get(key)
+    def witness(self, roots, root_mask: int, pairs, endpoints: int):
+        """Decide one triple exactly: enumerate every linkage for ``pairs``
+        that stays off the non-endpoint roots, and for each try to plant a
+        rooted dense model in what remains.  ``None`` means no witness
+        exists for this triple."""
+        self.roots, self.pairs, self.endpoints = roots, pairs, endpoints
+        self.shared_roots = root_mask & endpoints
+        self.forbidden = root_mask & ~endpoints
+        return self._link(0, 0)
+
+    def _link(self, i: int, used: int):
+        """The first witness that links pairs i.. off the mask ``used``."""
+        if i == len(self.pairs):
+            return self._model(used)
+        s, t = self.pairs[i]
+        if (used >> s | used >> t) & 1:
+            return None
+        if s == t:
+            self.paths.append((s,))
+            out = self._link(i + 1, used | 1 << s)
+            self.paths.pop()
+            return out
+        # t is never blocked: it is unused, an endpoint and off the walk
+        blocked = self.forbidden | self.endpoints & ~(1 << s | 1 << t)
+        return self._walk(i, t, blocked, [s], used | 1 << s)
+
+    def _walk(self, i: int, t: int, blocked: int, acc: list[int], on: int):
+        """Extend pair i's path ``acc`` to ``t`` off ``on`` (``acc`` and the
+        earlier paths), one budget node a step, neighbours ascending."""
+        self.budget.spend()
+        for w in self.verts[self.bits[acc[-1]] & ~(on | blocked)]:
+            if w == t:
+                self.paths.append(tuple(acc) + (t,))
+                out = self._link(i + 1, on | 1 << t)
+                self.paths.pop()
+            else:
+                acc.append(w)
+                out = self._walk(i, t, blocked, acc, on | 1 << w)
+                acc.pop()
+            if out is not None:
+                return out
+        return None
+
+    def _model(self, used: int):
+        """A rooted dense model off ``used`` and the audited ``paths``, or None."""
+        allowed, budget, memo = self.full & ~used | self.shared_roots, self.budget, self.memo
+        hit = memo.get((allowed, self.roots))
         if hit is None:
             before = budget.spent
-            model = _rooted_dense_model(g, allowed, roots, eps, budget, tables)
-            memo[key] = budget.spent - before, model
+            model = _rooted_dense_model(self.g, allowed, self.roots, self.eps, budget, self.tables)
+            memo[allowed, self.roots] = budget.spent - before, model
         else:
             spent, model = hit
             budget.spend(spent)
         if model is None:
             return None
         # a snapshot: the walk goes on to extend and pop ``paths``
-        found = (pairs, tuple(paths))
+        found = (self.pairs, tuple(self.paths))
         fam = memo.get(found)
         if fam is None:
-            fam = require_paths(g, PathFamily(found[1], "linkage", pairs=pairs))
-            memo[found] = fam
+            fam = PathFamily(found[1], "linkage", pairs=self.pairs)
+            fam = memo[found] = require_paths(self.g, fam)
         return model, fam
 
-    def rec(i: int, used: int):
-        if i == k:
-            return attempt_model(used)
-        s, t = pairs[i]
-        if (used >> s | used >> t) & 1:
-            return None
-        if s == t:
-            paths.append((s,))
-            out = rec(i + 1, used | 1 << s)
-            paths.pop()
-            return out
-        # t is never blocked: it is unused, an endpoint and off the walk
-        blocked = used | forbidden | endpoints & ~(1 << s | 1 << t)
-        last = i + 1 == k
-        acc = [s]
 
-        def walk(cur: int, on: int):
-            budget.spend()
-            for w in verts[bits[cur] & ~(on | blocked)]:
-                if w == t:
-                    paths.append(tuple(acc) + (t,))
-                    done = used | on | 1 << t
-                    out = attempt_model(done) if last else rec(i + 1, done)
-                    paths.pop()
-                    if out is not None:
-                        return out
-                else:
-                    acc.append(w)
-                    out = walk(w, on | 1 << w)
-                    acc.pop()
-                    if out is not None:
-                        return out
-            return None
-
-        return walk(s, 1 << s)
-
-    return rec(0, 0)
+def _triple_witness(g: Graph, eps: Fraction, roots, pairs, budget: Budget, memo: dict):
+    """One triple decided alone by a ``_Weave`` with ``memo`` as its memo."""
+    endpoints = mask_of(v for pair in pairs for v in pair)
+    return _Weave(g, eps, budget, memo).witness(roots, mask_of(roots), pairs, endpoints)
 
 
 def _all_triples(n: int, a: int, b: int):
+    """Every admissible (roots, sources, targets) choice, with the root
+    and endpoint masks, each built once per list."""
     for roots in combinations(range(n), a):
+        root_mask = mask_of(roots)
         for srcs in combinations(range(n), b):
+            src_mask = mask_of(srcs)
             for tgts in permutations(range(n), b):
                 # a source may equal only the target at its own index
                 if b < 2 or all(
@@ -253,7 +247,7 @@ def _all_triples(n: int, a: int, b: int):
                     for j in range(b)
                     if i != j
                 ):
-                    yield roots, srcs, tgts
+                    yield roots, root_mask, srcs, tgts, src_mask | mask_of(tgts)
 
 
 def check_wovenness(g: Graph, eps: Fraction, a: int, b: int) -> WovenReport:
@@ -269,13 +263,11 @@ def check_wovenness(g: Graph, eps: Fraction, a: int, b: int) -> WovenReport:
     if g.n > WOVEN_CAP:
         raise TooLargeError(f"exhaustive wovenness is capped at {WOVEN_CAP} vertices")
     budget = Budget(SEARCH_NODES, TooLargeError, "wovenness search budget exhausted")
-    memo: dict = {}
+    weave = _Weave(g, eps, budget, {})
     records: list[WovenTriple] = []
     counterexample: WovenTriple | None = None
-    for roots, srcs, tgts in _all_triples(g.n, a, b):
-        witness = _triple_witness(
-            g, eps, roots, tuple(zip(srcs, tgts)), budget, memo
-        )
+    for roots, root_mask, srcs, tgts, endpoints in _all_triples(g.n, a, b):
+        witness = weave.witness(roots, root_mask, tuple(zip(srcs, tgts)), endpoints)
         if witness is None:
             counterexample = WovenTriple(roots, srcs, tgts, False)
             records.append(counterexample)

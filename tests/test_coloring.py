@@ -13,6 +13,7 @@ from minorforge import (
     random_graph,
 )
 from minorforge.errors import Budget, HypothesisViolatedError, TooLargeError
+from minorforge.graph import induced_subgraph, mask_vertices
 from minorforge.rng import Rng, derive_seed
 
 import coloring_reference as coloring_ref
@@ -163,7 +164,8 @@ def test_colouring_matches_the_reference_node_for_node(monkeypatch):
     built = _recorded_budgets(monkeypatch)
     separable = Counter()
     for g, m in _colouring_corpus():
-        clique = coloring._greedy_clique(g)
+        full = (1 << g.n) - 1
+        clique = coloring._greedy_clique(g._bits, full)
         assert clique == coloring_ref._greedy_clique(g), g.edges()
         chi, spent = coloring_ref.chromatic_number_exact(g)
         assert chromatic_number_exact(g) == chi
@@ -171,7 +173,7 @@ def test_colouring_matches_the_reference_node_for_node(monkeypatch):
         for k in range(len(clique), chi + 1) if g.m else ():
             ours = Budget(10**9, TooLargeError, "unused")
             theirs = Budget(10**9, TooLargeError, "unused")
-            got = coloring._colorable_with(g, k, clique, ours)
+            got = coloring._colorable_with(g._bits, full, k, clique, ours)
             assert got == coloring_ref._colorable_with(g, k, clique, theirs)
             assert (got is not None) == (k == chi)
             assert ours.spent == theirs.spent
@@ -181,6 +183,28 @@ def test_colouring_matches_the_reference_node_for_node(monkeypatch):
             assert built[-1].spent == spent, (g.edges(), m)
             separable[expected[0]] += 1
     assert separable[True] and separable[False]
+
+
+def test_colouring_on_host_rows_matches_the_induced_reference():
+    """On every vertex mask of the separability hosts, the empty mask,
+    singletons and edgeless masks included, chi of the rows the host
+    induces on the mask equals the reference's chi of the renumbered
+    induced subgraph, and the two spend the same nodes."""
+    import minorforge.coloring as coloring
+
+    kinds = Counter()
+    for g, m in _colouring_corpus():
+        if m is None:
+            continue
+        for mask in range(1 << g.n):
+            sub = induced_subgraph(g, mask_vertices(mask))[0]
+            ours = Budget(10**9, TooLargeError, "unused")
+            theirs = Budget(10**9, TooLargeError, "unused")
+            got = coloring._chi(g._bits, mask, ours)
+            assert got == coloring_ref._chi(sub, theirs), (g.edges(), mask)
+            assert ours.spent == theirs.spent, (g.edges(), mask)
+            kinds["single" if sub.n == 1 else "edgeless" if not sub.m else "other"] += 1
+    assert kinds["single"] and kinds["edgeless"] > kinds["single"] and kinds["other"]
 
 
 @pytest.mark.parametrize("host", ["petersen", "complement of C9"])

@@ -36,9 +36,10 @@ def test_below_rejects_nonpositive():
 
 def test_bounds_counts_and_probabilities_are_read_through_the_intake():
     """A bound that is not an int, a negative sample size or coin count, and
-    a probability that is not a rational are refused with the value as
-    evidence; a float probability is read as the rational it is and draws
-    what that rational draws, one coin at a time or as a mask."""
+    a probability that is not a rational, at any coin count, are refused
+    with the value as evidence; a float probability is read as the rational
+    it is and draws what that rational draws, one coin at a time or as a
+    mask; no coins draw nothing."""
     for call, error, bad in (
         (lambda: Rng(1).below(2.5), ValueError, 2.5),
         (lambda: Rng(1).below(True), ValueError, True),
@@ -50,6 +51,9 @@ def test_bounds_counts_and_probabilities_are_read_through_the_intake():
         (lambda: Rng(1).bernoulli([1, 2]), HypothesisViolatedError, [1, 2]),
         (lambda: Rng(1).coin_mask(3, None), HypothesisViolatedError, None),
         (lambda: Rng(1).coin_mask(3, "half"), HypothesisViolatedError, "half"),
+        (lambda: Rng(1).coin_mask(0, None), HypothesisViolatedError, None),
+        (lambda: Rng(1).coin_mask(0, "x"), HypothesisViolatedError, "x"),
+        (lambda: Rng(1).coin_mask(0, [1, 2]), HypothesisViolatedError, [1, 2]),
     ):
         with pytest.raises(error) as info:
             call()
@@ -60,6 +64,9 @@ def test_bounds_counts_and_probabilities_are_read_through_the_intake():
         assert [floating.bernoulli(p) for _ in range(40)] == [
             exact.bernoulli(Fraction(p)) for _ in range(40)]
         assert floating.next_u64() == exact.next_u64()
+    for p in ("1/2", Fraction(1, 3), 0.25, 0, 1):
+        zero, fresh = Rng(3), Rng(3)
+        assert zero.coin_mask(0, p) == 0 and zero.next_u64() == fresh.next_u64()
 
 
 def test_choice_and_sample():

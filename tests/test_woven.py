@@ -268,20 +268,22 @@ def test_wovenness_audits_each_linkage_once(monkeypatch):
 
 
 def test_linkage_memo_keeps_only_audited_families(monkeypatch):
-    """The memo holds exactly the families the records carry, each under
-    its own (pairs, paths); a family whose audit fails is never stored,
-    so the same triple is audited, and refused, again."""
+    """Every triple of a call reads one memo, which holds exactly the
+    families the records carry, each under its own (pairs, paths); a
+    family whose audit fails is never stored, so the same triple is
+    audited, and refused, again."""
     import minorforge.woven as woven
 
-    memos, witness = [], woven._triple_witness
+    memos, decide, witness = [], woven._Weave.witness, woven._triple_witness
 
-    def spy(g, eps, roots, pairs, budget, memo):
-        memos.append(memo)
-        return witness(g, eps, roots, pairs, budget, memo)
+    def spy(state, *args):
+        memos.append(state.memo)
+        return decide(state, *args)
 
-    monkeypatch.setattr(woven, "_triple_witness", spy)
+    monkeypatch.setattr(woven._Weave, "witness", spy)
     g = random_graph(6, Fraction(5, 6), Rng(derive_seed(31, 4)))
     report = check_wovenness(g, Fraction(1, 2), 2, 1)
+    assert len(memos) == report.checked > 1
     assert all(memo is memos[0] for memo in memos)
     stored = {
         key: fam for key, fam in memos[0].items() if isinstance(fam, woven.PathFamily)

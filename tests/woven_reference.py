@@ -3,9 +3,10 @@
 The exhaustive wovenness loop as it was before ``check_wovenness``
 memoised its rooted model searches.  ``_spend``, ``_rooted_dense_model``,
 ``_triple_witness`` and ``_all_triples`` are kept verbatim;
-``check_wovenness`` keeps the library's triple loop but takes its node
-budget as an argument, skips the argument checks and returns the nodes it
-spent next to the report.  Every rooted model search runs afresh here, so
+``check_wovenness`` is the triple loop as it was then, one
+``_triple_witness`` call per triple, but takes its node budget as an
+argument, skips the argument checks and returns the nodes it spent next
+to the report.  Every rooted model search runs afresh here, so
 the memoised library must return the same reports and run out of budget at
 the same budgets.
 
