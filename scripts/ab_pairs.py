@@ -7,7 +7,9 @@ PARENT and CHANGE are two checkouts of this repository.  For each seed it
 runs ``perfbench/run.py --workload W --seed SEED --seconds S --trace 0``
 once in each checkout, the parent first on odd seeds and the change first
 on even ones, so that drift in the machine's speed falls on both sides
-alike.  Each run's last output line is its result.
+alike.  Each run's last output line is its result.  ``--workload all``
+runs every workload of ``BENCHMARK.json`` in its order, one after the
+other, each with its own tables.
 
 For each end-to-end metric of ``BENCHMARK.json`` it then prints each
 side's median and quartiles, the pairs the change won (strictly better in
@@ -110,28 +112,38 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
-def main(argv: list[str]) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("parent")
-    ap.add_argument("change")
-    ap.add_argument("--workload", required=True)
-    ap.add_argument("--seeds", required=True, help="seed range A-B")
-    ap.add_argument("--seconds", type=float, required=True)
-    args = ap.parse_args(argv)
-    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
-        specs = json.load(fh)["end_to_end"]
+def run_pairs(args, workload: str, specs: list[dict]) -> list[str]:
+    """Run the alternating pairs of one workload; its report lines."""
     seeds, pairs = parse_seeds(args.seeds), []
     for seed in seeds:
         order = ("parent", "change") if seed % 2 else ("change", "parent")
-        got = {side: run_once(getattr(args, side), args.workload, seed, args.seconds)
+        got = {side: run_once(getattr(args, side), workload, seed, args.seconds)
                for side in order}
         pairs.append((got["parent"], got["change"]))
         shown = ", ".join(f"{s['name']} {got['parent']['metrics'][s['name']]['value']:.4g}"
                           f" -> {got['change']['metrics'][s['name']]['value']:.4g}"
                           for s in specs)
-        print(f"seed {seed}: {shown}", file=sys.stderr)
-    print(f"{args.workload}: {len(pairs)} pairs, {args.seconds:g} s per run")
-    print("\n".join(report(seeds, pairs, specs)))
+        print(f"{workload} seed {seed}: {shown}", file=sys.stderr)
+    return [f"{workload}: {len(pairs)} pairs, {args.seconds:g} s per run",
+            *report(seeds, pairs, specs)]
+
+
+def main(argv: list[str]) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("parent")
+    ap.add_argument("change")
+    ap.add_argument("--workload", required=True, help="a workload of BENCHMARK.json, or all")
+    ap.add_argument("--seeds", required=True, help="seed range A-B")
+    ap.add_argument("--seconds", type=float, required=True)
+    args = ap.parse_args(argv)
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        bench = json.load(fh)
+    names = ([w["name"] for w in bench["workloads"]] if args.workload == "all"
+             else [args.workload])
+    for i, workload in enumerate(names):
+        if i:
+            print()
+        print("\n".join(run_pairs(args, workload, bench["end_to_end"])), flush=True)
     return 0
 
 

@@ -280,39 +280,42 @@ def _search_small_minor(rows: dict[int, int], d: int):
     tuple of its fragment masks by least vertex; contracting f and a later
     h puts f | h in f's slot, whose least vertex it keeps."""
     budget = Budget(SEARCH_NODES, ExtractionFailedError, "fallback search budget exhausted")
-    visited: set[tuple[int, ...]] = set()
     moves: list[tuple] = []
+    start = tuple(1 << v for v in sorted(rows))
+    return moves if _small_minor_step(rows, d, budget, set(), moves, start) else None
 
-    def rec(state: tuple[int, ...]) -> bool:
-        budget.spend()
-        if state in visited:
-            return False
-        visited.add(state)
-        nbs = []
-        for f in state:
-            nb = 0
-            for v in mask_vertices(f):
-                nb |= rows[v]
-            nbs.append(nb & ~f)
-        degs = [sum(1 for h in state if nb & h) for nb in nbs]
-        if state and len(state) <= d and 2 * min(degs) >= d:
-            return True
-        for i, f in enumerate(state):
-            for j, h in enumerate(state[i + 1:], i + 1):
-                if not nbs[i] & h:
-                    continue
-                moves.append(("contract", f, h))
-                if rec(state[:i] + (f | h,) + state[i + 1:j] + state[j + 1:]):
-                    return True
-                moves.pop()
-        for i, f in enumerate(state):
-            moves.append(("delete", f))
-            if rec(state[:i] + state[i + 1:]):
+
+def _small_minor_step(rows, d: int, budget: Budget, visited: set, moves: list, state) -> bool:
+    """Whether ``state`` reaches the target, depth first: contractions of
+    adjacent pairs in order, then deletions; ``moves`` holds the way there."""
+    budget.spend()
+    if state in visited:
+        return False
+    visited.add(state)
+    nbs = []
+    for f in state:
+        nb = 0
+        for v in mask_vertices(f):
+            nb |= rows[v]
+        nbs.append(nb & ~f)
+    degs = [sum(1 for h in state if nb & h) for nb in nbs]
+    if state and len(state) <= d and 2 * min(degs) >= d:
+        return True
+    for i, f in enumerate(state):
+        for j, h in enumerate(state[i + 1:], i + 1):
+            if not nbs[i] & h:
+                continue
+            moves.append(("contract", f, h))
+            child = state[:i] + (f | h,) + state[i + 1:j] + state[j + 1:]
+            if _small_minor_step(rows, d, budget, visited, moves, child):
                 return True
             moves.pop()
-        return False
-
-    return moves if rec(tuple(1 << v for v in sorted(rows))) else None
+    for i, f in enumerate(state):
+        moves.append(("delete", f))
+        if _small_minor_step(rows, d, budget, visited, moves, state[:i] + state[i + 1:]):
+            return True
+        moves.pop()
+    return False
 
 
 def _certified_descent(g: Graph, d: int) -> tuple[_Work, MinorModel]:

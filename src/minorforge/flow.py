@@ -301,13 +301,17 @@ def _seed_paths(g: Graph, x: int, y: int, limit: int) -> list[tuple[int, ...]]:
     paths (``Graph.shortest_path``) through vertices no earlier one uses,
     until ``limit`` paths or none is left."""
     paths = _short_paths(g._bits, x, y, limit)
-    used = mask_of(v for mid in paths for v in mid)
+    used = 0
+    for mid in paths:
+        for v in mid:
+            used |= 1 << v
     while len(paths) < limit:
         path = g.shortest_path(1 << x, 1 << y, ~used)  # y is never used
         if path is None:
             break
         paths.append(path[1:-1])
-        used |= mask_of(path[1:-1])
+        for v in path[1:-1]:
+            used |= 1 << v
     return paths
 
 

@@ -199,34 +199,54 @@ class Graph:
         ``targets`` whose vertices after the first lie in ``within``,
         listed from its source; ``None`` when there is none.
 
-        Breadth first with a FIFO queue: sources queued in ascending
-        order, each vertex's unseen neighbours in ascending order, stopping
-        at the first target discovered.  That tie-break fixes which of the
-        shortest paths is returned.
+        The path is the one a FIFO breadth-first search finds: sources
+        queued in ascending order, each vertex's unseen neighbours in
+        ascending order, stopping at the first target discovered.  The
+        search grows mask layers from both ends: F_0 = sources, F_1 by a
+        scan of the sources that stops at one next to a target, and B_0 =
+        targets in ``within``; then the smaller frontier's unseen
+        neighbours inside ``within`` (minus the sources, for B), until a
+        new layer meets the other side in P_a = F_a ∩ B_b, so d = a + b.
+        The vertices of F_k on shortest paths are P_k, where P_(k-1) =
+        F_(k-1) ∩ N(P_k) and P_(k+1) = B_(d-k-1) ∩ N(P_k).  A vertex's
+        FIFO parent is its first-queued neighbour in F_(k-1), which for a
+        vertex of P_k lies in P_(k-1).  So FIFO first queues e_0, the
+        lowest vertex of P_0, then in each P_k the lowest vertex e_k next
+        to e_(k-1); e_d is the target it finds.
         """
         hit = sources & targets
         if hit:
             return ((hit & -hit).bit_length() - 1,)
         bits = self._bits
-        parent: dict[int, int] = {}
-        queue = mask_vertices(sources)
-        seen = sources
-        for u in queue:  # the loop also visits what it appends: FIFO
-            new = bits[u] & within & ~seen
-            seen |= new
-            while new:
-                b = new & -new
-                new ^= b
-                w = b.bit_length() - 1
-                parent[w] = u
-                if b & targets:
-                    path = [w]
-                    while w in parent:
-                        w = parent[w]
-                        path.append(w)
-                    return tuple(reversed(path))
-                queue.append(w)
-        return None
+        ends, near = targets & within, 0
+        for u in mask_vertices(sources):  # layer 0: a source next to a target
+            hit = bits[u] & ends
+            if hit:
+                return (u, (hit & -hit).bit_length() - 1)
+            near |= bits[u]
+        fwd, bwd = [sources, near & within & ~sources], [ends]
+        fseen, bseen, bwithin, meet = sources | fwd[1], ends, within & ~sources, 0
+        while not meet:
+            f, b = fwd[-1], bwd[-1]
+            if not (f and b):
+                return None
+            if f.bit_count() <= b.bit_count():
+                new = self.neighborhood(f) & within & ~fseen
+                fwd.append(new)
+                fseen, meet = fseen | new, new & bseen
+            else:
+                new = self.neighborhood(b) & bwithin & ~bseen
+                bwd.append(new)
+                bseen, meet = bseen | new, new & fseen
+        layers = [meet]  # P_a back to P_0; past P_a, B_(d-k) ∩ N(e_(k-1)) ⊆ P_k
+        for layer in reversed(fwd[:-1]):
+            layers.append(layer & self.neighborhood(layers[-1]))
+        path, row = [], -1
+        for layer in layers[::-1] + bwd[-2::-1]:
+            e = layer & row
+            path.append((e & -e).bit_length() - 1)
+            row = bits[path[-1]]
+        return tuple(path)
 
     def is_connected(self) -> bool:
         full = (1 << self.n) - 1

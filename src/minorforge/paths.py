@@ -195,6 +195,70 @@ def _check_pair_convention(pairs: list[tuple]) -> None:
         raise HypothesisViolatedError(f"{bad} is not a pair", evidence=bad) from None
 
 
+class _Linker:
+    """One ``find_linkage`` call's state: the host, its rows, the pairs,
+    the endpoint and full masks, the budget and the ``(idx, used)`` keys
+    already refuted.  The search takes the rest as arguments, so a call
+    builds no closure."""
+
+    def __init__(self, g: Graph, pairs, endpoint_mask: int):
+        self.g, self.bits, self.pairs, self.endpoint_mask = g, g._bits, pairs, endpoint_mask
+        self.full = (1 << g.n) - 1
+        self.budget = Budget(SEARCH_NODES, TooLargeError, "linkage search budget exhausted")
+        self.failed: set[tuple[int, int]] = set()
+
+    def feasible(self, idx: int, used: int) -> bool:
+        si, ti = self.pairs[idx]
+        if used >> si & 1 or used >> ti & 1:
+            return False
+        if si == ti:
+            return True
+        block = used | (self.endpoint_mask & ~(1 << si) & ~(1 << ti))
+        return bool(self.g.reach(1 << si, self.full & ~block) >> ti & 1)
+
+    def solve(self, idx: int, used: int) -> list[tuple[int, ...]] | None:
+        """Paths for pairs idx.. off the mask ``used``, or ``None``."""
+        if idx == len(self.pairs):
+            return []
+        key = (idx, used)
+        if key in self.failed:
+            return None
+        for later in range(idx, len(self.pairs)):
+            if not self.feasible(later, used):
+                self.failed.add(key)
+                return None
+        si, ti = self.pairs[idx]
+        if si == ti:
+            rest = self.solve(idx + 1, used | (1 << si))
+            found = None if rest is None else [(si,)] + rest
+        else:
+            block = used | (self.endpoint_mask & ~(1 << si) & ~(1 << ti))
+            found = self.extend(idx, used, block, [si], 1 << si)
+        if found is None:
+            self.failed.add(key)
+        return found
+
+    def extend(self, idx: int, used: int, block: int, path: list[int], path_mask: int):
+        """Depth first from the end of ``path`` to pair idx's target, then
+        the later pairs; the first full solution, or ``None``."""
+        self.budget.spend()
+        ti = self.pairs[idx][1]
+        # ti is never blocked: feasible checked it is unused
+        for w in mask_vertices(self.bits[path[-1]] & ~(block | path_mask)):
+            wb = 1 << w
+            if w == ti:
+                rest = self.solve(idx + 1, used | path_mask | wb)
+                if rest is not None:
+                    return [tuple(path + [w])] + rest
+            else:
+                path.append(w)
+                found = self.extend(idx, used, block, path, path_mask | wb)
+                if found is not None:
+                    return found
+                path.pop()
+        return None
+
+
 def find_linkage(g: Graph, pairs) -> PathFamily | None:
     """Exact search for disjoint paths joining each pair, or ``None`` when
     provably no linkage exists.  Endpoints must be distinct across pairs
@@ -204,65 +268,7 @@ def find_linkage(g: Graph, pairs) -> PathFamily | None:
         raise TooLargeError("instance beyond the exact-search caps")
     _check_pair_convention(pairs)
     endpoint_mask = mask_of(g.vertex_set([v for p in pairs for v in p]))
-    k = len(pairs)
-    full = (1 << g.n) - 1
-    budget = Budget(SEARCH_NODES, TooLargeError, "linkage search budget exhausted")
-    failed: set[tuple[int, int]] = set()
-
-    def pair_feasible(idx: int, used: int) -> bool:
-        si, ti = pairs[idx]
-        if used >> si & 1 or used >> ti & 1:
-            return False
-        if si == ti:
-            return True
-        block = used | (endpoint_mask & ~(1 << si) & ~(1 << ti))
-        return bool(g.reach(1 << si, full & ~block) >> ti & 1)
-
-    def solve(idx: int, used: int) -> list[tuple[int, ...]] | None:
-        if idx == k:
-            return []
-        key = (idx, used)
-        if key in failed:
-            return None
-        for later in range(idx, k):
-            if not pair_feasible(later, used):
-                failed.add(key)
-                return None
-        si, ti = pairs[idx]
-        if si == ti:
-            rest = solve(idx + 1, used | (1 << si))
-            if rest is not None:
-                return [(si,)] + rest
-            failed.add(key)
-            return None
-        block = used | (endpoint_mask & ~(1 << si) & ~(1 << ti))
-
-        result: list[tuple[int, ...]] | None = None
-
-        def dfs(cur: int, path: list[int], path_mask: int) -> bool:
-            nonlocal result
-            budget.spend()
-            # ti is never blocked: pair_feasible checked it is unused
-            for w in mask_vertices(g.neighbor_bits(cur) & ~(block | path_mask)):
-                wb = 1 << w
-                if w == ti:
-                    rest = solve(idx + 1, used | path_mask | wb)
-                    if rest is not None:
-                        result = [tuple(path + [w])] + rest
-                        return True
-                else:
-                    path.append(w)
-                    if dfs(w, path, path_mask | wb):
-                        return True
-                    path.pop()
-            return False
-
-        if dfs(si, [si], 1 << si):
-            return result
-        failed.add(key)
-        return None
-
-    solution = solve(0, 0)
+    solution = _Linker(g, pairs, endpoint_mask).solve(0, 0)
     if solution is None:
         return None
     fam = PathFamily(solution, "linkage", pairs=tuple(pairs))

@@ -1,21 +1,106 @@
-"""Test-only reference: ``knit_connect`` and its helper ``_pick_fresh`` as
-they were before ``knit_connect`` grew one vertex mask per part, kept
-verbatim.  They pick fresh neighbours into a banned set, keep the picks in
-two dicts, and check the finished sets pairwise by hand.  ``test_paths.py``
-requires the library to return the same sets, or raise the same error with
-the same message.
+"""Test-only references, each kept verbatim.
+
+``find_linkage`` as it was before its search became one per-call state:
+nested ``solve`` and ``dfs`` closures, ``dfs`` handing its result back
+through ``nonlocal``.  ``test_paths.py`` requires the library to return the
+same family or ``None``, spend the same budget, and run out at the same
+budgets.
+
+``knit_connect`` and its helper ``_pick_fresh`` as they were before
+``knit_connect`` grew one vertex mask per part.  They pick fresh neighbours
+into a banned set, keep the picks in two dicts, and check the finished sets
+pairwise by hand.  ``test_paths.py`` requires the library to return the
+same sets, or raise the same error with the same message.
 """
 
 from __future__ import annotations
 
+from minorforge.config import LINKAGE_PAIRS_CAP, LINKAGE_VERTEX_CAP, SEARCH_NODES
 from minorforge.errors import (
+    Budget,
     HypothesisViolatedError,
     LinkageFailedError,
     NeighborsUnavailableError,
+    TooLargeError,
     check_internal,
 )
 from minorforge.graph import Graph, induced_subgraph, mask_of, mask_vertices
-from minorforge.paths import _tuples, find_linkage
+from minorforge.paths import PathFamily, _check_pair_convention, _tuples, require_paths
+
+
+def find_linkage(g: Graph, pairs) -> PathFamily | None:
+    """Exact search for disjoint paths joining each pair, or ``None`` when
+    provably no linkage exists.  Endpoints must be distinct across pairs
+    (``s_i == t_i`` is allowed and yields a one-vertex path)."""
+    pairs = _tuples(pairs)
+    if len(pairs) > LINKAGE_PAIRS_CAP or g.n > LINKAGE_VERTEX_CAP:
+        raise TooLargeError("instance beyond the exact-search caps")
+    _check_pair_convention(pairs)
+    endpoint_mask = mask_of(g.vertex_set([v for p in pairs for v in p]))
+    k = len(pairs)
+    full = (1 << g.n) - 1
+    budget = Budget(SEARCH_NODES, TooLargeError, "linkage search budget exhausted")
+    failed: set[tuple[int, int]] = set()
+
+    def pair_feasible(idx: int, used: int) -> bool:
+        si, ti = pairs[idx]
+        if used >> si & 1 or used >> ti & 1:
+            return False
+        if si == ti:
+            return True
+        block = used | (endpoint_mask & ~(1 << si) & ~(1 << ti))
+        return bool(g.reach(1 << si, full & ~block) >> ti & 1)
+
+    def solve(idx: int, used: int) -> list[tuple[int, ...]] | None:
+        if idx == k:
+            return []
+        key = (idx, used)
+        if key in failed:
+            return None
+        for later in range(idx, k):
+            if not pair_feasible(later, used):
+                failed.add(key)
+                return None
+        si, ti = pairs[idx]
+        if si == ti:
+            rest = solve(idx + 1, used | (1 << si))
+            if rest is not None:
+                return [(si,)] + rest
+            failed.add(key)
+            return None
+        block = used | (endpoint_mask & ~(1 << si) & ~(1 << ti))
+
+        result: list[tuple[int, ...]] | None = None
+
+        def dfs(cur: int, path: list[int], path_mask: int) -> bool:
+            nonlocal result
+            budget.spend()
+            # ti is never blocked: pair_feasible checked it is unused
+            for w in mask_vertices(g.neighbor_bits(cur) & ~(block | path_mask)):
+                wb = 1 << w
+                if w == ti:
+                    rest = solve(idx + 1, used | path_mask | wb)
+                    if rest is not None:
+                        result = [tuple(path + [w])] + rest
+                        return True
+                else:
+                    path.append(w)
+                    if dfs(w, path, path_mask | wb):
+                        return True
+                    path.pop()
+            return False
+
+        if dfs(si, [si], 1 << si):
+            return result
+        failed.add(key)
+        return None
+
+    solution = solve(0, 0)
+    if solution is None:
+        return None
+    fam = PathFamily(solution, "linkage", pairs=tuple(pairs))
+    return require_paths(g, fam)
+
 
 
 def _pick_fresh(g: Graph, u: int, banned: set[int], count: int) -> list[int]:

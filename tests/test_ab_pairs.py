@@ -4,6 +4,7 @@ synthetic run results."""
 from __future__ import annotations
 
 import importlib.util
+import json
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "ab_pairs.py"
@@ -120,3 +121,43 @@ def test_a_relative_checkout_is_found_from_the_callers_directory(tmp_path, monke
     got = ab_pairs.run_once("co", "exact_small", 3, 0.5)
     assert got["argv"] == ["--workload", "exact_small", "--seed", "3", "--seconds", "0.5",
                            "--trace", "0"]
+
+
+def test_all_runs_each_benchmark_workload_in_order(monkeypatch, capsys):
+    """``--workload all`` runs the workloads of BENCHMARK.json in their
+    order, each over every seed in alternating order, and prints each one's
+    header, table and held-out table, a blank line between workloads."""
+    with open(SCRIPT.parents[1] / "BENCHMARK.json") as fh:
+        bench = json.load(fh)
+    names = [w["name"] for w in bench["workloads"]]
+    calls = []
+
+    def fake_run(checkout, workload, seed, seconds):
+        calls.append((workload, seed, checkout))
+        base = 100 + 10 * names.index(workload) + seed
+        faster = checkout == "change"
+        metrics = {s["name"]: {"value": base * (0.9 if faster else 1.0), "unit": s["unit"]}
+                   for s in bench["end_to_end"]}
+        return {"correct": True, "failed": 0, "metrics": metrics}
+
+    monkeypatch.setattr(ab_pairs, "run_once", fake_run)
+    assert ab_pairs.main(["parent", "change", "--workload", "all",
+                          "--seeds", "1-10", "--seconds", "2"]) == 0
+    want_calls = [(w, seed, side) for w in names for seed in range(1, 11)
+                  for side in (("parent", "change") if seed % 2 else ("change", "parent"))]
+    assert calls == want_calls
+    blocks = capsys.readouterr().out.rstrip("\n").split("\n\n")
+    assert len(blocks) == len(names)
+    for name, block in zip(names, blocks):
+        lines = block.split("\n")
+        assert lines[0] == f"{name}: 10 pairs, 2 s per run"
+        runs = [fake_run(side, name, seed, 2) for seed in range(1, 11)
+                for side in ("parent", "change")]
+        pairs = list(zip(runs[0::2], runs[1::2]))
+        assert lines[1:] == ab_pairs.report(list(range(1, 11)), pairs, bench["end_to_end"])
+        assert "held-out seeds 7-10: 4 pairs" in lines
+    # one named workload runs alone, as before
+    calls.clear()
+    ab_pairs.main(["parent", "change", "--workload", names[-1], "--seeds", "7", "--seconds", "2"])
+    assert calls == [(names[-1], 7, "parent"), (names[-1], 7, "change")]
+    assert capsys.readouterr().out.startswith(f"{names[-1]}: 1 pairs, 2 s per run\n")

@@ -10,17 +10,20 @@ from fractions import Fraction
 from minorforge import (
     check_wovenness,
     chromatic_number_exact,
+    find_linkage,
     is_chromatic_separable,
     random_graph,
 )
+from minorforge.extract import _search_small_minor
 from minorforge.rng import Rng, derive_seed
 
 HALF = Fraction(1, 2)
 
 
 def test_exact_searches_leave_no_cyclic_garbage():
-    """With the collector off, wovenness, chi and separability on seeded
-    hosts of the benchmark's shapes leave no unreachable object behind."""
+    """With the collector off, wovenness, chi, separability and linkage on
+    seeded hosts of the benchmark's shapes, and the stuck-descent search on
+    sparse patterns, leave no unreachable object behind."""
     searches = {
         "check_wovenness": lambda rng: check_wovenness(
             random_graph(6, Fraction(5, 6), rng.spawn(1)), HALF, 2, 1),
@@ -28,6 +31,11 @@ def test_exact_searches_leave_no_cyclic_garbage():
             random_graph(18 + rng.seed % 3, HALF, rng.spawn(2))),
         "is_chromatic_separable": lambda rng: is_chromatic_separable(
             random_graph(10, HALF, rng.spawn(3)), 1),
+        "find_linkage": lambda rng: find_linkage(
+            random_graph(16 + rng.seed % 5, Fraction(1, 5), rng.spawn(4)),
+            [(0, 1), (2, 3), (4, 5)]),
+        "_search_small_minor": lambda rng: _search_small_minor(
+            dict(enumerate(random_graph(7, Fraction(1, 3), rng.spawn(5))._bits)), 4),
     }
     left = {}
     gc.collect()

@@ -259,6 +259,34 @@ def _ref_bfs_path_within(g: Graph, allowed, s: int, t: int):
     return None
 
 
+def _ref_shortest_path(self: Graph, sources: int, targets: int, within: int):
+    """``Graph.shortest_path`` as it was before the layered search, kept
+    verbatim: a FIFO queue with a ``parent`` dict."""
+    hit = sources & targets
+    if hit:
+        return ((hit & -hit).bit_length() - 1,)
+    bits = self._bits
+    parent: dict[int, int] = {}
+    queue = mask_vertices(sources)
+    seen = sources
+    for u in queue:  # the loop also visits what it appends: FIFO
+        new = bits[u] & within & ~seen
+        seen |= new
+        while new:
+            b = new & -new
+            new ^= b
+            w = b.bit_length() - 1
+            parent[w] = u
+            if b & targets:
+                path = [w]
+                while w in parent:
+                    w = parent[w]
+                    path.append(w)
+                return tuple(reversed(path))
+            queue.append(w)
+    return None
+
+
 def _ref_bfs_tree_extend(g: Graph, tree: set[int], targets: set[int]):
     parent: dict[int, int] = {v: -1 for v in tree}
     queue = sorted(tree)
@@ -355,6 +383,62 @@ def test_mask_methods_match_set_references():
                 long_tree_paths += want is not None and len(want) > 2
     # the comparisons above must include real ties between shortest paths
     assert ties > 100 and long_tree_paths > 100
+
+
+def _path_case(kind: str, rng: Rng):
+    """A host and a (sources, targets, within) call of the given kind."""
+    if kind == "long":  # sparse: paths of six or more vertices
+        n = 40 + rng.below(51)
+        g = random_graph(n, Fraction(2, n), rng)
+    else:
+        n = 8 + rng.below(40)
+        g = random_graph(n, Fraction(1 + rng.below(4), n if kind != "layer 0" else 8), rng)
+    full = (1 << n) - 1
+    one = lambda: 1 << rng.below(n)  # noqa: E731
+    if kind == "sources outside within":  # about half the sources left out
+        sources = rng.coin_mask(n, Fraction(1, 8))
+        return g, sources, one() & ~sources, full & ~(sources & rng.coin_mask(n, Fraction(1, 2)))
+    if kind == "complement":  # as _seed_paths passes ~used
+        return g, one(), one(), ~rng.coin_mask(n, Fraction(1, 4))
+    if kind == "long":
+        return g, one(), one(), (full, ~0)[rng.below(2)]
+    if kind == "layer 0":  # as connect_within passes its core
+        sources = rng.coin_mask(n, Fraction(2, 3))
+        return g, sources, rng.coin_mask(n, Fraction(1, 6)) & ~sources, full
+    if kind == "targets outside within":
+        return g, one(), rng.coin_mask(n, Fraction(1, 6)), rng.coin_mask(n, Fraction(3, 4))
+    # unreachable: a within too thin to cross
+    return g, one(), rng.coin_mask(n, Fraction(1, 10)), rng.coin_mask(n, Fraction(1, 3))
+
+
+def _path_kind_seen(kind: str, sources: int, targets: int, within: int, path) -> bool:
+    """Whether a call of ``kind`` shows what its kind is there for."""
+    if path is None:
+        return kind == "unreachable" and bool(sources and targets & within)
+    low = sources & -sources
+    return {
+        "sources outside within": not within >> path[0] & 1 and len(path) > 2,
+        "complement": within < 0 and len(path) > 2,
+        "long": len(path) >= 6,
+        "layer 0": sources.bit_count() > 12 and len(path) == 2 and path[0] == low.bit_length() - 1,
+        "targets outside within": bool(targets & ~within) and len(path) > 2,
+        "unreachable": False,
+    }[kind]
+
+
+def test_shortest_path_matches_the_fifo_reference():
+    """The layered search returns the FIFO search's path, bit for bit, on
+    seeded calls of six kinds, each seen often enough to count."""
+    kinds = ("sources outside within", "complement", "long", "layer 0",
+             "targets outside within", "unreachable")
+    seen = dict.fromkeys(kinds, 0)
+    for case in range(3600):
+        kind = kinds[case % len(kinds)]
+        g, sources, targets, within = _path_case(kind, Rng(derive_seed(33, case)))
+        got = g.shortest_path(sources, targets, within)
+        assert got == _ref_shortest_path(g, sources, targets, within), (kind, case)
+        seen[kind] += _path_kind_seen(kind, sources, targets, within, got)
+    assert all(count > 100 for count in seen.values()), seen
 
 
 _CORRUPT_AUDIT_SCRIPT = """

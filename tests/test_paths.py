@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import minorforge.paths as paths
 from minorforge import (
     PathFamily,
     Separation,
@@ -18,6 +19,7 @@ from minorforge import (
     require_paths,
 )
 from minorforge.errors import (
+    Budget,
     HypothesisViolatedError,
     InternalInfeasibleError,
     LinkageFailedError,
@@ -162,6 +164,54 @@ def test_find_linkage_trivial_pair_and_caps():
         find_linkage(complete_graph(25), [(0, 1)])
     with pytest.raises(HypothesisViolatedError):
         find_linkage(g, [(0, 1), (1, 2)])  # endpoint 1 reused across pairs
+
+
+def _linkage_corpus(count: int):
+    """Seeded hosts of 8-16 vertices, sparse enough that some linkages
+    fail, with one to three pairs, one of them now and then trivial."""
+    for i in range(count):
+        rng = Rng(derive_seed(33, 7, i))
+        n = 8 + rng.below(9)
+        g = random_graph(n, Fraction(2 + rng.below(3), 10), rng.spawn(1))
+        order = list(range(n))
+        rng.shuffle(order)
+        k = 1 + rng.below(3)
+        pairs = list(zip(order[0:2 * k:2], order[1:2 * k:2]))
+        if rng.below(4) == 0:
+            pairs[0] = (pairs[0][0], pairs[0][0])
+        yield g, pairs
+
+
+@pytest.mark.parametrize("nodes", [None, 8])
+def test_find_linkage_matches_the_closure_reference(monkeypatch, nodes):
+    """The per-call search returns the closures' family or ``None`` and
+    spends the same budget; with a budget of 8 nodes both run out at the
+    same instances."""
+    budgets = []
+
+    class Recorded(Budget):
+        def __init__(self, *args):
+            super().__init__(*args)
+            budgets.append(self)
+
+    for module in (paths, paths_reference):
+        monkeypatch.setattr(module, "Budget", Recorded)
+        if nodes is not None:
+            monkeypatch.setattr(module, "SEARCH_NODES", nodes)
+
+    def run(search, g, pairs):
+        try:
+            fam = search(g, pairs)
+            return (None if fam is None else fam.paths), budgets[-1].spent
+        except TooLargeError as exc:
+            return "exhausted", exc.evidence
+
+    outcomes = {"family": 0, "None": 0, "exhausted": 0}
+    for g, pairs in _linkage_corpus(400):
+        got = run(find_linkage, g, pairs)
+        assert got == run(paths_reference.find_linkage, g, pairs), (g.edges(), pairs)
+        outcomes["None" if got[0] is None else got[0] if got[0] == "exhausted" else "family"] += 1
+    assert outcomes["family"] > 50 and outcomes["None" if nodes is None else "exhausted"] > 50
 
 
 def test_knit_connect_on_complete_host():
