@@ -94,7 +94,6 @@ from .rng import Rng, derive_seed
 from .rooted import (
     attached_model_search,
     find_separation_avoiding,
-    rooted_from_minor,
 )
 from .woven import (
     WovenReport,

@@ -17,7 +17,6 @@ import itertools
 import math
 
 from .config import SEARCH_NODES
-from .connectivity import vertex_connectivity_with_cutset
 from .errors import (
     HypothesisViolatedError,
     TooLargeError,
@@ -285,7 +284,9 @@ def _attached_inputs(g: Graph, s, d_list, n_avoid: int):
 
 
 def _attached_model(g: Graph, s: frozenset[int], d_sets, n_avoid: int) -> MinorModel:
-    """The loop's model on checked inputs, with its certificates checked."""
+    """The loop's model, with its certificates checked.  The inputs pass
+    ``_attached_inputs`` and the separation search first or, in
+    ``realize_woven_from_dense_minor``, counting that implies both."""
     fragments = _attached_fragments(g, mask_of(s), d_sets, n_avoid)
     model = MinorModel(g, fragments)
     check_internal(len(fragments) == len(d_sets) - len(s), "wrong fragment count")
@@ -315,28 +316,3 @@ def attached_model_search(g: Graph, s, d_list, n_avoid: int) -> MinorModel:
         )
     return _attached_model(g, s, d_sets, n_avoid)
 
-
-def rooted_from_minor(g: Graph, s, j_model: MinorModel, n_avoid: int) -> MinorModel:
-    """Attached model derived from a social-enough minor: in an
-    ``|s|``-connected host, a model with ``m`` fragments whose pattern
-    complement has maximum degree ≤ ``n_avoid`` yields a model of
-    ``m - |s|`` fragments attached to ``s`` with the same bound."""
-    check_count("the avoidance count", n_avoid, 0)
-    if j_model.host != g:
-        raise HypothesisViolatedError("the model must live in the given host")
-    pattern = j_model.pattern
-    if complement_max_degree(pattern) > n_avoid:
-        raise HypothesisViolatedError(
-            "the pattern complement exceeds the degree bound"
-        )
-    s, d_sets = _attached_inputs(g, s, j_model.fragments, n_avoid)
-    k, cutset = vertex_connectivity_with_cutset(g, len(s))
-    if k < len(s):
-        raise HypothesisViolatedError(
-            f"host connectivity {k} is below the attachment size",
-            evidence=cutset,
-        )
-    # a separation of order below |s| with s on its near side and a vertex
-    # off it would be a cutset smaller than the connectivity, so the
-    # avoiding-separation hypothesis holds and the loop runs unchecked
-    return _attached_model(g, s, d_sets, n_avoid)

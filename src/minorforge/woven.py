@@ -39,7 +39,7 @@ from .graph import (
 )
 from .model import MinorModel, is_rooted_at
 from .paths import PathFamily, _check_pair_convention, require_paths
-from .rooted import rooted_from_minor
+from .rooted import _attached_model, _live_graph
 
 __all__ = [
     "WovenReport",
@@ -297,8 +297,8 @@ def realize_woven_from_dense_minor(
 
     ``request`` is (roots, sources, targets) with a roots and 3a
     endpoints per list; roots may not appear among the endpoints here.
-    The dense minor is ``dense_model`` when given, which must live in
-    ``g`` (HypothesisViolatedError) and be dense enough
+    The dense minor is ``dense_model`` when given, which must be a
+    MinorModel living in ``g`` (HypothesisViolatedError) and be dense enough
     (DensityNotMetError).  Otherwise it is the singletons of the greedy
     32a-vertex subgraph, and HypothesisViolatedError is raised when that
     subgraph is not dense enough.  The construction peels low-quality
@@ -339,9 +339,9 @@ def realize_woven_from_dense_minor(
     eps_fine = eps / 256
     t_dense = 32 * a
     if dense_model is not None:
-        if dense_model.host != g:
+        if not isinstance(dense_model, MinorModel) or dense_model.host != g:
             raise HypothesisViolatedError(
-                "the dense model must live in the given host"
+                "the dense model must be a minor model in the given host", evidence=dense_model
             )
         pattern = dense_model.pattern
         if not is_eps_t_dense(pattern, eps_fine, t_dense):
@@ -389,38 +389,32 @@ def realize_woven_from_dense_minor(
         r_prime.append((free & -free).bit_length() - 1)
         taken |= free & -free
 
-    g1, old_of_new = induced_subgraph(g, mask_vertices((1 << g.n) - 1 & ~removed))
-    new_of_old = {v: i for i, v in enumerate(old_of_new)}
-    # the kept fragments avoid every removed vertex, so renumbering them
-    # into g1 changes neither their connectivity nor their adjacency: j1's
-    # pattern is j_model's induced on kept
-    j1 = MinorModel._derived(
-        g1,
-        [
-            frozenset(new_of_old[v] for v in j_model.fragments[i])
-            for i in kept
-        ],
-        _induced(pat._bits, mask_of(kept)),
-    )
-    n_av = complement_max_degree(j1.pattern)
+    # the kept fragments' pattern is j_model's induced on kept
+    n_av = complement_max_degree(_induced(pat._bits, mask_of(kept)))
     attach = r_prime + [s for s, t in zip(s_tuple, t_tuple) if s != t]
     attach += [t for s, t in zip(s_tuple, t_tuple) if s != t]
     t_att = len(attach)
-    # n_av <= cap < a/2 and t_att <= 7a, so the 20a + 1 kept sets exceed
-    # n_av + 2 t_att, the count rooted_from_minor asks of its input
-    attached = rooted_from_minor(g1, [new_of_old[v] for v in attach], j1, n_av)
-    # its fragments back in host ids; each of the first t_att holds exactly
-    # one attachment vertex, the one ``where`` maps to its index
-    frags = [mask_of(old_of_new[x] for x in f) for f in attached.fragments]
+    # with c collapsed pairs, t_att = 7a - 2c and n_av <= cap < a/2, so the
+    # 20a + 1 kept sets exceed n_av + 2 t_att, the count the loop asks of
+    # its input.  Removing the a + c roots and collapsed pairs leaves the
+    # rest of g (7a - c)-connected, so no separation of order below t_att
+    # keeps a set away from the attachment, and the loop needs no search
+    check_internal(len(kept) >= n_av + 2 * t_att, "too few branch sets for the attachment order")
+    # the loop runs in host ids, on g with the removed vertices isolated;
+    # the kept fragments avoid them
+    g1 = _live_graph(g._bits, (1 << g.n) - 1 & ~removed)
+    attached = _attached_model(g1, frozenset(attach), [j_model.fragments[i] for i in kept], n_av)
+    # each of the first t_att fragments holds exactly one attachment
+    # vertex, the one ``where`` maps to its index
+    frags = [mask_of(f) for f in attached.fragments]
     att = mask_of(attach)
     where = {(frags[i] & att).bit_length() - 1: i for i in range(t_att)}
 
     # each pair rides its two attachment fragments plus the least shared
-    # neighbor fragment no earlier pair took; g1 numbers its vertices in
-    # ascending order, so routing in g finds the path routing in g1 would.
-    # Of the len(kept) - 2 t_att >= 6a + 1 spare fragments, fs and ft each
-    # miss at most n_av < a/2, so the two share more than 5a spares, and
-    # earlier pairs took at most 3a - 1 of them
+    # neighbor fragment no earlier pair took.  Of the len(kept) - 2 t_att >=
+    # 6a + 1 spare fragments, fs and ft each miss at most n_av < a/2, so
+    # the two share more than 5a spares, and earlier pairs took at most
+    # 3a - 1 of them
     f_pat = attached.pattern
     spare = (1 << len(frags)) - (1 << t_att)
     paths_out: list[tuple[int, ...]] = []

@@ -19,7 +19,7 @@ TESTS = ROOT / "tests"
 
 ALLOWED = {
     "attached_model_search": "the attached-model lemma with its separation hypothesis "
-    "checked; rooted_from_minor runs the same loop where connectivity implies it",
+    "checked; realize_woven_from_dense_minor runs the same loop where counting implies it",
 }
 
 

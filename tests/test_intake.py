@@ -47,7 +47,6 @@ from minorforge import (
     random_bipartite,
     random_graph,
     realize_woven_from_dense_minor,
-    rooted_from_minor,
     sample_hitting_set,
     serialize_graph,
     to_dot,
@@ -181,9 +180,6 @@ ROWS = {
         HVE, lambda v: find_separation_avoiding(K5, {0}, 1, [{1}], v), (1.5, True, -1)),
     ("attached_model_search", "n_avoid"): (
         HVE, lambda v: attached_model_search(K5, {0}, [{1}, {2}, {3}], v), (1.5, True, -1)),
-    ("rooted_from_minor", "n_avoid"): (
-        HVE, lambda v: rooted_from_minor(K5, {0}, MinorModel(K5, [[1], [2], [3]]), v),
-        (1.5, True, -1)),
     ("check_wovenness", "eps"): (
         HVE, lambda v: check_wovenness(K5, v, 1, 1), (NOT_RATIONAL, True, 0, 1)),
     ("check_wovenness", "a"): (
@@ -204,6 +200,12 @@ EXEMPT = {
     "WovenReport": "a result record that check_wovenness fills in",
 }
 
+
+def _realize_with(dense_model):
+    request = ((0, 1), tuple(range(60, 66)), tuple(range(66, 72)))
+    return realize_woven_from_dense_minor(complete_graph(80), HALF, 2, request, dense_model)
+
+
 # malformed inputs that are not a count or a rational:
 # label -> (error, call, evidence)
 PROBES = {
@@ -223,6 +225,12 @@ PROBES = {
         UnknownVertexError, lambda: MinorModel(K5, [["a"]]).pattern, "a"),
     "MinorModel with a float vertex": (
         UnknownVertexError, lambda: MinorModel(K5, [[1.5]]).pattern, 1.5),
+    "realize_woven_from_dense_minor with a list of sets for dense_model": (
+        HVE, lambda: _realize_with([{0}]), [{0}]),
+    "realize_woven_from_dense_minor with a string for dense_model": (
+        HVE, lambda: _realize_with("x"), "x"),
+    "realize_woven_from_dense_minor with an int for dense_model": (
+        HVE, lambda: _realize_with(5), 5),
 }
 
 NUMERIC = {"int", "int | None", "Fraction", "Fraction | None"}

@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from minorforge import (
-    MinorModel,
     attached_model_search,
     complement_max_degree,
     complete_graph,
@@ -15,7 +14,6 @@ from minorforge import (
     is_attached_to,
     random_graph,
     require_valid,
-    rooted_from_minor,
 )
 from minorforge.errors import HypothesisViolatedError, MinorforgeError
 from minorforge.graph import mask_of
@@ -188,38 +186,6 @@ def test_attached_search_refuses_a_set_anticomplete_to_too_many():
         )
         refused += 1
     assert refused >= 20
-
-
-def test_rooted_from_minor():
-    g = complete_graph(12)
-    j_model = MinorModel(g, [{v} for v in range(12)])
-    model = rooted_from_minor(g, (0, 1, 2), j_model, 0)
-    assert len(model.fragments) == 9
-    assert is_attached_to(model, (0, 1, 2))
-
-
-def test_rooted_from_minor_demands_connectivity():
-    # two K_6 blocks and one bridge: the degree and count hypotheses hold
-    # but a single vertex separates the sides
-    edges = []
-    for base in (0, 6):
-        edges += [(base + i, base + j) for i in range(6) for j in range(i + 1, 6)]
-    edges.append((5, 6))
-    g = graph_from_edge_list(12, sorted(edges))
-    j_model = MinorModel(g, [{v} for v in range(12)])
-    with pytest.raises(HypothesisViolatedError) as info:
-        rooted_from_minor(g, (0, 6), j_model, 6)
-    assert info.value.evidence is not None  # names a cutset
-
-
-def test_rooted_from_minor_checks_the_host_before_the_model():
-    """A model from another host is refused as living elsewhere, before its
-    fragments are checked: {0, 2} is not connected in its own host."""
-    g = complete_graph(68)
-    one_edge = graph_from_edge_list(68, [(0, 1)])
-    elsewhere = MinorModel(one_edge, [{0, 2}] + [{v} for v in range(3, 68)])
-    with pytest.raises(HypothesisViolatedError, match="given host"):
-        rooted_from_minor(g, (0, 1), elsewhere, 0)
 
 
 def _forced_cut_instance(rng, kind):

@@ -11,6 +11,7 @@ from minorforge import (
     audit_path_family,
     build_dense_minor,
     check_wovenness,
+    complement_max_degree,
     complete_graph,
     graph_from_edge_list,
     is_eps_t_dense,
@@ -349,26 +350,25 @@ def _woven_corpus():
 
 
 def test_woven_derives_the_attached_search_model_pattern(monkeypatch):
-    """The model that ``realize_woven_from_dense_minor`` hands the attached
-    search keeps some fragments of the dense minor, renumbered into the
-    host without the removed vertices; its pattern is derived from the
-    dense minor's, not validated, and equals what validating it from
-    scratch gives."""
+    """The avoidance count that ``realize_woven_from_dense_minor`` hands
+    the attached loop, read off the dense minor's pattern induced on the
+    kept fragments, equals the pattern complement's maximum degree of those
+    fragments validated from scratch in the host."""
     import minorforge.woven as woven
 
-    seen, search = [], woven.rooted_from_minor
+    seen, attached = [], woven._attached_model
 
-    def spy(g, attach, model, n_av):
-        seen.append((model, "pattern" in model.__dict__))
-        return search(g, attach, model, n_av)
+    def spy(g1, s, d_sets, n_avoid):
+        seen.append((d_sets, n_avoid))
+        return attached(g1, s, d_sets, n_avoid)
 
-    monkeypatch.setattr(woven, "rooted_from_minor", spy)
-    for g, request in _woven_corpus():
+    monkeypatch.setattr(woven, "_attached_model", spy)
+    hosts = list(_woven_corpus())
+    for g, request in hosts:
         realize_woven_from_dense_minor(g, Fraction(1, 2), 2, request)
-    assert len(seen) == 7
-    for model, derived in seen:
-        assert derived
-        assert model.pattern == require_valid(model).pattern
+    assert len(seen) == len(hosts) == 7
+    for (g, _), (d_sets, n_avoid) in zip(hosts, seen):
+        assert n_avoid == complement_max_degree(require_valid(MinorModel(g, d_sets)).pattern)
 
 
 def test_woven_derives_the_greedy_singleton_pattern(monkeypatch):
@@ -468,13 +468,13 @@ def test_realize_at_the_counting_bounds(monkeypatch):
     disjoint; every request gets an audited witness."""
     import minorforge.woven as woven
 
-    eps, kept, rooted = Fraction(255, 256), [], woven.rooted_from_minor
+    eps, kept, attached = Fraction(255, 256), [], woven._attached_model
 
-    def spy(g, s, j_model, n_avoid):
-        kept.append(len(j_model.fragments))
-        return rooted(g, s, j_model, n_avoid)
+    def spy(g1, s, d_sets, n_avoid):
+        kept.append(len(d_sets))
+        return attached(g1, s, d_sets, n_avoid)
 
-    monkeypatch.setattr(woven, "rooted_from_minor", spy)
+    monkeypatch.setattr(woven, "_attached_model", spy)
     for a in (2, 3, 4):
         n = 32 * a
         m_missing = int(eps / 256 * (n * (n - 1) // 2))
@@ -564,7 +564,9 @@ def test_realize_matches_the_id_map_reference(monkeypatch):
     branch sets (any greedy subgraph taken as dense) break the counting the
     construction rests on: where the reference refuses them, the library
     must raise too, InternalInfeasibleError at the step the counting
-    guarantees, or the attached search's own intake refusal."""
+    guarantees.  Two thinned hosts keep too few branch sets for the
+    attachment order: the reference's ``rooted_from_minor`` refuses them at
+    its intake, the library at its own count of the kept sets."""
     import minorforge.woven as woven
 
     searches, search = [], Graph.shortest_path
@@ -609,5 +611,4 @@ def test_realize_matches_the_id_map_reference(monkeypatch):
     with monkeypatch.context() as patch:
         for module in (woven, woven_ref):
             patch.setattr(module, "is_eps_t_dense", lambda *args: True)
-        assert compare(_thinned_hosts()) == {
-            "witness": 9, "InternalInfeasibleError": 7, "HypothesisViolatedError": 2}
+        assert compare(_thinned_hosts()) == {"witness": 9, "InternalInfeasibleError": 9}

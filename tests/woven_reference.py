@@ -16,7 +16,15 @@ subgraph without the removed vertices, holds roots and endpoints as sets,
 and scans for each pair's connector.  The library must return the same
 witness wherever this copy does, and raise wherever it refuses; a refusal
 here that the construction's counting rules out is, in the library, an
-InternalInfeasibleError or the attached search's intake refusal.
+InternalInfeasibleError.
+
+``rooted_from_minor`` is kept verbatim too, because the library no longer
+has it: the library's construction runs the attached loop directly on the
+host with the removed vertices isolated, with its counting in place of the
+intake and the connectivity check that this copy still makes on the
+renumbered host before it calls the same ``_attached_inputs`` and
+``_attached_model``.  It reads ``vertex_connectivity_with_cutset`` from
+this module, so a test that patches that name here patches both checks.
 """
 
 from __future__ import annotations
@@ -46,7 +54,7 @@ from minorforge.graph import (
 )
 from minorforge.model import MinorModel, is_rooted_at
 from minorforge.paths import PathFamily, _check_pair_convention, require_paths
-from minorforge.rooted import rooted_from_minor
+from minorforge.rooted import _attached_inputs, _attached_model
 from minorforge.woven import WovenReport, WovenTriple
 
 
@@ -188,6 +196,32 @@ def check_wovenness(
         counterexample=counterexample,
     )
     return report, nodes - budget[0]
+
+
+def rooted_from_minor(g: Graph, s, j_model: MinorModel, n_avoid: int) -> MinorModel:
+    """Attached model derived from a social-enough minor: in an
+    ``|s|``-connected host, a model with ``m`` fragments whose pattern
+    complement has maximum degree ≤ ``n_avoid`` yields a model of
+    ``m - |s|`` fragments attached to ``s`` with the same bound."""
+    check_count("the avoidance count", n_avoid, 0)
+    if j_model.host != g:
+        raise HypothesisViolatedError("the model must live in the given host")
+    pattern = j_model.pattern
+    if complement_max_degree(pattern) > n_avoid:
+        raise HypothesisViolatedError(
+            "the pattern complement exceeds the degree bound"
+        )
+    s, d_sets = _attached_inputs(g, s, j_model.fragments, n_avoid)
+    k, cutset = vertex_connectivity_with_cutset(g, len(s))
+    if k < len(s):
+        raise HypothesisViolatedError(
+            f"host connectivity {k} is below the attachment size",
+            evidence=cutset,
+        )
+    # a separation of order below |s| with s on its near side and a vertex
+    # off it would be a cutset smaller than the connectivity, so the
+    # avoiding-separation hypothesis holds and the loop runs unchecked
+    return _attached_model(g, s, d_sets, n_avoid)
 
 
 def realize_woven_from_dense_minor(
