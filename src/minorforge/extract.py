@@ -318,7 +318,7 @@ def _small_minor_step(rows, d: int, budget: Budget, visited: set, moves: list, s
     return False
 
 
-def _certified_descent(g: Graph, d: int) -> tuple[_Work, MinorModel]:
+def _certified_descent(g: Graph, d: int) -> MinorModel:
     """The descent from the densest component of ``g`` down to order at
     most d and min degree at least d/2, with its model certified."""
     check_count("the degree target", d, 2)
@@ -334,30 +334,29 @@ def _certified_descent(g: Graph, d: int) -> tuple[_Work, MinorModel]:
         raise ExtractionFailedError(
             "descent finished without meeting the order/degree targets"
         )
-    return work, model
+    return model
 
 
 def mader_min_degree_minor(g: Graph, d: int) -> MinorModel:
     """Minor with at most d vertices and min degree at least d/2, from any
     host of average degree at least d-1."""
-    return _certified_descent(g, d)[1]
+    return _certified_descent(g, d)
 
 
 def dense_connected_minor(g: Graph, d: int) -> MinorModel:
     """Minor with at most d vertices, min degree at least d/3, and
-    connectivity at least d/6."""
-    work, model = _certified_descent(g, d)
-    pat, reps = model.pattern, sorted(work.frags)
+    connectivity at least d/6.  The descent certifies order and degree, so
+    one connectivity check certifies its model; only a trimmed model is
+    certified again."""
+    model = _certified_descent(g, d)
+    pat = model.pattern
     if pat.n >= 2:
         kappa, cutset = vertex_connectivity_with_cutset(pat, -(-d // 6))
-        if 6 * kappa < d:
-            check_internal(
-                cutset is not None, "a pattern below the connectivity target has a cutset"
-            )
-            keep = _small_side(pat, mask_of(cutset))
-            for i in mask_vertices(((1 << pat.n) - 1) & ~keep):
-                work.delete(reps[i])
-            model = work.model()
+        if 6 * kappa >= d:
+            return model
+        check_internal(cutset is not None, "a pattern below the connectivity target has a cutset")
+        keep = _small_side(pat, mask_of(cutset))
+        model = MinorModel(g, [model.fragments[i] for i in mask_vertices(keep)])
     _certify_dense_connected(model, d)
     return model
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .errors import HypothesisViolatedError, ParseError, check_count
 from .graph import Graph
-from .model import MinorModel
+from .model import MinorModel, _check_model
 
 __all__ = [
     "REPORT_SCHEMA",
@@ -148,7 +148,7 @@ def parse_model(text: str, host: Graph) -> MinorModel:
 
 
 def serialize_model(m: MinorModel) -> str:
-    out = [f"model {len(m.fragments)}"]
+    out = [f"model {len(_check_model(m).fragments)}"]
     for i, frag in enumerate(m.fragments):
         out.append("f " + str(i) + " " + " ".join(map(str, sorted(frag))))
     return "\n".join(out) + "\n"
@@ -165,7 +165,7 @@ def to_dot(g: Graph, model: MinorModel | None = None) -> str:
     out = ["graph G {", "  node [shape=circle];"]
     covered: set[int] = set()
     if model is not None:
-        if model.host != g:
+        if _check_model(model).host != g:
             raise HypothesisViolatedError("the model must live in the given host", evidence=model)
         for i, frag in enumerate(model.fragments):
             color = _DOT_COLORS[i % len(_DOT_COLORS)]

@@ -20,7 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import InvalidModelError, OrderTooSmallError, UnknownVertexError, check_vertex_sets
+from .errors import (HypothesisViolatedError, InvalidModelError, OrderTooSmallError,
+                     UnknownVertexError, check_vertex_sets)
 from .graph import Graph, mask_of
 
 
@@ -30,6 +31,8 @@ class MinorModel:
     fragments: tuple[frozenset[int], ...]
 
     def __init__(self, host: Graph, fragments) -> None:
+        if not isinstance(host, Graph):
+            raise HypothesisViolatedError(f"the host {host!r} is not a graph", evidence=host)
         object.__setattr__(self, "host", host)
         object.__setattr__(self, "fragments", check_vertex_sets(fragments))
 
@@ -59,6 +62,13 @@ class MinorModel:
         return require_valid(self).pattern
 
 
+def _check_model(m) -> MinorModel:
+    """``m`` itself; HypothesisViolatedError naming it unless it is a model."""
+    if not isinstance(m, MinorModel):
+        raise HypothesisViolatedError(f"{m!r} is not a minor model", evidence=m)
+    return m
+
+
 @dataclass
 class ModelReport:
     valid: bool
@@ -72,7 +82,7 @@ def validate_model(m: MinorModel) -> ModelReport:
     Violations are ``(subject, reason)`` pairs where the subject is a
     fragment index or an index pair.
     """
-    g = m.host
+    g = _check_model(m).host
     violations: list = []
     masks: list[int] = []
     for i, frag in enumerate(m.fragments):
@@ -126,7 +136,7 @@ def require_valid(m: MinorModel) -> ModelReport:
 def is_rooted_at(m: MinorModel, s) -> bool:
     """True when the fragments and ``s`` pair off: as many fragments as
     vertices of ``s``, each fragment meeting ``s`` exactly once."""
-    m.pattern  # raises on an invalid model
+    _check_model(m).pattern  # raises on an invalid model
     s = m.host.vertex_set(s)
     if len(m.fragments) != len(s):
         return False
@@ -136,7 +146,7 @@ def is_rooted_at(m: MinorModel, s) -> bool:
 def is_attached_to(m: MinorModel, s) -> bool:
     """True when the first ``|s|`` fragments each meet ``s`` in exactly one
     vertex, together covering ``s`` (later fragments then avoid ``s``)."""
-    m.pattern  # raises on an invalid model
+    _check_model(m).pattern  # raises on an invalid model
     s = m.host.vertex_set(s)
     if len(s) > len(m.fragments):
         raise OrderTooSmallError("more attachment vertices than fragments")
@@ -153,7 +163,7 @@ def compose_models(outer: MinorModel, inner: MinorModel) -> MinorModel:
     """Model-of-a-model: ``inner`` lives in the pattern of ``outer``; each
     inner fragment expands to the union of the outer fragments it names.
     The composed model is validated before it is returned."""
-    outer.pattern, inner.pattern  # raise on an invalid model
+    _check_model(outer).pattern, _check_model(inner).pattern  # raise on an invalid model
     if inner.host.n != len(outer.fragments):
         raise InvalidModelError(
             "inner host order does not match the outer fragment count"

@@ -84,6 +84,8 @@ class PathFamily:
 def audit_path_family(g: Graph, fam: PathFamily) -> list[str]:
     """Every contract violation in the family, as human-readable strings.
     The single auditor every construction in this package runs through."""
+    if not isinstance(fam, PathFamily):
+        raise HypothesisViolatedError(f"{fam!r} is not a path family", evidence=fam)
     out: list[str] = []
     for i, p in enumerate(fam.paths):
         if not p:

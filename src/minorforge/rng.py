@@ -17,12 +17,9 @@ batch's draws below the rejection limit, in order, and asks for a further
 batch of only as many draws as coins are still missing, so it consumes the
 stream draw for draw as successive ``bernoulli`` draws would.
 
-``below`` and ``shuffle`` take one bound per draw and stay scalar: they run
-the SplitMix64 step of ``next_u64`` and ``_mix`` inline on a local copy of
-the state, with its constants written out, and compute each rejection
-limit once per bound.  Every draw leaves the state as ``next_u64`` followed
-by the rejection test would, so every later draw from the same Rng is
-unchanged.
+``below`` takes one bound per draw and draws through ``next_u64``, so the
+SplitMix64 step is written once, in ``next_u64`` and ``_mix``; ``shuffle``
+and ``choice`` draw through ``below``.
 """
 
 from __future__ import annotations
@@ -113,19 +110,13 @@ class Rng:
             check_count("the bound", n, 1, error=OrderTooSmallError)
             return 0
         limit = _SPAN - _SPAN % n
-        state = self._state
         while True:
-            state = (state + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-            z ^= z >> 31
+            z = self.next_u64()
             if z < limit:
-                self._state = state
                 return z % n
 
     def choice(self, seq):
-        if not seq:
-            raise ValueError("choice() from an empty sequence")
+        """An item of ``seq``; an empty one is refused by ``below(0)``."""
         return seq[self.below(len(seq))]
 
     def sample_with_replacement(self, seq, r: int) -> list:
@@ -176,20 +167,9 @@ class Rng:
 
     def shuffle(self, items: list) -> None:
         """Fisher-Yates from the back, drawing ``below(i + 1)`` for each i."""
-        state = self._state
         for i in range(len(items) - 1, 0, -1):
-            n = i + 1
-            limit = _SPAN - _SPAN % n
-            while True:
-                state = (state + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-                z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-                z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-                z ^= z >> 31
-                if z < limit:
-                    break
-            j = z % n
+            j = self.below(i + 1)
             items[i], items[j] = items[j], items[i]
-        self._state = state
 
     def spawn(self, *indices: int) -> "Rng":
         return Rng(derive_seed(self.seed, *indices))

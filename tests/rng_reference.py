@@ -4,7 +4,11 @@ class and function names.
 
 ``ReferenceRng`` draws through ``next_u64`` and the old ``below``,
 ``bernoulli`` and ``shuffle``; the two graph generators collect an edge list
-with one ``bernoulli`` draw per pair.  ``test_rng.py`` and ``test_graph.py``
+with one ``bernoulli`` draw per pair.  The library's ``below`` and
+``shuffle`` now have the reference's shape again (a rejection loop over
+``next_u64``, and Fisher-Yates over ``below(i + 1)``); the reference stays
+as the independent oracle, since its copies do not change when the
+library's do.  ``test_rng.py`` and ``test_graph.py``
 require the library to return the same values and leave the same state.
 ``plant_rejection`` inverts the SplitMix64 finaliser, so a test can put a
 draw that a rejection loop must refuse at a chosen place in the stream.

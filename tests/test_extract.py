@@ -366,10 +366,9 @@ def test_dense_connected_validates_the_descent_model_once(monkeypatch):
     )
 
     def stopped(host, d):
-        work = extract._Work(host)
-        model = work.model()
+        model = extract._Work(host).model()
         model.pattern  # certified, as the descent's model is
-        return work, model
+        return model
 
     monkeypatch.setattr(extract, "_certified_descent", stopped)
     seen.clear()

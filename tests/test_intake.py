@@ -23,12 +23,14 @@ from minorforge import (
     Rng,
     UnknownVertexError,
     attached_model_search,
+    audit_path_family,
     bipartite_random_contraction,
     build_dense_minor,
     build_dense_minor_bipartite,
     build_dense_minor_in_dense_graph,
     check_wovenness,
     complete_graph,
+    compose_models,
     degree_target,
     dense_connected_minor,
     derive_seed,
@@ -38,7 +40,9 @@ from minorforge import (
     greedy_dense_subgraph,
     hitting_set_check,
     is_chromatic_separable,
+    is_attached_to,
     is_eps_t_dense,
+    is_rooted_at,
     k_connected_subgraph,
     mader_min_degree_minor,
     menger,
@@ -47,10 +51,14 @@ from minorforge import (
     random_bipartite,
     random_graph,
     realize_woven_from_dense_minor,
+    require_paths,
+    require_valid,
     sample_hitting_set,
     serialize_graph,
+    serialize_model,
     to_dot,
     undominated_bound,
+    validate_model,
     vertex_connectivity_with_cutset,
 )
 from minorforge.errors import check_count, check_rational
@@ -231,6 +239,22 @@ PROBES = {
         HVE, lambda: _realize_with("x"), "x"),
     "realize_woven_from_dense_minor with an int for dense_model": (
         HVE, lambda: _realize_with(5), 5),
+    "validate_model of a string": (HVE, lambda: validate_model("x"), "x"),
+    "require_valid of a list of sets": (HVE, lambda: require_valid([{0}]), [{0}]),
+    "serialize_model of an int": (HVE, lambda: serialize_model(5), 5),
+    "to_dot with a string for the model": (HVE, lambda: to_dot(K5, "x"), "x"),
+    "compose_models with a string for the outer model": (
+        HVE, lambda: compose_models("x", FOREIGN), "x"),
+    "compose_models with a string for the inner model": (
+        HVE, lambda: compose_models(FOREIGN, "x"), "x"),
+    "is_rooted_at of a string": (HVE, lambda: is_rooted_at("x", [0]), "x"),
+    "is_attached_to of a string": (HVE, lambda: is_attached_to("x", [0]), "x"),
+    "audit_path_family with a string for the family": (
+        HVE, lambda: audit_path_family(K5, "x"), "x"),
+    "require_paths with a list of pairs for the family": (
+        HVE, lambda: require_paths(K5, [(0, 1)]), [(0, 1)]),
+    "MinorModel with a string for the host": (
+        HVE, lambda: MinorModel("x", [[0]]).pattern, "x"),
 }
 
 NUMERIC = {"int", "int | None", "Fraction", "Fraction | None"}

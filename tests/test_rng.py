@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import ast
 import struct
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from minorforge.errors import HypothesisViolatedError
+from minorforge import rng
+from minorforge.errors import HypothesisViolatedError, OrderTooSmallError
 from minorforge.rng import _GOLDEN, _LANES, _LOW_WORDS, _MASK, Rng, _lanes, _mix, derive_seed
 
 from rng_reference import ReferenceRng, plant_rejection
@@ -39,12 +42,15 @@ def test_bounds_counts_and_probabilities_are_read_through_the_intake():
     a probability that is not a rational, at any coin count, are refused
     with the value as evidence; a float probability is read as the rational
     it is and draws what that rational draws, one coin at a time or as a
-    mask; no coins draw nothing."""
+    mask; no coins draw nothing.  An empty sequence is refused by
+    ``below(0)`` as soon as an item is drawn from it."""
     for call, error, bad in (
         (lambda: Rng(1).below(2.5), ValueError, 2.5),
         (lambda: Rng(1).below(True), ValueError, True),
         (lambda: Rng(1).sample_with_replacement(range(3), -2), HypothesisViolatedError, -2),
         (lambda: Rng(1).sample_with_replacement(range(3), 1.5), HypothesisViolatedError, 1.5),
+        (lambda: Rng(1).choice([]), OrderTooSmallError, 0),
+        (lambda: Rng(1).sample_with_replacement([], 2), OrderTooSmallError, 0),
         (lambda: Rng(1).coin_mask(-1, Fraction(1, 2)), HypothesisViolatedError, -1),
         (lambda: Rng(1).bernoulli(None), HypothesisViolatedError, None),
         (lambda: Rng(1).bernoulli("half"), HypothesisViolatedError, "half"),
@@ -67,6 +73,8 @@ def test_bounds_counts_and_probabilities_are_read_through_the_intake():
     for p in ("1/2", Fraction(1, 3), 0.25, 0, 1):
         zero, fresh = Rng(3), Rng(3)
         assert zero.coin_mask(0, p) == 0 and zero.next_u64() == fresh.next_u64()
+    none, fresh = Rng(3), Rng(3)
+    assert none.sample_with_replacement([], 0) == [] and none.next_u64() == fresh.next_u64()
 
 
 def test_choice_and_sample():
@@ -225,3 +233,32 @@ def test_planted_rejection_at_a_batch_edge_costs_one_draw(k):
         assert new.coin_mask(width, p) == want
         assert new._state == ref._state == (seed + (width + 1) * _GOLDEN) & _MASK
         assert new.next_u64() == ref.next_u64()
+
+
+def _owners(tree: ast.AST, value: int) -> set[str]:
+    """Where the integer literal ``value`` is written: the innermost
+    function holding it, or the name a module-level assignment binds."""
+    found = set()
+
+    def visit(node, owner):
+        if isinstance(node, ast.Constant) and node.value.__class__ is int and node.value == value:
+            found.add(owner)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        elif isinstance(node, ast.Assign) and owner is None:
+            owner = ", ".join(ast.unparse(t) for t in node.targets)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, None)
+    return found
+
+
+def test_the_splitmix64_step_is_written_once():
+    """The finaliser's multipliers appear only in the scalar ``_mix`` and
+    the lane kernel, and the increment only in ``_GOLDEN``'s assignment,
+    so no draw runs its own copy of the step."""
+    tree = ast.parse(Path(rng.__file__).read_text(encoding="utf-8"))
+    for multiplier in (0xBF58476D1CE4E5B9, 0x94D049BB133111EB):
+        assert _owners(tree, multiplier) == {"_mix", "_lanes"}
+    assert _owners(tree, 0x9E3779B97F4A7C15) == {"_GOLDEN"}
